@@ -28,11 +28,9 @@ use crate::Result;
 ///    beneath outstanding pins. With **no** outstanding snapshot (direct
 ///    `ServeEngine` use between pins) the refresh mutates in place;
 ///    under a [`crate::Server`], the published snapshot itself is a
-///    standing pin, so each batch first clones the index (one bulk
-///    memcpy, cheap next to the re-walk work and far below a rebuild)
-///    before the output-sensitive refresh patches it. Pushing the COW
-///    boundary down to per-layer granularity — so a standing pin only
-///    copies touched layers — is the noted ROADMAP follow-up.
+///    standing pin, so each batch first clones the index shallowly (the
+///    walk layers are shared `Arc`s) and the refresh writes every layer
+///    it patches as a new layer, leaving the pinned one to the snapshot.
 #[derive(Debug)]
 pub struct ServeEngine {
     backend: Backend,

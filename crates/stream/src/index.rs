@@ -21,9 +21,12 @@ use crate::batch::{GraphDelta, WeightedGraphDelta};
 /// The index lives behind an [`Arc`] so the serving layer can pin a
 /// snapshot of one epoch at zero cost: [`IncrementalIndex::share`] hands
 /// out the current epoch's handle, and the next `apply` mutates in place
-/// when no snapshot still holds it (the steady state) or transparently
-/// clones first when one does (`Arc::make_mut`), so a pinned reader never
-/// observes a mid-refresh index.
+/// when no snapshot still holds it (the steady state) or clones first when
+/// one does (`Arc::make_mut`). The clone is shallow — the walk layers are
+/// themselves shared `Arc`s, so it copies `R` layer pointers and the two
+/// per-node aggregate columns — and the refresh then replaces each layer it
+/// patches with a fresh one, leaving the pinned layers intact: a pinned
+/// reader never observes a mid-refresh index.
 #[derive(Clone, Debug)]
 pub struct IncrementalIndex {
     idx: Arc<WalkIndex>,
@@ -171,7 +174,7 @@ impl IncrementalIndex {
 
     /// A shared handle to the current epoch's index. Cloning the `Arc` is
     /// O(1); holding it pins this epoch — a later [`IncrementalIndex::apply`]
-    /// leaves the pinned index untouched (copy-on-write).
+    /// leaves the pinned index untouched (copy-on-write at layer grain).
     pub fn share(&self) -> Arc<WalkIndex> {
         Arc::clone(&self.idx)
     }
@@ -186,7 +189,7 @@ impl IncrementalIndex {
         self.lifetime
     }
 
-    /// Unwraps the maintained index (cloning only if a snapshot still
+    /// Unwraps the maintained index (a shallow clone if a snapshot still
     /// shares it).
     pub fn into_index(self) -> WalkIndex {
         Arc::try_unwrap(self.idx).unwrap_or_else(|arc| (*arc).clone())

@@ -61,7 +61,9 @@ pub struct ShardBatchStats {
     pub layers: LayerRange,
     /// Walk groups resampled / postings rewritten inside that range.
     pub refresh: RefreshStats,
-    /// Wall time of the shard's commit (graph swap + index refresh).
+    /// Wall time of the shard's commit: graph swap, index refresh, and —
+    /// when a snapshot pins the epoch — the shallow index clone before it
+    /// (layer pointers plus the two per-node aggregate columns).
     pub refresh_ms: f64,
 }
 

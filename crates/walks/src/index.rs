@@ -180,7 +180,11 @@ type Triple = (u32, u32, u16);
 /// Each column is a [`Column`] — heap-owned after a build or refresh,
 /// zero-copy mapped after [`WalkIndex::open_mapped`]. Equality compares
 /// values, so a mapped layer equals the owned layer it was saved from.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// A layer is immutable once built and lives behind an [`Arc`], so cloning
+/// a [`WalkIndex`] shares its layers instead of copying them; a refresh
+/// replaces a patched layer's `Arc` and never writes through a shared one.
+#[derive(Debug, PartialEq, Eq)]
 struct Layer {
     offsets: Column<u32>,
     ids: Column<u32>,
@@ -501,7 +505,9 @@ impl RefreshStats {
 pub struct WalkIndex {
     n: usize,
     l: u32,
-    layers: Vec<Layer>,
+    /// Shared with every clone of the index (a pinned epoch); a refresh
+    /// swaps in fresh `Arc`s only for the layers it patches.
+    layers: Vec<Arc<Layer>>,
     seed: u64,
     /// Absolute index of `layers[0]` in the full `R`-layer index. `0` for a
     /// monolithic index; a shard built over `LayerRange { start, .. }`
@@ -587,8 +593,12 @@ struct PatchScratch {
     /// `affected[src] == stamp` ⟺ src's walk group resamples this layer.
     affected: Vec<u32>,
     /// `owner_stamp[v] == stamp` ⟺ `v`'s inverted row loses or gains a
-    /// posting this layer (and must be re-merged instead of copied).
+    /// posting this layer (and must be re-merged instead of spliced), i.e.
+    /// `v` is already in `owners`.
     owner_stamp: Vec<u32>,
+    /// The owners stamped this layer, ascending after step 3 of
+    /// [`patch_layer`]; the rows between them are spliced in bulk.
+    owners: Vec<u32>,
     stamp: u32,
     /// Σ over this worker's layers of posting-count changes per node.
     agg_dcount: Vec<i64>,
@@ -597,12 +607,14 @@ struct PatchScratch {
     /// Reused staging for the fresh postings re-sorted by `(owner, src)`.
     adds: Vec<Triple>,
     /// Recycled column buffers: each patch builds the next epoch's columns
-    /// here and swaps them with the layer's, so steady-state refreshes
-    /// reuse two generations of allocations instead of mallocing ~12 bytes
-    /// per posting per epoch. Together with the stamp arrays this keeps the
-    /// per-layer patch free of `O(n)` allocations. A displaced *mapped*
-    /// layer contributes empty buffers (its bytes belong to the map), which
-    /// is precisely the one-time copy-on-write promotion cost.
+    /// here, and when the layer it displaces is held by nobody else, that
+    /// layer's buffers become the next patch's. The scratch lives for one
+    /// refresh call, so a worker allocates fresh columns for the first
+    /// layer it patches and reuses them for the rest of its chunk. A
+    /// displaced layer still pinned by a snapshot is never recycled — the
+    /// snapshot keeps reading it — and a displaced *mapped* layer
+    /// contributes empty buffers (its bytes belong to the map), which is
+    /// precisely the one-time copy-on-write promotion cost.
     buf: LayerBufs,
 }
 
@@ -612,6 +624,7 @@ impl PatchScratch {
             visit: VisitScratch::new(n),
             affected: vec![u32::MAX; n],
             owner_stamp: vec![u32::MAX; n],
+            owners: Vec::new(),
             stamp: 0,
             agg_dcount: vec![0; n],
             agg_dhops: vec![0; n],
@@ -633,15 +646,42 @@ impl PatchScratch {
     }
 }
 
+/// Appends CSR rows `rows` of the view `(offsets, ids, weights)` verbatim:
+/// one bulk copy per posting column and one wrapping add that rebases the
+/// run's offsets onto the output's current length. The rebased offsets are
+/// exact because every output offset fits in `u32` (checked by the caller).
+fn splice_rows(
+    old: (&[u32], &[u32], &[u16]),
+    rows: std::ops::Range<usize>,
+    offsets: &mut Vec<u32>,
+    ids: &mut Vec<u32>,
+    weights: &mut Vec<u16>,
+) {
+    let (old_offsets, old_ids, old_weights) = old;
+    let lo = old_offsets[rows.start] as usize;
+    let hi = old_offsets[rows.end] as usize;
+    let shift = (ids.len() as u32).wrapping_sub(lo as u32);
+    offsets.extend(
+        old_offsets[rows.start + 1..=rows.end]
+            .iter()
+            .map(|&o| o.wrapping_add(shift)),
+    );
+    ids.extend_from_slice(&old_ids[lo..hi]);
+    weights.extend_from_slice(&old_weights[lo..hi]);
+}
+
 /// Patches one layer for the next graph epoch: detects the affected walk
 /// groups through the *old* inverted lists of the touched nodes, re-walks
-/// exactly those groups on the new graph, and rebuilds both CSR views with
-/// **row-level** surgery — rows owned by unaffected nodes are copied
-/// verbatim (bulk `memcpy`), only rows with stale or fresh postings are
-/// re-merged. The canonical orders are preserved exactly (inverted rows:
-/// ascending source; forward rows: ascending hop = walk order), so the
-/// patched layer is bit-identical to the layer a from-scratch build on the
-/// new graph would produce.
+/// exactly those groups on the new graph, and writes both CSR views of the
+/// next epoch once — each maximal run of untouched rows is spliced in bulk
+/// ([`splice_rows`]), only rows with stale or fresh postings are re-merged.
+/// The canonical orders are preserved exactly (inverted rows: ascending
+/// source; forward rows: ascending hop = walk order), so the patched layer
+/// is bit-identical to the layer a from-scratch build on the new graph
+/// would produce.
+///
+/// The old layer is only read (through its `Arc`, which a pinned snapshot
+/// may share); the patched layer replaces the `Arc` in `layer`.
 ///
 /// When at least one group resampled, the layer's **net** edit script (see
 /// [`LayerDelta`]) is appended to `deltas`: each affected group's old and
@@ -651,7 +691,7 @@ impl PatchScratch {
 /// downstream absorption is `O(net)` rather than `O(gross)`.
 #[allow(clippy::too_many_arguments)]
 fn patch_layer<F>(
-    layer: &mut Layer,
+    layer: &mut Arc<Layer>,
     n: usize,
     l: u32,
     seed: u64,
@@ -664,6 +704,7 @@ fn patch_layer<F>(
 where
     F: Fn(NodeId, &mut WalkRng) -> NodeId,
 {
+    let old: &Layer = layer;
     let mut out = RefreshStats::default();
     // --- 1. affected groups: touched sources ∪ sources visiting them ----
     let stamp = ws.next_stamp();
@@ -673,7 +714,7 @@ where
             ws.affected[v.index()] = stamp;
             affected_srcs.push(v.raw());
         }
-        for &src in layer.postings(v).ids() {
+        for &src in old.postings(v).ids() {
             if ws.affected[src as usize] != stamp {
                 ws.affected[src as usize] = stamp;
                 affected_srcs.push(src);
@@ -709,16 +750,20 @@ where
     // --- 3. per-owner deltas: stale rows, fresh rows, aggregate edits ---
     // Owners needing a re-merge are exactly those losing a stale posting
     // (they appear in an affected source's old forward list) or gaining a
-    // fresh one; every other row is copied wholesale below.
+    // fresh one; every other row is spliced wholesale below.
+    ws.owners.clear();
     for &src in &affected_srcs {
-        let lo = layer.fwd_offsets[src as usize] as usize;
-        let hi = layer.fwd_offsets[src as usize + 1] as usize;
+        let lo = old.fwd_offsets[src as usize] as usize;
+        let hi = old.fwd_offsets[src as usize + 1] as usize;
         out.postings_removed += hi - lo;
         for k in lo..hi {
-            let owner = layer.fwd_ids[k] as usize;
-            ws.owner_stamp[owner] = stamp;
+            let owner = old.fwd_ids[k] as usize;
+            if ws.owner_stamp[owner] != stamp {
+                ws.owner_stamp[owner] = stamp;
+                ws.owners.push(owner as u32);
+            }
             ws.agg_dcount[owner] -= 1;
-            ws.agg_dhops[owner] -= layer.fwd_weights[k] as i64;
+            ws.agg_dhops[owner] -= old.fwd_weights[k] as i64;
         }
     }
     // The fresh postings re-sorted by `(owner, src)` — the inverted rows'
@@ -729,10 +774,14 @@ where
     ws.adds
         .sort_unstable_by_key(|&(owner, src, _)| (owner, src));
     for &(owner, _, hop) in &ws.adds {
-        ws.owner_stamp[owner as usize] = stamp;
+        if ws.owner_stamp[owner as usize] != stamp {
+            ws.owner_stamp[owner as usize] = stamp;
+            ws.owners.push(owner);
+        }
         ws.agg_dcount[owner as usize] += 1;
         ws.agg_dhops[owner as usize] += hop as i64;
     }
+    ws.owners.sort_unstable();
 
     // --- 3b. net edit script: verbatim reproductions cancel here --------
     // A resampled walk that diverges late (or never) re-emits most of its
@@ -743,14 +792,14 @@ where
     let mut removed: Vec<Triple> = Vec::new();
     let mut added: Vec<Triple> = Vec::new();
     for (gi, &src) in affected_srcs.iter().enumerate() {
-        let lo = layer.fwd_offsets[src as usize] as usize;
-        let hi = layer.fwd_offsets[src as usize + 1] as usize;
+        let lo = old.fwd_offsets[src as usize] as usize;
+        let hi = old.fwd_offsets[src as usize + 1] as usize;
         let tlo = new_src_bounds[gi] as usize;
         let thi = new_src_bounds[gi + 1] as usize;
         let same = hi - lo == thi - tlo
             && (0..hi - lo).all(|k| {
                 let (owner, _, hop) = new_triples[tlo + k];
-                layer.fwd_ids[lo + k] == owner && layer.fwd_weights[lo + k] == hop
+                old.fwd_ids[lo + k] == owner && old.fwd_weights[lo + k] == hop
             });
         if same {
             continue;
@@ -758,7 +807,7 @@ where
         let (mut k, mut t) = (lo, tlo);
         while k < hi || t < thi {
             // Order within a group is strictly ascending hop on both sides.
-            let old_key = (k < hi).then(|| (layer.fwd_weights[k], layer.fwd_ids[k]));
+            let old_key = (k < hi).then(|| (old.fwd_weights[k], old.fwd_ids[k]));
             let new_key = (t < thi).then(|| (new_triples[t].2, new_triples[t].0));
             match (old_key, new_key) {
                 (Some(o), Some(w)) if o == w => {
@@ -782,8 +831,8 @@ where
         }
     }
 
-    // --- 4. inverted columns: row-level rebuild -------------------------
-    let new_total = layer.ids.len() + out.postings_added - out.postings_removed;
+    // --- 4. inverted columns: untouched runs spliced, owners re-merged ---
+    let new_total = old.ids.len() + out.postings_added - out.postings_removed;
     assert!(
         new_total <= u32::MAX as usize,
         "layer posting count {new_total} overflows u32 CSR offsets"
@@ -798,45 +847,44 @@ where
     let mut weights = std::mem::take(&mut ws.buf.weights);
     weights.clear();
     weights.reserve(new_total);
+    let inv = (&old.offsets[..], &old.ids[..], &old.weights[..]);
+    let mut row = 0usize; // first old row not yet emitted
     let mut ac = 0usize; // cursor into ws.adds (owner-ascending)
-    for v in 0..n {
-        let lo = layer.offsets[v] as usize;
-        let hi = layer.offsets[v + 1] as usize;
-        if ws.owner_stamp[v] != stamp {
-            ids.extend_from_slice(&layer.ids[lo..hi]);
-            weights.extend_from_slice(&layer.weights[lo..hi]);
-        } else {
-            // Merge kept old entries (stale sources dropped) with this
-            // owner's adds, both ascending by source id. All adds belong to
-            // stamped owners, and the outer loop visits owners ascending,
-            // so the cursor is already positioned at `v`'s first add.
-            let mut ahi = ac;
-            while ahi < ws.adds.len() && ws.adds[ahi].0 as usize == v {
-                ahi += 1;
-            }
-            for k in lo..hi {
-                let src = layer.ids[k];
-                if ws.affected[src as usize] == stamp {
-                    continue;
-                }
-                while ac < ahi && ws.adds[ac].1 < src {
-                    ids.push(ws.adds[ac].1);
-                    weights.push(ws.adds[ac].2);
-                    ac += 1;
-                }
-                ids.push(src);
-                weights.push(layer.weights[k]);
-            }
-            for &(_, src, hop) in &ws.adds[ac..ahi] {
-                ids.push(src);
-                weights.push(hop);
-            }
-            ac = ahi;
+    for &v in &ws.owners {
+        let v = v as usize;
+        splice_rows(inv, row..v, &mut offsets, &mut ids, &mut weights);
+        // Merge kept old entries (stale sources dropped) with this owner's
+        // adds, both ascending by source id. All adds belong to stamped
+        // owners, and owners are visited ascending, so the cursor is
+        // already positioned at `v`'s first add.
+        let mut ahi = ac;
+        while ahi < ws.adds.len() && ws.adds[ahi].0 as usize == v {
+            ahi += 1;
         }
+        for k in old.offsets[v] as usize..old.offsets[v + 1] as usize {
+            let src = old.ids[k];
+            if ws.affected[src as usize] == stamp {
+                continue;
+            }
+            while ac < ahi && ws.adds[ac].1 < src {
+                ids.push(ws.adds[ac].1);
+                weights.push(ws.adds[ac].2);
+                ac += 1;
+            }
+            ids.push(src);
+            weights.push(old.weights[k]);
+        }
+        for &(_, src, hop) in &ws.adds[ac..ahi] {
+            ids.push(src);
+            weights.push(hop);
+        }
+        ac = ahi;
         offsets.push(ids.len() as u32);
+        row = v + 1;
     }
+    splice_rows(inv, row..n, &mut offsets, &mut ids, &mut weights);
 
-    // --- 5. forward columns: affected rows spliced, others copied -------
+    // --- 5. forward columns: affected rows replaced, runs spliced -------
     let mut fwd_offsets = std::mem::take(&mut ws.buf.fwd_offsets);
     fwd_offsets.clear();
     fwd_offsets.reserve(n + 1);
@@ -847,34 +895,43 @@ where
     let mut fwd_weights = std::mem::take(&mut ws.buf.fwd_weights);
     fwd_weights.clear();
     fwd_weights.reserve(new_total);
-    let mut next_aff = 0usize;
-    for src in 0..n {
-        if next_aff < affected_srcs.len() && affected_srcs[next_aff] as usize == src {
-            let tlo = new_src_bounds[next_aff] as usize;
-            let thi = new_src_bounds[next_aff + 1] as usize;
-            for &(owner, _, hop) in &new_triples[tlo..thi] {
-                fwd_ids.push(owner);
-                fwd_weights.push(hop);
-            }
-            next_aff += 1;
-        } else {
-            let lo = layer.fwd_offsets[src] as usize;
-            let hi = layer.fwd_offsets[src + 1] as usize;
-            fwd_ids.extend_from_slice(&layer.fwd_ids[lo..hi]);
-            fwd_weights.extend_from_slice(&layer.fwd_weights[lo..hi]);
+    let fwd = (&old.fwd_offsets[..], &old.fwd_ids[..], &old.fwd_weights[..]);
+    let mut row = 0usize;
+    for (gi, &src) in affected_srcs.iter().enumerate() {
+        let src = src as usize;
+        splice_rows(
+            fwd,
+            row..src,
+            &mut fwd_offsets,
+            &mut fwd_ids,
+            &mut fwd_weights,
+        );
+        let tlo = new_src_bounds[gi] as usize;
+        let thi = new_src_bounds[gi + 1] as usize;
+        for &(owner, _, hop) in &new_triples[tlo..thi] {
+            fwd_ids.push(owner);
+            fwd_weights.push(hop);
         }
         fwd_offsets.push(fwd_ids.len() as u32);
+        row = src + 1;
     }
-
-    // Swap the fresh (always owned) columns in and keep the displaced
-    // generation as the next patch's buffers. When the displaced layer was
-    // mapped, this swap *is* the copy-on-write promotion: exactly this
-    // layer's columns leave the file region, untouched layers stay mapped.
-    let displaced = std::mem::replace(
-        layer,
-        Layer::owned(offsets, ids, weights, fwd_offsets, fwd_ids, fwd_weights),
+    splice_rows(
+        fwd,
+        row..n,
+        &mut fwd_offsets,
+        &mut fwd_ids,
+        &mut fwd_weights,
     );
-    ws.buf = displaced.into_bufs();
+
+    // Swap the fresh (always owned) columns in. The displaced generation
+    // becomes the next patch's buffers only when this index held its last
+    // reference; a snapshot still sharing it keeps it intact, and its
+    // memory is freed when that snapshot drops. When the displaced layer
+    // was mapped, this swap *is* the copy-on-write promotion: exactly this
+    // layer's columns leave the file region, untouched layers stay mapped.
+    let patched = Layer::owned(offsets, ids, weights, fwd_offsets, fwd_ids, fwd_weights);
+    let displaced = std::mem::replace(layer, Arc::new(patched));
+    ws.buf = Arc::try_unwrap(displaced).map_or_else(|_| LayerBufs::default(), Layer::into_bufs);
     deltas.push(LayerDelta {
         layer: layer_idx,
         resampled: affected_srcs,
@@ -1028,6 +1085,7 @@ impl WalkIndex {
         seed: u64,
         threads: usize,
     ) -> WalkIndex {
+        let layers: Vec<Arc<Layer>> = layers.into_iter().map(Arc::new).collect();
         let (posting_counts, posting_hop_sums) = Self::compute_aggregates(n, &layers, threads);
         WalkIndex {
             n,
@@ -1044,7 +1102,7 @@ impl WalkIndex {
     /// shared by [`WalkIndex::assemble`] and the incremental
     /// [`WalkIndex::refresh`] path (all sums are integers, so the result is
     /// independent of the worker layout).
-    fn compute_aggregates(n: usize, layers: &[Layer], threads: usize) -> (Vec<u64>, Vec<u64>) {
+    fn compute_aggregates(n: usize, layers: &[Arc<Layer>], threads: usize) -> (Vec<u64>, Vec<u64>) {
         let total: usize = layers.iter().map(|la| la.ids.len()).sum();
         let mut posting_counts = vec![0u64; n];
         let mut posting_hop_sums = vec![0u64; n];
@@ -1202,7 +1260,8 @@ impl WalkIndex {
     /// adjacency list changed, e.g. from
     /// [`CsrGraph::with_edits`](rwd_graph::CsrGraph::with_edits)), re-walks
     /// exactly the `(src, layer)` groups the churn can have changed and
-    /// patches the layer columns in place. Uses all cores; see
+    /// replaces each layer holding one with its patched successor (clones
+    /// of the index sharing the old layer keep it). Uses all cores; see
     /// [`WalkIndex::refresh_with_threads`].
     pub fn refresh(&mut self, g: &CsrGraph, touched: &NodeSet) -> RefreshStats {
         self.refresh_with_threads(g, touched, 0)
@@ -1309,7 +1368,7 @@ impl WalkIndex {
 
     /// Shared refresh driver: layers fan out over workers; each layer is
     /// patched independently by [`patch_layer`] (affected-group detection →
-    /// selective re-walk → row-level column surgery), and each worker
+    /// selective re-walk → bulk-spliced column rebuild), and each worker
     /// accumulates integer deltas for the per-node aggregates that are
     /// applied after the join. Every operation is integer-exact and
     /// per-layer, so the result is bit-identical at any worker count.
@@ -1342,7 +1401,7 @@ impl WalkIndex {
         // chunk's stats, its layer edit scripts (ascending layers), and its
         // staged aggregate deltas.
         type ChunkOut = (RefreshStats, Vec<LayerDelta>, Vec<i64>, Vec<i64>);
-        let patch_chunk = |base: usize, layers: &mut [Layer]| -> ChunkOut {
+        let patch_chunk = |base: usize, layers: &mut [Arc<Layer>]| -> ChunkOut {
             let mut ws = PatchScratch::new(n);
             let mut out = RefreshStats::default();
             let mut deltas = Vec::new();
@@ -1558,7 +1617,7 @@ impl WalkIndex {
     /// process pays unconditionally). A freshly mapped index owns nothing;
     /// every refresh that touches a layer moves that layer's share here.
     pub fn heap_bytes(&self) -> usize {
-        self.layers.iter().map(Layer::heap_bytes).sum::<usize>()
+        self.layers.iter().map(|la| la.heap_bytes()).sum::<usize>()
             + self.posting_counts.heap_bytes()
             + self.posting_hop_sums.heap_bytes()
     }
@@ -1567,7 +1626,10 @@ impl WalkIndex {
     /// on demand and evictable under memory pressure — the RSS the kernel
     /// can reclaim). Zero for an owned index.
     pub fn mapped_bytes(&self) -> usize {
-        self.layers.iter().map(Layer::mapped_bytes).sum::<usize>()
+        self.layers
+            .iter()
+            .map(|la| la.mapped_bytes())
+            .sum::<usize>()
             + self.posting_counts.mapped_bytes()
             + self.posting_hop_sums.mapped_bytes()
     }
@@ -1648,7 +1710,7 @@ impl WalkIndex {
         } else {
             resolve_threads(threads).min(r)
         };
-        let accumulate = |layers: &[Layer]| {
+        let accumulate = |layers: &[Arc<Layer>]| {
             let mut acc = vec![0.0f64; self.n];
             let mut d = vec![0u32; self.n];
             for layer in layers {
@@ -2263,14 +2325,14 @@ impl WalkIndex {
             validate_mapped_offsets(&offsets, spec.entries)?;
             let fwd_offsets: Column<u32> = Column::mapped(region.clone(), spec.fwd_offsets, n + 1)?;
             validate_mapped_offsets(&fwd_offsets, spec.entries)?;
-            layers.push(Layer {
+            layers.push(Arc::new(Layer {
                 offsets,
                 ids: Column::mapped(region.clone(), spec.ids, spec.entries)?,
                 weights: Column::mapped(region.clone(), spec.weights, spec.entries)?,
                 fwd_offsets,
                 fwd_ids: Column::mapped(region.clone(), spec.fwd_ids, spec.entries)?,
                 fwd_weights: Column::mapped(region.clone(), spec.fwd_weights, spec.entries)?,
-            });
+            }));
         }
         let (posting_counts, posting_hop_sums) = if want.is_none() {
             // Whole-file open: the stored aggregates are exactly what

@@ -9,6 +9,10 @@
 //! `(seed, src, layer)` RNG streams, so a group whose visit set avoids
 //! every touched node replays identically, and only groups reachable from
 //! the touched set are re-walked.
+//!
+//! Refreshes also run while a clone of the index is held (the serving
+//! layer's pinned epoch): clones share the walk layers, so the refresh must
+//! leave a pinned layer's bits alone and recycle only layers it holds alone.
 
 use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
@@ -116,12 +120,41 @@ fn resolve_batches(g: &CsrGraph, batch_picks: &[Vec<(u64, u8)>], seed: u64) -> V
     batches
 }
 
+/// Every inverted posting, forward entry and per-node aggregate of `idx`,
+/// copied out through the public read API: a deep image that does not
+/// share storage with the index it was taken from.
+fn image(idx: &WalkIndex) -> Vec<u64> {
+    let mut out = Vec::new();
+    for layer in 0..idx.r() {
+        for v in (0..idx.n()).map(NodeId::new) {
+            for view in [idx.postings(layer, v), idx.forward(layer, v)] {
+                out.push(view.len() as u64);
+                out.extend(
+                    view.iter()
+                        .map(|p| (p.id.raw() as u64) << 16 | p.weight as u64),
+                );
+            }
+        }
+    }
+    for v in (0..idx.n()).map(NodeId::new) {
+        out.extend([idx.posting_count(v), idx.posting_hop_sum(v)]);
+    }
+    out
+}
+
+/// Batches at even positions refresh while a clone of the index is held.
+/// Returns the clone and the image of its pre-batch bits.
+fn pin_if_even(b: usize, idx: &WalkIndex) -> Option<(WalkIndex, Vec<u64>)> {
+    b.is_multiple_of(2).then(|| (idx.clone(), image(idx)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Unweighted: maintained index ≡ rebuilt index (bitwise) at 1/2/8
     /// threads, and the resampled-group count never exceeds the bound the
-    /// touched set implies.
+    /// touched set implies. Every other batch refreshes under a held
+    /// clone, which must keep its pre-batch bits.
     #[test]
     fn incremental_equals_rebuild_unweighted(
         (g0, batches, l, r, seed) in churn_instance()
@@ -130,11 +163,18 @@ proptest! {
         for threads in THREADS {
             let mut idx = WalkIndex::build_with_threads(&g0, l, r, seed, threads);
             let mut g = g0.clone();
-            for batch in &batches {
+            for (b, batch) in batches.iter().enumerate() {
                 let delta = batch.apply(&g).expect("resolved batches are valid");
+                let pinned = pin_if_even(b, &idx);
                 let stats = idx.refresh_with_threads(&delta.graph, &delta.touched, threads);
                 prop_assert!(stats.groups_resampled >= delta.touched.len() * r);
                 prop_assert!(stats.groups_resampled <= stats.groups_total);
+                if let Some((held, before)) = pinned {
+                    prop_assert!(
+                        image(&held) == before,
+                        "threads {threads}, batch {b}: refresh changed a pinned clone"
+                    );
+                }
                 g = delta.graph;
             }
             let fresh = WalkIndex::build_with_threads(&g, l, r, seed, threads);
@@ -143,7 +183,8 @@ proptest! {
     }
 
     /// Weighted twin of the same property — alias tables patched per row
-    /// must reproduce the walks of a fully rebuilt weighted graph.
+    /// must reproduce the walks of a fully rebuilt weighted graph, with the
+    /// same held clone on every other batch.
     #[test]
     fn incremental_equals_rebuild_weighted(
         (g0, batches, l, r, seed) in churn_instance()
@@ -153,9 +194,16 @@ proptest! {
         for threads in THREADS {
             let mut idx = WalkIndex::build_weighted_with_threads(&w0, l, r, seed, threads);
             let mut wg = w0.clone();
-            for batch in &batches {
+            for (b, batch) in batches.iter().enumerate() {
                 let delta = batch.apply_weighted(&wg).expect("resolved batches are valid");
+                let pinned = pin_if_even(b, &idx);
                 idx.refresh_weighted_with_threads(&delta.graph, &delta.touched, threads);
+                if let Some((held, before)) = pinned {
+                    prop_assert!(
+                        image(&held) == before,
+                        "threads {threads}, batch {b}: refresh changed a pinned clone"
+                    );
+                }
                 wg = delta.graph;
             }
             let fresh = WalkIndex::build_weighted_with_threads(&wg, l, r, seed, threads);
