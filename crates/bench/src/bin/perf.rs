@@ -910,7 +910,7 @@ fn main() {
     let open_dir = durability_root.join("open");
     std::fs::create_dir_all(&open_dir).expect("fresh open dir");
     let index_path = open_dir.join("index.rwdidx");
-    idx.save_v4(&index_path).expect("index snapshot writes");
+    idx.save(&index_path).expect("index snapshot writes");
     let index_file_bytes = std::fs::metadata(&index_path)
         .expect("snapshot exists")
         .len();

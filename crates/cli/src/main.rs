@@ -91,13 +91,15 @@ SERVE: starts the online query server over the evolving engine and drives
   histograms plus the process-wide engine metrics (printed after the
   request table).
 
-STORAGE: snapshots write the 8-byte-aligned RWDIDX4 format, whose posting
-  columns can be served zero-copy straight from an mmap'd file. `rwdom
-  recover --mmap` (and `serve`/`stream` with --data-dir and --mmap) opens
-  shard indexes mapped: a header walk plus one CRC pass, no per-posting
-  deserialize — bitwise identical answers either way. `rwdom index info
-  <path>` prints a file's format version, dimensions, layer range, posting
-  count, section alignment, and CRC status without constructing the index.
+STORAGE: walk indexes are saved in the 8-byte-aligned RWDIDX4 format, the
+  only one this build reads (files in the retired RWDIDX1/2/3 layouts are
+  refused by name); its posting columns can be served zero-copy straight
+  from an mmap'd file. `rwdom recover --mmap` (and `serve`/`stream` with
+  --data-dir and --mmap) opens shard indexes mapped: a header walk plus
+  one CRC pass, no per-posting deserialize — bitwise identical answers
+  either way. `rwdom index info <path>` prints a file's format version,
+  dimensions, layer range, posting count, section alignment, and CRC
+  status without constructing the index.
 
 OBSERVABILITY: rwdom stream --metrics-every <N> prints the process-wide
   metrics registry (per-phase batch timings, churn counters, durability
@@ -951,11 +953,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     t.row(["postings", &info.total_postings.to_string()]);
     t.row([
         "section align",
-        &info
-            .section_align
-            .map_or("none (packed V2/V3 layout)".to_string(), |a| {
-                format!("{a} bytes (zero-copy openable)")
-            }),
+        &format!("{} bytes (zero-copy openable)", info.section_align),
     ]);
     t.row(["file bytes", &info.file_bytes.to_string()]);
     t.row([
@@ -1728,6 +1726,19 @@ mod tests {
         // Recovery replays the journal and the from-scratch rebuild check
         // passes bit-identically.
         run(&argv(&["recover", data_s, "--verify"])).unwrap();
+        // `index info` reads a shard file the stream wrote, and names a
+        // retired format instead of parsing it.
+        let snap = std::fs::read_dir(&data)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .find(|name| name.starts_with("snap-"))
+            .expect("the stream left a snapshot");
+        let shard = data.join(snap).join("shard-0.rwdidx");
+        run(&argv(&["index", "info", shard.to_str().unwrap()])).unwrap();
+        let old = dir.join("old.rwdidx");
+        std::fs::write(&old, b"RWDIDX2\0 and an old payload").unwrap();
+        let err = run(&argv(&["index", "info", old.to_str().unwrap()])).unwrap_err();
+        assert!(err.contains("retired RWDIDX2"), "{err}");
         // Serve writes its batches durably too (fresh dir), weighted.
         let data2 = dir.join("data2");
         run(&argv(&[

@@ -12,7 +12,7 @@
 //! * `snap-<E>/` — a full engine snapshot at epoch `E`: `graph.bin` (the
 //!   canonical edge list, whose from-scratch rebuild is proven bitwise
 //!   identical to the live CSR by the graph crate's own tests), one
-//!   RWDIDX2/3 file per shard (reusing [`WalkIndex::save`], CRC-trailed),
+//!   RWDIDX4 file per shard (reusing [`WalkIndex::save`], CRC-trailed),
 //!   and `manifest.bin` written **last** — a snapshot without a valid
 //!   manifest never existed. After a snapshot the journal rotates to the
 //!   new base and older artifacts are compacted away.
@@ -64,10 +64,10 @@ pub enum OpenMode {
     /// Zero-copy: RWDIDX4 shard files are `mmap(2)`-mapped in place
     /// ([`WalkIndex::open_mapped`]) — the first point query is answerable
     /// after a header walk and one CRC pass, no per-posting deserialize.
-    /// Older (V2/V3) shard files, and hosts without the mapped path, fall
-    /// back to [`OpenMode::Deserialize`] per shard. Journal replay then
-    /// promotes exactly the layers it touches to the heap; recovered
-    /// state stays bitwise equal to the deserializing open.
+    /// Hosts without the mapped path (non-unix or big-endian) fall back to
+    /// [`OpenMode::Deserialize`]. Journal replay then promotes exactly the
+    /// layers it touches to the heap; recovered state stays bitwise equal
+    /// to the deserializing open.
     #[default]
     Mapped,
     /// Parse every shard index into heap-owned columns
@@ -95,8 +95,9 @@ pub struct RecoveryReport {
     /// Heap-owned walk-index column bytes after recovery (replay included).
     pub heap_bytes: usize,
     /// Still-mapped (zero-copy) walk-index column bytes after recovery —
-    /// nonzero only for [`OpenMode::Mapped`] opens of RWDIDX4 snapshots,
-    /// and shrunk by whatever layers the journal replay promoted.
+    /// nonzero only for [`OpenMode::Mapped`] opens on hosts with the
+    /// mapped path, and shrunk by whatever layers the journal replay
+    /// promoted.
     pub mapped_bytes: usize,
 }
 
@@ -453,17 +454,10 @@ pub(crate) fn save_snapshot(engine: &StreamEngine, snap_dir: &Path) -> Result<()
     }
     write_with_crc(&snap_dir.join("graph.bin"), graph_bytes)?;
 
-    // Per-shard walk indexes, via the zero-copy-openable RWDIDX4 writer
-    // (a big-endian host falls back to the portable RWDIDX2/3 writer —
-    // both load, only V4 maps).
+    // Per-shard walk indexes, one zero-copy-openable RWDIDX4 file each.
     for (i, idx) in engine.shard_indexes().iter().enumerate() {
         let path = snap_dir.join(format!("shard-{i}.rwdidx"));
-        let saved = if cfg!(target_endian = "little") {
-            idx.save_v4(&path)
-        } else {
-            idx.save(&path)
-        };
-        dio("shard index save", saved)?;
+        dio("shard index save", idx.save(&path))?;
         dio(
             "shard index sync",
             File::open(&path).and_then(|f| f.sync_all()),
@@ -517,15 +511,6 @@ fn write_with_crc(path: &Path, mut bytes: Vec<u8>) -> Result<()> {
         "snapshot file sync",
         File::open(path).and_then(|f| f.sync_all()),
     )
-}
-
-/// The first 8 bytes of `path`, if readable — the on-disk format magic.
-fn file_magic(path: &Path) -> Option<[u8; 8]> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path).ok()?;
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic).ok()?;
-    Some(magic)
 }
 
 /// Reads a CRC-trailed snapshot file, verifying magic and checksum.
@@ -708,15 +693,12 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
     };
 
     // Per-shard indexes, cross-checked against the manifest's tiling.
-    // Mapped mode zero-copies RWDIDX4 shard files; anything else (older
-    // formats, hosts without the mapped path) deserializes.
+    // Mapped mode zero-copies the shard files; hosts without the mapped
+    // path deserialize.
+    let use_map = mode == OpenMode::Mapped && cfg!(unix) && cfg!(target_endian = "little");
     let mut shards = Vec::with_capacity(shard_count);
     for (i, &rg) in ranges.iter().enumerate() {
         let path = snap_dir.join(format!("shard-{i}.rwdidx"));
-        let use_map = mode == OpenMode::Mapped
-            && cfg!(unix)
-            && cfg!(target_endian = "little")
-            && file_magic(&path).is_some_and(|m| &m == b"RWDIDX4\0");
         let idx = if use_map {
             WalkIndex::open_mapped(&path)
         } else {
@@ -1036,6 +1018,20 @@ mod tests {
             matches!(&err, StreamError::CorruptSnapshot(m) if m.contains("checksum")),
             "{err}"
         );
+
+        // A shard file in a retired layout is refused by name on both open
+        // paths, never parsed.
+        bytes[35] ^= 0x08;
+        bytes[..8].copy_from_slice(b"RWDIDX3\0");
+        std::fs::write(&shard, &bytes).unwrap();
+        for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
+            let err =
+                DurableEngine::open_with(&dir, DurabilityConfig::default(), mode).unwrap_err();
+            assert!(
+                matches!(&err, StreamError::CorruptSnapshot(m) if m.contains("retired RWDIDX3")),
+                "{mode:?}: {err}"
+            );
+        }
 
         // create() refuses to clobber an existing data dir.
         let g0 = erdos_renyi_gnp(30, 0.12, 2).unwrap();

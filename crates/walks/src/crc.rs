@@ -1,6 +1,6 @@
 //! Streaming CRC-32 (IEEE 802.3 polynomial) for on-disk integrity.
 //!
-//! Every durable artifact in the system — RWDIDX2/3 index files, engine
+//! Every durable artifact in the system — RWDIDX4 index files, engine
 //! snapshots, journal records — carries a content checksum so bit rot is
 //! detected at load instead of silently served. The implementation is the
 //! classic reflected table-driven CRC-32 (polynomial `0xEDB88320`), the

@@ -26,9 +26,16 @@
 //! lowers `D[i][src]`, the only candidates whose Algorithm-4 gain changed
 //! are precisely `forward(i, src)`. It is derived canonically from the
 //! inverted columns (per owner-ascending transposition) in every
-//! construction path — build, explicit walks, and `load` — so the on-disk
-//! RWDIDX2 format is unchanged and a reloaded index carries an identical
-//! forward view.
+//! construction path — build, explicit walks, and the deserializing
+//! `load`, which re-derives it instead of trusting the stored copy — so a
+//! reloaded index carries an identical forward view.
+//!
+//! On disk an index is one RWDIDX4 file ([`WalkIndex::save`]): both CSR
+//! views and the per-node aggregates in 8-byte-aligned little-endian
+//! sections under a CRC-32 trailer. One header reader serves the three
+//! decoders — the validating [`WalkIndex::load`], the zero-copy
+//! [`WalkIndex::open_mapped`] and [`inspect_index_file`] — and refuses the
+//! retired `RWDIDX1`/`RWDIDX2`/`RWDIDX3` layouts by name.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,7 +46,7 @@ use crate::delta::{LayerDelta, PostingDelta};
 use crate::nodeset::NodeSet;
 use crate::parallel::resolve_threads;
 use crate::rng::WalkRng;
-use crate::storage::{Column, MmapRegion};
+use crate::storage::{le_bytes, Column, MmapRegion, Pod};
 use crate::walker;
 
 /// One inverted-list entry: the walk from `id` first reaches the list's
@@ -1751,68 +1758,70 @@ impl WalkIndex {
     }
 
     /// Persists the index to disk (the paper's "sample materialization"
-    /// made durable): magic + header + per-layer SoA blocks, little-endian,
-    /// each layer assembled in one buffer and written with a single call.
-    /// A paper-scale index builds in seconds but is reused across many
-    /// `k`/`λ` sweeps — saving it makes experiment suites restartable.
+    /// made durable) in the RWDIDX4 layout, the one format this build
+    /// reads. A paper-scale index builds in seconds but is reused across
+    /// many `k`/`λ` sweeps — saving it makes experiment suites restartable.
     ///
-    /// A monolithic index (`layer_base == 0`) writes the unchanged RWDIDX2
-    /// format; a layer-range shard writes RWDIDX3, which extends the header
-    /// with the shard's absolute layer base so a reload refreshes with the
-    /// right RNG streams. Both layouts end in a 4-byte little-endian CRC-32
-    /// trailer over every preceding byte (magic and header included), so
-    /// bit rot anywhere in the file is detected at load.
+    /// Layout: magic, a fixed header (`n`, `L`, layer count, seed, layer
+    /// base, declared section alignment), a per-layer entry-count table,
+    /// then per layer the six column sections (each zero-padded to the
+    /// declared 8-byte alignment), the two per-node aggregate sections, and
+    /// a 4-byte CRC-32 trailer over every preceding byte, so bit rot
+    /// anywhere in the file is detected at open. Each section is the
+    /// little-endian image of its column — a little-endian host writes its
+    /// memory as is, any other host byte-swaps — so the file is the same on
+    /// every host. Storing both CSR views and the aggregates lets
+    /// [`WalkIndex::open_mapped`] serve the file without computing
+    /// anything; a layer-range shard records its absolute layer base, so a
+    /// reopened shard refreshes with the right RNG streams.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         use std::io::Write;
         let file = std::fs::File::create(path)?;
         let mut w = std::io::BufWriter::new(file);
         let mut crc = crate::crc::Crc32::new();
-        let mut header = Vec::with_capacity(48);
-        if self.layer_base == 0 {
-            header.extend_from_slice(MAGIC_V2);
-        } else {
-            header.extend_from_slice(MAGIC_V3);
+        let mut header = Vec::with_capacity(V4_FIXED_HEADER + self.layers.len() * 8);
+        header.extend_from_slice(MAGIC_V4);
+        for v in [
+            self.n as u64,
+            self.l as u64,
+            self.layers.len() as u64,
+            self.seed,
+            self.layer_base as u64,
+            V4_ALIGN,
+        ] {
+            header.extend_from_slice(&v.to_le_bytes());
         }
-        header.extend_from_slice(&(self.n as u64).to_le_bytes());
-        header.extend_from_slice(&(self.l as u64).to_le_bytes());
-        header.extend_from_slice(&(self.layers.len() as u64).to_le_bytes());
-        header.extend_from_slice(&self.seed.to_le_bytes());
-        if self.layer_base != 0 {
-            header.extend_from_slice(&(self.layer_base as u64).to_le_bytes());
+        for layer in &self.layers {
+            header.extend_from_slice(&(layer.ids.len() as u64).to_le_bytes());
         }
         crc.update(&header);
         w.write_all(&header)?;
-        let mut buf: Vec<u8> = Vec::new();
         for layer in &self.layers {
-            buf.clear();
-            buf.reserve(8 + layer.offsets.len() * 4 + layer.ids.len() * 6);
-            buf.extend_from_slice(&(layer.ids.len() as u64).to_le_bytes());
-            for &off in layer.offsets.iter() {
-                buf.extend_from_slice(&off.to_le_bytes());
-            }
-            for &id in layer.ids.iter() {
-                buf.extend_from_slice(&id.to_le_bytes());
-            }
-            for &hw in layer.weights.iter() {
-                buf.extend_from_slice(&hw.to_le_bytes());
-            }
-            crc.update(&buf);
-            w.write_all(&buf)?;
+            write_section(&mut w, &mut crc, &layer.offsets)?;
+            write_section(&mut w, &mut crc, &layer.ids)?;
+            write_section(&mut w, &mut crc, &layer.weights)?;
+            write_section(&mut w, &mut crc, &layer.fwd_offsets)?;
+            write_section(&mut w, &mut crc, &layer.fwd_ids)?;
+            write_section(&mut w, &mut crc, &layer.fwd_weights)?;
         }
+        write_section(&mut w, &mut crc, &self.posting_counts)?;
+        write_section(&mut w, &mut crc, &self.posting_hop_sums)?;
         w.write_all(&crc.finish().to_le_bytes())?;
         w.flush()
     }
 
-    /// Loads an index previously written by [`WalkIndex::save`] or
-    /// [`WalkIndex::save_v4`], deserializing every column to the heap.
+    /// Loads an index written by [`WalkIndex::save`], deserializing every
+    /// column to the heap. Only the inverted sections are read: every
+    /// offset, id and hop is validated as it decodes, and the forward view
+    /// and aggregates are re-derived canonically rather than trusted, so
+    /// the result is the validating reference [`WalkIndex::open_mapped`]
+    /// is tested against — bitwise equal to it on the same file.
     ///
-    /// Accepts the monolithic RWDIDX2 layout, the RWDIDX3 layer-range
-    /// extension and the aligned RWDIDX4 zero-copy layout (parsed, not
-    /// mapped — see [`WalkIndex::open_mapped`] for the zero-copy open);
-    /// rejects the obsolete `RWDIDX1` (AoS) layout with a dedicated
-    /// error — rebuild and re-save such indexes with this version.
+    /// Files in the retired `RWDIDX1`, `RWDIDX2` and `RWDIDX3` layouts are
+    /// rejected by name; rebuild and re-save such indexes with this
+    /// version.
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<WalkIndex> {
-        Self::load_impl(path.as_ref(), None, 0).map(|(idx, _)| idx)
+        Self::load_with_stats(path, 0).map(|(idx, _)| idx)
     }
 
     /// [`WalkIndex::load`] with an explicit worker budget for the parallel
@@ -1824,293 +1833,58 @@ impl WalkIndex {
         path: impl AsRef<std::path::Path>,
         threads: usize,
     ) -> std::io::Result<WalkIndex> {
-        Self::load_impl(path.as_ref(), None, threads).map(|(idx, _)| idx)
+        Self::load_with_stats(path, threads).map(|(idx, _)| idx)
     }
 
     /// [`WalkIndex::load_with_threads`] that additionally reports the
     /// load's transient-memory accounting (see [`LoadStats`]) — the
     /// evidence behind the bounded-peak claim: a deserializing open never
     /// holds the whole file *and* the parsed index at once.
+    ///
+    /// The file is never pulled into memory whole: the CRC pass streams
+    /// fixed-size chunks, and the parallel parse positioned-reads one
+    /// layer's inverted sections at a time into a per-worker reused
+    /// buffer. Every count in the file is untrusted: sizes are checked
+    /// against the actual file length *before* any payload read, so a
+    /// corrupt or crafted file yields `InvalidData`, never a panic or an
+    /// absurd allocation.
     pub fn load_with_stats(
         path: impl AsRef<std::path::Path>,
         threads: usize,
     ) -> std::io::Result<(WalkIndex, LoadStats)> {
-        Self::load_impl(path.as_ref(), None, threads)
-    }
-
-    /// Loads only the layers of `range` from a **monolithic** (RWDIDX2 or
-    /// monolithic RWDIDX4) index file, producing the shard-local partial
-    /// index `build_layer_range` would build: layers outside the range are
-    /// skipped without parsing, and the result's
-    /// [`WalkIndex::layer_base`] is `range.start()`. Rejects files whose
-    /// layer count the range exceeds, and already-sharded (RWDIDX3, or V4
-    /// with a nonzero layer base) files — re-scoping a shard of a shard
-    /// would silently mis-key the RNG streams.
-    pub fn load_layer_range(
-        path: impl AsRef<std::path::Path>,
-        range: LayerRange,
-    ) -> std::io::Result<WalkIndex> {
-        Self::load_impl(path.as_ref(), Some(range), 0).map(|(idx, _)| idx)
-    }
-
-    fn load_impl(
-        path: &std::path::Path,
-        want: Option<LayerRange>,
-        threads: usize,
-    ) -> std::io::Result<(WalkIndex, LoadStats)> {
         let file = std::fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < 8 {
-            return Err(bad_file("not a walk-index file (bad magic)"));
-        }
-        let mut magic = [0u8; 8];
-        pread(&file, &mut magic, 0)?;
-        if &magic == MAGIC_V1 {
-            return Err(bad_file(
-                "walk-index file uses the obsolete RWDIDX1 (AoS) layout; \
-                 rebuild the index and re-save it in the RWDIDX2 format",
-            ));
-        }
-        if &magic == MAGIC_V4 {
-            return Self::load_v4(&file, file_len, want, threads);
-        }
-        if &magic != MAGIC_V2 && &magic != MAGIC_V3 {
-            return Err(bad_file("not a walk-index file (bad magic)"));
-        }
-        Self::load_v23(&file, file_len, &magic == MAGIC_V3, want, threads)
-    }
-
-    /// Deserializing loader for the RWDIDX2/RWDIDX3 layouts.
-    ///
-    /// The file is never pulled into memory whole: the boundary walk reads
-    /// only the 8-byte length prefixes, the CRC pass streams fixed-size
-    /// chunks, and the parallel parse positioned-reads one layer block at
-    /// a time into a per-worker reused buffer. The transient high-water
-    /// mark is therefore bounded by the largest layer block (plus its
-    /// transposition staging), not by the file — see [`LoadStats`]. Every
-    /// count in the file is still untrusted: header/block sizes are
-    /// checked against the actual file length *before* any payload read,
-    /// so a corrupt or crafted file yields `InvalidData`, never a panic or
-    /// an absurd allocation.
-    fn load_v23(
-        file: &std::fs::File,
-        file_len: u64,
-        v3: bool,
-        want: Option<LayerRange>,
-        threads: usize,
-    ) -> std::io::Result<(WalkIndex, LoadStats)> {
-        // The last 4 bytes are the CRC-32 trailer; everything before it is
-        // checksummed content (skipped layers included).
-        let content_len = file_len.saturating_sub(4);
-        let header_len: usize = if v3 { 40 } else { 32 };
-        if file_len < 8 + header_len as u64 {
-            return Err(truncated());
-        }
-        let mut header = [0u8; 40];
-        pread(file, &mut header[..header_len], 8)?;
-        let u64_at = |i: usize| u64::from_le_bytes(header[i * 8..(i + 1) * 8].try_into().unwrap());
-        let n64 = u64_at(0);
-        let l64 = u64_at(1);
-        let layer_count64 = u64_at(2);
-        let seed = u64_at(3);
-        let file_base64 = if v3 { u64_at(4) } else { 0 };
-        check_header_fields(n64, l64, layer_count64, file_base64)?;
-        if let Some(range) = want {
-            if file_base64 != 0 {
-                return Err(bad_file(
-                    "load_layer_range requires a monolithic (RWDIDX2) index file, \
-                     not an already-sharded RWDIDX3 one",
-                ));
-            }
-            if range.end() as u64 > layer_count64 {
-                return Err(bad_file(
-                    "requested layer range exceeds the file's layer count",
-                ));
-            }
-        }
-        let l = l64 as u32;
-        // A layer block stores (n + 1) 4-byte offsets, so n and layer_count
-        // are bounded by the checksummed content length.
-        if n64.saturating_mul(4) > content_len || layer_count64.saturating_mul(8) > content_len {
-            return Err(bad_file(
-                "corrupt walk-index file (header exceeds file size)",
-            ));
-        }
-        let n = n64 as usize;
-        let layer_count = layer_count64 as usize;
-        // Pass 1 — boundary walk: the length prefixes tile the content
-        // region into layer blocks, so every block size is validated (and
-        // the tiling shown to account for every content byte) before any
-        // payload is read. Only the 8-byte prefixes are touched here.
-        let mut consumed: u64 = 8 + header_len as u64;
-        let mut blocks: Vec<(usize, u64, usize)> =
-            Vec::with_capacity(want.map_or(layer_count, |rg| rg.len()));
-        for li in 0..layer_count {
-            if file_len < consumed + 8 {
-                return Err(truncated());
-            }
-            let mut prefix = [0u8; 8];
-            pread(file, &mut prefix, consumed)?;
-            consumed += 8;
-            let entries64 = u64::from_le_bytes(prefix);
-            let block64 = ((n64 + 1) * 4).saturating_add(entries64.saturating_mul(6));
-            if block64 > content_len {
-                return Err(bad_file(
-                    "corrupt walk-index file (layer exceeds file size)",
-                ));
-            }
-            if file_len < consumed + block64 {
-                return Err(truncated());
-            }
-            if want.is_none_or(|rg| rg.contains(li)) {
-                blocks.push((entries64 as usize, consumed, block64 as usize));
-            }
-            consumed += block64;
-        }
-        // Whole-file integrity: the layer tiling must account for every
-        // content byte, and the CRC-32 trailer must match it (skipped
-        // layers included). Bit rot anywhere — even in fields no
-        // structural check constrains, like the RNG seed — surfaces here
-        // instead of being served.
-        if consumed != content_len {
-            return Err(bad_file(
-                "corrupt walk-index file (size mismatch before checksum trailer)",
-            ));
-        }
-        let crc_buf = verify_trailer(file, content_len)?;
-        // Pass 2 — parse. Blocks are independent, so they are re-read and
-        // decoded (and their forward views transposed) in parallel when the
-        // posting volume warrants the threads; results land in per-layer
-        // slots, so layer order and first-failing-layer error are
-        // scheduling-free.
-        let read_parse = |buf: &mut Vec<u8>, entries: usize, off: u64, len: usize| {
-            buf.clear();
-            buf.resize(len, 0);
-            pread(file, buf, off)?;
-            parse_layer_block(n, l, entries, buf)
-        };
-        let total_postings: usize = blocks.iter().map(|&(e, _, _)| e).sum();
-        let workers = if n + total_postings < crate::parallel::MIN_PARALLEL_SWEEP_WORK {
-            1
-        } else {
-            resolve_threads(threads).min(blocks.len().max(1))
-        };
-        // Off unix, positioned reads fall back to a shared-cursor seek.
-        let workers = if cfg!(unix) { workers } else { 1 };
-        // One worker's pass over its block chunk: a reused read buffer, and
-        // the chunk's transient high-water mark (block bytes + the 12 B per
-        // posting the forward transposition stages).
-        let run_chunk = |b_chunk: &[(usize, u64, usize)],
-                         s_chunk: &mut [Option<std::io::Result<Layer>>]|
-         -> usize {
-            let mut buf: Vec<u8> = Vec::new();
-            let mut peak = 0usize;
-            for (slot, &(entries, off, len)) in s_chunk.iter_mut().zip(b_chunk) {
-                peak = peak.max(len + 12 * entries);
-                *slot = Some(read_parse(&mut buf, entries, off, len));
-            }
-            peak
-        };
-        let mut slots: Vec<Option<std::io::Result<Layer>>> = Vec::new();
-        slots.resize_with(blocks.len(), || None);
-        let parse_peak = if workers <= 1 {
-            run_chunk(&blocks, &mut slots)
-        } else {
-            let chunk = blocks.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = blocks
-                    .chunks(chunk)
-                    .zip(slots.chunks_mut(chunk))
-                    .map(|(b_chunk, s_chunk)| {
-                        let run_chunk = &run_chunk;
-                        scope.spawn(move || run_chunk(b_chunk, s_chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("load worker panicked"))
-                    .sum()
-            })
-        };
-        let mut layers = Vec::with_capacity(blocks.len());
-        for slot in slots {
-            layers.push(slot.expect("every layer block has a parse slot")?);
-        }
-        let layer_base = want.map_or(file_base64 as usize, |rg| rg.start());
-        let stats = LoadStats {
-            transient_peak_bytes: crc_buf.max(parse_peak),
-        };
-        Ok((
-            WalkIndex::assemble(n, l, layers, layer_base, seed, threads),
-            stats,
-        ))
-    }
-
-    /// Deserializing loader for the RWDIDX4 layout: reads only the
-    /// inverted sections (the stored forward views and aggregates are
-    /// skipped — both are re-derived canonically, so the result is bitwise
-    /// equal to [`WalkIndex::open_mapped`] on the same file). Same bounded
-    /// transient memory as [`WalkIndex::load_v23`].
-    fn load_v4(
-        file: &std::fs::File,
-        file_len: u64,
-        want: Option<LayerRange>,
-        threads: usize,
-    ) -> std::io::Result<(WalkIndex, LoadStats)> {
-        if file_len < V4_FIXED_HEADER as u64 {
-            return Err(truncated());
-        }
-        let mut header = [0u8; V4_FIXED_HEADER];
-        pread(file, &mut header, 0)?;
-        let layer_count64 = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        // Bound the entry-table allocation by the actual file size before
-        // trusting the header's layer count.
-        if layer_count64.saturating_mul(8) > file_len {
-            return Err(bad_file(
-                "corrupt walk-index file (header exceeds file size)",
-            ));
-        }
-        let mut table = vec![0u8; layer_count64 as usize * 8];
-        if file_len < V4_FIXED_HEADER as u64 + table.len() as u64 {
-            return Err(truncated());
-        }
-        pread(file, &mut table, V4_FIXED_HEADER as u64)?;
-        let entries: Vec<u64> = table
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let layout = v4_layout(&header, &entries, file_len)?;
-        check_v4_range(&layout, want)?;
-        let crc_buf = verify_trailer(file, layout.content_len)?;
-        let n = layout.n;
-        let l = layout.l;
-        let specs: Vec<&V4LayerSpec> = match want {
-            Some(rg) => layout.layers[rg.start()..rg.end()].iter().collect(),
-            None => layout.layers.iter().collect(),
-        };
-        // Re-read each selected layer's inverted sections into one
-        // contiguous [offsets | ids | weights] buffer — the same block
-        // shape V2/V3 store — and reuse their parser.
+        let layout = read_layout(file.metadata()?.len(), |buf, off| pread(&file, buf, off))?;
+        let crc_buf = verify_trailer(&file, layout.content_len)?;
+        let (n, l) = (layout.n, layout.l);
+        // Read each layer's inverted sections into one contiguous
+        // [offsets | ids | weights] buffer and decode it.
         let read_parse = |buf: &mut Vec<u8>, spec: &V4LayerSpec| -> std::io::Result<Layer> {
             let ob = (n + 1) * 4;
             let ib = spec.entries * 4;
             let wb = spec.entries * 2;
             buf.clear();
             buf.resize(ob + ib + wb, 0);
-            pread(file, &mut buf[..ob], spec.offsets as u64)?;
-            pread(file, &mut buf[ob..ob + ib], spec.ids as u64)?;
-            pread(file, &mut buf[ob + ib..], spec.weights as u64)?;
+            pread(&file, &mut buf[..ob], spec.offsets as u64)?;
+            pread(&file, &mut buf[ob..ob + ib], spec.ids as u64)?;
+            pread(&file, &mut buf[ob + ib..], spec.weights as u64)?;
             parse_layer_block(n, l, spec.entries, buf)
         };
+        let specs = &layout.layers;
         let total_postings: usize = specs.iter().map(|s| s.entries).sum();
         let workers = if n + total_postings < crate::parallel::MIN_PARALLEL_SWEEP_WORK {
             1
         } else {
-            resolve_threads(threads).min(specs.len().max(1))
+            resolve_threads(threads).min(specs.len())
         };
+        // Off unix, positioned reads fall back to a shared-cursor seek.
         let workers = if cfg!(unix) { workers } else { 1 };
+        // One worker's pass over its layer chunk: a reused read buffer, and
+        // the chunk's transient high-water mark (section bytes + the 12 B
+        // per posting the forward transposition stages). Results land in
+        // per-layer slots, so layer order and the first failing layer's
+        // error are scheduling-free.
         let run_chunk =
-            |b_chunk: &[&V4LayerSpec], s_chunk: &mut [Option<std::io::Result<Layer>>]| -> usize {
+            |b_chunk: &[V4LayerSpec], s_chunk: &mut [Option<std::io::Result<Layer>>]| -> usize {
                 let mut buf: Vec<u8> = Vec::new();
                 let mut peak = 0usize;
                 for (slot, spec) in s_chunk.iter_mut().zip(b_chunk) {
@@ -2122,7 +1896,7 @@ impl WalkIndex {
         let mut slots: Vec<Option<std::io::Result<Layer>>> = Vec::new();
         slots.resize_with(specs.len(), || None);
         let parse_peak = if workers <= 1 {
-            run_chunk(&specs, &mut slots)
+            run_chunk(specs, &mut slots)
         } else {
             let chunk = specs.len().div_ceil(workers);
             std::thread::scope(|scope| {
@@ -2144,80 +1918,16 @@ impl WalkIndex {
         for slot in slots {
             layers.push(slot.expect("every layer has a parse slot")?);
         }
-        let layer_base = want.map_or(layout.layer_base, |rg| rg.start());
         let stats = LoadStats {
             transient_peak_bytes: crc_buf.max(parse_peak),
         };
         Ok((
-            WalkIndex::assemble(n, l, layers, layer_base, layout.seed, threads),
+            WalkIndex::assemble(n, l, layers, layout.layer_base, layout.seed, threads),
             stats,
         ))
     }
 
-    /// Persists the index in the 8-byte-aligned RWDIDX4 layout — the
-    /// zero-copy format [`WalkIndex::open_mapped`] serves straight from
-    /// the page cache. Unlike V2/V3 it stores *both* CSR views **and** the
-    /// per-node aggregate tables, so a mapped open computes nothing:
-    /// columns are reinterpreted in place. Layout: magic, a fixed header
-    /// (`n`, `L`, layer count, seed, layer base, declared section
-    /// alignment), a per-layer entry-count table, then per layer the six
-    /// column sections (each zero-padded to the declared alignment),
-    /// the two aggregate sections, and the same CRC-32 trailer V2/V3 end
-    /// in. Only little-endian hosts write V4 (the format *is* the LE
-    /// in-memory image); elsewhere use [`WalkIndex::save`].
-    pub fn save_v4(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        #[cfg(not(target_endian = "little"))]
-        {
-            let _ = path;
-            Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "RWDIDX4 is a little-endian zero-copy format; use save() (V2/V3) on this host",
-            ))
-        }
-        #[cfg(target_endian = "little")]
-        {
-            use crate::storage::pod_bytes;
-            use std::io::Write;
-            let file = std::fs::File::create(path)?;
-            let mut w = std::io::BufWriter::new(file);
-            let mut crc = crate::crc::Crc32::new();
-            let mut header = Vec::with_capacity(V4_FIXED_HEADER + self.layers.len() * 8);
-            header.extend_from_slice(MAGIC_V4);
-            for v in [
-                self.n as u64,
-                self.l as u64,
-                self.layers.len() as u64,
-                self.seed,
-                self.layer_base as u64,
-                V4_ALIGN,
-            ] {
-                header.extend_from_slice(&v.to_le_bytes());
-            }
-            for layer in &self.layers {
-                header.extend_from_slice(&(layer.ids.len() as u64).to_le_bytes());
-            }
-            crc.update(&header);
-            w.write_all(&header)?;
-            for layer in &self.layers {
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.offsets.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.ids.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.weights.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.fwd_offsets.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.fwd_ids.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.fwd_weights.as_slice()))?;
-            }
-            write_v4_section(&mut w, &mut crc, pod_bytes(self.posting_counts.as_slice()))?;
-            write_v4_section(
-                &mut w,
-                &mut crc,
-                pod_bytes(self.posting_hop_sums.as_slice()),
-            )?;
-            w.write_all(&crc.finish().to_le_bytes())?;
-            w.flush()
-        }
-    }
-
-    /// Opens an RWDIDX4 file zero-copy: the file is mapped once
+    /// Opens an index file zero-copy: the file is mapped once
     /// (`mmap(2)`), the CRC trailer and section layout are validated once,
     /// and every posting column becomes a borrowed window into the map —
     /// no per-element parse, no transposition, no allocation proportional
@@ -2229,29 +1939,8 @@ impl WalkIndex {
     /// (copy-on-write at layer grain).
     ///
     /// Requires a little-endian unix host (the on-disk columns are the LE
-    /// in-memory image); elsewhere, and for V2/V3 files, use
-    /// [`WalkIndex::load`].
+    /// in-memory image); elsewhere use [`WalkIndex::load`].
     pub fn open_mapped(path: impl AsRef<std::path::Path>) -> std::io::Result<WalkIndex> {
-        Self::open_mapped_impl(path.as_ref(), None)
-    }
-
-    /// [`WalkIndex::open_mapped`] scoped to the layers of `range`, the
-    /// zero-copy twin of [`WalkIndex::load_layer_range`]: requires a
-    /// monolithic (layer base 0) RWDIDX4 file. The selected layers stay
-    /// mapped; the per-node aggregates are recomputed for the range (the
-    /// file's aggregate sections cover all layers), which streams the
-    /// range's postings once.
-    pub fn open_mapped_layer_range(
-        path: impl AsRef<std::path::Path>,
-        range: LayerRange,
-    ) -> std::io::Result<WalkIndex> {
-        Self::open_mapped_impl(path.as_ref(), Some(range))
-    }
-
-    fn open_mapped_impl(
-        path: &std::path::Path,
-        want: Option<LayerRange>,
-    ) -> std::io::Result<WalkIndex> {
         if cfg!(not(target_endian = "little")) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
@@ -2262,44 +1951,15 @@ impl WalkIndex {
         let file = std::fs::File::open(path)?;
         let region = Arc::new(MmapRegion::map(&file)?);
         let bytes = region.as_bytes();
-        if bytes.len() < 8 {
-            return Err(bad_file("not a walk-index file (bad magic)"));
-        }
-        if &bytes[..8] == MAGIC_V1 {
-            return Err(bad_file(
-                "walk-index file uses the obsolete RWDIDX1 (AoS) layout; \
-                 rebuild the index and re-save it in the RWDIDX4 format",
-            ));
-        }
-        if &bytes[..8] == MAGIC_V2 || &bytes[..8] == MAGIC_V3 {
-            return Err(bad_file(
-                "walk-index file uses the RWDIDX2/RWDIDX3 layout, which has no \
-                 zero-copy open; load() it, or re-save with save_v4 for the mapped path",
-            ));
-        }
-        if &bytes[..8] != MAGIC_V4 {
-            return Err(bad_file("not a walk-index file (bad magic)"));
-        }
-        if bytes.len() < V4_FIXED_HEADER {
-            return Err(truncated());
-        }
-        let header = &bytes[..V4_FIXED_HEADER];
-        let layer_count64 = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        if layer_count64.saturating_mul(8) > bytes.len() as u64 {
-            return Err(bad_file(
-                "corrupt walk-index file (header exceeds file size)",
-            ));
-        }
-        let table_end = V4_FIXED_HEADER + layer_count64 as usize * 8;
-        if bytes.len() < table_end {
-            return Err(truncated());
-        }
-        let entries: Vec<u64> = bytes[V4_FIXED_HEADER..table_end]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let layout = v4_layout(header, &entries, bytes.len() as u64)?;
-        check_v4_range(&layout, want)?;
+        let layout = read_layout(bytes.len() as u64, |buf, off| {
+            let at = usize::try_from(off).map_err(|_| truncated())?;
+            let src = at
+                .checked_add(buf.len())
+                .and_then(|end| bytes.get(at..end))
+                .ok_or_else(truncated)?;
+            buf.copy_from_slice(src);
+            Ok(())
+        })?;
         // The one-and-only content scan: a chunked CRC sweep across all
         // cores, folded exactly with crc32_combine — the checksum is the
         // only O(file) work on this path, so it is the open time. After
@@ -2314,13 +1974,8 @@ impl WalkIndex {
             ));
         }
         let n = layout.n;
-        let selected: std::ops::Range<usize> = match want {
-            Some(rg) => rg.start()..rg.end(),
-            None => 0..layout.layers.len(),
-        };
-        let mut layers = Vec::with_capacity(selected.len());
-        for li in selected {
-            let spec = &layout.layers[li];
+        let mut layers = Vec::with_capacity(layout.layers.len());
+        for spec in &layout.layers {
             let offsets: Column<u32> = Column::mapped(region.clone(), spec.offsets, n + 1)?;
             validate_mapped_offsets(&offsets, spec.entries)?;
             let fwd_offsets: Column<u32> = Column::mapped(region.clone(), spec.fwd_offsets, n + 1)?;
@@ -2334,35 +1989,20 @@ impl WalkIndex {
                 fwd_weights: Column::mapped(region.clone(), spec.fwd_weights, spec.entries)?,
             }));
         }
-        let (posting_counts, posting_hop_sums) = if want.is_none() {
-            // Whole-file open: the stored aggregates are exactly what
-            // assemble() would compute (save_v4 wrote them from a canonical
-            // index), so map them too.
-            (
-                Column::mapped(region.clone(), layout.counts, n)?,
-                Column::mapped(region.clone(), layout.hop_sums, n)?,
-            )
-        } else {
-            // Ranged open: the file's aggregates cover *all* layers, so the
-            // partial index recomputes its own over the mapped columns.
-            let (c, h) = Self::compute_aggregates(n, &layers, 0);
-            (c.into(), h.into())
-        };
+        // The stored aggregates are exactly what assemble() would compute
+        // (save wrote them from a canonical index), so map them too.
         Ok(WalkIndex {
             n,
             l: layout.l,
             layers,
             seed: layout.seed,
-            layer_base: want.map_or(layout.layer_base, |rg| rg.start()),
-            posting_counts,
-            posting_hop_sums,
+            layer_base: layout.layer_base,
+            posting_counts: Column::mapped(region.clone(), layout.counts, n)?,
+            posting_hop_sums: Column::mapped(region.clone(), layout.hop_sums, n)?,
         })
     }
 }
 
-const MAGIC_V1: &[u8; 8] = b"RWDIDX1\0";
-const MAGIC_V2: &[u8; 8] = b"RWDIDX2\0";
-const MAGIC_V3: &[u8; 8] = b"RWDIDX3\0";
 const MAGIC_V4: &[u8; 8] = b"RWDIDX4\0";
 
 /// Section alignment RWDIDX4 declares in its header: every section start
@@ -2380,16 +2020,17 @@ const V4_FIXED_HEADER: usize = 8 + 6 * 8;
 /// ([`WalkIndex::load_with_stats`]).
 ///
 /// The load path never materializes the whole file: the CRC pass streams
-/// 64 KiB chunks and each parse worker positioned-reads one layer block
-/// at a time into a reused buffer. [`LoadStats::transient_peak_bytes`] is
-/// the high-water mark of those short-lived buffers — raw block bytes
-/// plus the 12-byte-per-posting forward-transposition staging — maximized
-/// over time per worker and summed across workers (workers peak
-/// independently, so the sum bounds any instant). Peak load memory is
-/// therefore bounded by `final index size + transient_peak_bytes`; the
-/// storage suite asserts the transient share stays ≤ 25% of
-/// [`WalkIndex::memory_bytes`] (peak ≤ 1.25× the final index), where the
-/// old whole-file-buffer-held-across-the-parse design peaked near 2×.
+/// 64 KiB chunks and each parse worker positioned-reads one layer's
+/// inverted sections at a time into a reused buffer.
+/// [`LoadStats::transient_peak_bytes`] is the high-water mark of those
+/// short-lived buffers — raw section bytes plus the 12-byte-per-posting
+/// forward-transposition staging — maximized over time per worker and
+/// summed across workers (workers peak independently, so the sum bounds
+/// any instant). Peak load memory is therefore bounded by `final index
+/// size + transient_peak_bytes`; the storage suite asserts the transient
+/// share stays ≤ 25% of [`WalkIndex::memory_bytes`] (peak ≤ 1.25× the
+/// final index), where a whole-file buffer held across the parse would
+/// peak near 2×.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadStats {
     /// High-water mark (bytes) of buffers that live only during the load.
@@ -2453,10 +2094,9 @@ fn verify_trailer(file: &std::fs::File, content_len: u64) -> std::io::Result<usi
     Ok(cap)
 }
 
-/// The cross-field header validation every format version shares: the
-/// counts constrain each other and the posting encoding, so values no
-/// builder can produce are rejected here instead of yielding a nonsense
-/// index.
+/// The cross-field header validation: the counts constrain each other and
+/// the posting encoding, so values no builder can produce are rejected
+/// here instead of yielding a nonsense index.
 /// * posting ids are u32, so an index over more than `u32::MAX` nodes is
 ///   unrepresentable (every id bound check would pass vacuously);
 /// * walks have `1 ≤ hop ≤ l ≤ u16::MAX` (the builder asserts it and hops
@@ -2485,9 +2125,9 @@ fn check_header_fields(n64: u64, l64: u64, layer_count64: u64, base64: u64) -> s
     Ok(())
 }
 
-/// Parses one `[offsets | ids | weights]` inverted block (the V2/V3 layer
-/// block body; V4 loads assemble the same shape from its sections) into a
-/// [`Layer`], validating structure as it decodes.
+/// Parses one layer's `[offsets | ids | weights]` inverted sections,
+/// read back to back into `block`, into a [`Layer`], validating structure
+/// as it decodes.
 fn parse_layer_block(n: usize, l: u32, entries: usize, block: &[u8]) -> std::io::Result<Layer> {
     let (off_bytes, rest) = block.split_at((n + 1) * 4);
     let (id_bytes, weight_bytes) = rest.split_at(entries * 4);
@@ -2534,7 +2174,6 @@ fn parse_layer_block(n: usize, l: u32, entries: usize, block: &[u8]) -> std::io:
 }
 
 /// Absolute file positions of one layer's six sections in an RWDIDX4 file.
-#[derive(Clone, Copy)]
 struct V4LayerSpec {
     entries: usize,
     offsets: usize,
@@ -2546,9 +2185,7 @@ struct V4LayerSpec {
 }
 
 /// Everything the RWDIDX4 fixed header + entry table determine: validated
-/// field values and the absolute position of every section. Shared by the
-/// mapped open, the deserializing load and [`inspect_index_file`], so all
-/// three agree on the format byte for byte.
+/// field values and the absolute position of every section.
 struct V4Layout {
     n: usize,
     l: u32,
@@ -2561,57 +2198,89 @@ struct V4Layout {
     content_len: u64,
 }
 
-/// Walks the RWDIDX4 section structure, validating every size against the
-/// actual file length (checked arithmetic throughout — a crafted entry
-/// table yields `InvalidData`, never overflow or an absurd allocation)
-/// and requiring the tiling to account for every content byte.
-fn v4_layout(header: &[u8], entries: &[u64], file_len: u64) -> std::io::Result<V4Layout> {
-    let u64_at = |i: usize| u64::from_le_bytes(header[8 + i * 8..16 + i * 8].try_into().unwrap());
-    let n64 = u64_at(0);
-    let l64 = u64_at(1);
-    let layer_count64 = u64_at(2);
-    let seed = u64_at(3);
-    let base64 = u64_at(4);
-    let align = u64_at(5);
+/// The one reader of an index file's header, shared by
+/// [`WalkIndex::load`], [`WalkIndex::open_mapped`] and
+/// [`inspect_index_file`], so all three agree on the format byte for
+/// byte. It checks the magic (naming the retired layouts), reads the fixed
+/// header and the entry table through `read_at(buf, offset)` — a
+/// positioned read of the file or a copy out of its map — and walks the
+/// section structure. Every size is validated against the actual file
+/// length with checked arithmetic, so a crafted header yields
+/// `InvalidData`, never overflow or an absurd allocation, and the tiling
+/// must account for every content byte.
+fn read_layout(
+    file_len: u64,
+    read_at: impl Fn(&mut [u8], u64) -> std::io::Result<()>,
+) -> std::io::Result<V4Layout> {
+    let mut header = [0u8; V4_FIXED_HEADER];
+    if file_len < 8 {
+        return Err(bad_file("not a walk-index file (bad magic)"));
+    }
+    read_at(&mut header[..8], 0)?;
+    match &header[..8] {
+        m if m == MAGIC_V4 => {}
+        b"RWDIDX1\0" | b"RWDIDX2\0" | b"RWDIDX3\0" => {
+            return Err(bad_file(&format!(
+                "walk-index file uses the retired {} layout; this build reads only \
+                 RWDIDX4 — rebuild the index and save it again",
+                String::from_utf8_lossy(&header[..7])
+            )));
+        }
+        _ => return Err(bad_file("not a walk-index file (bad magic)")),
+    }
+    if file_len < V4_FIXED_HEADER as u64 {
+        return Err(truncated());
+    }
+    read_at(&mut header[8..], 8)?;
+    let f: Vec<u64> = le_u64s(&header[8..]).collect();
+    let (n64, l64, layer_count64, seed, base64, align) = (f[0], f[1], f[2], f[3], f[4], f[5]);
+    // Bound the entry-table allocation by the actual file size before
+    // trusting the header's layer count.
+    if layer_count64.saturating_mul(8) > file_len {
+        return Err(bad_file(
+            "corrupt walk-index file (header exceeds file size)",
+        ));
+    }
     check_header_fields(n64, l64, layer_count64, base64)?;
     if align != V4_ALIGN {
         return Err(bad_file(
             "corrupt walk-index file (unsupported section alignment; this build reads 8)",
         ));
     }
-    if entries.len() as u64 != layer_count64 {
+    let mut table = vec![0u8; layer_count64 as usize * 8];
+    let mut cur = V4_FIXED_HEADER as u64 + table.len() as u64;
+    if file_len < cur {
         return Err(truncated());
     }
+    read_at(&mut table, V4_FIXED_HEADER as u64)?;
     let pad8 = |x: u64| x.div_ceil(8) * 8;
     let overflow = || bad_file("corrupt walk-index file (layer exceeds file size)");
-    let n = n64 as usize;
     let off_bytes = pad8((n64 + 1) * 4);
-    let mut cur: u64 = V4_FIXED_HEADER as u64 + layer_count64 * 8;
-    let mut layers = Vec::with_capacity(entries.len());
-    for &e in entries {
+    let mut layers = Vec::with_capacity(layer_count64 as usize);
+    for e in le_u64s(&table) {
         if e > u32::MAX as u64 {
             return Err(bad_file(
                 "corrupt walk-index file (layer posting count overflows u32 offsets)",
             ));
         }
-        let ids_bytes = pad8(e.checked_mul(4).ok_or_else(overflow)?);
-        let weight_bytes = pad8(e.checked_mul(2).ok_or_else(overflow)?);
-        let section = |len: u64, cur: &mut u64| -> std::io::Result<usize> {
-            let at = *cur;
-            *cur = cur.checked_add(len).ok_or_else(overflow)?;
-            if *cur > file_len {
+        let ids_bytes = pad8(e * 4);
+        let weight_bytes = pad8(e * 2);
+        let mut section = |len: u64| -> std::io::Result<usize> {
+            let at = cur;
+            cur = cur.checked_add(len).ok_or_else(overflow)?;
+            if cur > file_len {
                 return Err(overflow());
             }
             Ok(at as usize)
         };
         layers.push(V4LayerSpec {
             entries: e as usize,
-            offsets: section(off_bytes, &mut cur)?,
-            ids: section(ids_bytes, &mut cur)?,
-            weights: section(weight_bytes, &mut cur)?,
-            fwd_offsets: section(off_bytes, &mut cur)?,
-            fwd_ids: section(ids_bytes, &mut cur)?,
-            fwd_weights: section(weight_bytes, &mut cur)?,
+            offsets: section(off_bytes)?,
+            ids: section(ids_bytes)?,
+            weights: section(weight_bytes)?,
+            fwd_offsets: section(off_bytes)?,
+            fwd_ids: section(ids_bytes)?,
+            fwd_weights: section(weight_bytes)?,
         });
     }
     let agg_bytes = pad8(n64 * 8);
@@ -2625,7 +2294,7 @@ fn v4_layout(header: &[u8], entries: &[u64], file_len: u64) -> std::io::Result<V
         ));
     }
     Ok(V4Layout {
-        n,
+        n: n64 as usize,
         l: l64 as u32,
         seed,
         layer_base: base64 as usize,
@@ -2636,22 +2305,11 @@ fn v4_layout(header: &[u8], entries: &[u64], file_len: u64) -> std::io::Result<V
     })
 }
 
-/// The layer-range admissibility rules shared by the ranged V4 open paths.
-fn check_v4_range(layout: &V4Layout, want: Option<LayerRange>) -> std::io::Result<()> {
-    if let Some(range) = want {
-        if layout.layer_base != 0 {
-            return Err(bad_file(
-                "layer-range opens require a monolithic (layer base 0) index file, \
-                 not an already-sharded one",
-            ));
-        }
-        if range.end() > layout.layers.len() {
-            return Err(bad_file(
-                "requested layer range exceeds the file's layer count",
-            ));
-        }
-    }
-    Ok(())
+/// The little-endian `u64`s packed in `bytes` (a whole number of them).
+fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
 }
 
 /// Structural validation a mapped open performs on each CSR offsets
@@ -2680,7 +2338,8 @@ fn validate_mapped_offsets(offsets: &[u32], entries: usize) -> std::io::Result<(
 /// constructing a [`WalkIndex`].
 #[derive(Clone, Debug)]
 pub struct IndexFileInfo {
-    /// On-disk format version: 2 (RWDIDX2), 3 (RWDIDX3) or 4 (RWDIDX4).
+    /// On-disk format version: always 4 (RWDIDX4, the one format this
+    /// build reads).
     pub version: u32,
     /// Node-universe size `n`.
     pub n: u64,
@@ -2694,149 +2353,51 @@ pub struct IndexFileInfo {
     pub seed: u64,
     /// Total inverted postings across the stored layers.
     pub total_postings: u64,
-    /// Header-declared section alignment (V4 only).
-    pub section_align: Option<u64>,
+    /// Header-declared section alignment in bytes.
+    pub section_align: u64,
     /// Total file size in bytes.
     pub file_bytes: u64,
     /// Whether the CRC-32 content trailer matches.
     pub crc_ok: bool,
 }
 
-/// Reads an index file's header and section structure — format version,
-/// dimensions, layer range, posting count, alignment — and verifies the
-/// CRC trailer, without constructing an index: no column parse, no
-/// transposition, `O(R)` memory and one streamed pass of I/O. Structural
-/// corruption (impossible sizes, bad tiling) errors out; a CRC mismatch
-/// is *reported* (`crc_ok: false`) so damaged files can still be triaged.
+/// Reads an index file's header and section structure — dimensions,
+/// layer range, posting count, alignment — and verifies the CRC trailer,
+/// without constructing an index: no column parse, no transposition,
+/// `O(R)` memory and one streamed pass of I/O. Structural corruption
+/// (impossible sizes, bad tiling, a retired or foreign magic) errors out;
+/// a CRC mismatch is *reported* (`crc_ok: false`) so damaged files can
+/// still be triaged.
 pub fn inspect_index_file(path: impl AsRef<std::path::Path>) -> std::io::Result<IndexFileInfo> {
-    let file = std::fs::File::open(path.as_ref())?;
+    let file = std::fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    if file_len < 8 {
-        return Err(bad_file("not a walk-index file (bad magic)"));
-    }
-    let mut magic = [0u8; 8];
-    pread(&file, &mut magic, 0)?;
-    if &magic == MAGIC_V1 {
-        return Err(bad_file(
-            "walk-index file uses the obsolete RWDIDX1 (AoS) layout; \
-             rebuild the index and re-save it in the RWDIDX2 format",
-        ));
-    }
-    let crc_status = |content_len: u64| -> std::io::Result<bool> {
-        Ok(verify_trailer(&file, content_len).is_ok())
-    };
-    if &magic == MAGIC_V4 {
-        if file_len < V4_FIXED_HEADER as u64 {
-            return Err(truncated());
-        }
-        let mut header = [0u8; V4_FIXED_HEADER];
-        pread(&file, &mut header, 0)?;
-        let layer_count64 = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        if layer_count64.saturating_mul(8) > file_len {
-            return Err(bad_file(
-                "corrupt walk-index file (header exceeds file size)",
-            ));
-        }
-        let mut table = vec![0u8; layer_count64 as usize * 8];
-        if file_len < V4_FIXED_HEADER as u64 + table.len() as u64 {
-            return Err(truncated());
-        }
-        pread(&file, &mut table, V4_FIXED_HEADER as u64)?;
-        let entries: Vec<u64> = table
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let layout = v4_layout(&header, &entries, file_len)?;
-        return Ok(IndexFileInfo {
-            version: 4,
-            n: layout.n as u64,
-            l: layout.l as u64,
-            layer_count: layout.layers.len() as u64,
-            layer_base: layout.layer_base as u64,
-            seed: layout.seed,
-            total_postings: entries.iter().sum(),
-            section_align: Some(V4_ALIGN),
-            file_bytes: file_len,
-            crc_ok: crc_status(layout.content_len)?,
-        });
-    }
-    if &magic != MAGIC_V2 && &magic != MAGIC_V3 {
-        return Err(bad_file("not a walk-index file (bad magic)"));
-    }
-    let v3 = &magic == MAGIC_V3;
-    let content_len = file_len.saturating_sub(4);
-    let header_len: usize = if v3 { 40 } else { 32 };
-    if file_len < 8 + header_len as u64 {
-        return Err(truncated());
-    }
-    let mut header = [0u8; 40];
-    pread(&file, &mut header[..header_len], 8)?;
-    let u64_at = |i: usize| u64::from_le_bytes(header[i * 8..(i + 1) * 8].try_into().unwrap());
-    let (n64, l64, layer_count64, seed) = (u64_at(0), u64_at(1), u64_at(2), u64_at(3));
-    let base64 = if v3 { u64_at(4) } else { 0 };
-    check_header_fields(n64, l64, layer_count64, base64)?;
-    if n64.saturating_mul(4) > content_len || layer_count64.saturating_mul(8) > content_len {
-        return Err(bad_file(
-            "corrupt walk-index file (header exceeds file size)",
-        ));
-    }
-    // Boundary walk over the length prefixes only.
-    let mut consumed: u64 = 8 + header_len as u64;
-    let mut total_postings = 0u64;
-    for _ in 0..layer_count64 {
-        if file_len < consumed + 8 {
-            return Err(truncated());
-        }
-        let mut prefix = [0u8; 8];
-        pread(&file, &mut prefix, consumed)?;
-        consumed += 8;
-        let entries64 = u64::from_le_bytes(prefix);
-        let block64 = ((n64 + 1) * 4).saturating_add(entries64.saturating_mul(6));
-        if block64 > content_len {
-            return Err(bad_file(
-                "corrupt walk-index file (layer exceeds file size)",
-            ));
-        }
-        if file_len < consumed + block64 {
-            return Err(truncated());
-        }
-        total_postings += entries64;
-        consumed += block64;
-    }
-    if consumed != content_len {
-        return Err(bad_file(
-            "corrupt walk-index file (size mismatch before checksum trailer)",
-        ));
-    }
+    let layout = read_layout(file_len, |buf, off| pread(&file, buf, off))?;
     Ok(IndexFileInfo {
-        version: if v3 { 3 } else { 2 },
-        n: n64,
-        l: l64,
-        layer_count: layer_count64,
-        layer_base: base64,
-        seed,
-        total_postings,
-        section_align: None,
+        version: 4,
+        n: layout.n as u64,
+        l: layout.l as u64,
+        layer_count: layout.layers.len() as u64,
+        layer_base: layout.layer_base as u64,
+        seed: layout.seed,
+        total_postings: layout.layers.iter().map(|s| s.entries as u64).sum(),
+        section_align: V4_ALIGN,
         file_bytes: file_len,
-        crc_ok: crc_status(content_len)?,
+        crc_ok: verify_trailer(&file, layout.content_len).is_ok(),
     })
 }
 
-/// Writes one RWDIDX4 section: the raw little-endian column image,
+/// Writes one RWDIDX4 section: the column's little-endian image,
 /// zero-padded to the declared 8-byte alignment, folded into the CRC.
-#[cfg(target_endian = "little")]
-fn write_v4_section<W: std::io::Write>(
+fn write_section<W: std::io::Write, T: Pod>(
     w: &mut W,
     crc: &mut crate::crc::Crc32,
-    bytes: &[u8],
+    col: &[T],
 ) -> std::io::Result<()> {
-    crc.update(bytes);
-    w.write_all(bytes)?;
-    let rem = bytes.len() % 8;
-    if rem != 0 {
-        let pad = [0u8; 8];
-        crc.update(&pad[..8 - rem]);
-        w.write_all(&pad[..8 - rem])?;
+    let bytes = le_bytes(col);
+    let pad = &[0u8; 8][..(8 - bytes.len() % 8) % 8];
+    for part in [&bytes[..], pad] {
+        crc.update(part);
+        w.write_all(part)?;
     }
     Ok(())
 }
@@ -3112,8 +2673,8 @@ mod tests {
         for layer in 0..idx.r() {
             for v in g.nodes() {
                 assert_eq!(loaded.postings(layer, v), idx.postings(layer, v));
-                // The forward view is rebuilt from the inverted columns on
-                // load (the file stores only the inverted lists), and the
+                // load re-derives the forward view from the inverted
+                // columns instead of reading the stored one, and the
                 // transposition is canonical, so it must match too.
                 assert_eq!(loaded.forward(layer, v), idx.forward(layer, v));
             }
@@ -3151,88 +2712,106 @@ mod tests {
         assert_eq!(idx.total_postings(), one.total_postings());
     }
 
+    /// An RWDIDX4 magic, fixed header and entry table with the given
+    /// fields (seed 7, layer base 0, the declared 8-byte alignment).
+    fn v4_header(n: u64, l: u64, layers: u64, entries: &[u64]) -> Vec<u8> {
+        let mut bytes = MAGIC_V4.to_vec();
+        for v in [n, l, layers, 7, 0, V4_ALIGN].iter().chain(entries) {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// A structurally complete RWDIDX4 file of `layers` empty layers over
+    /// `n` nodes with a valid CRC trailer, so only the header fields under
+    /// test can make it fail.
+    fn empty_v4_file(n: u64, l: u64, layers: u64) -> Vec<u8> {
+        let mut bytes = v4_header(n, l, layers, &vec![0; layers as usize]);
+        let offsets = ((n + 1) * 4).div_ceil(8) * 8;
+        bytes.resize(bytes.len() + (2 * layers * offsets + 2 * n * 8) as usize, 0);
+        let crc = crate::crc::crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    /// Writes `bytes` to `path` and asserts that every decoder — `load`,
+    /// `inspect_index_file` and, where the host has it, `open_mapped` —
+    /// refuses them with `InvalidData` naming `what`.
+    fn assert_rejected_everywhere(path: &std::path::Path, bytes: &[u8], what: &str) {
+        std::fs::write(path, bytes).unwrap();
+        let mut errs = vec![
+            WalkIndex::load(path).unwrap_err(),
+            inspect_index_file(path).unwrap_err(),
+        ];
+        if cfg!(unix) && cfg!(target_endian = "little") {
+            errs.push(WalkIndex::open_mapped(path).unwrap_err());
+        }
+        for err in errs {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
+    }
+
     #[test]
     fn load_rejects_oversized_header_counts_without_allocating() {
+        // Absurd counts must be InvalidData, never a panic or a giant
+        // allocation sized by the header.
         let dir = std::env::temp_dir().join("rwd_index_io_huge");
         std::fs::create_dir_all(&dir).unwrap();
-        // n = u64::MAX in the header: must be InvalidData, not a panic or a
-        // giant allocation.
-        let mut bytes = b"RWDIDX2\0".to_vec();
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // n
-        bytes.extend_from_slice(&4u64.to_le_bytes()); // l
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // layers
-        bytes.extend_from_slice(&7u64.to_le_bytes()); // seed
-        let path = dir.join("huge_n.rwdidx");
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(WalkIndex::load(&path).is_err());
-
-        // Plausible n but an absurd per-layer entry count: same contract.
-        let mut bytes = b"RWDIDX2\0".to_vec();
-        bytes.extend_from_slice(&8u64.to_le_bytes()); // n
-        bytes.extend_from_slice(&4u64.to_le_bytes()); // l
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // layers
-        bytes.extend_from_slice(&7u64.to_le_bytes()); // seed
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // layer entries
-        let path = dir.join("huge_entries.rwdidx");
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(WalkIndex::load(&path).is_err());
+        let path = dir.join("huge.rwdidx");
+        assert_rejected_everywhere(&path, &v4_header(u64::MAX, 4, 1, &[0]), "posting-id range");
+        assert_rejected_everywhere(
+            &path,
+            &v4_header(8, 4, u64::MAX, &[]),
+            "header exceeds file size",
+        );
+        // Plausible n but an absurd per-layer entry count.
+        assert_rejected_everywhere(
+            &path,
+            &v4_header(8, 4, 1, &[u64::MAX]),
+            "overflows u32 offsets",
+        );
+        assert_rejected_everywhere(
+            &path,
+            &v4_header(8, 4, 1, &[u32::MAX as u64]),
+            "layer exceeds file size",
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn load_rejects_cross_field_header_corruption() {
-        // Corpus of headers that pass the magic check and the raw size
-        // heuristics but violate cross-field invariants no builder can
-        // produce: such files must be InvalidData, never a nonsense index.
+        // Headers that pass the magic check and the raw size checks but
+        // violate cross-field invariants no builder can produce: such files
+        // must be InvalidData, never a nonsense index.
         let dir = std::env::temp_dir().join("rwd_index_io_header");
         std::fs::create_dir_all(&dir).unwrap();
-        let header = |n: u64, l: u64, layers: u64| -> Vec<u8> {
-            let mut bytes = b"RWDIDX2\0".to_vec();
-            bytes.extend_from_slice(&n.to_le_bytes());
-            bytes.extend_from_slice(&l.to_le_bytes());
-            bytes.extend_from_slice(&layers.to_le_bytes());
-            bytes.extend_from_slice(&7u64.to_le_bytes()); // seed
-            bytes
-        };
-        // One structurally valid empty layer block for n nodes.
-        let empty_layer = |n: usize| -> Vec<u8> {
-            let mut bytes = 0u64.to_le_bytes().to_vec(); // entries
-            bytes.extend(vec![0u8; (n + 1) * 4]); // offsets
-            bytes
-        };
+        let path = dir.join("header.rwdidx");
+        // The body the cases below share is valid: only their headers fail.
+        std::fs::write(&path, empty_v4_file(4, 4, 1)).unwrap();
+        assert_eq!(WalkIndex::load(&path).unwrap().r(), 1);
 
         // n just past the u32 posting-id range (ids could never reference
-        // the upper nodes, so the index is unrepresentable).
-        let mut bytes = header(u32::MAX as u64 + 1, 4, 1);
-        bytes.extend(empty_layer(4)); // content irrelevant; header rejects
-        let path = dir.join("n_past_u32.rwdidx");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = WalkIndex::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("posting-id range"), "{err}");
+        // the upper nodes, so the index is unrepresentable). Content is
+        // irrelevant; the header rejects.
+        let mut bytes = v4_header(u32::MAX as u64 + 1, 4, 1, &[0]);
+        bytes.extend(vec![0u8; 64]);
+        assert_rejected_everywhere(&path, &bytes, "posting-id range");
 
-        // l = 0: no posting can satisfy 1 <= hop <= l. Without the check
-        // this loaded "successfully" as an all-empty nonsense index.
-        let mut bytes = header(4, 0, 1);
-        bytes.extend(empty_layer(4));
-        let path = dir.join("l_zero.rwdidx");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = WalkIndex::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("walk length"), "{err}");
+        // l = 0: no posting can satisfy 1 <= hop <= l; without the check
+        // this would load "successfully" as an all-empty nonsense index.
+        assert_rejected_everywhere(&path, &empty_v4_file(4, 0, 1), "walk length");
 
         // l past the u16 hop range (hops are stored as u16).
-        let path = dir.join("l_huge.rwdidx");
-        std::fs::write(&path, header(4, u16::MAX as u64 + 1, 1)).unwrap();
-        assert!(WalkIndex::load(&path).is_err());
+        assert_rejected_everywhere(
+            &path,
+            &empty_v4_file(4, u16::MAX as u64 + 1, 1),
+            "walk length",
+        );
 
         // layer_count = 0: r() would be 0 and every estimator would divide
-        // by zero. Without the check this also loaded "successfully".
-        let path = dir.join("zero_layers.rwdidx");
-        std::fs::write(&path, header(4, 4, 0)).unwrap();
-        let err = WalkIndex::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("zero walk layers"), "{err}");
+        // by zero.
+        assert_rejected_everywhere(&path, &empty_v4_file(4, 4, 0), "zero walk layers");
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3250,6 +2829,24 @@ mod tests {
             err.to_string().contains("RWDIDX1"),
             "error should name the old format: {err}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn retired_magics_and_junk_are_rejected_by_name_on_every_decoder() {
+        // One format remains: the retired RWDIDX1 (AoS), RWDIDX2 and
+        // RWDIDX3 layouts are refused by name instead of parsed, and
+        // arbitrary bytes are named as not an index at all.
+        let dir = std::env::temp_dir().join("rwd_index_io_magic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.rwdidx");
+        for old in ["RWDIDX1", "RWDIDX2", "RWDIDX3"] {
+            let mut bytes = format!("{old}\0").into_bytes();
+            bytes.extend_from_slice(&[0u8; 64]);
+            assert_rejected_everywhere(&path, &bytes, &format!("retired {old} layout"));
+        }
+        assert_rejected_everywhere(&path, b"definitely not an index", "bad magic");
+        assert_rejected_everywhere(&path, b"RWD", "bad magic");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3315,12 +2912,12 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("size mismatch"), "{err}");
 
-        // A shard (RWDIDX3) file gets the same protection.
+        // A shard file (nonzero layer base) gets the same protection.
         let part = WalkIndex::build_layer_range(&g, 4, LayerRange::new(2, 5), 13, 0);
         let spath = dir.join("shard.rwdidx");
         part.save(&spath).unwrap();
         let mut rot = std::fs::read(&spath).unwrap();
-        rot[41] ^= 0x04; // inside the layer_base extension / payload
+        rot[41] ^= 0x04; // inside the layer base field
         expect_crc_mismatch(&rot, "shard bit flip");
 
         std::fs::remove_dir_all(&dir).ok();
@@ -3535,27 +3132,6 @@ mod tests {
         let mut refreshed = loaded;
         refreshed.refresh(&g1, &touched);
         assert!(refreshed == WalkIndex::build_layer_range(&g1, 4, range, 13, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_layer_range_scopes_a_monolithic_file() {
-        let g = paper_example::figure1();
-        let full = WalkIndex::build(&g, 4, 6, 13);
-        let dir = std::env::temp_dir().join("rwd_index_io_range");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("full.rwdidx");
-        full.save(&path).unwrap();
-        let range = LayerRange::new(1, 4);
-        let loaded = WalkIndex::load_layer_range(&path, range).unwrap();
-        assert!(loaded == WalkIndex::build_layer_range(&g, 4, range, 13, 0));
-        // Out-of-bounds ranges and shard files are rejected by name.
-        let err = WalkIndex::load_layer_range(&path, LayerRange::new(4, 7)).unwrap_err();
-        assert!(err.to_string().contains("layer count"), "{err}");
-        let shard_path = dir.join("shard.rwdidx");
-        loaded.save(&shard_path).unwrap();
-        let err = WalkIndex::load_layer_range(&shard_path, LayerRange::new(0, 1)).unwrap_err();
-        assert!(err.to_string().contains("monolithic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

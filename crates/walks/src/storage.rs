@@ -17,19 +17,21 @@
 //! one (see `tests/storage_equivalence.rs`).
 //!
 //! The mmap itself is a minimal std-only `mmap(2)`/`munmap(2)` FFI
-//! wrapper (`PROT_READ`, `MAP_PRIVATE`) — no crates. Zero-copy
-//! reinterpretation requires a little-endian host (the on-disk format is
-//! little-endian); the open path enforces that with a compile-time gate
-//! and falls back to the deserializing loader elsewhere. All downstream
-//! accesses go through bounds-checked slices, so even a file that
-//! mutates under the map (which `MAP_PRIVATE` leaves unspecified) can
-//! only produce wrong query answers or a clean panic — never undefined
-//! behaviour. Structural invariants (offset monotonicity) are validated
-//! once at open; bulk payloads are trusted under the file's CRC-32
-//! trailer.
+//! wrapper (`PROT_READ`, `MAP_PRIVATE`) — no crates. The on-disk format
+//! is little-endian on every host: `save` writes a little-endian host's
+//! columns as they lie in memory and byte-swaps them elsewhere (see
+//! [`Pod::to_le`]). Zero-copy reinterpretation therefore requires a
+//! little-endian host; the mapped open refuses others, which use the
+//! deserializing loader instead. All downstream accesses go through
+//! bounds-checked slices, so even a file that mutates under the map
+//! (which `MAP_PRIVATE` leaves unspecified) can only produce wrong query
+//! answers or a clean panic — never undefined behaviour. Structural
+//! invariants (offset monotonicity) are validated once at open; bulk
+//! payloads are trusted under the file's CRC-32 trailer.
 //!
 //! [`Layer`]: crate::index::WalkIndex
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io;
 use std::marker::PhantomData;
@@ -39,7 +41,11 @@ use std::sync::Arc;
 /// Scalars a [`Column`] may store: plain old data with no padding and no
 /// invalid bit patterns, stored little-endian on disk. Sealed — the
 /// on-disk format only ever holds `u16`/`u32`/`u64` columns.
-pub trait Pod: Copy + Send + Sync + Eq + std::fmt::Debug + sealed::Sealed + 'static {}
+pub trait Pod: Copy + Send + Sync + Eq + std::fmt::Debug + sealed::Sealed + 'static {
+    /// The value with its bytes in little-endian order (the identity on
+    /// little-endian hosts).
+    fn to_le(self) -> Self;
+}
 
 mod sealed {
     pub trait Sealed {}
@@ -48,9 +54,16 @@ mod sealed {
     impl Sealed for u64 {}
 }
 
-impl Pod for u16 {}
-impl Pod for u32 {}
-impl Pod for u64 {}
+macro_rules! impl_pod {
+    ($($t:ty),*) => {$(
+        impl Pod for $t {
+            fn to_le(self) -> Self {
+                <$t>::to_le(self)
+            }
+        }
+    )*};
+}
+impl_pod!(u16, u32, u64);
 
 /// A read-only `mmap(2)` window over an entire file, unmapped on drop.
 ///
@@ -343,13 +356,22 @@ impl<T: Pod> std::fmt::Debug for Column<T> {
     }
 }
 
-/// The little-endian byte image of a pod slice, for zero-copy section
-/// writes. Only correct on little-endian hosts; the V4 save path is
-/// gated accordingly.
-#[cfg(target_endian = "little")]
-pub(crate) fn pod_bytes<T: Pod>(s: &[T]) -> &[u8] {
-    // SAFETY: T is Pod (no padding), and on a little-endian host the
-    // in-memory image is the on-disk encoding.
+/// The little-endian byte image of a pod slice — the encoding index-file
+/// sections store. On a little-endian host that is the slice's memory,
+/// borrowed as is; elsewhere each value is byte-swapped into a copy.
+pub(crate) fn le_bytes<T: Pod>(s: &[T]) -> Cow<'_, [u8]> {
+    if cfg!(target_endian = "little") {
+        Cow::Borrowed(raw_bytes(s))
+    } else {
+        let le: Vec<T> = s.iter().map(|&v| v.to_le()).collect();
+        Cow::Owned(raw_bytes(&le).to_vec())
+    }
+}
+
+/// The in-memory bytes of a pod slice.
+fn raw_bytes<T: Pod>(s: &[T]) -> &[u8] {
+    // SAFETY: T is Pod — no padding and every byte initialized — so the
+    // slice's memory is `size_of_val(s)` readable bytes for its lifetime.
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, std::mem::size_of_val(s)) }
 }
 
@@ -385,6 +407,14 @@ mod tests {
         assert!(!c.is_mapped());
         assert_eq!(c.heap_bytes(), 12);
         assert_eq!(c.mapped_bytes(), 0);
+    }
+
+    #[test]
+    fn le_bytes_is_the_little_endian_encoding() {
+        let vals = [0x0102_0304u32, 7];
+        let want: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(&le_bytes(&vals[..])[..], &want[..]);
+        assert_eq!(&le_bytes(&[0xA1B2u16][..])[..], &[0xB2, 0xA1]);
     }
 
     #[cfg(unix)]

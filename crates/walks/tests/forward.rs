@@ -101,7 +101,7 @@ proptest! {
 
 #[test]
 fn forward_view_survives_save_load() {
-    // The RWDIDX2 file stores only the inverted lists; load must rebuild an
+    // load reads only the inverted lists from the file; it must rebuild an
     // identical forward view by the same canonical transposition.
     let g = rwd_graph::generators::barabasi_albert(200, 3, 77).unwrap();
     let idx = WalkIndex::build(&g, 6, 8, 9);

@@ -1,13 +1,15 @@
-//! Corpus tests for the index storage formats and the zero-copy open.
+//! Corpus tests for the RWDIDX4 index format and the zero-copy open.
 //!
-//! Three claims are pinned here. **Compatibility:** V2/V3 files written by
-//! `save()` keep loading bit-exactly, and RWDIDX4 files deserialize-load
-//! to the same bits `open_mapped` serves in place. **Rejection:** a
-//! truncated, misaligned or bit-rotted V4 file fails with a *named* error
-//! on every open path — never a panic, never a silently wrong index.
-//! **Bounded load memory:** the deserializing open's transient high-water
-//! mark stays under a quarter of the final index footprint, so peak RSS
-//! during a load is ≤ 1.25× the index it produces.
+//! Three claims are pinned here. **Round trip:** files written by `save()`
+//! deserialize-load to the same bits `open_mapped` serves in place, for
+//! monolithic indexes and layer-range shards alike. **Rejection:** a
+//! truncated, misaligned or bit-rotted file fails with a *named* error on
+//! every open path — never a panic, never a silently wrong index (the
+//! index module's unit tests pin header corruption and the retired
+//! RWDIDX1/2/3 magics on every decoder). **Bounded load memory:**
+//! the deserializing open's transient high-water mark stays under a
+//! quarter of the final index footprint, so peak RSS during a load is
+//! ≤ 1.25× the index it produces.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,44 +40,12 @@ fn sample_graph() -> CsrGraph {
 }
 
 #[test]
-fn v2_and_v3_compat_files_still_load() {
-    let g = sample_graph();
-    let dir = tmp_dir("compat");
-
-    // Monolith → RWDIDX2.
-    let idx = WalkIndex::build(&g, 5, 6, 77);
-    let p2 = dir.join("mono.rwdidx");
-    idx.save(&p2).unwrap();
-    assert_eq!(WalkIndex::load(&p2).unwrap(), idx);
-    let info = inspect_index_file(&p2).unwrap();
-    assert_eq!(info.version, 2);
-    assert_eq!((info.n, info.l, info.layer_count), (60, 5, 6));
-    assert_eq!(info.layer_base, 0);
-    assert_eq!(info.section_align, None);
-    assert!(info.crc_ok);
-    assert_eq!(info.total_postings, idx.total_postings() as u64);
-
-    // Layer-range shard → RWDIDX3.
-    let shard = WalkIndex::build_layer_range(&g, 5, LayerRange::new(2, 5), 77, 0);
-    let p3 = dir.join("shard.rwdidx");
-    shard.save(&p3).unwrap();
-    assert_eq!(WalkIndex::load(&p3).unwrap(), shard);
-    let info = inspect_index_file(&p3).unwrap();
-    assert_eq!(info.version, 3);
-    assert_eq!((info.layer_count, info.layer_base), (3, 2));
-    assert_eq!(info.section_align, None);
-    assert!(info.crc_ok);
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn v4_load_and_mapped_open_are_bit_identical_to_the_built_index() {
     let g = sample_graph();
     let idx = WalkIndex::build(&g, 6, 8, 5);
     let dir = tmp_dir("v4");
     let path = dir.join("mono.rwdidx");
-    idx.save_v4(&path).unwrap();
+    idx.save(&path).unwrap();
 
     // Deserialize path: every column back on the heap, same bits.
     let loaded = WalkIndex::load(&path).unwrap();
@@ -88,7 +58,7 @@ fn v4_load_and_mapped_open_are_bit_identical_to_the_built_index() {
         (info.n, info.l, info.layer_count, info.layer_base),
         (60, 6, 8, 0)
     );
-    assert_eq!(info.section_align, Some(8));
+    assert_eq!(info.section_align, 8);
     assert!(info.crc_ok);
     assert_eq!(info.total_postings, idx.total_postings() as u64);
 
@@ -112,63 +82,47 @@ fn v4_load_and_mapped_open_are_bit_identical_to_the_built_index() {
         mapped.heap_bytes() + mapped.mapped_bytes()
     );
 
-    // Round-trip: re-saving the mapped index reproduces the exact file,
-    // and the V2 writer doesn't care where the columns live either.
+    // Round-trip: re-saving the mapped index reproduces the exact file.
     let resaved = dir.join("resaved.rwdidx");
-    mapped.save_v4(&resaved).unwrap();
+    mapped.save(&resaved).unwrap();
     assert_eq!(
         std::fs::read(&path).unwrap(),
         std::fs::read(&resaved).unwrap(),
-        "save_v4 of a mapped index must be byte-identical to the source file"
-    );
-    let via_mapped = dir.join("mapped.v2.rwdidx");
-    let via_owned = dir.join("owned.v2.rwdidx");
-    mapped.save(&via_mapped).unwrap();
-    idx.save(&via_owned).unwrap();
-    assert_eq!(
-        std::fs::read(&via_mapped).unwrap(),
-        std::fs::read(&via_owned).unwrap()
+        "save of a mapped index must be byte-identical to the source file"
     );
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Layer-range shards round-trip the way durable snapshots store them:
+/// each shard saved to its own file by `build_layer_range(..).save(..)`,
+/// reopened by `load` and `open_mapped`, with its layer base intact.
 #[test]
 fn v4_layer_range_opens_match_build_layer_range() {
     let g = sample_graph();
-    let idx = WalkIndex::build(&g, 4, 7, 21);
     let dir = tmp_dir("range");
-    let path = dir.join("mono.rwdidx");
-    idx.save_v4(&path).unwrap();
+    for range in LayerRange::partition(7, 3) {
+        let built = WalkIndex::build_layer_range(&g, 4, range, 21, 0);
+        let path = dir.join(format!("shard-{}.rwdidx", range.start()));
+        built.save(&path).unwrap();
 
-    let range = LayerRange::new(2, 6);
-    let built = WalkIndex::build_layer_range(&g, 4, range, 21, 0);
-    assert_eq!(WalkIndex::load_layer_range(&path, range).unwrap(), built);
-    if mapped_path_available() {
-        let mapped = WalkIndex::open_mapped_layer_range(&path, range).unwrap();
-        assert_eq!(mapped, built);
-        assert_eq!(mapped.mapped_layers(), range.len());
-
-        // A shard file (nonzero layer base) cannot be re-scoped.
-        let shard_path = dir.join("shard.rwdidx");
-        built.save_v4(&shard_path).unwrap();
-        let err =
-            WalkIndex::open_mapped_layer_range(&shard_path, LayerRange::new(0, 2)).unwrap_err();
-        assert!(err.to_string().contains("monolithic"), "{err}");
-
-        // A range past the stored layer count is refused by name.
-        let err = WalkIndex::open_mapped_layer_range(&path, LayerRange::new(5, 9)).unwrap_err();
-        assert!(
-            err.to_string().contains("exceeds the file's layer count"),
-            "{err}"
+        assert_eq!(WalkIndex::load(&path).unwrap(), built);
+        let info = inspect_index_file(&path).unwrap();
+        assert_eq!(
+            (info.layer_base, info.layer_count),
+            (range.start() as u64, range.len() as u64)
         );
+        if mapped_path_available() {
+            let mapped = WalkIndex::open_mapped(&path).unwrap();
+            assert_eq!(mapped, built);
+            assert_eq!(mapped.layer_range(), range);
+            assert_eq!(mapped.mapped_layers(), range.len());
+        }
     }
-
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-#[cfg(unix)]
 fn mapped_open_rejects_non_v4_files_by_name() {
     if !mapped_path_available() {
         return;
@@ -177,18 +131,19 @@ fn mapped_open_rejects_non_v4_files_by_name() {
     let idx = WalkIndex::build(&g, 3, 4, 9);
     let dir = tmp_dir("reject");
 
-    // V2/V3 files have no zero-copy layout: named rejection, load() works.
-    let p2 = dir.join("v2.rwdidx");
-    idx.save(&p2).unwrap();
-    let err = WalkIndex::open_mapped(&p2).unwrap_err();
-    assert!(err.to_string().contains("no zero-copy open"), "{err}");
-    assert_eq!(WalkIndex::load(&p2).unwrap(), idx);
+    // What save() writes is V4 and opens in place.
+    let p4 = dir.join("v4.rwdidx");
+    idx.save(&p4).unwrap();
+    assert_eq!(WalkIndex::open_mapped(&p4).unwrap(), idx);
 
-    // The obsolete AoS layout and arbitrary bytes are named too.
-    let p1 = dir.join("v1.rwdidx");
-    std::fs::write(&p1, b"RWDIDX1\0some old payload").unwrap();
-    let err = WalkIndex::open_mapped(&p1).unwrap_err();
-    assert!(err.to_string().contains("RWDIDX1"), "{err}");
+    // The retired layouts are named, whatever payload follows the magic.
+    for old in ["RWDIDX1", "RWDIDX2", "RWDIDX3"] {
+        let p = dir.join(format!("{old}.rwdidx"));
+        std::fs::write(&p, format!("{old}\0some old payload")).unwrap();
+        let err = WalkIndex::open_mapped(&p).unwrap_err();
+        assert!(err.to_string().contains(old), "{err}");
+    }
+    // Arbitrary bytes are named as not an index at all.
     let junk = dir.join("junk.rwdidx");
     std::fs::write(&junk, b"definitely not an index").unwrap();
     let err = WalkIndex::open_mapped(&junk).unwrap_err();
@@ -205,7 +160,7 @@ fn damaged_v4_files_are_rejected_by_name_on_every_open_path() {
     let idx = WalkIndex::build(&g, 5, 6, 13);
     let dir = tmp_dir("damage");
     let path = dir.join("mono.rwdidx");
-    idx.save_v4(&path).unwrap();
+    idx.save(&path).unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
     let open_errors = |p: &PathBuf| -> Vec<String> {
@@ -266,30 +221,25 @@ fn damaged_v4_files_are_rejected_by_name_on_every_open_path() {
 }
 
 /// The bounded-peak claim behind the deserializing open: transient buffers
-/// (CRC chunk + per-worker block + transposition staging) stay under a
-/// quarter of the final index, i.e. peak RSS ≤ 1.25× the loaded index.
-/// Holds for both the packed V2 layout and the aligned V4 layout.
+/// (CRC chunk + per-worker section buffer + transposition staging) stay
+/// under a quarter of the final index, i.e. peak RSS ≤ 1.25× the loaded
+/// index.
 #[test]
 fn deserializing_load_peak_memory_is_bounded() {
     let g = rwd_graph::generators::barabasi_albert(2000, 6, 3).unwrap();
     let idx = WalkIndex::build(&g, 8, 6, 4242);
     let dir = tmp_dir("peak");
-    let p2 = dir.join("mono.v2.rwdidx");
-    let p4 = dir.join("mono.v4.rwdidx");
-    idx.save(&p2).unwrap();
-    idx.save_v4(&p4).unwrap();
+    let p = dir.join("mono.rwdidx");
+    idx.save(&p).unwrap();
 
-    for p in [&p2, &p4] {
-        let (loaded, stats) = WalkIndex::load_with_stats(p, 1).unwrap();
-        assert_eq!(loaded, idx);
-        assert!(
-            stats.transient_peak_bytes <= idx.memory_bytes() / 4,
-            "load of {} held {} transient bytes against a {}-byte index",
-            p.display(),
-            stats.transient_peak_bytes,
-            idx.memory_bytes()
-        );
-    }
+    let (loaded, stats) = WalkIndex::load_with_stats(&p, 1).unwrap();
+    assert_eq!(loaded, idx);
+    assert!(
+        stats.transient_peak_bytes <= idx.memory_bytes() / 4,
+        "load held {} transient bytes against a {}-byte index",
+        stats.transient_peak_bytes,
+        idx.memory_bytes()
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -306,7 +256,7 @@ fn refresh_promotes_mapped_layers_and_matches_owned_refresh() {
     let idx = WalkIndex::build(&g0, 5, 6, 31);
     let dir = tmp_dir("promote");
     let path = dir.join("mono.rwdidx");
-    idx.save_v4(&path).unwrap();
+    idx.save(&path).unwrap();
 
     // The next graph: one fresh edge between low-degree endpoints.
     let mut edges: Vec<(u32, u32)> = g0.edges().map(|(u, v)| (u.raw(), v.raw())).collect();

@@ -79,7 +79,7 @@ proptest! {
         let idx = WalkIndex::build(&g, l, r, seed);
         let dir = tmp_dir("paths");
         let path = dir.join("mono.rwdidx");
-        idx.save_v4(&path).unwrap();
+        idx.save(&path).unwrap();
         let mapped = WalkIndex::open_mapped(&path).unwrap();
         prop_assert_eq!(&mapped, &idx);
         prop_assert!(mapped.mapped_bytes() > 0);
@@ -134,7 +134,7 @@ proptest! {
 
         // Save round-trip: the mapped index re-saves to the same bytes.
         let resaved = dir.join("resaved.rwdidx");
-        mapped.save_v4(&resaved).unwrap();
+        mapped.save(&resaved).unwrap();
         prop_assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&resaved).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -149,10 +149,11 @@ fn tile(r: usize, shards: usize) -> Vec<LayerRange> {
 }
 
 /// Promote-on-refresh ≡ owned-refresh across the shard × thread grid: each
-/// shard opens its layer range zero-copy from the monolithic snapshot,
-/// refreshes against the churned graph (promoting every mapped layer),
-/// and must land bit-exactly on the owned shard's refresh — which itself
-/// equals a from-scratch build on the new graph.
+/// shard is saved to its own file and reopened zero-copy, as durable
+/// snapshots store and recover shards, then refreshes against the churned
+/// graph (promoting every mapped layer) and must land bit-exactly on the
+/// owned shard's refresh — which itself equals a from-scratch build on the
+/// new graph.
 #[test]
 fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
     if !mapped_path_available() {
@@ -161,8 +162,6 @@ fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
     let (l, r, seed) = (5u32, 8usize, 23u64);
     let g0 = rwd::graph::generators::barabasi_albert(80, 3, 17).unwrap();
     let dir = tmp_dir("grid");
-    let path = dir.join("mono.rwdidx");
-    WalkIndex::build(&g0, l, r, seed).save_v4(&path).unwrap();
 
     // Churn: drop one live edge, add two absent ones.
     let mut edges: Vec<(u32, u32)> = g0.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
@@ -193,9 +192,11 @@ fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
         for threads in THREADS {
             for range in tile(r, shards) {
                 let mut owned = WalkIndex::build_layer_range(&g0, l, range, seed, threads);
+                let path = dir.join(format!("shard-{}.rwdidx", range.start()));
+                owned.save(&path).unwrap();
                 owned.refresh_with_threads(&g1, &touched, threads);
 
-                let mut mapped = WalkIndex::open_mapped_layer_range(&path, range).unwrap();
+                let mut mapped = WalkIndex::open_mapped(&path).unwrap();
                 assert_eq!(mapped.mapped_layers(), range.len());
                 mapped.refresh_with_threads(&g1, &touched, threads);
                 assert_eq!(
