@@ -263,11 +263,11 @@ fn main() {
     );
 
     let (w_1t, widx_1t) = time_ms(reps, || {
-        WalkIndex::build_weighted_with_threads(&wg, scale.l, scale.r, WALK_SEED, 1)
+        WalkIndex::build_with_threads(&wg, scale.l, scale.r, WALK_SEED, 1)
     });
     record("index_build_weighted_1t", w_1t, 1);
     let (w_all, widx) = time_ms(reps, || {
-        WalkIndex::build_weighted_with_threads(&wg, scale.l, scale.r, WALK_SEED, 0)
+        WalkIndex::build_with_threads(&wg, scale.l, scale.r, WALK_SEED, 0)
     });
     record("index_build_weighted_all", w_all, cores);
     assert_eq!(
@@ -339,7 +339,7 @@ fn main() {
         let delta = batch.apply(&cur).expect("trace batches are valid");
         apply_ms += t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        let stats = inc.refresh_with_threads(&delta.graph, &delta.touched, 0);
+        let (stats, _) = inc.refresh(&delta.graph, &delta.touched, 0);
         refresh_ms += t1.elapsed().as_secs_f64() * 1e3;
         let t2 = Instant::now();
         let rebuilt = WalkIndex::build_with_threads(&delta.graph, scale.l, scale.r, WALK_SEED, 0);

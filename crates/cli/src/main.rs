@@ -65,11 +65,11 @@ ALGORITHMS (select):
 STREAM: drives a deterministic temporal edge trace through the evolving
   pipeline — per batch: graph edit, incremental walk-index refresh (only
   touched (src, layer) groups resampled), seed repair — and prints churn
-  stats. --shards <S> tiles the R walk layers across S per-shard engines
-  behind the scatter-gather coordinator (identical results, per-shard
-  breakdown in the output; needs 1 <= S <= R). --verify additionally
-  rebuilds each shard's layer range from scratch every epoch and asserts
-  the maintained index is bit-identical.
+  stats. --shards <S> tiles the R walk layers into S partial indexes over
+  one graph (identical results, per-shard breakdown in the output; needs
+  1 <= S <= R). --verify additionally rebuilds each shard's layer range
+  from scratch every epoch and asserts the maintained index is
+  bit-identical.
 
 DURABILITY: --data-dir attaches a fresh data directory to the evolving
   engine — every batch is write-ahead journaled (fsync'd before any shard
@@ -536,8 +536,7 @@ impl StreamDriver {
 /// pipeline and prints per-batch churn statistics.
 fn cmd_stream(args: &[String]) -> Result<(), String> {
     use rwd_datasets::temporal::temporal_trace;
-    use rwd_stream::StreamEngine;
-    use rwd_walks::WalkIndex;
+    use rwd_stream::{EpochGraph, StreamEngine};
 
     let (pos, flags) = parse(args)?;
     let StreamSetup {
@@ -674,20 +673,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             // graph; the maintained partial indexes must match bitwise.
             // (With shards = 1 this is the historical full-index check.)
             let inner = engine.engine();
-            let same = inner
-                .shard_indexes()
-                .iter()
-                .zip(inner.shard_ranges())
-                .all(|(idx, rg)| {
-                    if weighted {
-                        let g = inner.weighted_graph().expect("weighted engine");
-                        **idx == WalkIndex::build_weighted_layer_range(g, cfg.l, rg, cfg.seed, 0)
-                    } else {
-                        let g = inner.graph().expect("unweighted engine");
-                        **idx == WalkIndex::build_layer_range(g, cfg.l, rg, cfg.seed, 0)
-                    }
-                });
-            if !same {
+            let rebuilt = match inner.graph_shared() {
+                EpochGraph::Unweighted(g) => rebuild_shards(&*g, inner),
+                EpochGraph::Weighted(g) => rebuild_shards(&*g, inner),
+            };
+            if inner.shard_indexes().into_iter().ne(&rebuilt) {
                 return Err(format!(
                     "epoch {}: maintained index diverged from a rebuild",
                     rep.epoch
@@ -818,11 +808,26 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Rebuilds every shard of `engine` from scratch on `g` (the engine's
+/// current graph): each layer range with the engine's walk length and
+/// seed — the cold reference `--verify` holds maintained state to.
+fn rebuild_shards<G: rwd_walks::WalkGraph>(
+    g: &G,
+    engine: &rwd_stream::StreamEngine,
+) -> Vec<rwd_walks::WalkIndex> {
+    let cfg = engine.config();
+    engine
+        .shard_ranges()
+        .into_iter()
+        .map(|rg| rwd_walks::WalkIndex::build_layer_range(g, cfg.l, rg, cfg.seed, cfg.threads))
+        .collect()
+}
+
 /// Recovers an engine from a `--data-dir` and prints the recovery report;
 /// `--verify` additionally rebuilds the whole pipeline from scratch on the
 /// recovered graph and asserts the recovered state is bit-identical.
 fn cmd_recover(args: &[String]) -> Result<(), String> {
-    use rwd_stream::{DurabilityConfig, DurableEngine, OpenMode, StreamEngine};
+    use rwd_stream::{DurabilityConfig, DurableEngine, EpochGraph, OpenMode, SeedMaintainer};
 
     let (pos, flags) = parse(args)?;
     let dir = pos.first().ok_or("recover needs a data-dir path")?;
@@ -862,12 +867,7 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
     t.row(["recovery ms", &fmt_f(recovery_ms, 2)]);
     t.row(["index heap bytes", &report.heap_bytes.to_string()]);
     t.row(["index mapped bytes", &report.mapped_bytes.to_string()]);
-    let n = engine
-        .graph()
-        .map(|g| g.n())
-        .or_else(|| engine.weighted_graph().map(|g| g.n()))
-        .expect("engine holds a graph");
-    t.row(["nodes", &n.to_string()]);
+    t.row(["nodes", &engine.graph_shared().n().to_string()]);
     t.row(["seeds", &engine.seeds().len().to_string()]);
     t.row(["objective", &fmt_f(engine.objective(), 4)]);
     println!("{}", t.render());
@@ -877,15 +877,13 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
         // contract the cold pipeline must land on the recovered state bit
         // for bit — index columns, seeds, and objective alike.
         let cfg = *engine.config();
-        let shards = engine.shard_ranges().len();
         let started = std::time::Instant::now();
-        let cold = if let Some(g) = engine.graph() {
-            StreamEngine::with_shards(g.clone(), cfg, shards)
-        } else {
-            let g = engine.weighted_graph().expect("weighted engine");
-            StreamEngine::with_shards_weighted(g.clone(), cfg, shards)
-        }
-        .map_err(|e| e.to_string())?;
+        let cold_shards = match engine.graph_shared() {
+            EpochGraph::Unweighted(g) => rebuild_shards(&*g, engine),
+            EpochGraph::Weighted(g) => rebuild_shards(&*g, engine),
+        };
+        let mut cold = SeedMaintainer::new(cfg.rule, cfg.k, cfg.threads);
+        cold.maintain_sharded(&cold_shards.iter().collect::<Vec<_>>());
         let rebuild_ms = started.elapsed().as_secs_f64() * 1e3;
 
         if engine.seeds() != cold.seeds() {
@@ -896,12 +894,7 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
                 "verify failed: recovered objective differs from a from-scratch rebuild".into(),
             );
         }
-        let same_indexes = engine
-            .shard_indexes()
-            .iter()
-            .zip(cold.shard_indexes())
-            .all(|(a, b)| **a == *b);
-        if !same_indexes {
+        if engine.shard_indexes().into_iter().ne(&cold_shards) {
             return Err(
                 "verify failed: a recovered shard index differs from a from-scratch rebuild".into(),
             );

@@ -198,8 +198,7 @@ pub fn approx_greedy_weighted(
         return Err(crate::CoreError::InvalidParams("r must be >= 1".into()));
     }
     let start = Instant::now();
-    let idx =
-        WalkIndex::build_weighted_with_threads(g, params.l, params.r, params.seed, params.threads);
+    let idx = WalkIndex::build_with_threads(g, params.l, params.r, params.seed, params.threads);
     let rule = match problem {
         Problem::MinHittingTime => GainRule::HittingTime,
         Problem::MaxCoverage => GainRule::Coverage,

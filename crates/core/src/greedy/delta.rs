@@ -25,7 +25,7 @@
 //! For Problem 2 a slot flip `D2[i][src]: 0 → 1` decrements `gain2[src]`
 //! and `gain2[v]` for every `v ∈ forward(i, src)` by one. All accumulators
 //! are integers (`u64` totals over layers), and the blended gain is
-//! produced by the same [`GainRule::blend`] expression the sweep engines
+//! produced by the same `GainRule::blend` expression the sweep engines
 //! use, so every maintained gain is **bit-identical** to what a fresh
 //! `gains_all` sweep would compute (tests assert this after every round).
 //!
@@ -587,7 +587,7 @@ impl<'a> DeltaGainEngine<'a> {
     ///    closed-form constants `L` / `0`), and the selection set cleared;
     /// 2. the `S = ∅` gain baselines are patched posting-by-posting from
     ///    the delta (`±(L − hop)` on `gain1`, `±1` on `gain2` per edit —
-    ///    exactly the closed form [`Self::init_gains`] evaluates, one term
+    ///    exactly the closed form `init_gains` evaluates, one term
     ///    at a time);
     /// 3. the gain tables are restored from the patched baselines and the
     ///    heap re-heapified in place.
@@ -1616,7 +1616,7 @@ mod tests {
     ) -> (rwd_graph::CsrGraph, PostingDelta) {
         let (g2, touched) = g.with_edits(&[], &[(u, v)]).expect("edge exists");
         let touched = NodeSet::from_nodes(g2.n(), touched);
-        let (_, delta) = idx.refresh_collecting(&g2, &touched, 1);
+        let (_, delta) = idx.refresh(&g2, &touched, 1);
         (g2, delta)
     }
 

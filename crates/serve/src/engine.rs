@@ -2,7 +2,6 @@
 
 use std::path::Path;
 
-use rwd_graph::weighted::WeightedCsrGraph;
 use rwd_graph::CsrGraph;
 use rwd_stream::{
     BatchReport, DurabilityConfig, DurableEngine, EdgeBatch, OpenMode, RecoveryReport,
@@ -66,31 +65,15 @@ impl ServeEngine {
         Ok(Self::from_stream(StreamEngine::new(graph, cfg)?))
     }
 
-    /// Cold-starts serving over a weighted graph and publishes epoch 0.
-    pub fn new_weighted(graph: WeightedCsrGraph, cfg: StreamConfig) -> Result<Self> {
-        Ok(Self::from_stream(StreamEngine::new_weighted(graph, cfg)?))
-    }
-
-    /// Cold-starts serving over a sharded engine (`shards` per-shard
-    /// engines behind the scatter-gather coordinator) and publishes
-    /// epoch 0. Published snapshots gather point queries across the
-    /// shards; every answer is bit-identical to the single-shard engine.
-    /// The epoch advances — and the next snapshot is published — only
-    /// after **every** shard has landed the batch (the coordinator's
-    /// all-or-nothing commit).
+    /// Cold-starts serving over a sharded engine (the `R` walk layers
+    /// tiled into `shards` partial indexes) and publishes epoch 0.
+    /// Published snapshots gather point queries across the shards; every
+    /// answer is bit-identical to the single-shard engine. The epoch
+    /// advances — and the next snapshot is published — only after
+    /// **every** shard has landed the batch (the engine's all-or-nothing
+    /// commit).
     pub fn with_shards(graph: CsrGraph, cfg: StreamConfig, shards: usize) -> Result<Self> {
         Ok(Self::from_stream(StreamEngine::with_shards(
-            graph, cfg, shards,
-        )?))
-    }
-
-    /// Weighted twin of [`ServeEngine::with_shards`].
-    pub fn with_shards_weighted(
-        graph: WeightedCsrGraph,
-        cfg: StreamConfig,
-        shards: usize,
-    ) -> Result<Self> {
-        Ok(Self::from_stream(StreamEngine::with_shards_weighted(
             graph, cfg, shards,
         )?))
     }

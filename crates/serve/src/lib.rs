@@ -9,10 +9,10 @@
 //!   applying concurrently never mutates pinned state (the engine
 //!   copies-on-write instead), so every answer is coherent — index, seeds
 //!   and objective all from the same epoch,
-//! * [`engine`] — [`ServeEngine`]: the writer. Wraps a [`StreamEngine`],
-//!   applies churn batches, and *publishes* the next epoch's snapshot only
-//!   after the batch fully lands — readers see epoch `e` or `e+1`, never a
-//!   mix,
+//! * [`engine`] — [`ServeEngine`]: the writer. Wraps a
+//!   [`StreamEngine`](rwd_stream::StreamEngine), applies churn batches,
+//!   and *publishes* the next epoch's snapshot only after the batch fully
+//!   lands — readers see epoch `e` or `e+1`, never a mix,
 //! * [`server`] — [`Server`]: a thread-pooled request loop (std `mpsc`
 //!   multiplexing, no external runtime — the same std-only discipline as
 //!   the rest of the workspace). Queries fan out over a worker pool

@@ -2,37 +2,12 @@
 
 use std::sync::Arc;
 
-use rwd_graph::weighted::WeightedCsrGraph;
-use rwd_graph::{CsrGraph, NodeId};
+use rwd_graph::NodeId;
 use rwd_stream::StreamEngine;
 use rwd_walks::{top_m_from_counts, NodeSet, PartialContribution, WalkIndex};
 
 /// The graph of one epoch, shared with the engine that published it.
-#[derive(Clone, Debug)]
-pub enum SnapshotGraph {
-    /// Unweighted pipeline.
-    Unweighted(Arc<CsrGraph>),
-    /// Weighted pipeline.
-    Weighted(Arc<WeightedCsrGraph>),
-}
-
-impl SnapshotGraph {
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        match self {
-            SnapshotGraph::Unweighted(g) => g.n(),
-            SnapshotGraph::Weighted(g) => g.n(),
-        }
-    }
-
-    /// Number of edges.
-    pub fn m(&self) -> usize {
-        match self {
-            SnapshotGraph::Unweighted(g) => g.m(),
-            SnapshotGraph::Weighted(g) => g.m(),
-        }
-    }
-}
+pub use rwd_stream::EpochGraph as SnapshotGraph;
 
 /// One coherent engine state: graph, walk index (one partial index per
 /// shard), seed set and objective, all from the same epoch, all behind
@@ -76,21 +51,13 @@ impl Snapshot {
     /// publication; cheap relative to a batch, O(k + n/64 + shards) for the
     /// seed bitset and the per-shard handles.)
     pub fn capture(engine: &StreamEngine) -> Snapshot {
-        let graph = match engine.graph_shared() {
-            Some(g) => SnapshotGraph::Unweighted(g),
-            None => SnapshotGraph::Weighted(
-                engine
-                    .weighted_graph_shared()
-                    .expect("engine is unweighted or weighted"),
-            ),
-        };
         let shards = engine.shard_indexes_shared();
         let n = shards[0].n();
         let seeds: Vec<NodeId> = engine.seeds().to_vec();
         let seed_set = NodeSet::from_nodes(n, seeds.iter().copied());
         Snapshot {
             epoch: engine.epoch(),
-            graph,
+            graph: engine.graph_shared(),
             shards,
             r_total: engine.config().r,
             seeds: Arc::new(seeds),

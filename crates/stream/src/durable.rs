@@ -40,10 +40,8 @@ use rwd_walks::crc::crc32;
 use rwd_walks::{LayerRange, WalkIndex};
 
 use crate::batch::EdgeBatch;
-use crate::engine::{BatchReport, StreamConfig, StreamEngine};
-use crate::index::IncrementalIndex;
+use crate::engine::{self, BatchReport, EpochGraph, StreamConfig, StreamEngine};
 use crate::journal::{self, BatchJournal};
-use crate::shard::{EvolvingGraph, ShardEngine, ShardSet};
 use crate::{Result, StreamError};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"RWDSNP1\0";
@@ -349,12 +347,6 @@ impl DurableEngine {
     pub fn durability_config(&self) -> DurabilityConfig {
         self.dcfg
     }
-
-    /// Passthrough of [`StreamEngine::set_maintain_crossover`] (a pure
-    /// wall-time knob — never journaled because it never changes results).
-    pub fn set_maintain_crossover(&mut self, crossover: f64) {
-        self.engine.set_maintain_crossover(crossover);
-    }
 }
 
 fn is_undirected(engine: &StreamEngine) -> bool {
@@ -417,37 +409,39 @@ pub(crate) fn save_snapshot(engine: &StreamEngine, snap_dir: &Path) -> Result<()
     let metrics = crate::obs::durable_metrics();
     let timer = metrics.snapshot_write_ns.time();
     dio("snapshot dir create", std::fs::create_dir_all(snap_dir))?;
-    let weighted = engine.weighted_graph().is_some();
+    let graph = engine.graph_shared();
 
     // Graph: the canonical edge list. Rebuilding a CSR from it is bitwise
     // identical to the live graph (the graph crate's with_edits tests pin
     // exactly this equality for both the unweighted and weighted layouts).
     let mut graph_bytes = Vec::new();
     graph_bytes.extend_from_slice(GRAPH_MAGIC);
-    if let Some(g) = engine.graph() {
-        graph_bytes.push(0u8);
-        graph_bytes.push(match g.kind() {
-            GraphKind::Undirected => 0u8,
-            GraphKind::Directed => 1u8,
-        });
-        graph_bytes.extend_from_slice(&(g.n() as u64).to_le_bytes());
-        graph_bytes.extend_from_slice(&(g.m() as u64).to_le_bytes());
-        for (u, v) in g.edges() {
-            graph_bytes.extend_from_slice(&u.raw().to_le_bytes());
-            graph_bytes.extend_from_slice(&v.raw().to_le_bytes());
+    match &graph {
+        EpochGraph::Unweighted(g) => {
+            graph_bytes.push(0u8);
+            graph_bytes.push(match g.kind() {
+                GraphKind::Undirected => 0u8,
+                GraphKind::Directed => 1u8,
+            });
+            graph_bytes.extend_from_slice(&(g.n() as u64).to_le_bytes());
+            graph_bytes.extend_from_slice(&(g.m() as u64).to_le_bytes());
+            for (u, v) in g.edges() {
+                graph_bytes.extend_from_slice(&u.raw().to_le_bytes());
+                graph_bytes.extend_from_slice(&v.raw().to_le_bytes());
+            }
         }
-    } else {
-        let g = engine.weighted_graph().expect("engine has a graph");
-        graph_bytes.push(1u8);
-        graph_bytes.push(0u8); // weighted graphs are always undirected
-        graph_bytes.extend_from_slice(&(g.n() as u64).to_le_bytes());
-        graph_bytes.extend_from_slice(&(g.m() as u64).to_le_bytes());
-        for u in 0..g.n() as u32 {
-            for (v, w) in g.neighbors(NodeId(u)) {
-                if v.raw() >= u {
-                    graph_bytes.extend_from_slice(&u.to_le_bytes());
-                    graph_bytes.extend_from_slice(&v.raw().to_le_bytes());
-                    graph_bytes.extend_from_slice(&w.to_bits().to_le_bytes());
+        EpochGraph::Weighted(g) => {
+            graph_bytes.push(1u8);
+            graph_bytes.push(0u8); // weighted graphs are always undirected
+            graph_bytes.extend_from_slice(&(g.n() as u64).to_le_bytes());
+            graph_bytes.extend_from_slice(&(g.m() as u64).to_le_bytes());
+            for u in 0..g.n() as u32 {
+                for (v, w) in g.neighbors(NodeId(u)) {
+                    if v.raw() >= u {
+                        graph_bytes.extend_from_slice(&u.to_le_bytes());
+                        graph_bytes.extend_from_slice(&v.raw().to_le_bytes());
+                        graph_bytes.extend_from_slice(&w.to_bits().to_le_bytes());
+                    }
                 }
             }
         }
@@ -482,10 +476,8 @@ pub(crate) fn save_snapshot(engine: &StreamEngine, snap_dir: &Path) -> Result<()
     };
     m.push(rule_tag);
     m.extend_from_slice(&lambda.to_bits().to_le_bytes());
-    m.push(u8::from(weighted));
-    m.extend_from_slice(
-        &(engine.shard_indexes().first().map_or(0, |i| i.n()) as u64).to_le_bytes(),
-    );
+    m.push(u8::from(matches!(graph, EpochGraph::Weighted(_))));
+    m.extend_from_slice(&(graph.n() as u64).to_le_bytes());
     let ranges = engine.shard_ranges();
     m.extend_from_slice(&(ranges.len() as u64).to_le_bytes());
     for rg in &ranges {
@@ -556,8 +548,15 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
     }
     let u64_at = |at: usize| u64::from_le_bytes(m[at..at + 8].try_into().unwrap());
     let epoch = u64_at(0);
+    let l = u32::try_from(u64_at(8)).map_err(|_| {
+        corrupt(format!(
+            "manifest in {} records walk length {} beyond u32",
+            snap_dir.display(),
+            u64_at(8)
+        ))
+    })?;
     let cfg = StreamConfig {
-        l: u64_at(8) as u32,
+        l,
         r: u64_at(16) as usize,
         k: u64_at(24) as usize,
         seed: u64_at(32),
@@ -579,27 +578,49 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
     let weighted = m[57] != 0;
     let n = u64_at(58) as usize;
     let shard_count = u64_at(66) as usize;
-    if m.len() != fixed + shard_count * 16 {
+    // The cold start's validation, before anything is sized from these
+    // fields: a manifest the engine could not have been built from is
+    // corruption, not a configuration to run.
+    engine::validate(&cfg, n, shard_count).map_err(|e| {
+        corrupt(format!(
+            "manifest in {} fails engine validation: {e}",
+            snap_dir.display()
+        ))
+    })?;
+    if shard_count
+        .checked_mul(16)
+        .and_then(|t| t.checked_add(fixed))
+        != Some(m.len())
+    {
         return Err(corrupt(format!(
-            "manifest in {} sizes {} bytes but its {shard_count} shard ranges need {}",
+            "manifest in {} sizes {} bytes, which do not hold exactly {shard_count} shard ranges",
             snap_dir.display(),
-            m.len(),
-            fixed + shard_count * 16
+            m.len()
         )));
     }
+    // The ranges must tile [0, r) in order — the layout every shard-indexed
+    // consumer (seed maintenance, point-query gather) merges by.
     let mut ranges = Vec::with_capacity(shard_count);
     for i in 0..shard_count {
         let start = u64_at(fixed + i * 16) as usize;
         let end = u64_at(fixed + i * 16 + 8) as usize;
-        if start >= end || end > cfg.r {
+        let next = ranges.last().map_or(0, LayerRange::end);
+        if start != next || end <= start || end > cfg.r {
             return Err(corrupt(format!(
-                "manifest in {} holds shard range [{start}, {end}) outside the {}-layer \
-                 tiling",
+                "manifest in {} holds shard range [{start}, {end}) where the tiling of \
+                 [0, {}) continues at layer {next}",
                 snap_dir.display(),
                 cfg.r
             )));
         }
         ranges.push(LayerRange::new(start, end));
+    }
+    if ranges.last().map(LayerRange::end) != Some(cfg.r) {
+        return Err(corrupt(format!(
+            "manifest in {} tiles fewer than its {} layers",
+            snap_dir.display(),
+            cfg.r
+        )));
     }
 
     // Graph rebuild from the canonical edge list.
@@ -622,7 +643,7 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
         )));
     }
     let body = &g[18..];
-    let graph: EvolvingGraph = if weighted {
+    let graph = if weighted {
         if body.len() != g_m * 16 {
             return Err(corrupt(format!(
                 "graph file in {} holds {} edge bytes where {g_m} weighted edges need {}",
@@ -647,7 +668,7 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
                 snap_dir.display()
             ))
         })?;
-        EvolvingGraph::Weighted(Arc::new(wg))
+        EpochGraph::Weighted(Arc::new(wg))
     } else {
         if body.len() != g_m * 8 {
             return Err(corrupt(format!(
@@ -689,7 +710,7 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
                 cg.m()
             )));
         }
-        EvolvingGraph::Unweighted(Arc::new(cg))
+        EpochGraph::Unweighted(Arc::new(cg))
     };
 
     // Per-shard indexes, cross-checked against the manifest's tiling.
@@ -731,22 +752,9 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
                 rg.end()
             )));
         }
-        shards.push(ShardEngine::from_parts(
-            i,
-            rg,
-            graph.clone(),
-            IncrementalIndex::from_loaded(idx, weighted, cfg.threads),
-        ));
+        shards.push(Arc::new(idx));
     }
-    if shards.is_empty() {
-        return Err(corrupt(format!(
-            "manifest in {} names zero shards",
-            snap_dir.display()
-        )));
-    }
-    Ok(StreamEngine::from_shard_set(ShardSet::from_recovered(
-        cfg, shards, epoch,
-    )))
+    Ok(StreamEngine::from_parts(cfg, graph, shards, epoch))
 }
 
 #[cfg(test)]
@@ -1040,6 +1048,116 @@ mod tests {
             DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap_err(),
             StreamError::InvalidConfig(_)
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A manifest whose CRC is valid but which describes an engine the
+    /// cold start would refuse is named corruption on both open paths:
+    /// never a panic, an allocation sized by a lying field, or a silent
+    /// truncation.
+    #[test]
+    fn invalid_manifests_are_named_corruption_in_both_open_modes() {
+        // Overwrites the little-endian `u64` at `at` (offsets past the
+        // magic, as `save_snapshot` lays the manifest out).
+        fn put(m: &mut [u8], at: usize, v: u64) {
+            m[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        let dir = tmp_dir("bad_manifests");
+        let g0 = erdos_renyi_gnp(30, 0.12, 6).unwrap();
+        let c = StreamConfig { r: 6, ..cfg() };
+        let engine = StreamEngine::with_shards(g0.clone(), c, 2).unwrap();
+        drop(DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap());
+        let snap = dir.join("snap-0");
+        let manifest = snap.join("manifest.bin");
+        let good = read_with_crc(&manifest, MANIFEST_MAGIC, "manifest").unwrap();
+        let shard_file = |i: usize| snap.join(format!("shard-{i}.rwdidx"));
+        let good_shards: Vec<Vec<u8>> = (0..2)
+            .map(|i| std::fs::read(shard_file(i)).unwrap())
+            .collect();
+
+        // (case, manifest patch, expected error text)
+        type Case = (&'static str, fn(&mut Vec<u8>), &'static str);
+        let cases: [Case; 7] = [
+            (
+                "k = n + 1",
+                |m| put(m, 24, 31),
+                "k = 31 outside [1, n = 30]",
+            ),
+            ("k = 0", |m| put(m, 24, 0), "k = 0 outside"),
+            (
+                "lambda = 2",
+                |m| {
+                    m[48] = 2;
+                    put(m, 49, 2f64.to_bits());
+                },
+                "lambda = 2 outside [0, 1]",
+            ),
+            (
+                "2^60 shards, no range entries",
+                |m| {
+                    put(m, 66, 1 << 60);
+                    m.truncate(74);
+                },
+                "invalid shard count",
+            ),
+            (
+                "2^60 shards over 2^61 layers, no range entries",
+                |m| {
+                    put(m, 16, 1 << 61);
+                    put(m, 66, 1 << 60);
+                    m.truncate(74);
+                },
+                "shard ranges",
+            ),
+            (
+                "l = 2^32 + 4",
+                |m| put(m, 8, (1 << 32) + 4),
+                "walk length 4294967300 beyond u32",
+            ),
+            (
+                "ranges [0, 2), [4, 6)",
+                |m| {
+                    put(m, 82, 2);
+                    put(m, 90, 4);
+                },
+                "continues at layer 2",
+            ),
+        ];
+        for (what, patch, want) in cases {
+            let mut m = good.clone();
+            patch(&mut m);
+            write_with_crc(&manifest, [&MANIFEST_MAGIC[..], &m].concat()).unwrap();
+            if what.starts_with("ranges") {
+                // Shard files that match the gapped ranges, so only the
+                // tiling itself is wrong.
+                for (i, range) in [(0, 2), (4, 6)].into_iter().enumerate() {
+                    WalkIndex::build_layer_range(
+                        &g0,
+                        c.l,
+                        LayerRange::new(range.0, range.1),
+                        c.seed,
+                        1,
+                    )
+                    .save(shard_file(i))
+                    .unwrap();
+                }
+            }
+            for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
+                let err =
+                    DurableEngine::open_with(&dir, DurabilityConfig::default(), mode).unwrap_err();
+                assert!(
+                    matches!(&err, StreamError::CorruptSnapshot(msg) if msg.contains(want)),
+                    "{what} ({mode:?}): {err}"
+                );
+            }
+            for (i, bytes) in good_shards.iter().enumerate() {
+                std::fs::write(shard_file(i), bytes).unwrap();
+            }
+        }
+
+        // The untouched manifest still opens.
+        write_with_crc(&manifest, [&MANIFEST_MAGIC[..], &good].concat()).unwrap();
+        assert!(DurableEngine::open(&dir, DurabilityConfig::default()).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 

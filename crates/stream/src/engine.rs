@@ -1,16 +1,38 @@
-//! The end-to-end evolving pipeline: graph → index → seeds, per batch.
+//! The evolving engine: graph → index → seeds, per batch.
+//!
+//! A [`StreamEngine`] tiles the `R` walk layers into contiguous
+//! [`LayerRange`]s, one partial walk index per shard, all over **one**
+//! graph epoch ([`EpochGraph`]). Every [`EdgeBatch`] lands in two phases:
+//!
+//! 1. **Stage** — the batch is applied *functionally* to the current
+//!    graph once, producing (but not committing) the next-epoch graph and
+//!    the touched set. A validation error aborts here with the engine
+//!    untouched, so the epoch advances all-or-nothing.
+//! 2. **Commit** — every shard refreshes the walk groups the touched set
+//!    can have changed against that one staged graph, reporting per-shard
+//!    [`RefreshStats`] and wall time ([`ShardBatchStats`]); then the graph
+//!    epoch swaps in, one seed-maintenance pass runs over the refreshed
+//!    tiling and the epoch advances.
+//!
+//! Exactness is structural, not approximate: walk layers derive from
+//! counter-based `(seed, node, absolute-layer)` RNG streams, so a shard's
+//! layers are bitwise the monolith's layers; seed maintenance runs a
+//! [`DeltaGainEngine`](rwd_core::greedy::delta::DeltaGainEngine) over the
+//! shard tiling that merges staged integer gain deltas in absolute layer
+//! order, so every pick, gain, and objective is bit-identical to the
+//! 1-shard engine on the same trace.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use rwd_core::greedy::approx::GainRule;
 use rwd_graph::weighted::WeightedCsrGraph;
 use rwd_graph::{CsrGraph, NodeId};
-use rwd_walks::{LayerRange, RefreshStats, WalkIndex};
+use rwd_walks::{LayerRange, NodeSet, PostingDelta, RefreshStats, WalkIndex};
 
 use crate::batch::EdgeBatch;
-use crate::maintain::MaintainReport;
-use crate::shard::{ShardBatchStats, ShardSet};
-use crate::Result;
+use crate::maintain::{MaintainReport, SeedMaintainer};
+use crate::{Result, StreamError};
 
 /// Configuration of a [`StreamEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -98,33 +120,178 @@ impl BatchReport {
     }
 }
 
+/// What one shard spent on one committed batch — the per-shard rows of
+/// [`BatchReport::shards`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ShardBatchStats {
+    /// Shard ordinal (position in the layer tiling).
+    pub shard: usize,
+    /// The contiguous layer range the shard owns.
+    pub layers: LayerRange,
+    /// Walk groups resampled / postings rewritten inside that range.
+    pub refresh: RefreshStats,
+    /// Wall time of the shard's commit: the index refresh and — when a
+    /// snapshot pins the epoch — the shallow index clone before it (layer
+    /// pointers plus the two per-node aggregate columns).
+    pub refresh_ms: f64,
+}
+
+/// The graph of one epoch, unweighted or weighted — the only place the
+/// engine records which kind of walk it runs. Both arms are [`Arc`]'d:
+/// batch application is functional (it builds the next graph and swaps it
+/// in), so a holder of a previous epoch's handle keeps an untouched graph
+/// for as long as it likes, and cloning is O(1).
+#[derive(Clone, Debug)]
+pub enum EpochGraph {
+    /// Uniform-step walks over a [`CsrGraph`].
+    Unweighted(Arc<CsrGraph>),
+    /// Weight-proportional walks over a [`WeightedCsrGraph`].
+    Weighted(Arc<WeightedCsrGraph>),
+}
+
+impl EpochGraph {
+    /// Number of nodes.
+    pub fn n(&self) -> usize {
+        match self {
+            EpochGraph::Unweighted(g) => g.n(),
+            EpochGraph::Weighted(g) => g.n(),
+        }
+    }
+
+    /// Number of edges.
+    pub fn m(&self) -> usize {
+        match self {
+            EpochGraph::Unweighted(g) => g.m(),
+            EpochGraph::Weighted(g) => g.m(),
+        }
+    }
+
+    /// Phase 1: applies the batch functionally, returning the next epoch's
+    /// graph and the touched nodes. `self` is left as-is either way.
+    fn stage(&self, batch: &EdgeBatch) -> Result<(EpochGraph, NodeSet)> {
+        Ok(match self {
+            EpochGraph::Unweighted(g) => {
+                let delta = batch.apply(g)?;
+                (EpochGraph::Unweighted(Arc::new(delta.graph)), delta.touched)
+            }
+            EpochGraph::Weighted(g) => {
+                let delta = batch.apply_weighted(g)?;
+                (EpochGraph::Weighted(Arc::new(delta.graph)), delta.touched)
+            }
+        })
+    }
+
+    /// Builds the layers of `range` over this graph.
+    fn build_layer_range(&self, cfg: &StreamConfig, range: LayerRange) -> WalkIndex {
+        match self {
+            EpochGraph::Unweighted(g) => {
+                WalkIndex::build_layer_range(&**g, cfg.l, range, cfg.seed, cfg.threads)
+            }
+            EpochGraph::Weighted(g) => {
+                WalkIndex::build_layer_range(&**g, cfg.l, range, cfg.seed, cfg.threads)
+            }
+        }
+    }
+
+    /// Refreshes `idx` onto this graph (see [`WalkIndex::refresh`]).
+    fn refresh(
+        &self,
+        idx: &mut WalkIndex,
+        touched: &NodeSet,
+        threads: usize,
+    ) -> (RefreshStats, PostingDelta) {
+        match self {
+            EpochGraph::Unweighted(g) => idx.refresh(&**g, touched, threads),
+            EpochGraph::Weighted(g) => idx.refresh(&**g, touched, threads),
+        }
+    }
+}
+
+/// A durability hook [`StreamEngine::apply_hooked`] invokes after phase 1
+/// has staged a batch (so validation has passed and the commit is certain
+/// to succeed) and before phase 2 commits anything: arguments are the
+/// batch and the epoch the commit will publish. An `Err` aborts the apply
+/// with nothing changed — the write-ahead contract.
+pub(crate) type ApplyHook<'a> = &'a mut dyn FnMut(&EdgeBatch, u64) -> std::io::Result<()>;
+
+/// Validates the engine configuration against the graph size and the
+/// shard count against the layer count. Every constructor path — cold
+/// start and snapshot load — runs it before building or loading indexes.
+pub(crate) fn validate(cfg: &StreamConfig, n: usize, shards: usize) -> Result<()> {
+    if cfg.k == 0 || cfg.k > n {
+        return Err(StreamError::InvalidConfig(format!(
+            "k = {} outside [1, n = {n}]",
+            cfg.k
+        )));
+    }
+    if cfg.r == 0 {
+        return Err(StreamError::InvalidConfig("r must be >= 1".into()));
+    }
+    if cfg.l == 0 || cfg.l > u16::MAX as u32 {
+        return Err(StreamError::InvalidConfig(format!(
+            "l = {} outside [1, {}]",
+            cfg.l,
+            u16::MAX
+        )));
+    }
+    if let GainRule::Combined { lambda } = cfg.rule {
+        if !(0.0..=1.0).contains(&lambda) {
+            return Err(StreamError::InvalidConfig(format!(
+                "lambda = {lambda} outside [0, 1]"
+            )));
+        }
+    }
+    // Named error instead of the panic `LayerRange::partition` would raise
+    // for 0 shards or more shards than layers (an empty shard).
+    if shards == 0 || shards > cfg.r {
+        return Err(StreamError::InvalidShardCount {
+            shards,
+            layers: cfg.r,
+        });
+    }
+    Ok(())
+}
+
 /// The evolving random-walk domination system: applies [`EdgeBatch`]es to
 /// the graph, maintains the walk index incrementally, and repairs the seed
 /// set — reporting what each batch actually cost.
 ///
-/// Since the sharding refactor this is a facade over the scatter-gather
-/// [`ShardSet`] coordinator: [`StreamEngine::new`] runs the 1-shard special
-/// case (identical behavior and API to the historical monolith), and
+/// [`StreamEngine::new`] runs one shard (the whole index);
 /// [`StreamEngine::with_shards`] tiles the `R` walk layers across `N`
-/// per-shard engines. The shard count is **never observable in any
-/// result** — only in wall time and in the per-shard rows of
+/// partial indexes over the same graph epoch (see the module docs for the
+/// two-phase batch protocol). The shard count is **never observable in
+/// any result** — only in wall time and in the per-shard rows of
 /// [`BatchReport::shards`].
 ///
 /// Invariant (asserted by the equivalence suites): after any sequence of
 /// batches, the maintained index (concatenated across shards) is
-/// bit-identical to a cold `WalkIndex::build`/`build_weighted` on the
-/// current graph, and `engine.seeds()` equals the static `Strategy::Delta`
-/// selection on that index — the evolving system never drifts from what a
-/// from-scratch run would compute.
+/// bit-identical to a cold `WalkIndex::build` on the current graph, and
+/// `engine.seeds()` equals the static `Strategy::Delta` selection on that
+/// index — the evolving system never drifts from what a from-scratch run
+/// would compute.
+///
+/// Every shard index lives behind an [`Arc`] so the serving layer can pin
+/// an epoch at zero cost ([`StreamEngine::shard_indexes_shared`]): the next
+/// commit mutates a shard in place when nothing else holds it (the steady
+/// state) or clones it first when something does (`Arc::make_mut`). The
+/// clone is shallow — the walk layers are themselves shared `Arc`s — and
+/// the refresh replaces each layer it patches with a fresh one, so a
+/// pinned reader never observes a mid-refresh index.
 #[derive(Clone, Debug)]
 pub struct StreamEngine {
-    inner: ShardSet,
+    cfg: StreamConfig,
+    graph: EpochGraph,
+    /// Partial indexes in layer order, tiling `[0, R)`.
+    shards: Vec<Arc<WalkIndex>>,
+    maintainer: SeedMaintainer,
+    epoch: u64,
+    /// Churn accumulated over every applied batch, summed across shards.
+    lifetime: RefreshStats,
 }
 
 impl StreamEngine {
     /// Cold-starts the system on an unweighted graph: builds the epoch-0
-    /// index and bootstraps the seed set. Single-shard (the historical
-    /// monolithic engine).
+    /// index and bootstraps the seed set. Single-shard.
     pub fn new(graph: CsrGraph, cfg: StreamConfig) -> Result<Self> {
         Self::with_shards(graph, cfg, 1)
     }
@@ -134,16 +301,15 @@ impl StreamEngine {
         Self::with_shards_weighted(graph, cfg, 1)
     }
 
-    /// Cold-starts a sharded engine: the `R` walk layers are tiled across
-    /// `shards` per-shard engines behind a scatter-gather coordinator.
-    /// Every result (seeds, gains, objectives, index bits) is identical to
-    /// the 1-shard engine; only wall time and the per-shard report rows
-    /// differ. Rejects `shards == 0` and `shards > cfg.r` with
-    /// [`crate::StreamError::InvalidShardCount`].
+    /// Cold-starts a sharded engine: the `R` walk layers are tiled into
+    /// `shards` balanced contiguous ranges, one partial index each, then a
+    /// bootstrap seed selection runs over the tiling. Every result (seeds,
+    /// gains, objectives, index bits) is identical to the 1-shard engine;
+    /// only wall time and the per-shard report rows differ. Rejects
+    /// `shards == 0` and `shards > cfg.r` with
+    /// [`StreamError::InvalidShardCount`].
     pub fn with_shards(graph: CsrGraph, cfg: StreamConfig, shards: usize) -> Result<Self> {
-        Ok(StreamEngine {
-            inner: ShardSet::new(graph, cfg, shards)?,
-        })
+        Self::cold_start(EpochGraph::Unweighted(Arc::new(graph)), cfg, shards)
     }
 
     /// Weighted twin of [`StreamEngine::with_shards`].
@@ -152,42 +318,190 @@ impl StreamEngine {
         cfg: StreamConfig,
         shards: usize,
     ) -> Result<Self> {
-        Ok(StreamEngine {
-            inner: ShardSet::new_weighted(graph, cfg, shards)?,
-        })
+        Self::cold_start(EpochGraph::Weighted(Arc::new(graph)), cfg, shards)
+    }
+
+    fn cold_start(graph: EpochGraph, cfg: StreamConfig, shard_count: usize) -> Result<Self> {
+        validate(&cfg, graph.n(), shard_count)?;
+        let shards = LayerRange::partition(cfg.r, shard_count)
+            .into_iter()
+            .map(|range| Arc::new(graph.build_layer_range(&cfg, range)))
+            .collect();
+        Ok(Self::from_parts(cfg, graph, shards, 0))
+    }
+
+    /// Assembles an engine at `epoch` from a graph and the shard indexes
+    /// over it (already [`validate`]d, tiling `[0, R)` in order), and
+    /// bootstraps the seed set over the tiling. The cold start and the
+    /// snapshot load both end here; a loaded engine's cold bootstrap is
+    /// bit-identical to the warm state the live engine carried, because
+    /// warm ≡ cold is the maintainer's proptested invariant.
+    pub(crate) fn from_parts(
+        cfg: StreamConfig,
+        graph: EpochGraph,
+        shards: Vec<Arc<WalkIndex>>,
+        epoch: u64,
+    ) -> Self {
+        let mut maintainer = SeedMaintainer::new(cfg.rule, cfg.k, cfg.threads);
+        let refs: Vec<&WalkIndex> = shards.iter().map(|s| &**s).collect();
+        maintainer.maintain_sharded(&refs);
+        StreamEngine {
+            cfg,
+            graph,
+            shards,
+            maintainer,
+            epoch,
+            lifetime: RefreshStats::default(),
+        }
     }
 
     /// Applies one churn batch end to end: graph edit → incremental index
     /// refresh on every shard → seed repair. On a batch validation error
     /// the engine state is unchanged (phase 1 stages the edit functionally
-    /// on every shard before anything commits, so a rejected batch is
-    /// all-or-nothing even under sharding).
+    /// before anything commits), and readers never observe a
+    /// partially-landed batch: the epoch stamp moves only after the last
+    /// shard has committed.
     ///
     /// **No-op batches.** A batch with no edits short-circuits: nothing is
     /// refreshed, no greedy round is replayed, and — deliberately — the
     /// epoch does **not** advance. The epoch stamps *state*, not batch
     /// arrivals: readers cache per-epoch answers, so identical state must
     /// keep an identical stamp. The returned report carries the current
-    /// epoch with all churn counters at zero.
+    /// epoch with all churn counters at zero and no per-shard rows.
     pub fn apply(&mut self, batch: &EdgeBatch) -> Result<BatchReport> {
-        self.inner.apply(batch)
+        self.apply_hooked(batch, None)
     }
 
-    /// Wraps a recovered [`ShardSet`] (the durable layer's snapshot-load
-    /// path) in the public facade.
-    pub(crate) fn from_shard_set(inner: ShardSet) -> Self {
-        StreamEngine { inner }
-    }
-
-    /// [`StreamEngine::apply`] with the durability hook threaded through
-    /// (see [`ShardSet::apply_hooked`]): the hook runs after validation
-    /// and before any state changes — the write-ahead point.
+    /// [`StreamEngine::apply`] with an optional durability hook threaded
+    /// between phase 1 (stage) and phase 2 (commit) — the write-ahead
+    /// point: validation has passed, nothing has changed yet, and the
+    /// commit that follows is infallible. No-op batches never reach the
+    /// hook (they don't advance the epoch, so there is nothing to log).
     pub(crate) fn apply_hooked(
         &mut self,
         batch: &EdgeBatch,
-        hook: Option<crate::shard::ApplyHook<'_>>,
+        hook: Option<ApplyHook<'_>>,
     ) -> Result<BatchReport> {
-        self.inner.apply_hooked(batch, hook)
+        if batch.is_empty() {
+            return Ok(BatchReport {
+                epoch: self.epoch,
+                timestamp: batch.timestamp,
+                insertions: 0,
+                deletions: 0,
+                edges: self.graph.m(),
+                touched_nodes: 0,
+                refresh: RefreshStats {
+                    groups_total: self.graph.n() * self.cfg.r,
+                    ..RefreshStats::default()
+                },
+                maintain: MaintainReport {
+                    seeds_swapped: 0,
+                    rounds_kept: self.maintainer.seeds().len(),
+                    objective: self.maintainer.objective(),
+                    touched_postings: 0,
+                    first_invalid_round: None,
+                    warm: false,
+                    absorbed_postings: 0,
+                    replayed_rounds: 0,
+                },
+                maintain_ms: 0.0,
+                shards: Vec::new(),
+            });
+        }
+        let metrics = crate::obs::stream_metrics();
+        // Phase 1 — stage the batch once, into the next graph epoch.
+        let stage_start = Instant::now();
+        let (next, touched) = self.graph.stage(batch)?;
+        metrics.stage_ns.record_duration(stage_start.elapsed());
+        // Write-ahead point: the batch is valid and the epoch it will
+        // publish is known; journal it before any state changes so a crash
+        // either loses the whole batch or none of it.
+        if let Some(hook) = hook {
+            let journal_timer = metrics.journal_ns.time();
+            hook(batch, self.epoch + 1).map_err(|e| StreamError::Durability {
+                context: "write-ahead journal append".into(),
+                source: e,
+            })?;
+            journal_timer.stop();
+        }
+        // Phase 2 — every shard refreshes against the staged epoch,
+        // gathering per-shard stats and posting edit scripts (absolute
+        // layers, so the maintainer consumes them without translation).
+        let mut shard_stats = Vec::with_capacity(self.shards.len());
+        let mut edits = Vec::with_capacity(self.shards.len());
+        for (shard, idx) in self.shards.iter_mut().enumerate() {
+            let start = Instant::now();
+            let (refresh, delta) = next.refresh(Arc::make_mut(idx), &touched, self.cfg.threads);
+            let refresh_ms = start.elapsed().as_secs_f64() * 1e3;
+            metrics.refresh_ns.record((refresh_ms * 1e6) as u64);
+            shard_stats.push(ShardBatchStats {
+                shard,
+                layers: idx.layer_range(),
+                refresh,
+                refresh_ms,
+            });
+            edits.push(delta);
+        }
+        self.graph = next;
+        // Every counter adds across shards, including `groups_total` (the
+        // per-shard totals `n · |range|` tile `n · R` exactly).
+        let refresh = shard_stats
+            .iter()
+            .fold(RefreshStats::default(), |mut acc, s| {
+                acc.groups_resampled += s.refresh.groups_resampled;
+                acc.groups_total += s.refresh.groups_total;
+                acc.postings_removed += s.refresh.postings_removed;
+                acc.postings_added += s.refresh.postings_added;
+                acc
+            });
+        self.lifetime.merge(&refresh);
+        let refs: Vec<&WalkIndex> = self.shards.iter().map(|s| &**s).collect();
+        let maintain_start = Instant::now();
+        let maintain = self.maintainer.maintain_sharded_warm(&refs, &edits);
+        let maintain_elapsed = maintain_start.elapsed();
+        let maintain_ms = maintain_elapsed.as_secs_f64() * 1e3;
+        if maintain.warm {
+            metrics.maintain_warm_ns.record_duration(maintain_elapsed);
+        } else {
+            metrics.maintain_cold_ns.record_duration(maintain_elapsed);
+        }
+        let publish_start = Instant::now();
+        self.epoch += 1;
+        let report = BatchReport {
+            epoch: self.epoch,
+            timestamp: batch.timestamp,
+            insertions: batch.insertions.len(),
+            deletions: batch.deletions.len(),
+            edges: self.graph.m(),
+            touched_nodes: touched.len(),
+            refresh,
+            maintain,
+            maintain_ms,
+            shards: shard_stats,
+        };
+        // Churn counters folded out of the report, then the publish stamp.
+        metrics.batches.inc();
+        metrics.insertions.add(report.insertions as u64);
+        metrics.deletions.add(report.deletions as u64);
+        metrics.touched_nodes.add(report.touched_nodes as u64);
+        metrics
+            .groups_resampled
+            .add(report.refresh.groups_resampled as u64);
+        metrics
+            .postings_added
+            .add(report.refresh.postings_added as u64);
+        metrics
+            .postings_removed
+            .add(report.refresh.postings_removed as u64);
+        metrics
+            .seeds_swapped
+            .add(report.maintain.seeds_swapped as u64);
+        metrics
+            .replayed_rounds
+            .add(report.maintain.replayed_rounds as u64);
+        metrics.epoch.set(self.epoch as i64);
+        metrics.publish_ns.record_duration(publish_start.elapsed());
+        Ok(report)
     }
 
     /// Sets the seed maintainer's warm-start crossover (see
@@ -195,23 +509,23 @@ impl StreamEngine {
     /// batch's maintenance pass cold, `1.0` warms unconditionally. Results
     /// never change — warmth only moves wall time.
     pub fn set_maintain_crossover(&mut self, crossover: f64) {
-        self.inner.set_maintain_crossover(crossover);
+        self.maintainer.set_crossover(crossover);
     }
 
     /// The maintained seed set in selection order.
     pub fn seeds(&self) -> &[NodeId] {
-        self.inner.seeds()
+        self.maintainer.seeds()
     }
 
     /// Marginal gain of each maintained seed at its selection round.
     pub fn gain_trace(&self) -> &[f64] {
-        self.inner.gain_trace()
+        self.maintainer.gain_trace()
     }
 
     /// Estimated objective of the maintained seed set (the gain-trace sum
     /// every [`BatchReport`] also carries).
     pub fn objective(&self) -> f64 {
-        self.inner.objective()
+        self.maintainer.objective()
     }
 
     /// The maintained walk index.
@@ -222,98 +536,97 @@ impl StreamEngine {
     /// [`StreamEngine::shard_indexes_shared`] instead.
     pub fn index(&self) -> &WalkIndex {
         assert_eq!(
-            self.inner.shard_count(),
+            self.shards.len(),
             1,
             "index() needs the single-shard engine; a sharded engine exposes shard_indexes()"
         );
-        self.inner.shards()[0].index()
+        &self.shards[0]
     }
 
     /// A shared handle to the current epoch's index; holding it pins this
     /// epoch (the next batch copies-on-write instead of mutating what the
-    /// holder observes). This — together with
-    /// [`StreamEngine::graph_shared`] /
-    /// [`StreamEngine::weighted_graph_shared`] — is the snapshot
-    /// publication surface the serving layer builds on.
+    /// holder observes).
     ///
     /// # Panics
     /// Panics on a multi-shard engine (see [`StreamEngine::index`]).
     pub fn index_shared(&self) -> Arc<WalkIndex> {
         assert_eq!(
-            self.inner.shard_count(),
+            self.shards.len(),
             1,
             "index_shared() needs the single-shard engine; use shard_indexes_shared()"
         );
-        self.inner.shards()[0].index_shared()
+        Arc::clone(&self.shards[0])
     }
 
     /// Number of shards the engine runs (1 for [`StreamEngine::new`]).
     pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
+        self.shards.len()
     }
 
     /// The contiguous layer ranges of the shard tiling, in order.
     pub fn shard_ranges(&self) -> Vec<LayerRange> {
-        self.inner.ranges()
+        self.shards.iter().map(|s| s.layer_range()).collect()
     }
 
-    /// Borrowed handles to every shard's partial index, in layer order.
-    /// On a 1-shard engine this is `[self.index()]`.
+    /// Borrowed handles to every shard's partial index, in layer order —
+    /// the tiling [`SeedMaintainer::maintain_sharded`] consumes. On a
+    /// 1-shard engine this is `[self.index()]`.
     pub fn shard_indexes(&self) -> Vec<&WalkIndex> {
-        self.inner.shard_indexes()
+        self.shards.iter().map(|s| &**s).collect()
     }
 
     /// Shared handles to every shard's current-epoch partial index;
     /// holding them pins the epoch on every shard. The scatter half of the
     /// serving layer's scatter-gather queries.
     pub fn shard_indexes_shared(&self) -> Vec<Arc<WalkIndex>> {
-        self.inner.shard_indexes_shared()
+        self.shards.clone()
     }
 
     /// The current unweighted graph (`None` when running weighted).
     pub fn graph(&self) -> Option<&CsrGraph> {
-        self.inner.graph()
+        match &self.graph {
+            EpochGraph::Unweighted(g) => Some(g),
+            EpochGraph::Weighted(_) => None,
+        }
     }
 
     /// The current weighted graph (`None` when running unweighted).
     pub fn weighted_graph(&self) -> Option<&WeightedCsrGraph> {
-        self.inner.weighted_graph()
+        match &self.graph {
+            EpochGraph::Unweighted(_) => None,
+            EpochGraph::Weighted(g) => Some(g),
+        }
     }
 
-    /// Shared handle to the current unweighted graph epoch (`None` when
-    /// running weighted). Graph epochs are immutable once published, so the
-    /// handle stays valid across later batches.
-    pub fn graph_shared(&self) -> Option<Arc<CsrGraph>> {
-        self.inner.graph_shared()
-    }
-
-    /// Shared handle to the current weighted graph epoch (`None` when
-    /// running unweighted).
-    pub fn weighted_graph_shared(&self) -> Option<Arc<WeightedCsrGraph>> {
-        self.inner.weighted_graph_shared()
+    /// Shared handle to the current graph epoch. Graph epochs are
+    /// immutable once published, so the handle stays valid across later
+    /// batches; together with [`StreamEngine::shard_indexes_shared`] this
+    /// is the snapshot publication surface the serving layer builds on.
+    pub fn graph_shared(&self) -> EpochGraph {
+        self.graph.clone()
     }
 
     /// Number of batches applied since the cold start.
     pub fn epoch(&self) -> u64 {
-        self.inner.epoch()
+        self.epoch
     }
 
     /// The engine configuration.
     pub fn config(&self) -> &StreamConfig {
-        self.inner.config()
+        &self.cfg
     }
 
     /// Accumulated index-churn statistics over every applied batch, summed
-    /// across shards.
+    /// across shards (so the totals describe the whole `n · R`-group
+    /// index).
     pub fn lifetime_stats(&self) -> RefreshStats {
-        self.inner.lifetime_stats()
+        self.lifetime
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StreamError;
     use rwd_core::algo::select_from_index;
     use rwd_core::Strategy;
     use rwd_graph::generators::erdos_renyi_gnp;
@@ -374,7 +687,7 @@ mod tests {
         let report = engine.apply(&batch).unwrap();
         assert_eq!(report.touched_nodes, 2);
         let w1 = engine.weighted_graph().unwrap().clone();
-        let fresh = WalkIndex::build_weighted(&w1, 5, 6, 13);
+        let fresh = WalkIndex::build(&w1, 5, 6, 13);
         assert!(*engine.index() == fresh);
     }
 
@@ -426,8 +739,9 @@ mod tests {
         let g0 = erdos_renyi_gnp(50, 0.1, 3).unwrap();
         let mut engine = StreamEngine::new(g0, cfg(3)).unwrap();
         let idx0 = engine.index_shared();
-        let g0_shared = engine.graph_shared().unwrap();
-        assert!(engine.weighted_graph_shared().is_none());
+        let EpochGraph::Unweighted(g0_shared) = engine.graph_shared() else {
+            panic!("engine runs unweighted");
+        };
         let before = (*idx0).clone();
 
         let mut batch = EdgeBatch::new(1);
@@ -524,5 +838,81 @@ mod tests {
         ));
         let err = StreamEngine::with_shards(g, cfg(3), 9).unwrap_err();
         assert!(err.to_string().contains("9 shards"), "{err}");
+    }
+
+    #[test]
+    fn shard_count_is_validated_by_name() {
+        let g = erdos_renyi_gnp(40, 0.1, 2).unwrap();
+        let err = StreamEngine::with_shards(g.clone(), cfg(4), 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StreamError::InvalidShardCount {
+                    shards: 0,
+                    layers: 6
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("shard count"), "{err}");
+        // One shard per layer is the finest tiling; one more is rejected.
+        let err = StreamEngine::with_shards(g.clone(), cfg(4), 7).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StreamError::InvalidShardCount {
+                    shards: 7,
+                    layers: 6
+                }
+            ),
+            "{err}"
+        );
+        assert!(StreamEngine::with_shards(g, cfg(4), 6).is_ok());
+    }
+
+    #[test]
+    fn failed_batch_leaves_every_shard_unchanged() {
+        let g = erdos_renyi_gnp(40, 0.1, 2).unwrap();
+        let mut engine = StreamEngine::with_shards(g, cfg(4), 3).unwrap();
+        let seeds = engine.seeds().to_vec();
+        let before: Vec<WalkIndex> = engine.shard_indexes().into_iter().cloned().collect();
+        let mut bad = EdgeBatch::new(1);
+        bad.insertions.push((0, 1, 1.0));
+        bad.deletions.push((0, 0)); // self-loop: rejected in phase 1
+        assert!(engine.apply(&bad).is_err());
+        assert_eq!(engine.epoch(), 0, "failed batch must not advance the epoch");
+        assert_eq!(engine.seeds(), &seeds[..]);
+        for (idx, want) in engine.shard_indexes().into_iter().zip(&before) {
+            assert!(*idx == *want, "shard index changed by a rejected batch");
+        }
+    }
+
+    #[test]
+    fn per_shard_rows_tile_the_merged_report() {
+        let g = erdos_renyi_gnp(60, 0.08, 9).unwrap();
+        let mut engine = StreamEngine::with_shards(g.clone(), cfg(4), 4).unwrap();
+        let mut batch = EdgeBatch::new(5);
+        let (u, v) = (0..60u32)
+            .flat_map(|u| ((u + 1)..60).map(move |v| (u, v)))
+            .find(|&(u, v)| !g.has_edge(NodeId(u), NodeId(v)))
+            .unwrap();
+        batch.insertions.push((u, v, 1.0));
+        let report = engine.apply(&batch).unwrap();
+        assert_eq!(report.shards.len(), 4);
+        assert_eq!(
+            report.shards.iter().map(|s| s.layers.len()).sum::<usize>(),
+            6,
+            "shard rows must tile all R layers"
+        );
+        let summed: usize = report
+            .shards
+            .iter()
+            .map(|s| s.refresh.groups_resampled)
+            .sum();
+        assert_eq!(report.refresh.groups_resampled, summed);
+        assert_eq!(report.refresh.groups_total, 60 * 6);
+        let lifetime = engine.lifetime_stats();
+        assert_eq!(lifetime.groups_resampled, summed);
+        assert_eq!(lifetime.groups_total, 60 * 6);
     }
 }

@@ -10,11 +10,6 @@
 //!   graph plus the set of *touched* endpoints ([`GraphDelta`] /
 //!   [`WeightedGraphDelta`]); weighted application patches alias tables
 //!   only for touched rows,
-//! * [`index`] — [`IncrementalIndex`]: maintains a [`rwd_walks::WalkIndex`]
-//!   across epochs by resampling exactly the `(src, layer)` walk groups a
-//!   batch can have changed; because walks derive from counter-based
-//!   `(seed, src, layer)` RNG streams, the maintained index is
-//!   **bit-identical** to a from-scratch build on the post-update graph,
 //! * [`maintain`] — [`SeedMaintainer`]: repairs the current seed set after
 //!   each batch by replaying greedy rounds over a
 //!   [`rwd_core::greedy::DeltaGainEngine`], evicting a seed only when its
@@ -24,16 +19,18 @@
 //!   still-valid rounds replay from their recorded logs instead of
 //!   re-streaming the index (bit-identical to a cold replay, with a
 //!   crossover fallback for huge batches),
-//! * [`shard`] — [`ShardEngine`] / [`ShardSet`]: the sharded engine core —
-//!   the `R` walk layers are tiled into contiguous [`rwd_walks::LayerRange`]s,
-//!   each owned by a per-shard engine (graph replica + partial index), and
-//!   a scatter-gather coordinator broadcasts batches to every shard with
-//!   all-or-nothing epoch advancement; results are bit-identical to the
-//!   monolith at any shard count,
-//! * [`engine`] — [`StreamEngine`]: the public facade tying it together
-//!   (the 1-shard special case is the historical monolithic engine) and
-//!   reporting per-batch churn statistics ([`BatchReport`]: groups
-//!   resampled, postings rewritten, seeds swapped, per-shard rows),
+//! * [`engine`] — [`StreamEngine`]: the evolving pipeline tying it
+//!   together. The `R` walk layers are tiled into contiguous
+//!   [`rwd_walks::LayerRange`]s, one partial [`rwd_walks::WalkIndex`] per
+//!   shard, all over one graph epoch ([`EpochGraph`], the only place the
+//!   weighted/unweighted choice lives). A batch is staged once into the
+//!   next epoch; every shard then resamples exactly the `(src, layer)` walk
+//!   groups the batch can have changed, and the epoch advances
+//!   all-or-nothing. Because walks derive from counter-based
+//!   `(seed, src, layer)` RNG streams, the maintained index is
+//!   **bit-identical** to a from-scratch build on the post-update graph at
+//!   any shard count. Each batch reports its churn ([`BatchReport`]:
+//!   groups resampled, postings rewritten, seeds swapped, per-shard rows),
 //! * [`journal`] — [`BatchJournal`]: the epoch-stamped write-ahead batch
 //!   log (length-prefixed, CRC-checksummed records, fsync'd before any
 //!   shard commits) plus the scan that classifies a torn tail (truncate
@@ -55,20 +52,16 @@
 pub mod batch;
 pub mod durable;
 pub mod engine;
-pub mod index;
 pub mod journal;
 pub mod maintain;
 pub(crate) mod obs;
-pub mod shard;
 
 pub use batch::{EdgeBatch, GraphDelta, WeightedGraphDelta};
 pub use durable::{DurabilityConfig, DurableEngine, OpenMode, RecoveryReport};
-pub use engine::{BatchReport, StreamConfig, StreamEngine};
-pub use index::IncrementalIndex;
+pub use engine::{BatchReport, EpochGraph, ShardBatchStats, StreamConfig, StreamEngine};
 pub use journal::BatchJournal;
 pub use maintain::{MaintainReport, SeedMaintainer};
 pub use rwd_walks::PostingDelta;
-pub use shard::{ShardBatchStats, ShardEngine, ShardSet};
 
 /// Errors produced by the evolving-graph subsystem.
 #[derive(Debug)]

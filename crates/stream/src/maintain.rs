@@ -146,8 +146,7 @@ impl SeedMaintainer {
 
     /// [`SeedMaintainer::maintain`] resuming the previous pass's engine
     /// state: `delta` must be the edit script of the refresh that took the
-    /// index from that pass's epoch to this one (see
-    /// [`IncrementalIndex::apply_collecting`](crate::IncrementalIndex)).
+    /// index from that pass's epoch to this one (see [`WalkIndex::refresh`]).
     pub fn maintain_warm(&mut self, idx: &WalkIndex, delta: &PostingDelta) -> MaintainReport {
         self.maintain_sharded_warm(&[idx], std::slice::from_ref(delta))
     }
@@ -260,7 +259,6 @@ impl SeedMaintainer {
 mod tests {
     use super::*;
     use crate::batch::EdgeBatch;
-    use crate::IncrementalIndex;
     use rwd_core::algo::select_from_index;
     use rwd_core::Strategy;
     use rwd_graph::generators::barabasi_albert;
@@ -324,29 +322,29 @@ mod tests {
     fn warm_pass_is_bitwise_cold_and_replays() {
         let g0 = barabasi_albert(200, 3, 13).unwrap();
         let (l, r, seed, k) = (4u32, 6usize, 31u64, 5usize);
-        let mut warm_idx = IncrementalIndex::build(&g0, l, r, seed, 0);
+        let mut warm_idx = WalkIndex::build(&g0, l, r, seed);
         let mut warm = SeedMaintainer::new(GainRule::HittingTime, k, 0);
         // One churned edge still invalidates every walk *visiting* its
         // endpoints — on this small fixture that is ~28% of all postings,
         // so widen the crossover to keep the pass warm.
         warm.set_crossover(0.5);
-        warm.maintain_warm(warm_idx.index(), &PostingDelta::default());
+        warm.maintain_warm(&warm_idx, &PostingDelta::default());
 
         let mut batch = EdgeBatch::new(1);
         let nbr = g0.neighbors(NodeId(150))[0].raw();
         batch.deletions.push((150, nbr));
         let delta = batch.apply(&g0).unwrap();
-        let (_, edits) = warm_idx.apply_collecting(&delta);
+        let (_, edits) = warm_idx.refresh(&delta.graph, &delta.touched, 0);
         assert!(!edits.is_empty());
 
-        let rep = warm.maintain_warm(warm_idx.index(), &edits);
+        let rep = warm.maintain_warm(&warm_idx, &edits);
         assert!(rep.warm, "small batch must take the warm path");
         assert!(rep.absorbed_postings <= edits.postings_changed());
         assert!(rep.absorbed_postings > 0, "churn must leave net edits");
 
         let mut cold = SeedMaintainer::new(GainRule::HittingTime, k, 0);
-        cold.maintain(warm_idx.index());
-        let rep_cold = cold.maintain(warm_idx.index());
+        cold.maintain(&warm_idx);
+        let rep_cold = cold.maintain(&warm_idx);
         assert_eq!(warm.seeds(), cold.seeds());
         let bits = |t: &[f64]| t.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(warm.gain_trace()), bits(cold.gain_trace()));

@@ -8,9 +8,10 @@ use std::sync::OnceLock;
 
 use rwd_obs::{Counter, Gauge, Histogram};
 
-/// Per-batch phase timings and churn counters for [`crate::ShardSet`].
+/// Per-batch phase timings and churn counters for [`crate::StreamEngine`].
 pub(crate) struct StreamMetrics {
-    /// Phase 1: batch validation + functional staging on every shard.
+    /// Phase 1: batch validation + functional staging into the next graph
+    /// epoch (once per batch, whatever the shard count).
     pub stage_ns: Histogram,
     /// Write-ahead hook (journal append + fsync when durable).
     pub journal_ns: Histogram,

@@ -63,6 +63,6 @@ fn weighted_replay_with_twin_base_stays_exact() {
     for batch in &trace.batches {
         engine.apply(batch).unwrap();
     }
-    let fresh = WalkIndex::build_weighted(engine.weighted_graph().unwrap(), cfg.l, cfg.r, cfg.seed);
+    let fresh = WalkIndex::build(engine.weighted_graph().unwrap(), cfg.l, cfg.r, cfg.seed);
     assert!(*engine.index() == fresh, "weighted replay drifted");
 }

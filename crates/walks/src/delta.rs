@@ -1,12 +1,10 @@
 //! Compact posting deltas emitted by incremental refreshes.
 //!
 //! [`WalkIndex::refresh`](crate::WalkIndex::refresh) re-walks exactly the
-//! `(src, layer)` groups a batch can have changed. The collecting variants
-//! ([`WalkIndex::refresh_collecting`](crate::WalkIndex::refresh_collecting)
-//! and its weighted/threaded twins) additionally report *what* changed:
-//! per resampled group, the inverted postings the group dropped and the
-//! postings it now produces, each with its first-visit hop. That is the
-//! exact edit script between two index epochs — a consumer holding
+//! `(src, layer)` groups a batch can have changed and reports *what*
+//! changed: per resampled group, the inverted postings the group dropped
+//! and the postings it now produces, each with its first-visit hop. That
+//! is the exact edit script between two index epochs — a consumer holding
 //! epoch-`t` derived state (e.g. the persistent gain tables of
 //! `DeltaGainEngine`) can patch itself to epoch `t+1` in `O(|delta|)`
 //! instead of re-deriving from the full index.

@@ -10,11 +10,11 @@
 //! Walks are keyed by `(seed, node, walk-index)` streams, so estimates are
 //! identical for any thread count.
 
-use rwd_graph::{CsrGraph, NodeId};
+use rwd_graph::NodeId;
 
 use crate::nodeset::NodeSet;
 use crate::rng::WalkRng;
-use crate::walker;
+use crate::walker::{self, WalkGraph};
 
 /// Output of one [`SampleEstimator::estimate`] call.
 #[derive(Clone, Debug)]
@@ -99,8 +99,11 @@ impl SampleEstimator {
         crate::parallel::resolve_threads(self.threads).min(n.max(1))
     }
 
-    /// Runs Algorithm 2 for target set `set`.
-    pub fn estimate(&self, g: &CsrGraph, set: &NodeSet) -> Estimates {
+    /// Runs Algorithm 2 for target set `set`. Walks step by the graph's
+    /// own rule ([`WalkGraph`]), so on a weighted graph this is the
+    /// paper's weighted extension: the same estimator with transition
+    /// probabilities proportional to edge weights.
+    pub fn estimate<G: WalkGraph>(&self, g: &G, set: &NodeSet) -> Estimates {
         let n = g.n();
         assert_eq!(set.capacity(), n, "set universe must match the graph");
         assert!(self.r > 0, "need at least one walk per node");
@@ -151,7 +154,7 @@ impl SampleEstimator {
 
     /// Runs the `R` walks for one source node; returns `(Σ t_i, r)` of
     /// Algorithm 2 lines 6–11.
-    fn sample_node(&self, g: &CsrGraph, u: NodeId, set: &NodeSet) -> (u64, usize) {
+    fn sample_node<G: WalkGraph>(&self, g: &G, u: NodeId, set: &NodeSet) -> (u64, usize) {
         let mut t_sum = 0u64;
         let mut hits = 0usize;
         for i in 0..self.r {
@@ -162,50 +165,6 @@ impl SampleEstimator {
             }
         }
         (t_sum, hits)
-    }
-
-    /// Algorithm 2 on a weighted graph: identical estimator, transition
-    /// probabilities proportional to edge weights (the paper's weighted
-    /// extension). Serial — weighted estimation is used at extension-demo
-    /// scales.
-    pub fn estimate_weighted(
-        &self,
-        g: &rwd_graph::weighted::WeightedCsrGraph,
-        set: &NodeSet,
-    ) -> Estimates {
-        let n = g.n();
-        assert_eq!(set.capacity(), n, "set universe must match the graph");
-        assert!(self.r > 0, "need at least one walk per node");
-        let mut hit_time = vec![0.0f64; n];
-        let mut hit_prob = vec![0.0f64; n];
-        for u in 0..n {
-            let u_id = NodeId::new(u);
-            if set.contains(u_id) {
-                hit_prob[u] = 1.0;
-                continue;
-            }
-            let mut t_sum = 0u64;
-            let mut hits = 0usize;
-            for i in 0..self.r {
-                let mut rng = WalkRng::for_stream(self.seed, u as u64, i as u64);
-                if let Some(t) = walker::first_hit_weighted(g, u_id, self.l, set, &mut rng) {
-                    t_sum += t as u64;
-                    hits += 1;
-                }
-            }
-            let r = self.r as f64;
-            hit_time[u] = (t_sum as f64 + (self.r - hits) as f64 * self.l as f64) / r;
-            hit_prob[u] = hits as f64 / r;
-        }
-        let miss_time: f64 = hit_time.iter().sum();
-        let f1 = n as f64 * self.l as f64 - miss_time;
-        let f2 = hit_prob.iter().sum::<f64>();
-        Estimates {
-            f1,
-            f2,
-            hit_time,
-            hit_prob,
-        }
     }
 }
 

@@ -40,14 +40,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rwd_graph::{CsrGraph, NodeId};
+use rwd_graph::NodeId;
 
 use crate::delta::{LayerDelta, PostingDelta};
 use crate::nodeset::NodeSet;
 use crate::parallel::resolve_threads;
 use crate::rng::WalkRng;
 use crate::storage::{le_bytes, Column, MmapRegion, Pod};
-use crate::walker;
+use crate::walker::WalkGraph;
 
 /// One inverted-list entry: the walk from `id` first reaches the list's
 /// owner node at hop `weight` (`1 ≤ weight ≤ L`).
@@ -568,23 +568,21 @@ impl VisitScratch {
 /// function, so a resampled group is bit-identical to the group a
 /// from-scratch build would produce on the same graph.
 #[inline]
-fn walk_one<F>(
+fn walk_one<G: WalkGraph>(
     layer_idx: usize,
     src: usize,
     l: u32,
     seed: u64,
-    step: &F,
+    g: &G,
     scratch: &mut VisitScratch,
     triples: &mut Vec<Triple>,
-) where
-    F: Fn(NodeId, &mut WalkRng) -> NodeId,
-{
+) {
     let s = scratch.next_stamp();
     let mut rng = WalkRng::for_stream(seed, src as u64, layer_idx as u64);
     let mut u = NodeId::new(src);
     scratch.visited[src] = s;
     for j in 1..=l {
-        u = step(u, &mut rng);
+        u = g.step(u, &mut rng);
         if scratch.visited[u.index()] != s {
             scratch.visited[u.index()] = s;
             triples.push((u.raw(), src as u32, j as u16));
@@ -697,20 +695,17 @@ fn splice_rows(
 /// differ — a resampled walk that never diverges contributes nothing, and
 /// downstream absorption is `O(net)` rather than `O(gross)`.
 #[allow(clippy::too_many_arguments)]
-fn patch_layer<F>(
+fn patch_layer<G: WalkGraph>(
     layer: &mut Arc<Layer>,
     n: usize,
     l: u32,
     seed: u64,
     layer_idx: usize,
     touched: &NodeSet,
-    step: &F,
+    g: &G,
     ws: &mut PatchScratch,
     deltas: &mut Vec<LayerDelta>,
-) -> RefreshStats
-where
-    F: Fn(NodeId, &mut WalkRng) -> NodeId,
-{
+) -> RefreshStats {
     let old: &Layer = layer;
     let mut out = RefreshStats::default();
     // --- 1. affected groups: touched sources ∪ sources visiting them ----
@@ -746,7 +741,7 @@ where
             src as usize,
             l,
             seed,
-            step,
+            g,
             &mut ws.visit,
             &mut new_triples,
         );
@@ -949,21 +944,18 @@ where
 }
 
 /// Walks nodes `[lo, hi)` of one layer, appending first-visit triples.
-fn walk_node_range<F>(
+fn walk_node_range<G: WalkGraph>(
     layer_idx: usize,
     lo: usize,
     hi: usize,
     l: u32,
     seed: u64,
-    step: &F,
+    g: &G,
     scratch: &mut VisitScratch,
-) -> Vec<Triple>
-where
-    F: Fn(NodeId, &mut WalkRng) -> NodeId,
-{
+) -> Vec<Triple> {
     let mut triples: Vec<Triple> = Vec::with_capacity((hi - lo) * (l as usize).min(8));
     for w in lo..hi {
-        walk_one(layer_idx, w, l, seed, step, scratch, &mut triples);
+        walk_one(layer_idx, w, l, seed, g, scratch, &mut triples);
     }
     triples
 }
@@ -977,18 +969,15 @@ where
 /// atomic queue, so the build saturates the machine even when `r` is below
 /// the core count; each task's output is a pure function of
 /// `(seed, node range, layer)`, so scheduling never affects the result.
-fn build_layers<F>(
-    n: usize,
+fn build_layers<G: WalkGraph>(
+    g: &G,
     l: u32,
     r: usize,
     layer_base: usize,
     seed: u64,
     threads: usize,
-    step: &F,
-) -> Vec<Layer>
-where
-    F: Fn(NodeId, &mut WalkRng) -> NodeId + Sync,
-{
+) -> Vec<Layer> {
+    let n = g.n();
     let workers = resolve_threads(threads);
     let max_chunks = n.div_ceil(MIN_NODE_CHUNK).max(1);
     // Oversubscribe ~4× for load balance across skewed chunks.
@@ -1012,7 +1001,7 @@ where
         let mut scratch = VisitScratch::new(n);
         for (t, part) in parts.iter_mut().enumerate() {
             let (layer_idx, lo, hi) = task_range(t);
-            *part = walk_node_range(layer_idx, lo, hi, l, seed, step, &mut scratch);
+            *part = walk_node_range(layer_idx, lo, hi, l, seed, g, &mut scratch);
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -1030,7 +1019,7 @@ where
                             let (layer_idx, lo, hi) = task_range(t);
                             out.push((
                                 t,
-                                walk_node_range(layer_idx, lo, hi, l, seed, step, &mut scratch),
+                                walk_node_range(layer_idx, lo, hi, l, seed, g, &mut scratch),
                             ));
                         }
                         out
@@ -1152,7 +1141,12 @@ impl WalkIndex {
 
     /// Builds the index by running `r` walks per node (Algorithm 3),
     /// parallelized over a `(layer × node-chunk)` grid; the result is a pure
-    /// function of `(graph, l, r, seed)` regardless of thread count.
+    /// function of `(graph, l, r, seed)` regardless of thread count. Walks
+    /// step by the graph's own rule ([`WalkGraph`]): uniform on a
+    /// [`CsrGraph`](rwd_graph::CsrGraph), weight-proportional on a
+    /// [`WeightedCsrGraph`](rwd_graph::weighted::WeightedCsrGraph) — the
+    /// paper's weighted extension, after which Algorithm 6 works unchanged
+    /// because it only ever touches the index.
     ///
     /// ```
     /// use rwd_graph::generators::paper_example::figure1;
@@ -1163,27 +1157,20 @@ impl WalkIndex {
     /// assert_eq!((idx.n(), idx.l(), idx.r()), (8, 4, 16));
     /// assert!(idx.total_postings() <= 8 * 16 * 4); // ≤ nRL
     /// ```
-    pub fn build(g: &CsrGraph, l: u32, r: usize, seed: u64) -> WalkIndex {
+    pub fn build<G: WalkGraph>(g: &G, l: u32, r: usize, seed: u64) -> WalkIndex {
         Self::build_with_threads(g, l, r, seed, 0)
     }
 
     /// [`WalkIndex::build`] with an explicit worker count (`0` = all cores).
-    pub fn build_with_threads(
-        g: &CsrGraph,
+    pub fn build_with_threads<G: WalkGraph>(
+        g: &G,
         l: u32,
         r: usize,
         seed: u64,
         threads: usize,
     ) -> WalkIndex {
         assert!(r > 0, "need at least one walk per node");
-        assert!(
-            l <= u16::MAX as u32,
-            "walk length {l} exceeds u16 hop range"
-        );
-        let n = g.n();
-        let step = |u: NodeId, rng: &mut WalkRng| walker::step(g, u, rng);
-        let layers = build_layers(n, l, r, 0, seed, threads, &step);
-        WalkIndex::assemble(n, l, layers, 0, seed, threads)
+        Self::build_layer_range(g, l, LayerRange::new(0, r), seed, threads)
     }
 
     /// Builds only the layers of `range` — the shard-local view of the
@@ -1192,8 +1179,8 @@ impl WalkIndex {
     /// `idx.layers == monolith.layers[range.start()..range.end()]` bit for
     /// bit, and [`WalkIndex::refresh`] on the partial index replays exactly
     /// the monolith's walks for those layers.
-    pub fn build_layer_range(
-        g: &CsrGraph,
+    pub fn build_layer_range<G: WalkGraph>(
+        g: &G,
         l: u32,
         range: LayerRange,
         seed: u64,
@@ -1203,13 +1190,12 @@ impl WalkIndex {
             l <= u16::MAX as u32,
             "walk length {l} exceeds u16 hop range"
         );
-        let n = g.n();
-        let step = |u: NodeId, rng: &mut WalkRng| walker::step(g, u, rng);
-        let layers = build_layers(n, l, range.len(), range.start(), seed, threads, &step);
-        WalkIndex::assemble(n, l, layers, range.start(), seed, threads)
+        let layers = build_layers(g, l, range.len(), range.start(), seed, threads);
+        WalkIndex::assemble(g.n(), l, layers, range.start(), seed, threads)
     }
 
-    /// Weighted twin of [`WalkIndex::build_layer_range`].
+    /// [`WalkIndex::build_layer_range`] under its weighted name, kept
+    /// because the end-to-end benchmark (`e2e-bench/`) calls it.
     pub fn build_weighted_layer_range(
         g: &rwd_graph::weighted::WeightedCsrGraph,
         l: u32,
@@ -1217,66 +1203,26 @@ impl WalkIndex {
         seed: u64,
         threads: usize,
     ) -> WalkIndex {
-        assert!(
-            l <= u16::MAX as u32,
-            "walk length {l} exceeds u16 hop range"
-        );
-        let n = g.n();
-        let step = |u: NodeId, rng: &mut WalkRng| walker::step_weighted(g, u, rng);
-        let layers = build_layers(n, l, range.len(), range.start(), seed, threads, &step);
-        WalkIndex::assemble(n, l, layers, range.start(), seed, threads)
-    }
-
-    /// Builds the index over a weighted graph: identical structure, walk
-    /// steps drawn with probability proportional to edge weight (the
-    /// paper's weighted extension; Algorithm 6 then works unchanged because
-    /// it only ever touches the index). Uses all cores; see
-    /// [`WalkIndex::build_weighted_with_threads`].
-    pub fn build_weighted(
-        g: &rwd_graph::weighted::WeightedCsrGraph,
-        l: u32,
-        r: usize,
-        seed: u64,
-    ) -> WalkIndex {
-        Self::build_weighted_with_threads(g, l, r, seed, 0)
-    }
-
-    /// [`WalkIndex::build_weighted`] with an explicit worker count (`0` =
-    /// all cores). Same 2-D parallel grid as the unweighted build; output is
-    /// bit-identical at any thread count.
-    pub fn build_weighted_with_threads(
-        g: &rwd_graph::weighted::WeightedCsrGraph,
-        l: u32,
-        r: usize,
-        seed: u64,
-        threads: usize,
-    ) -> WalkIndex {
-        assert!(r > 0, "need at least one walk per node");
-        assert!(
-            l <= u16::MAX as u32,
-            "walk length {l} exceeds u16 hop range"
-        );
-        let n = g.n();
-        let step = |u: NodeId, rng: &mut WalkRng| walker::step_weighted(g, u, rng);
-        let layers = build_layers(n, l, r, 0, seed, threads, &step);
-        WalkIndex::assemble(n, l, layers, 0, seed, threads)
+        Self::build_layer_range(g, l, range, seed, threads)
     }
 
     /// Incrementally maintains the index after edge churn: given the
     /// next-epoch graph and the set of **touched** nodes (nodes whose
     /// adjacency list changed, e.g. from
-    /// [`CsrGraph::with_edits`](rwd_graph::CsrGraph::with_edits)), re-walks
-    /// exactly the `(src, layer)` groups the churn can have changed and
-    /// replaces each layer holding one with its patched successor (clones
-    /// of the index sharing the old layer keep it). Uses all cores; see
-    /// [`WalkIndex::refresh_with_threads`].
-    pub fn refresh(&mut self, g: &CsrGraph, touched: &NodeSet) -> RefreshStats {
-        self.refresh_with_threads(g, touched, 0)
-    }
-
-    /// [`WalkIndex::refresh`] with an explicit worker count (`0` = all
-    /// cores). The maintained index is **bit-identical** to
+    /// [`CsrGraph::with_edits`](rwd_graph::CsrGraph::with_edits) or
+    /// [`WeightedCsrGraph::with_edits`](rwd_graph::weighted::WeightedCsrGraph::with_edits),
+    /// which patches alias tables only for touched rows), re-walks exactly
+    /// the `(src, layer)` groups the churn can have changed and replaces
+    /// each layer holding one with its patched successor (clones of the
+    /// index sharing the old layer keep it). `threads` is the worker count
+    /// (`0` = all cores); the maintained index is **bit-identical** to
     /// [`WalkIndex::build`] on the new graph at any worker count.
+    ///
+    /// Returns the refresh's accounting and its edit script: per resampled
+    /// `(src, layer)` group, the inverted postings dropped and produced
+    /// (see [`PostingDelta`]). The script is assembled from buffers the
+    /// layer surgery materializes anyway, so it costs
+    /// `O(postings rewritten)`.
     ///
     /// Why resampling only touched groups is exact: a walk is a pure
     /// function of its counter-based `(seed, src, layer)` RNG stream and of
@@ -1292,103 +1238,24 @@ impl WalkIndex {
     /// postings, not to `n`.
     ///
     /// The caller must pass the graph the index's walks now live on: the
-    /// index must have been built by [`WalkIndex::build`] (same seed) on a
-    /// predecessor of `g`, and `touched` must cover every node whose
-    /// adjacency differs (indexes from explicit walks cannot be refreshed —
-    /// there is no RNG stream to replay). Panics if `g` changed the node
-    /// universe.
-    pub fn refresh_with_threads(
+    /// index must have been built by [`WalkIndex::build`] (same seed, same
+    /// graph type) on a predecessor of `g`, and `touched` must cover every
+    /// node whose adjacency differs (indexes from explicit walks cannot be
+    /// refreshed — there is no RNG stream to replay). Panics if `g` changed
+    /// the node universe.
+    ///
+    /// Layers fan out over workers; each layer is patched independently by
+    /// `patch_layer` (affected-group detection → selective re-walk →
+    /// bulk-spliced column rebuild), and each worker accumulates integer
+    /// deltas for the per-node aggregates that are applied after the join.
+    pub fn refresh<G: WalkGraph>(
         &mut self,
-        g: &CsrGraph,
-        touched: &NodeSet,
-        threads: usize,
-    ) -> RefreshStats {
-        self.refresh_collecting(g, touched, threads).0
-    }
-
-    /// [`WalkIndex::refresh_with_threads`] that additionally returns the
-    /// refresh's edit script: per resampled `(src, layer)` group, the
-    /// inverted postings dropped and produced (see [`PostingDelta`]). The
-    /// index mutation is identical to the non-collecting variant; the
-    /// delta is assembled from buffers the layer surgery materializes
-    /// anyway, so collection costs `O(postings rewritten)`.
-    pub fn refresh_collecting(
-        &mut self,
-        g: &CsrGraph,
+        g: &G,
         touched: &NodeSet,
         threads: usize,
     ) -> (RefreshStats, PostingDelta) {
-        assert_eq!(g.n(), self.n, "refresh requires an unchanged node universe");
-        let step = |u: NodeId, rng: &mut WalkRng| walker::step(g, u, rng);
-        let timer = crate::obs::metrics().refresh_ns.time();
-        let out = self.refresh_with_step(touched, threads, &step);
-        timer.stop();
-        crate::obs::metrics()
-            .groups_resampled
-            .add(out.0.groups_resampled as u64);
-        out
-    }
-
-    /// Weighted twin of [`WalkIndex::refresh`]: the index must have been
-    /// built by [`WalkIndex::build_weighted`] on a predecessor of `g` (e.g.
-    /// maintained through
-    /// [`WeightedCsrGraph::with_edits`](rwd_graph::weighted::WeightedCsrGraph::with_edits),
-    /// which patches alias tables only for touched rows, keeping untouched
-    /// rows bit-identical — the property the replay argument needs).
-    pub fn refresh_weighted(
-        &mut self,
-        g: &rwd_graph::weighted::WeightedCsrGraph,
-        touched: &NodeSet,
-    ) -> RefreshStats {
-        self.refresh_weighted_with_threads(g, touched, 0)
-    }
-
-    /// [`WalkIndex::refresh_weighted`] with an explicit worker count
-    /// (`0` = all cores); same exactness guarantees as
-    /// [`WalkIndex::refresh_with_threads`].
-    pub fn refresh_weighted_with_threads(
-        &mut self,
-        g: &rwd_graph::weighted::WeightedCsrGraph,
-        touched: &NodeSet,
-        threads: usize,
-    ) -> RefreshStats {
-        self.refresh_weighted_collecting(g, touched, threads).0
-    }
-
-    /// Weighted twin of [`WalkIndex::refresh_collecting`].
-    pub fn refresh_weighted_collecting(
-        &mut self,
-        g: &rwd_graph::weighted::WeightedCsrGraph,
-        touched: &NodeSet,
-        threads: usize,
-    ) -> (RefreshStats, PostingDelta) {
-        assert_eq!(g.n(), self.n, "refresh requires an unchanged node universe");
-        let step = |u: NodeId, rng: &mut WalkRng| walker::step_weighted(g, u, rng);
-        let timer = crate::obs::metrics().refresh_ns.time();
-        let out = self.refresh_with_step(touched, threads, &step);
-        timer.stop();
-        crate::obs::metrics()
-            .groups_resampled
-            .add(out.0.groups_resampled as u64);
-        out
-    }
-
-    /// Shared refresh driver: layers fan out over workers; each layer is
-    /// patched independently by [`patch_layer`] (affected-group detection →
-    /// selective re-walk → bulk-spliced column rebuild), and each worker
-    /// accumulates integer deltas for the per-node aggregates that are
-    /// applied after the join. Every operation is integer-exact and
-    /// per-layer, so the result is bit-identical at any worker count.
-    fn refresh_with_step<F>(
-        &mut self,
-        touched: &NodeSet,
-        threads: usize,
-        step: &F,
-    ) -> (RefreshStats, PostingDelta)
-    where
-        F: Fn(NodeId, &mut WalkRng) -> NodeId + Sync,
-    {
         let n = self.n;
+        assert_eq!(g.n(), n, "refresh requires an unchanged node universe");
         assert_eq!(
             touched.capacity(),
             n,
@@ -1399,6 +1266,8 @@ impl WalkIndex {
             groups_total: n * r,
             ..RefreshStats::default()
         };
+        // Dropping the timer records it, early return included.
+        let timer = crate::obs::metrics().refresh_ns.time();
         if touched.is_empty() {
             return (stats, PostingDelta::default());
         }
@@ -1420,7 +1289,7 @@ impl WalkIndex {
                     seed,
                     layer_base + base + off,
                     touched,
-                    step,
+                    g,
                     &mut ws,
                     &mut deltas,
                 );
@@ -1475,6 +1344,10 @@ impl WalkIndex {
                 *slot = (*slot as i64 + d) as u64;
             }
         }
+        timer.stop();
+        crate::obs::metrics()
+            .groups_resampled
+            .add(stats.groups_resampled as u64);
         (stats, delta)
     }
 
@@ -2937,7 +2810,7 @@ mod tests {
             .unwrap();
         let touched = NodeSet::from_nodes(g1.n(), touched);
         let mut idx = WalkIndex::build(&g0, 5, 6, 23);
-        let stats = idx.refresh(&g1, &touched);
+        let (stats, _) = idx.refresh(&g1, &touched, 0);
         let fresh = WalkIndex::build(&g1, 5, 6, 23);
         assert!(idx == fresh, "maintained index must equal a rebuild");
         assert!(stats.groups_resampled >= touched.len() * idx.r());
@@ -2954,9 +2827,9 @@ mod tests {
             .with_edits(&[(2, 59, 1.25), (10, 30, 0.5)], &[del])
             .unwrap();
         let touched = NodeSet::from_nodes(w1.n(), touched);
-        let mut idx = WalkIndex::build_weighted(&w0, 6, 5, 31);
-        idx.refresh_weighted(&w1, &touched);
-        let fresh = WalkIndex::build_weighted(&w1, 6, 5, 31);
+        let mut idx = WalkIndex::build(&w0, 6, 5, 31);
+        idx.refresh(&w1, &touched, 0);
+        let fresh = WalkIndex::build(&w1, 6, 5, 31);
         assert!(
             idx == fresh,
             "maintained weighted index must equal a rebuild"
@@ -2968,7 +2841,7 @@ mod tests {
         let g = paper_example::figure1();
         let mut idx = WalkIndex::build(&g, 4, 3, 7);
         let before = idx.clone();
-        let stats = idx.refresh(&g, &NodeSet::new(g.n()));
+        let (stats, _) = idx.refresh(&g, &NodeSet::new(g.n()), 0);
         assert_eq!(
             stats,
             RefreshStats {
@@ -2997,10 +2870,10 @@ mod tests {
         let (g1, touched) = g0.with_edits(&inserts, &[]).unwrap();
         let touched = NodeSet::from_nodes(g1.n(), touched);
         let mut serial = WalkIndex::build(&g0, 5, 8, 3);
-        let serial_stats = serial.refresh_with_threads(&g1, &touched, 1);
+        let (serial_stats, _) = serial.refresh(&g1, &touched, 1);
         for threads in [2, 8] {
             let mut idx = WalkIndex::build(&g0, 5, 8, 3);
-            let stats = idx.refresh_with_threads(&g1, &touched, threads);
+            let (stats, _) = idx.refresh(&g1, &touched, threads);
             assert_eq!(stats, serial_stats, "threads {threads}");
             assert!(idx == serial, "threads {threads}");
         }
@@ -3012,7 +2885,7 @@ mod tests {
         let g = paper_example::figure1();
         let mut idx = WalkIndex::build(&g, 3, 2, 1);
         let bigger = rwd_graph::generators::classic::path(9).unwrap();
-        idx.refresh(&bigger, &NodeSet::new(9));
+        idx.refresh(&bigger, &NodeSet::new(9), 0);
     }
 
     #[test]
@@ -3078,10 +2951,10 @@ mod tests {
         let (g1, touched) = g0.with_edits(&[(0, 119), (5, 60)], &[]).unwrap();
         let touched = NodeSet::from_nodes(g1.n(), touched);
         let mut full2 = full.clone();
-        full2.refresh(&g1, &touched);
+        full2.refresh(&g1, &touched, 0);
         for range in LayerRange::partition(r, 3) {
             let mut part = WalkIndex::build_layer_range(&g0, l, range, seed, 0);
-            part.refresh(&g1, &touched);
+            part.refresh(&g1, &touched, 0);
             let fresh = WalkIndex::build_layer_range(&g1, l, range, seed, 0);
             assert!(part == fresh, "refreshed shard must equal a rebuild");
             for local in 0..part.r() {
@@ -3099,7 +2972,7 @@ mod tests {
     fn weighted_layer_range_build_is_the_monolith_slice() {
         let g = rwd_graph::generators::erdos_renyi_gnp(70, 0.08, 3).unwrap();
         let w = rwd_graph::weighted::weighted_twin(&g, 11).unwrap();
-        let full = WalkIndex::build_weighted(&w, 4, 6, 19);
+        let full = WalkIndex::build(&w, 4, 6, 19);
         for range in LayerRange::partition(6, 4) {
             let part = WalkIndex::build_weighted_layer_range(&w, 4, range, 19, 0);
             for local in 0..part.r() {
@@ -3130,7 +3003,7 @@ mod tests {
         let (g1, touched) = g.with_edits(&[(0, 7)], &[]).unwrap();
         let touched = NodeSet::from_nodes(g1.n(), touched);
         let mut refreshed = loaded;
-        refreshed.refresh(&g1, &touched);
+        refreshed.refresh(&g1, &touched, 0);
         assert!(refreshed == WalkIndex::build_layer_range(&g1, 4, range, 13, 0));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -5,7 +5,10 @@
 //! * [`rng`] — deterministic per-(node, walk) RNG streams so that every
 //!   sampled quantity is reproducible bit-for-bit regardless of thread count,
 //! * [`nodeset`] — a flat bitset for target-set membership tests,
-//! * [`walker`] — the walk engine (step, record, first-hit queries),
+//! * [`walker`] — the walk engine: the [`WalkGraph`] seam (uniform steps
+//!   on [`rwd_graph::CsrGraph`], alias-table steps on
+//!   [`rwd_graph::weighted::WeightedCsrGraph`]) that index build, refresh
+//!   and estimation are generic over, plus record and first-hit queries,
 //! * [`hitting`] — exact dynamic programs for the hitting time `h^L_uS`
 //!   (Eq. 4), node-to-node hitting time (Eq. 2) and the hit probability
 //!   `p^L_uS` (Eq. 8), all-sources in `O(mL)` per call,
@@ -59,3 +62,4 @@ pub use nodeset::NodeSet;
 pub use point::{top_m_from_counts, PartialContribution};
 pub use rng::WalkRng;
 pub use storage::{Column, MmapRegion};
+pub use walker::WalkGraph;

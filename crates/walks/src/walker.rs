@@ -1,8 +1,13 @@
 //! The L-length random-walk engine.
 //!
 //! An *L-length random walk* (paper §2) starts at a node and takes at most
-//! `L` uniform-neighbor steps; nodes may repeat. A walk standing on an
-//! isolated node stays put (documented degree-0 convention).
+//! `L` steps; nodes may repeat. A walk standing on an isolated node stays
+//! put (documented degree-0 convention).
+//!
+//! [`WalkGraph`] is the one seam between the walk machinery and the
+//! transition rule: index build, incremental refresh and Monte-Carlo
+//! estimation are generic over it, so the paper's weighted extension is
+//! only a different [`WalkGraph::step`] over the same algorithms.
 
 use rwd_graph::weighted::WeightedCsrGraph;
 use rwd_graph::{CsrGraph, NodeId};
@@ -10,26 +15,64 @@ use rwd_graph::{CsrGraph, NodeId};
 use crate::nodeset::NodeSet;
 use crate::rng::WalkRng;
 
-/// Takes one uniform step from `u`, or stays if `u` is isolated.
-#[inline]
-pub fn step(g: &CsrGraph, u: NodeId, rng: &mut WalkRng) -> NodeId {
-    let nbrs = g.neighbors(u);
-    if nbrs.is_empty() {
-        u
-    } else {
-        nbrs[rng.gen_index(nbrs.len())]
+/// A graph random walks step on. Implementations are statically
+/// dispatched, so every step loop compiles to the graph's own step rule.
+pub trait WalkGraph: Sync {
+    /// Number of nodes (the walk universe is `0..n`).
+    fn n(&self) -> usize;
+
+    /// Takes one step from `u`, drawing from `rng`; stays at `u` when it
+    /// has no neighbors.
+    fn step(&self, u: NodeId, rng: &mut WalkRng) -> NodeId;
+}
+
+/// Uniform steps: one `gen_index` draw over the neighbor list.
+impl WalkGraph for CsrGraph {
+    #[inline]
+    fn n(&self) -> usize {
+        CsrGraph::n(self)
+    }
+
+    #[inline]
+    fn step(&self, u: NodeId, rng: &mut WalkRng) -> NodeId {
+        let nbrs = self.neighbors(u);
+        if nbrs.is_empty() {
+            u
+        } else {
+            nbrs[rng.gen_index(nbrs.len())]
+        }
+    }
+}
+
+/// Weight-proportional steps through the O(1) alias table (one uniform
+/// draw per step, no binary search).
+impl WalkGraph for WeightedCsrGraph {
+    #[inline]
+    fn n(&self) -> usize {
+        WeightedCsrGraph::n(self)
+    }
+
+    #[inline]
+    fn step(&self, u: NodeId, rng: &mut WalkRng) -> NodeId {
+        self.pick_neighbor_alias(u, rng.gen_f64()).unwrap_or(u)
     }
 }
 
 /// Runs an L-length walk from `start`, writing the visited sequence
 /// (including `start`, so `l + 1` entries) into `out`.
-pub fn record_walk(g: &CsrGraph, start: NodeId, l: u32, rng: &mut WalkRng, out: &mut Vec<NodeId>) {
+pub fn record_walk<G: WalkGraph>(
+    g: &G,
+    start: NodeId,
+    l: u32,
+    rng: &mut WalkRng,
+    out: &mut Vec<NodeId>,
+) {
     out.clear();
     out.reserve(l as usize + 1);
     let mut u = start;
     out.push(u);
     for _ in 0..l {
-        u = step(g, u, rng);
+        u = g.step(u, rng);
         out.push(u);
     }
 }
@@ -39,8 +82,8 @@ pub fn record_walk(g: &CsrGraph, start: NodeId, l: u32, rng: &mut WalkRng, out: 
 /// from Eq. (3) — or `None` if the walk does not hit within `l` hops.
 ///
 /// Hop 0 counts: if `start ∈ set` the result is `Some(0)` without stepping.
-pub fn first_hit(
-    g: &CsrGraph,
+pub fn first_hit<G: WalkGraph>(
+    g: &G,
     start: NodeId,
     l: u32,
     set: &NodeSet,
@@ -51,7 +94,7 @@ pub fn first_hit(
     }
     let mut u = start;
     for t in 1..=l {
-        u = step(g, u, rng);
+        u = g.step(u, rng);
         if set.contains(u) {
             return Some(t);
         }
@@ -62,43 +105,14 @@ pub fn first_hit(
 /// The sampled value of the truncated variable `T^L_uS` (Eq. 3): the first
 /// hit hop, or `l` when the walk never hits.
 #[inline]
-pub fn truncated_hit_time(
-    g: &CsrGraph,
+pub fn truncated_hit_time<G: WalkGraph>(
+    g: &G,
     start: NodeId,
     l: u32,
     set: &NodeSet,
     rng: &mut WalkRng,
 ) -> u32 {
     first_hit(g, start, l, set, rng).unwrap_or(l)
-}
-
-/// Weighted-graph variant of [`step`]: neighbor chosen with probability
-/// proportional to edge weight via the O(1) alias table (one uniform draw
-/// per step, no binary search).
-#[inline]
-pub fn step_weighted(g: &WeightedCsrGraph, u: NodeId, rng: &mut WalkRng) -> NodeId {
-    g.pick_neighbor_alias(u, rng.gen_f64()).unwrap_or(u)
-}
-
-/// Weighted-graph variant of [`first_hit`].
-pub fn first_hit_weighted(
-    g: &WeightedCsrGraph,
-    start: NodeId,
-    l: u32,
-    set: &NodeSet,
-    rng: &mut WalkRng,
-) -> Option<u32> {
-    if set.contains(start) {
-        return Some(0);
-    }
-    let mut u = start;
-    for t in 1..=l {
-        u = step_weighted(g, u, rng);
-        if set.contains(u) {
-            return Some(t);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -177,7 +191,7 @@ mod tests {
         let g = WeightedCsrGraph::from_weighted_edges(3, &[(0, 1, 1e-9), (0, 2, 1e9)]).unwrap();
         let mut rng = WalkRng::from_seed(10);
         let hits = (0..200)
-            .filter(|_| step_weighted(&g, NodeId(0), &mut rng) == NodeId(2))
+            .filter(|_| g.step(NodeId(0), &mut rng) == NodeId(2))
             .count();
         assert_eq!(hits, 200);
     }
@@ -188,13 +202,7 @@ mod tests {
         let g = WeightedCsrGraph::from_weighted_edges(2, &[(0, 1, 1.0)]).unwrap();
         let set = NodeSet::from_nodes(2, [NodeId(1)]);
         let mut rng = WalkRng::from_seed(11);
-        assert_eq!(
-            first_hit_weighted(&g, NodeId(1), 3, &set, &mut rng),
-            Some(0)
-        );
-        assert_eq!(
-            first_hit_weighted(&g, NodeId(0), 3, &set, &mut rng),
-            Some(1)
-        );
+        assert_eq!(first_hit(&g, NodeId(1), 3, &set, &mut rng), Some(0));
+        assert_eq!(first_hit(&g, NodeId(0), 3, &set, &mut rng), Some(1));
     }
 }

@@ -269,11 +269,11 @@ fn refresh_promotes_mapped_layers_and_matches_owned_refresh() {
     let touched = NodeSet::from_nodes(g0.n(), [NodeId(extra.0), NodeId(extra.1)]);
 
     let mut owned = idx.clone();
-    owned.refresh(&g1, &touched);
+    owned.refresh(&g1, &touched, 0);
 
     let mut mapped = WalkIndex::open_mapped(&path).unwrap();
     assert_eq!(mapped.mapped_layers(), idx.r());
-    mapped.refresh(&g1, &touched);
+    mapped.refresh(&g1, &touched, 0);
     assert_eq!(
         mapped, owned,
         "promote-then-refresh drifted from owned refresh"

@@ -16,7 +16,7 @@ fn weighted_estimator_tracks_weighted_dp() {
     let g = triangle_skewed();
     let set = NodeSet::from_nodes(3, [NodeId(1)]);
     let l = 5;
-    let est = SampleEstimator::new(l, 6000, 3).estimate_weighted(&g, &set);
+    let est = SampleEstimator::new(l, 6000, 3).estimate(&g, &set);
     let h = hitting::hitting_time_to_set_weighted(&g, &set, l);
     let p = hitting::hit_probability_to_set_weighted(&g, &set, l);
     for u in 0..3 {
@@ -35,7 +35,7 @@ fn skewed_weights_shift_the_estimates() {
     // With a heavy 0-1 edge, node 0 should hit {1} faster than node 2 does.
     let g = triangle_skewed();
     let set = NodeSet::from_nodes(3, [NodeId(1)]);
-    let est = SampleEstimator::new(4, 4000, 9).estimate_weighted(&g, &set);
+    let est = SampleEstimator::new(4, 4000, 9).estimate(&g, &set);
     assert!(
         est.hit_time[0] < est.hit_time[2],
         "0 (heavy edge) {} should beat 2 {}",
@@ -47,8 +47,8 @@ fn skewed_weights_shift_the_estimates() {
 #[test]
 fn weighted_index_is_deterministic_and_valid() {
     let g = triangle_skewed();
-    let a = WalkIndex::build_weighted(&g, 4, 16, 7);
-    let b = WalkIndex::build_weighted(&g, 4, 16, 7);
+    let a = WalkIndex::build(&g, 4, 16, 7);
+    let b = WalkIndex::build(&g, 4, 16, 7);
     assert_eq!(a.total_postings(), b.total_postings());
     for layer in 0..16 {
         for v in 0..3 {
@@ -64,7 +64,7 @@ fn weighted_index_is_deterministic_and_valid() {
 #[test]
 fn weighted_index_replay_tracks_weighted_dp() {
     let g = triangle_skewed();
-    let idx = WalkIndex::build_weighted(&g, 5, 4000, 21);
+    let idx = WalkIndex::build(&g, 5, 4000, 21);
     let set = NodeSet::from_nodes(3, [NodeId(2)]);
     let replay = idx.estimate_hit_times(&set);
     let exact = hitting::hitting_time_to_set_weighted(&g, &set, 5);
@@ -84,7 +84,7 @@ fn heavy_edges_dominate_postings() {
     // walks should first visit the heavy leaf.
     let g = WeightedCsrGraph::from_weighted_edges(4, &[(0, 1, 1000.0), (0, 2, 1.0), (0, 3, 1.0)])
         .unwrap();
-    let idx = WalkIndex::build_weighted(&g, 1, 200, 5);
+    let idx = WalkIndex::build(&g, 1, 200, 5);
     let to_heavy: usize = (0..200)
         .map(|layer| {
             idx.postings(layer, NodeId(1))

@@ -21,35 +21,46 @@ fn ba_graph() -> CsrGraph {
 }
 
 /// The BA graph with deterministic pseudo-random edge weights: the weighted
-/// twin of [`ba_graph`] for the weighted-build invariance test.
+/// twin of [`ba_graph`] for the weighted build and estimator invariance
+/// tests.
 fn weighted_ba_graph() -> rwd::graph::weighted::WeightedCsrGraph {
     rwd::graph::weighted::weighted_twin(&ba_graph(), 0xD5EED).unwrap()
 }
 
 #[test]
 fn sample_estimator_is_thread_invariant() {
-    let g = ba_graph();
-    let set = NodeSet::from_nodes(g.n(), [NodeId(0), NodeId(17), NodeId(230)]);
-    let baseline = SampleEstimator {
-        l: 6,
-        r: 40,
-        seed: 42,
-        threads: THREADS[0],
-    }
-    .estimate(&g, &set);
-    for threads in &THREADS[1..] {
-        let est = SampleEstimator {
-            l: 6,
-            r: 40,
-            seed: 42,
-            threads: *threads,
+    // Uniform steps on the BA graph, alias-table steps on its weighted twin:
+    // both run the estimator's parallel node-chunk fan-out.
+    fn check<G: rwd::walks::WalkGraph>(g: &G, what: &str) {
+        let set = NodeSet::from_nodes(g.n(), [NodeId(0), NodeId(17), NodeId(230)]);
+        let estimate = |threads| {
+            SampleEstimator {
+                l: 6,
+                r: 40,
+                seed: 42,
+                threads,
+            }
+            .estimate(g, &set)
+        };
+        let baseline = estimate(THREADS[0]);
+        for &threads in &THREADS[1..] {
+            let est = estimate(threads);
+            assert_eq!(
+                est.f1.to_bits(),
+                baseline.f1.to_bits(),
+                "{what}, {threads} threads"
+            );
+            assert_eq!(
+                est.f2.to_bits(),
+                baseline.f2.to_bits(),
+                "{what}, {threads} threads"
+            );
+            assert_eq!(est.hit_time, baseline.hit_time, "{what}, {threads} threads");
+            assert_eq!(est.hit_prob, baseline.hit_prob, "{what}, {threads} threads");
         }
-        .estimate(&g, &set);
-        assert_eq!(est.f1.to_bits(), baseline.f1.to_bits(), "{threads} threads");
-        assert_eq!(est.f2.to_bits(), baseline.f2.to_bits(), "{threads} threads");
-        assert_eq!(est.hit_time, baseline.hit_time, "{threads} threads");
-        assert_eq!(est.hit_prob, baseline.hit_prob, "{threads} threads");
     }
+    check(&ba_graph(), "unweighted");
+    check(&weighted_ba_graph(), "weighted");
 }
 
 #[test]
@@ -93,9 +104,9 @@ fn weighted_walk_index_is_thread_invariant() {
     // streams, so postings must be bit-identical at any worker count.
     let g = weighted_ba_graph();
     let set = NodeSet::from_nodes(g.n(), [NodeId(3), NodeId(99)]);
-    let baseline = WalkIndex::build_weighted_with_threads(&g, 5, 16, 7, THREADS[0]);
+    let baseline = WalkIndex::build_with_threads(&g, 5, 16, 7, THREADS[0]);
     for threads in &THREADS[1..] {
-        let idx = WalkIndex::build_weighted_with_threads(&g, 5, 16, 7, *threads);
+        let idx = WalkIndex::build_with_threads(&g, 5, 16, 7, *threads);
         assert_eq!(
             idx.total_postings(),
             baseline.total_postings(),
@@ -122,7 +133,7 @@ fn weighted_walk_index_is_thread_invariant() {
         );
     }
     // And the convenience all-cores entry point agrees with the explicit one.
-    let all_cores = WalkIndex::build_weighted(&g, 5, 16, 7);
+    let all_cores = WalkIndex::build(&g, 5, 16, 7);
     assert_eq!(all_cores.total_postings(), baseline.total_postings());
     for layer in 0..baseline.r() {
         for v in g.nodes() {

@@ -194,11 +194,11 @@ fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
                 let mut owned = WalkIndex::build_layer_range(&g0, l, range, seed, threads);
                 let path = dir.join(format!("shard-{}.rwdidx", range.start()));
                 owned.save(&path).unwrap();
-                owned.refresh_with_threads(&g1, &touched, threads);
+                owned.refresh(&g1, &touched, threads);
 
                 let mut mapped = WalkIndex::open_mapped(&path).unwrap();
                 assert_eq!(mapped.mapped_layers(), range.len());
-                mapped.refresh_with_threads(&g1, &touched, threads);
+                mapped.refresh(&g1, &touched, threads);
                 assert_eq!(
                     mapped, owned,
                     "promoted refresh drifted at shards={shards} threads={threads} {range:?}"

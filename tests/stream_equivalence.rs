@@ -166,7 +166,7 @@ proptest! {
             for (b, batch) in batches.iter().enumerate() {
                 let delta = batch.apply(&g).expect("resolved batches are valid");
                 let pinned = pin_if_even(b, &idx);
-                let stats = idx.refresh_with_threads(&delta.graph, &delta.touched, threads);
+                let (stats, _) = idx.refresh(&delta.graph, &delta.touched, threads);
                 prop_assert!(stats.groups_resampled >= delta.touched.len() * r);
                 prop_assert!(stats.groups_resampled <= stats.groups_total);
                 if let Some((held, before)) = pinned {
@@ -192,12 +192,12 @@ proptest! {
         prop_assume!(!batches.is_empty());
         let w0 = weighted_twin(&g0, seed).expect("twin");
         for threads in THREADS {
-            let mut idx = WalkIndex::build_weighted_with_threads(&w0, l, r, seed, threads);
+            let mut idx = WalkIndex::build_with_threads(&w0, l, r, seed, threads);
             let mut wg = w0.clone();
             for (b, batch) in batches.iter().enumerate() {
                 let delta = batch.apply_weighted(&wg).expect("resolved batches are valid");
                 let pinned = pin_if_even(b, &idx);
-                idx.refresh_weighted_with_threads(&delta.graph, &delta.touched, threads);
+                idx.refresh(&delta.graph, &delta.touched, threads);
                 if let Some((held, before)) = pinned {
                     prop_assert!(
                         image(&held) == before,
@@ -206,7 +206,7 @@ proptest! {
                 }
                 wg = delta.graph;
             }
-            let fresh = WalkIndex::build_weighted_with_threads(&wg, l, r, seed, threads);
+            let fresh = WalkIndex::build_with_threads(&wg, l, r, seed, threads);
             prop_assert!(idx == fresh, "threads {threads}: maintained != rebuilt");
         }
     }
