@@ -77,7 +77,7 @@ use rwd_graph::generators::{barabasi_albert, erdos_renyi_gnp};
 use rwd_graph::weighted::weighted_twin;
 use rwd_graph::{CsrGraph, NodeId};
 use rwd_serve::{Query, ServeEngine, Server, Snapshot};
-use rwd_stream::{StreamConfig, StreamEngine};
+use rwd_stream::{SeedMaintainer, StreamConfig, StreamEngine};
 use rwd_walks::{NodeSet, WalkIndex};
 
 #[derive(Clone, Copy)]
@@ -652,12 +652,12 @@ fn main() {
         scale.stream_batches,
     );
 
-    // --- cross-epoch seed repair: warm absorb-and-replay vs forced cold --
-    // A low-churn scale-free trace through two engines that differ only in
-    // the maintainer's crossover: the warm engine persists its gain tables
-    // across epochs (absorbing each refresh's posting-edit script and
-    // replaying still-valid recorded rounds from their logs), the cold
-    // engine rebuilds the gain engine from scratch every batch. Results
+    // --- cross-epoch seed repair: warm absorb-and-replay vs cold ---------
+    // A low-churn scale-free trace through one engine, whose maintainer
+    // persists its gain tables across epochs (absorbing each refresh's
+    // posting-edit script and replaying still-valid recorded rounds from
+    // their logs). After each batch a standalone maintainer fed no deltas
+    // rebuilds the gain engine from scratch over the same shards. Results
     // are asserted bit-identical — the warm path buys wall time only.
     //
     // The trace is deliberately *not* the refresh-stress trace above: warm
@@ -686,40 +686,41 @@ fn main() {
     let maintain_cfg = StreamConfig { k: 10, ..serve_cfg };
     // The trace is stateful (each batch's cost depends on the previous
     // epoch), so best-of-reps wraps the *whole* trace: every rep rebuilds
-    // both engines, replays all batches, and the warm and cold totals each
-    // keep their own best rep — the same noise discipline `time_ms` gives
-    // the stateless sections.
+    // the engine and the cold maintainer, replays all batches, and the warm
+    // and cold totals each keep their own best rep — the same noise
+    // discipline `time_ms` gives the stateless sections.
     let (mut warm_maintain_ms, mut cold_maintain_ms) = (f64::INFINITY, f64::INFINITY);
     let (mut warm_batches, mut replayed_total, mut absorbed_total) = (0usize, 0usize, 0usize);
     for _ in 0..reps {
         let mut warm_eng =
             StreamEngine::new(mg.clone(), maintain_cfg).expect("valid configuration");
-        let mut cold_eng =
-            StreamEngine::new(mg.clone(), maintain_cfg).expect("valid configuration");
-        cold_eng.set_maintain_crossover(0.0);
+        let mut cold = SeedMaintainer::new(maintain_cfg.rule, maintain_cfg.k, maintain_cfg.threads);
+        cold.maintain(&warm_eng.shard_indexes(), None);
         let (mut warm_ms, mut cold_ms) = (0.0f64, 0.0f64);
         (warm_batches, replayed_total, absorbed_total) = (0, 0, 0);
         for batch in &maintain_trace.batches {
             let rw = warm_eng.apply(batch).expect("trace batches are valid");
-            let rc = cold_eng.apply(batch).expect("trace batches are valid");
+            let t0 = Instant::now();
+            let rc = cold.maintain(&warm_eng.shard_indexes(), None);
+            cold_ms += t0.elapsed().as_secs_f64() * 1e3;
             warm_ms += rw.maintain_ms;
-            cold_ms += rc.maintain_ms;
             warm_batches += rw.maintain.warm as usize;
             replayed_total += rw.maintain.replayed_rounds;
             absorbed_total += rw.maintain.absorbed_postings;
+            assert!(!rc.warm, "a pass without deltas is cold");
             assert_eq!(
                 rw.maintain.objective.to_bits(),
-                rc.maintain.objective.to_bits(),
+                rc.objective.to_bits(),
                 "warm maintenance objective drifted from cold"
             );
             assert_eq!(
-                rw.maintain.touched_postings, rc.maintain.touched_postings,
+                rw.maintain.touched_postings, rc.touched_postings,
                 "warm maintenance touched-posting accounting drifted from cold"
             );
         }
         assert_eq!(
             warm_eng.seeds(),
-            cold_eng.seeds(),
+            cold.seeds(),
             "warm maintenance seeds drifted from cold"
         );
         warm_maintain_ms = warm_maintain_ms.min(warm_ms);
@@ -817,7 +818,7 @@ fn main() {
     let recovery_dir = durability_root.join("recover");
     let crash_cadence = (scale.stream_batches as u64 / 2).max(1);
     let (live_seeds, live_objective) = {
-        let eng = StreamEngine::new_weighted(durability_wg.clone(), durability_cfg)
+        let eng = StreamEngine::with_shards_weighted(durability_wg.clone(), durability_cfg, 1)
             .expect("valid configuration");
         let mut durable = DurableEngine::create(
             eng,
@@ -858,7 +859,7 @@ fn main() {
     let mut cold = None;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let eng = StreamEngine::new_weighted(final_graph.clone(), durability_cfg)
+        let eng = StreamEngine::with_shards_weighted(final_graph.clone(), durability_cfg, 1)
             .expect("valid configuration");
         durability_rebuild_ms = durability_rebuild_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         cold = Some(eng);

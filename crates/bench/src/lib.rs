@@ -1,4 +1,4 @@
-//! Shared fixtures for the Criterion benches and the `repro` harness.
+//! Shared fixtures for the `repro` experiment harness.
 
 #![warn(missing_docs)]
 
@@ -13,7 +13,7 @@ pub fn paper_synthetic() -> CsrGraph {
     barabasi_albert(1_000, 10, 0x2013).expect("valid parameters")
 }
 
-/// A smaller graph for microbenches that sweep many configurations.
+/// A smaller graph for tests that sweep many configurations.
 pub fn small_synthetic() -> CsrGraph {
     barabasi_albert(300, 5, 0x2013).expect("valid parameters")
 }

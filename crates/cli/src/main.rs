@@ -508,27 +508,29 @@ fn metrics_table() -> String {
     t.render()
 }
 
-/// The engine a `stream` run drives: bare, or bound to a `--data-dir`
-/// (write-ahead journal + periodic snapshots).
-enum StreamDriver {
-    Plain(Box<rwd_stream::StreamEngine>),
-    Durable(Box<rwd_stream::DurableEngine>),
-}
+/// Starts the engine `stream` and `serve` drive over `base`: its weighted
+/// twin under `--weighted`, `--shards` partial indexes, and bound to
+/// `--data-dir` (base snapshot plus write-ahead journal) when given.
+fn start_engine(
+    setup: &StreamSetup,
+    base: &rwd_graph::CsrGraph,
+) -> Result<rwd_serve::ServeEngine, String> {
+    use rwd_serve::ServeEngine;
+    use rwd_stream::StreamEngine;
 
-impl StreamDriver {
-    fn apply(&mut self, batch: &rwd_stream::EdgeBatch) -> Result<rwd_stream::BatchReport, String> {
-        match self {
-            StreamDriver::Plain(e) => e.apply(batch),
-            StreamDriver::Durable(d) => d.apply(batch),
-        }
-        .map_err(|e| e.to_string())
+    let stream = if setup.weighted {
+        let wbase =
+            rwd_graph::weighted::weighted_twin(base, setup.spec.seed).map_err(|e| e.to_string())?;
+        StreamEngine::with_shards_weighted(wbase, setup.cfg, setup.shards)
+    } else {
+        StreamEngine::with_shards(base.clone(), setup.cfg, setup.shards)
     }
-
-    fn engine(&self) -> &rwd_stream::StreamEngine {
-        match self {
-            StreamDriver::Plain(e) => e,
-            StreamDriver::Durable(d) => d.engine(),
+    .map_err(|e| e.to_string())?;
+    match &setup.data_dir {
+        Some(dir) => {
+            ServeEngine::create_durable(stream, dir, setup.dcfg).map_err(|e| e.to_string())
         }
+        None => Ok(ServeEngine::from_stream(stream)),
     }
 }
 
@@ -536,19 +538,20 @@ impl StreamDriver {
 /// pipeline and prints per-batch churn statistics.
 fn cmd_stream(args: &[String]) -> Result<(), String> {
     use rwd_datasets::temporal::temporal_trace;
-    use rwd_stream::{EpochGraph, StreamEngine};
+    use rwd_stream::EpochGraph;
 
     let (pos, flags) = parse(args)?;
+    let setup = parse_stream_setup("stream", &pos, &flags)?;
     let StreamSetup {
-        model_name,
+        ref model_name,
         spec,
         cfg,
-        problem,
+        ref problem,
         weighted,
         shards,
-        data_dir,
+        ref data_dir,
         dcfg,
-    } = parse_stream_setup("stream", &pos, &flags)?;
+    } = setup;
     let verify = flags.contains_key("verify");
     let metrics_every: u64 = get(&flags, "metrics-every", Some(0))?;
 
@@ -566,20 +569,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         if weighted { " weighted" } else { "" },
     );
 
-    let engine = if weighted {
-        let wbase = rwd_graph::weighted::weighted_twin(&trace.base, spec.seed)
-            .map_err(|e| e.to_string())?;
-        StreamEngine::with_shards_weighted(wbase, cfg, shards)
-    } else {
-        StreamEngine::with_shards(trace.base.clone(), cfg, shards)
-    }
-    .map_err(|e| e.to_string())?;
-    let mut engine = match &data_dir {
-        Some(dir) => StreamDriver::Durable(Box::new(
-            rwd_stream::DurableEngine::create(engine, dir, dcfg).map_err(|e| e.to_string())?,
-        )),
-        None => StreamDriver::Plain(Box::new(engine)),
-    };
+    let mut engine = start_engine(&setup, &trace.base)?;
 
     let groups_total = trace.base.n() * cfg.r;
     let mut t = Table::new([
@@ -615,19 +605,19 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut warm_batches = 0usize;
     let mut replayed_total = 0usize;
     let (mut refresh_ms_total, mut maintain_ms_total) = (0.0f64, 0.0f64);
-    let initial_objective = engine.engine().objective();
+    let initial_objective = engine.stream().objective();
     let mut prev_objective = initial_objective;
     let mut max_step = 0.0f64;
     let mut tracker = (metrics_every > 0).then(|| {
         let mut tr = rwd_obs::EpochStabilityTracker::new();
-        let seeds: Vec<u32> = engine.engine().seeds().iter().map(|s| s.raw()).collect();
+        let seeds: Vec<u32> = engine.stream().seeds().iter().map(|s| s.raw()).collect();
         tr.observe(0, &seeds, initial_objective, None);
         tr
     });
     for (bi, batch) in trace.batches.iter().enumerate() {
-        let rep = engine.apply(batch)?;
+        let rep = engine.apply(batch).map_err(|e| e.to_string())?;
         if let Some(tr) = &mut tracker {
-            let seeds: Vec<u32> = engine.engine().seeds().iter().map(|s| s.raw()).collect();
+            let seeds: Vec<u32> = engine.stream().seeds().iter().map(|s| s.raw()).collect();
             tr.observe(rep.epoch, &seeds, rep.maintain.objective, None);
         }
         if metrics_every > 0 && (bi as u64 + 1).is_multiple_of(metrics_every) {
@@ -672,7 +662,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             // Rebuild each shard's layer range from scratch on the current
             // graph; the maintained partial indexes must match bitwise.
             // (With shards = 1 this is the historical full-index check.)
-            let inner = engine.engine();
+            let inner = engine.stream();
             let rebuilt = match inner.graph_shared() {
                 EpochGraph::Unweighted(g) => rebuild_shards(&*g, inner),
                 EpochGraph::Weighted(g) => rebuild_shards(&*g, inner),
@@ -690,7 +680,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         println!("# per-shard refresh breakdown");
         println!("{}", st.render());
     }
-    if let StreamDriver::Durable(d) = &engine {
+    if let Some(d) = engine.durable() {
         println!(
             "# durability: journaled {} batches to {} (snapshot every {} batches)",
             spec.batches,
@@ -698,7 +688,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             d.durability_config().snapshot_every,
         );
     }
-    let life = engine.engine().lifetime_stats();
+    let life = engine.stream().lifetime_stats();
     println!(
         "# lifetime: {} of {} group-epochs resampled ({}%), {} postings rewritten{}",
         life.groups_resampled,
@@ -765,7 +755,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         );
     }
     let ids: Vec<String> = engine
-        .engine()
+        .stream()
         .seeds()
         .iter()
         .map(|u| u.to_string())
@@ -775,25 +765,23 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if flags.contains_key("mmap") {
         // Snapshot the final state, drop the live engine, and reopen the
         // data dir zero-copy: the mapped engine must answer identically.
-        use rwd_stream::{DurableEngine, OpenMode};
-        let Some(dir) = &data_dir else {
+        use rwd_serve::ServeEngine;
+        use rwd_stream::OpenMode;
+        let Some(dir) = data_dir else {
             return Err(
                 "--mmap needs --data-dir (it reopens the written snapshot zero-copy)".into(),
             );
         };
-        let StreamDriver::Durable(mut d) = engine else {
-            unreachable!("--data-dir always builds a durable driver");
-        };
-        let snap_epoch = d.snapshot_now().map_err(|e| e.to_string())?;
-        let live_seeds: Vec<NodeId> = d.engine().seeds().to_vec();
-        let live_objective = d.engine().objective();
-        drop(d);
+        let snap_epoch = engine.snapshot_to_disk().map_err(|e| e.to_string())?;
+        let live_seeds: Vec<NodeId> = engine.stream().seeds().to_vec();
+        let live_objective = engine.stream().objective();
+        drop(engine);
         let started = std::time::Instant::now();
-        let (reopened, report) =
-            DurableEngine::open_with(dir, dcfg, OpenMode::Mapped).map_err(|e| e.to_string())?;
+        let (reopened, report) = ServeEngine::open_durable_with(dir, dcfg, OpenMode::Mapped)
+            .map_err(|e| e.to_string())?;
         let open_ms = started.elapsed().as_secs_f64() * 1e3;
-        if reopened.engine().seeds() != live_seeds
-            || reopened.engine().objective().to_bits() != live_objective.to_bits()
+        if reopened.stream().seeds() != live_seeds
+            || reopened.stream().objective().to_bits() != live_objective.to_bits()
         {
             return Err("mmap reopen diverged from the live engine".into());
         }
@@ -1079,19 +1067,19 @@ fn count_samples(text: &str) -> usize {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use rwd_datasets::temporal::temporal_trace;
     use rwd_serve::{ServeEngine, Server};
-    use rwd_stream::StreamEngine;
 
     let (pos, flags) = parse(args)?;
+    let setup = parse_stream_setup("serve", &pos, &flags)?;
     let StreamSetup {
-        model_name,
+        ref model_name,
         spec,
         cfg,
-        problem,
+        ref problem,
         weighted,
         shards,
-        data_dir,
+        ref data_dir,
         dcfg,
-    } = parse_stream_setup("serve", &pos, &flags)?;
+    } = setup;
     let workers: usize = get(&flags, "workers", Some(2))?;
     let queries_per_batch: usize = get(&flags, "queries-per-batch", Some(6))?;
 
@@ -1105,19 +1093,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         None => default_serve_script(spec.batches, queries_per_batch, trace.base.n()),
     };
 
-    let stream = if weighted {
-        let wbase = rwd_graph::weighted::weighted_twin(&trace.base, spec.seed)
-            .map_err(|e| e.to_string())?;
-        StreamEngine::with_shards_weighted(wbase, cfg, shards)
-    } else {
-        StreamEngine::with_shards(trace.base.clone(), cfg, shards)
-    }
-    .map_err(|e| e.to_string())?;
-    let engine = match &data_dir {
-        Some(dir) => ServeEngine::create_durable(stream, dir, dcfg).map_err(|e| e.to_string())?,
-        None => ServeEngine::from_stream(stream),
-    };
-    if let Some(dir) = &data_dir {
+    let engine = start_engine(&setup, &trace.base)?;
+    if let Some(dir) = data_dir {
         println!(
             "# durability: journaling batches to {dir} (snapshot every {} batches)",
             dcfg.snapshot_every,
@@ -1230,7 +1207,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         // served answer — the restarted server's state (snapshot + journal
         // suffix) is bit-identical to the one that just shut down.
         use rwd_stream::OpenMode;
-        let Some(dir) = &data_dir else {
+        let Some(dir) = data_dir else {
             return Err(
                 "--mmap needs --data-dir (it reopens the written snapshot zero-copy)".into(),
             );

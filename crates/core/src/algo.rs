@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use rwd_graph::{CsrGraph, NodeId};
-use rwd_walks::WalkIndex;
+use rwd_walks::{WalkGraph, WalkIndex};
 
 use crate::greedy::approx::{GainEngine, GainRule};
 use crate::greedy::delta::DeltaGainEngine;
@@ -130,8 +130,10 @@ impl ApproxGreedy {
         ApproxGreedy { problem, params }
     }
 
-    /// Builds the index and runs the selection.
-    pub fn run(&self, g: &CsrGraph) -> Result<Selection> {
+    /// Builds the index and runs the selection. On a weighted graph the
+    /// walks follow edge weights (the paper's weighted extension) and
+    /// Algorithms 4–6 run unchanged on the weighted walk index.
+    pub fn run<G: WalkGraph>(&self, g: &G) -> Result<Selection> {
         self.params.validate(g.n())?;
         let start = Instant::now();
         let idx = WalkIndex::build_with_threads(
@@ -177,36 +179,6 @@ impl ApproxGreedy {
         sel.algorithm = format!("Approx{}", self.problem.suffix());
         Ok(sel)
     }
-}
-
-/// Approximate greedy on a **weighted** graph (the paper's weighted
-/// extension): walk steps follow edge weights; Algorithms 4–6 run unchanged
-/// on the weighted walk index.
-pub fn approx_greedy_weighted(
-    g: &rwd_graph::weighted::WeightedCsrGraph,
-    problem: Problem,
-    params: Params,
-) -> Result<Selection> {
-    if params.k == 0 || params.k > g.n() {
-        return Err(crate::CoreError::InvalidParams(format!(
-            "k = {} outside [1, n = {}]",
-            params.k,
-            g.n()
-        )));
-    }
-    if params.r == 0 {
-        return Err(crate::CoreError::InvalidParams("r must be >= 1".into()));
-    }
-    let start = Instant::now();
-    let idx = WalkIndex::build_with_threads(g, params.l, params.r, params.seed, params.threads);
-    let rule = match problem {
-        Problem::MinHittingTime => GainRule::HittingTime,
-        Problem::MaxCoverage => GainRule::Coverage,
-    };
-    let mut sel = select_from_index(&idx, rule, params.k, params.strategy, params.threads)?;
-    sel.elapsed = start.elapsed();
-    sel.algorithm = format!("WeightedApprox{}", problem.suffix());
-    Ok(sel)
 }
 
 /// Approximate greedy under the combined `λ`-objective (extension; see

@@ -9,11 +9,12 @@
 //!
 //! both estimated with Algorithm 2 at `R = 500` — the default of
 //! [`MetricParams`]. Exact DP variants are provided for small graphs and
-//! for validating the estimates.
+//! for validating the estimates; they take any [`WalkGraph`], so a
+//! weighted graph is graded under its own transition rule.
 
 use rwd_graph::{CsrGraph, NodeId};
 use rwd_walks::estimate::SampleEstimator;
-use rwd_walks::{hitting, NodeSet};
+use rwd_walks::{hitting, NodeSet, WalkGraph};
 
 /// Parameters for metric estimation.
 #[derive(Clone, Copy, Debug)]
@@ -78,7 +79,7 @@ pub fn ehn(g: &CsrGraph, nodes: &[NodeId], p: MetricParams) -> f64 {
 }
 
 /// Exact AHT via the Eq. (4) DP (`O(mL)`).
-pub fn aht_exact(g: &CsrGraph, nodes: &[NodeId], l: u32) -> f64 {
+pub fn aht_exact<G: WalkGraph>(g: &G, nodes: &[NodeId], l: u32) -> f64 {
     let set = NodeSet::from_nodes(g.n(), nodes.iter().copied());
     let outside = g.n() - set.len();
     if outside == 0 {
@@ -89,39 +90,17 @@ pub fn aht_exact(g: &CsrGraph, nodes: &[NodeId], l: u32) -> f64 {
 }
 
 /// Exact EHN via the Eq. (8) DP.
-pub fn ehn_exact(g: &CsrGraph, nodes: &[NodeId], l: u32) -> f64 {
+pub fn ehn_exact<G: WalkGraph>(g: &G, nodes: &[NodeId], l: u32) -> f64 {
     let set = NodeSet::from_nodes(g.n(), nodes.iter().copied());
     hitting::exact_f2(g, &set, l)
 }
 
 /// Exact metrics pair.
-pub fn evaluate_exact(g: &CsrGraph, nodes: &[NodeId], l: u32) -> Metrics {
+pub fn evaluate_exact<G: WalkGraph>(g: &G, nodes: &[NodeId], l: u32) -> Metrics {
     Metrics {
         aht: aht_exact(g, nodes, l),
         ehn: ehn_exact(g, nodes, l),
     }
-}
-
-/// Exact metrics on a weighted graph (the paper's weighted extension).
-pub fn evaluate_exact_weighted(
-    g: &rwd_graph::weighted::WeightedCsrGraph,
-    nodes: &[NodeId],
-    l: u32,
-) -> Metrics {
-    let set = NodeSet::from_nodes(g.n(), nodes.iter().copied());
-    let outside = g.n() - set.len();
-    let aht = if outside == 0 {
-        l as f64
-    } else {
-        hitting::hitting_time_to_set_weighted(g, &set, l)
-            .iter()
-            .sum::<f64>()
-            / outside as f64
-    };
-    let ehn = hitting::hit_probability_to_set_weighted(g, &set, l)
-        .iter()
-        .sum::<f64>();
-    Metrics { aht, ehn }
 }
 
 #[cfg(test)]

@@ -5,6 +5,9 @@
 //! `p_uw = w(u,w) / strength(u)` in place of `1/deg(u)`. This module supplies
 //! the weighted substrate; `rwd-walks` contains the matching walker and DP.
 
+use std::ops::Range;
+
+use crate::csr::{CsrGraph, GraphKind};
 use crate::error::GraphError;
 use crate::node::NodeId;
 use crate::Result;
@@ -15,21 +18,23 @@ use crate::Result;
 /// cross-check oracle and for incremental use cases).
 ///
 /// Undirected: each edge `{u, v, w}` is stored as both arcs with weight `w`.
+/// The topology (offsets, sorted targets, edge count) is an undirected
+/// [`CsrGraph`]; the weight and sampler columns are aligned with its
+/// targets.
 #[derive(Clone, Debug)]
 pub struct WeightedCsrGraph {
-    offsets: Vec<usize>,
-    targets: Vec<NodeId>,
+    topo: CsrGraph,
     weights: Vec<f64>,
-    /// `cumulative[offsets[u]..offsets[u+1]]` is the inclusive prefix sum of
-    /// `weights` within `u`'s range; its last entry equals `strength(u)`.
+    /// `cumulative[row(u)]` is the inclusive prefix sum of `weights` within
+    /// `u`'s row; its last entry equals `strength(u)`.
     cumulative: Vec<f64>,
-    /// Alias-table acceptance probabilities, aligned with `targets`:
+    /// Alias-table acceptance probabilities, aligned with the targets:
     /// bucket `i` of node `u` keeps its own neighbor with probability
-    /// `alias_prob[offsets[u] + i]`, else falls through to `alias[..]`.
+    /// `alias_prob[row(u).start + i]`, else falls through to `alias[..]`.
     alias_prob: Vec<f64>,
-    /// Alias-table fallback slots (indices *within* the node's range).
+    /// Alias-table fallback slots (indices *within* the node's row, so a
+    /// row's table stays valid when offsets shift).
     alias: Vec<u32>,
-    num_edges: usize,
 }
 
 /// Builds one node's Walker/Vose alias table in place.
@@ -108,79 +113,74 @@ impl WeightedCsrGraph {
             offsets[i + 1] += offsets[i];
         }
         let targets: Vec<NodeId> = arcs.iter().map(|&(_, v, _)| NodeId(v)).collect();
-        let weights: Vec<f64> = arcs.iter().map(|&(_, _, w)| w).collect();
-
-        let mut cumulative = vec![0.0; weights.len()];
+        let topo = CsrGraph::from_parts(GraphKind::Undirected, offsets, targets, edges.len());
+        let mut g = WeightedCsrGraph::over(topo);
+        let mut scaled = Vec::new();
         for u in 0..n {
-            let mut acc = 0.0;
-            for i in offsets[u]..offsets[u + 1] {
-                acc += weights[i];
-                cumulative[i] = acc;
-            }
+            let row = g.row(NodeId::new(u));
+            g.push_row(arcs[row].iter().map(|&(_, _, w)| w), &mut scaled);
         }
+        Ok(g)
+    }
 
-        let mut alias_prob = vec![1.0f64; weights.len()];
-        let mut alias = vec![0u32; weights.len()];
-        let mut scaled: Vec<f64> = Vec::new();
-        for u in 0..n {
-            let (lo, hi) = (offsets[u], offsets[u + 1]);
-            if lo == hi {
-                continue;
-            }
-            let d = (hi - lo) as f64;
-            let total = cumulative[hi - 1];
-            scaled.clear();
-            scaled.extend(weights[lo..hi].iter().map(|&w| w * d / total));
-            fill_alias_table(&mut scaled, &mut alias_prob[lo..hi], &mut alias[lo..hi]);
+    /// A graph over `topo` with empty weight and sampler columns, sized for
+    /// every arc; the caller pushes the rows.
+    fn over(topo: CsrGraph) -> Self {
+        let slots = topo.arc_count();
+        WeightedCsrGraph {
+            topo,
+            weights: Vec::with_capacity(slots),
+            cumulative: Vec::with_capacity(slots),
+            alias_prob: Vec::with_capacity(slots),
+            alias: Vec::with_capacity(slots),
         }
+    }
 
-        Ok(WeightedCsrGraph {
-            offsets,
-            targets,
-            weights,
-            cumulative,
-            alias_prob,
-            alias,
-            num_edges: edges.len(),
-        })
+    /// The slot range of `u`'s row in the target, weight and sampler
+    /// columns.
+    #[inline]
+    fn row(&self, u: NodeId) -> Range<usize> {
+        let offsets = self.topo.offsets();
+        offsets[u.index()]..offsets[u.index() + 1]
     }
 
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.offsets.len() - 1
+        self.topo.n()
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn m(&self) -> usize {
-        self.num_edges
+        self.topo.m()
     }
 
     /// Degree (number of incident edges) of `u`.
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
-        self.offsets[u.index() + 1] - self.offsets[u.index()]
+        self.topo.degree(u)
     }
 
     /// Total incident weight of `u` (the random-walk normalizer).
     #[inline]
     pub fn strength(&self, u: NodeId) -> f64 {
-        let (lo, hi) = (self.offsets[u.index()], self.offsets[u.index() + 1]);
-        if lo == hi {
+        let row = self.row(u);
+        if row.is_empty() {
             0.0
         } else {
-            self.cumulative[hi - 1]
+            self.cumulative[row.end - 1]
         }
     }
 
     /// Neighbor/weight pairs of `u`.
     pub fn neighbors(&self, u: NodeId) -> impl ExactSizeIterator<Item = (NodeId, f64)> + '_ {
-        let (lo, hi) = (self.offsets[u.index()], self.offsets[u.index() + 1]);
-        self.targets[lo..hi]
+        let row = self.row(u);
+        self.topo
+            .neighbors(u)
             .iter()
             .copied()
-            .zip(self.weights[lo..hi].iter().copied())
+            .zip(self.weights[row].iter().copied())
     }
 
     /// Samples a neighbor of `u` with probability proportional to edge
@@ -191,15 +191,15 @@ impl WeightedCsrGraph {
     /// instead; this form is kept as the independent oracle the property
     /// tests compare the alias table against.
     pub fn pick_neighbor(&self, u: NodeId, x: f64) -> Option<NodeId> {
-        let (lo, hi) = (self.offsets[u.index()], self.offsets[u.index() + 1]);
-        if lo == hi {
+        let row = self.row(u);
+        if row.is_empty() {
             return None;
         }
-        let total = self.cumulative[hi - 1];
+        let total = self.cumulative[row.end - 1];
         let needle = x * total;
-        let range = &self.cumulative[lo..hi];
+        let range = &self.cumulative[row];
         let idx = range.partition_point(|&c| c <= needle).min(range.len() - 1);
-        Some(self.targets[lo + idx])
+        Some(self.topo.neighbors(u)[idx])
     }
 
     /// Samples a neighbor of `u` with probability proportional to edge
@@ -211,7 +211,7 @@ impl WeightedCsrGraph {
     /// the same draw count per step as the binary-search sampler.
     #[inline]
     pub fn pick_neighbor_alias(&self, u: NodeId, x: f64) -> Option<NodeId> {
-        let (lo, hi) = (self.offsets[u.index()], self.offsets[u.index() + 1]);
+        let Range { start: lo, end: hi } = self.row(u);
         let d = hi - lo;
         if d == 0 {
             return None;
@@ -227,18 +227,17 @@ impl WeightedCsrGraph {
         } else {
             self.alias[lo + bucket] as usize
         };
-        Some(self.targets[lo + slot])
+        Some(self.topo.targets()[lo + slot])
     }
 
     /// Iterator over node ids.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        (0..self.n() as u32).map(NodeId)
+        self.topo.nodes()
     }
 
     /// True if `{u, v}` is an edge. O(log deg(u)).
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let (lo, hi) = (self.offsets[u.index()], self.offsets[u.index() + 1]);
-        self.targets[lo..hi].binary_search(&v).is_ok()
+        self.topo.has_edge(u, v)
     }
 
     /// Applies a batch of weighted edge edits, producing the next-epoch
@@ -246,194 +245,95 @@ impl WeightedCsrGraph {
     /// applied edit). Deletions are applied before insertions, so listing an
     /// edge in both acts as a **weight update**.
     ///
-    /// Samplers are patched, not rebuilt: the cumulative-weight prefix sums
-    /// and the Walker/Vose alias table are recomputed **only for touched
-    /// nodes**; untouched rows are copied verbatim (alias fallback slots are
-    /// row-relative, so they stay valid when offsets shift). The result is
-    /// bit-identical to [`WeightedCsrGraph::from_weighted_edges`] on the
-    /// final edge list — alias construction is deterministic per row.
-    ///
-    /// Validation matches the constructor: weights must be positive and
-    /// finite, no self-loops, deletions must exist, insertions must not
-    /// (unless the batch also deletes them), no duplicates within a list.
+    /// Weights must be positive and finite; the topology edit and the rest
+    /// of its validation are [`CsrGraph::with_edits`]'s. Samplers are
+    /// patched, not rebuilt: untouched rows' weight, prefix-sum and alias
+    /// columns are copied verbatim (alias fallback slots are row-relative,
+    /// so they stay valid when offsets shift), and only touched rows are
+    /// rebuilt. The result is bit-identical to
+    /// [`WeightedCsrGraph::from_weighted_edges`] on the final edge list —
+    /// alias construction is deterministic per row.
     pub fn with_edits(
         &self,
         insertions: &[(u32, u32, f64)],
         deletions: &[(u32, u32)],
     ) -> Result<(WeightedCsrGraph, Vec<NodeId>)> {
-        let n = self.n();
-        let check = |u: u32, v: u32, what: &str| -> Result<()> {
-            if u as usize >= n || v as usize >= n {
-                return Err(GraphError::InvalidInput(format!(
-                    "{what} ({u}, {v}) out of range (n = {n})"
-                )));
-            }
-            if u == v {
-                return Err(GraphError::InvalidInput(format!(
-                    "{what} ({u}, {v}) is a self-loop"
-                )));
-            }
-            Ok(())
-        };
-        let mut ins: Vec<(u32, u32, f64)> = Vec::with_capacity(insertions.len());
         for &(u, v, w) in insertions {
-            check(u, v, "insertion")?;
             if !(w.is_finite() && w > 0.0) {
                 return Err(GraphError::InvalidInput(format!(
                     "insertion ({u}, {v}) has non-positive weight {w}"
                 )));
             }
-            ins.push(if u > v { (v, u, w) } else { (u, v, w) });
         }
-        let mut del: Vec<(u32, u32)> = Vec::with_capacity(deletions.len());
-        for &(u, v) in deletions {
-            check(u, v, "deletion")?;
-            del.push(if u > v { (v, u) } else { (u, v) });
-        }
-        ins.sort_unstable_by_key(|a| (a.0, a.1));
-        del.sort_unstable();
-        if let Some(w) = ins
-            .windows(2)
-            .find(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
-        {
-            return Err(GraphError::InvalidInput(format!(
-                "duplicate insertion ({}, {})",
-                w[0].0, w[0].1
-            )));
-        }
-        if let Some(w) = del.windows(2).find(|w| w[0] == w[1]) {
-            return Err(GraphError::InvalidInput(format!(
-                "duplicate deletion ({}, {})",
-                w[0].0, w[0].1
-            )));
-        }
-        for &(u, v) in &del {
-            if !self.has_edge(NodeId(u), NodeId(v)) {
-                return Err(GraphError::InvalidInput(format!(
-                    "deletion ({u}, {v}) does not exist"
-                )));
-            }
-        }
-        for &(u, v, _) in &ins {
-            let replaced = del.binary_search(&(u, v)).is_ok();
-            if !replaced && self.has_edge(NodeId(u), NodeId(v)) {
-                return Err(GraphError::InvalidInput(format!(
-                    "insertion ({u}, {v}) already exists"
-                )));
-            }
-        }
-
-        // Expand edges to per-row arcs.
-        let mut add_arcs: Vec<(u32, u32, f64)> = Vec::with_capacity(ins.len() * 2);
-        for &(u, v, w) in &ins {
-            add_arcs.push((u, v, w));
-            add_arcs.push((v, u, w));
-        }
-        add_arcs.sort_unstable_by_key(|a| (a.0, a.1));
-        let mut del_arcs: Vec<(u32, u32)> = Vec::with_capacity(del.len() * 2);
-        for &(u, v) in &del {
-            del_arcs.push((u, v));
-            del_arcs.push((v, u));
-        }
-        del_arcs.sort_unstable();
-
-        let mut touched: Vec<NodeId> = add_arcs
+        let pairs: Vec<(u32, u32)> = insertions.iter().map(|&(u, v, _)| (u, v)).collect();
+        let (topo, touched) = self.topo.with_edits(&pairs, deletions)?;
+        // Inserted weights keyed by the row they land in (both arcs).
+        let mut add_arcs: Vec<(u32, u32, f64)> = insertions
             .iter()
-            .map(|&(u, _, _)| NodeId(u))
-            .chain(del_arcs.iter().map(|&(u, _)| NodeId(u)))
+            .flat_map(|&(u, v, w)| [(u, v, w), (v, u, w)])
             .collect();
-        touched.sort_unstable();
-        touched.dedup();
+        add_arcs.sort_unstable_by_key(|a| (a.0, a.1));
 
-        let new_slots = self.targets.len() + add_arcs.len() - del_arcs.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(new_slots);
-        let mut weights: Vec<f64> = Vec::with_capacity(new_slots);
-        let mut cumulative: Vec<f64> = Vec::with_capacity(new_slots);
-        let mut alias_prob: Vec<f64> = Vec::with_capacity(new_slots);
-        let mut alias: Vec<u32> = Vec::with_capacity(new_slots);
-        let mut scaled: Vec<f64> = Vec::new();
-
-        let mut ti = touched.iter().peekable();
-        for u in 0..n as u32 {
-            let (lo, hi) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
-            let is_touched = ti.peek() == Some(&&NodeId(u));
-            if is_touched {
-                ti.next();
-            }
-            if !is_touched {
-                targets.extend_from_slice(&self.targets[lo..hi]);
-                weights.extend_from_slice(&self.weights[lo..hi]);
-                cumulative.extend_from_slice(&self.cumulative[lo..hi]);
-                alias_prob.extend_from_slice(&self.alias_prob[lo..hi]);
-                alias.extend_from_slice(&self.alias[lo..hi]);
-                offsets.push(targets.len());
-                continue;
-            }
-            // Merge this row: old minus dels, plus adds, sorted by target.
-            let adds = {
-                let a = add_arcs.partition_point(|&(a, _, _)| a < u);
-                let b = add_arcs.partition_point(|&(a, _, _)| a <= u);
-                &add_arcs[a..b]
-            };
-            let dels = {
-                let a = del_arcs.partition_point(|&(a, _)| a < u);
-                let b = del_arcs.partition_point(|&(a, _)| a <= u);
-                &del_arcs[a..b]
-            };
-            let row_lo = targets.len();
-            let mut di = 0;
-            let mut ai = 0;
-            for k in lo..hi {
-                let w = self.targets[k];
-                if di < dels.len() && dels[di].1 == w.raw() {
-                    di += 1;
-                    continue;
+        let mut g = WeightedCsrGraph::over(topo);
+        let (mut row, mut scaled) = (Vec::new(), Vec::new());
+        let mut copied = 0usize;
+        for &u in &touched {
+            let old = self.row(u);
+            g.copy_rows(self, copied..old.start);
+            copied = old.end;
+            // The new row's weights: an inserted arc's weight, else the
+            // surviving old arc's (both rows are sorted by target).
+            let a = add_arcs.partition_point(|&(x, _, _)| x < u.raw());
+            let b = add_arcs.partition_point(|&(x, _, _)| x <= u.raw());
+            let mut adds = add_arcs[a..b].iter().peekable();
+            let mut olds = self.neighbors(u);
+            row.clear();
+            row.extend(g.topo.neighbors(u).iter().map(|&v| {
+                if let Some(&(_, _, w)) = adds.next_if(|arc| arc.1 == v.raw()) {
+                    w
+                } else {
+                    olds.find(|&(t, _)| t == v)
+                        .expect("a kept arc is in the old row")
+                        .1
                 }
-                while ai < adds.len() && adds[ai].1 < w.raw() {
-                    targets.push(NodeId(adds[ai].1));
-                    weights.push(adds[ai].2);
-                    ai += 1;
-                }
-                targets.push(w);
-                weights.push(self.weights[k]);
-            }
-            for &(_, v, w) in &adds[ai..] {
-                targets.push(NodeId(v));
-                weights.push(w);
-            }
-            // Rebuild this row's samplers from scratch (deterministic, so
-            // identical to a full constructor run on the same row).
-            let mut acc = 0.0;
-            for &w in &weights[row_lo..] {
-                acc += w;
-                cumulative.push(acc);
-            }
-            let d = targets.len() - row_lo;
-            alias_prob.resize(row_lo + d, 1.0);
-            alias.resize(row_lo + d, 0);
-            if d > 0 {
-                let total = cumulative[row_lo + d - 1];
-                scaled.clear();
-                scaled.extend(weights[row_lo..].iter().map(|&w| w * d as f64 / total));
-                fill_alias_table(&mut scaled, &mut alias_prob[row_lo..], &mut alias[row_lo..]);
-            }
-            offsets.push(targets.len());
+            }));
+            g.push_row(row.iter().copied(), &mut scaled);
         }
+        g.copy_rows(self, copied..self.weights.len());
+        Ok((g, touched))
+    }
 
-        Ok((
-            WeightedCsrGraph {
-                offsets,
-                targets,
-                weights,
-                cumulative,
-                alias_prob,
-                alias,
-                num_edges: self.num_edges + ins.len() - del.len(),
-            },
-            touched,
-        ))
+    /// Appends one row's weights and rebuilds its samplers (prefix sums
+    /// and alias table). The constructor and [`WeightedCsrGraph::with_edits`]
+    /// write every row they build through here, so a patched row is
+    /// bitwise the row a from-scratch build produces.
+    fn push_row(&mut self, row: impl IntoIterator<Item = f64>, scaled: &mut Vec<f64>) {
+        let lo = self.weights.len();
+        self.weights.extend(row);
+        let mut acc = 0.0;
+        for &w in &self.weights[lo..] {
+            acc += w;
+            self.cumulative.push(acc);
+        }
+        let d = self.weights.len() - lo;
+        self.alias_prob.resize(lo + d, 1.0);
+        self.alias.resize(lo + d, 0);
+        if d > 0 {
+            let total = self.cumulative[lo + d - 1];
+            scaled.clear();
+            scaled.extend(self.weights[lo..].iter().map(|&w| w * d as f64 / total));
+            fill_alias_table(scaled, &mut self.alias_prob[lo..], &mut self.alias[lo..]);
+        }
+    }
+
+    /// Appends the columns of `from`'s slots `range` verbatim.
+    fn copy_rows(&mut self, from: &WeightedCsrGraph, range: Range<usize>) {
+        self.weights.extend_from_slice(&from.weights[range.clone()]);
+        self.cumulative
+            .extend_from_slice(&from.cumulative[range.clone()]);
+        self.alias_prob
+            .extend_from_slice(&from.alias_prob[range.clone()]);
+        self.alias.extend_from_slice(&from.alias[range]);
     }
 }
 
@@ -503,7 +403,7 @@ mod tests {
     fn alias_distribution(g: &WeightedCsrGraph, u: NodeId) -> Vec<f64> {
         let d = g.degree(u);
         let mut p = vec![0.0f64; d];
-        let lo = g.offsets[u.index()];
+        let lo = g.row(u).start;
         for i in 0..d {
             p[i] += g.alias_prob[lo + i] / d as f64;
             p[g.alias[lo + i] as usize] += (1.0 - g.alias_prob[lo + i]) / d as f64;
@@ -579,8 +479,8 @@ mod tests {
     /// Asserts two weighted graphs are bit-identical in every column —
     /// the contract `with_edits` promises against a from-scratch build.
     fn assert_same(a: &WeightedCsrGraph, b: &WeightedCsrGraph) {
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.targets, b.targets);
+        assert_eq!(a.topo.offsets(), b.topo.offsets());
+        assert_eq!(a.topo.targets(), b.topo.targets());
         assert_eq!(
             a.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
             b.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
@@ -594,7 +494,7 @@ mod tests {
             b.alias_prob.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
         );
         assert_eq!(a.alias, b.alias);
-        assert_eq!(a.num_edges, b.num_edges);
+        assert_eq!(a.m(), b.m());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::path::Path;
 
-use rwd_graph::CsrGraph;
 use rwd_stream::{
     BatchReport, DurabilityConfig, DurableEngine, EdgeBatch, OpenMode, RecoveryReport,
     StreamConfig, StreamEngine,
@@ -60,24 +59,6 @@ impl Backend {
 }
 
 impl ServeEngine {
-    /// Cold-starts serving over an unweighted graph and publishes epoch 0.
-    pub fn new(graph: CsrGraph, cfg: StreamConfig) -> Result<Self> {
-        Ok(Self::from_stream(StreamEngine::new(graph, cfg)?))
-    }
-
-    /// Cold-starts serving over a sharded engine (the `R` walk layers
-    /// tiled into `shards` partial indexes) and publishes epoch 0.
-    /// Published snapshots gather point queries across the shards; every
-    /// answer is bit-identical to the single-shard engine. The epoch
-    /// advances — and the next snapshot is published — only after
-    /// **every** shard has landed the batch (the engine's all-or-nothing
-    /// commit).
-    pub fn with_shards(graph: CsrGraph, cfg: StreamConfig, shards: usize) -> Result<Self> {
-        Ok(Self::from_stream(StreamEngine::with_shards(
-            graph, cfg, shards,
-        )?))
-    }
-
     /// Wraps an already-running evolving engine (publishes its current
     /// state as-is).
     pub fn from_stream(stream: StreamEngine) -> Self {
@@ -117,19 +98,12 @@ impl ServeEngine {
     /// snapshot + journal replay, torn tail truncated) and serves from the
     /// recovered state — bit-identical to the engine that wrote the
     /// surviving prefix. Returns the recovery report alongside.
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-        dcfg: DurabilityConfig,
-    ) -> Result<(Self, RecoveryReport)> {
-        let (durable, report) = DurableEngine::open(dir, dcfg)?;
-        Ok((Self::from_durable(durable), report))
-    }
-
-    /// [`ServeEngine::open_durable`] with an explicit shard-index
-    /// [`OpenMode`]: [`OpenMode::Mapped`] serves point queries straight
-    /// from `mmap`'d RWDIDX4 snapshot columns (published snapshots pin
-    /// the mapping alongside the epoch — unchanged pinning semantics),
-    /// [`OpenMode::Deserialize`] parses everything onto the heap first.
+    ///
+    /// `mode` picks where the shard columns live: [`OpenMode::Mapped`]
+    /// serves point queries straight from `mmap`'d RWDIDX4 snapshot
+    /// columns (published snapshots pin the mapping alongside the epoch —
+    /// unchanged pinning semantics), [`OpenMode::Deserialize`] parses
+    /// everything onto the heap first.
     pub fn open_durable_with(
         dir: impl AsRef<Path>,
         dcfg: DurabilityConfig,
@@ -209,7 +183,7 @@ mod tests {
     use super::*;
     use rwd_core::greedy::approx::GainRule;
     use rwd_graph::generators::erdos_renyi_gnp;
-    use rwd_graph::NodeId;
+    use rwd_graph::{CsrGraph, NodeId};
 
     fn cfg() -> StreamConfig {
         StreamConfig {
@@ -233,7 +207,7 @@ mod tests {
     #[test]
     fn apply_publishes_after_the_batch_lands() {
         let g0 = erdos_renyi_gnp(60, 0.08, 21).unwrap();
-        let mut serve = ServeEngine::new(g0.clone(), cfg()).unwrap();
+        let mut serve = ServeEngine::from_stream(StreamEngine::new(g0.clone(), cfg()).unwrap());
         let pinned = serve.snapshot();
         assert_eq!(pinned.epoch(), 0);
 
@@ -280,7 +254,7 @@ mod tests {
         )
         .unwrap();
         assert!(durable.durable().is_some());
-        let mut plain = ServeEngine::new(g0, cfg()).unwrap();
+        let mut plain = ServeEngine::from_stream(StreamEngine::new(g0, cfg()).unwrap());
         assert!(plain.durable().is_none());
         assert!(plain.snapshot_to_disk().is_err());
 
@@ -299,9 +273,12 @@ mod tests {
         // bit-identical to the live one it shadows.
         let live = durable.snapshot();
         drop(durable);
-        let (recovered, report) =
-            ServeEngine::open_durable(&dir, rwd_stream::DurabilityConfig { snapshot_every: 2 })
-                .unwrap();
+        let (recovered, report) = ServeEngine::open_durable_with(
+            &dir,
+            rwd_stream::DurabilityConfig { snapshot_every: 2 },
+            OpenMode::Mapped,
+        )
+        .unwrap();
         assert_eq!(report.recovered_epoch, 3);
         let snap = recovered.snapshot();
         assert_eq!(snap.epoch(), live.epoch());
@@ -323,7 +300,7 @@ mod tests {
         use rwd_core::Strategy;
 
         let g0 = erdos_renyi_gnp(50, 0.1, 9).unwrap();
-        let mut serve = ServeEngine::new(g0.clone(), cfg()).unwrap();
+        let mut serve = ServeEngine::from_stream(StreamEngine::new(g0.clone(), cfg()).unwrap());
         let mut g = g0;
         for t in 0..3u64 {
             let (u, v) = absent_edge(&g);

@@ -498,22 +498,24 @@ mod tests {
     use super::*;
     use rwd_core::greedy::approx::GainRule;
     use rwd_graph::generators::erdos_renyi_gnp;
-    use rwd_stream::StreamConfig;
+    use rwd_stream::{StreamConfig, StreamEngine};
 
     fn engine(n: usize, seed: u64) -> ServeEngine {
         let g = erdos_renyi_gnp(n, 0.1, seed).unwrap();
-        ServeEngine::new(
-            g,
-            StreamConfig {
-                l: 4,
-                r: 5,
-                k: 3,
-                seed: 7,
-                rule: GainRule::HittingTime,
-                threads: 1,
-            },
+        ServeEngine::from_stream(
+            StreamEngine::new(
+                g,
+                StreamConfig {
+                    l: 4,
+                    r: 5,
+                    k: 3,
+                    seed: 7,
+                    rule: GainRule::HittingTime,
+                    threads: 1,
+                },
+            )
+            .unwrap(),
         )
-        .unwrap()
     }
 
     #[test]

@@ -273,7 +273,7 @@ mod tests {
     fn weighted_capture_works() {
         let g0 = erdos_renyi_gnp(40, 0.12, 2).unwrap();
         let w0 = rwd_graph::weighted::weighted_twin(&g0, 5).unwrap();
-        let engine = StreamEngine::new_weighted(w0, cfg()).unwrap();
+        let engine = StreamEngine::with_shards_weighted(w0, cfg(), 1).unwrap();
         let snap = Snapshot::capture(&engine);
         assert!(matches!(snap.graph(), SnapshotGraph::Weighted(_)));
         assert_eq!(snap.n(), 40);

@@ -23,7 +23,7 @@ use rwd_core::Strategy;
 use rwd_datasets::temporal::{temporal_trace, TemporalTraceSpec, TraceModel};
 use rwd_graph::{CsrGraph, NodeId};
 use rwd_serve::{Query, QueryValue, ServeEngine, Server};
-use rwd_stream::{EdgeBatch, StreamConfig};
+use rwd_stream::{EdgeBatch, StreamConfig, StreamEngine};
 use rwd_walks::{NodeSet, WalkIndex};
 
 const N: usize = 120;
@@ -158,7 +158,9 @@ fn run_stress(shards: usize) {
         rule: RULE,
         threads: 0,
     };
-    let engine = ServeEngine::with_shards(trace.base.clone(), cfg, shards).unwrap();
+    let engine = ServeEngine::from_stream(
+        StreamEngine::with_shards(trace.base.clone(), cfg, shards).unwrap(),
+    );
     let server = Server::start(engine, 3);
     let handle = server.handle();
 

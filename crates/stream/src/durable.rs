@@ -280,6 +280,12 @@ impl DurableEngine {
     /// any shard commits. Empty batches short-circuit without touching the
     /// journal (they don't advance the epoch). At the configured cadence a
     /// snapshot lands after the apply and the journal compacts.
+    ///
+    /// Once the batch has committed, `apply` returns `Ok`: the journal
+    /// already holds it, so a failed periodic snapshot only bumps
+    /// `rwd_durable_snapshot_failures_total` and is retried at the next
+    /// batch. Reporting it as an error would tell a client to resend edits
+    /// that already landed.
     pub fn apply(&mut self, batch: &EdgeBatch) -> Result<BatchReport> {
         let undirected = self.undirected;
         let journal = &mut self.journal;
@@ -295,8 +301,11 @@ impl DurableEngine {
         let report = self.engine.apply_hooked(batch, Some(&mut hook))?;
         if !report.shards.is_empty() {
             self.since_snapshot += 1;
-            if self.dcfg.snapshot_every > 0 && self.since_snapshot >= self.dcfg.snapshot_every {
-                self.snapshot_now()?;
+            if self.dcfg.snapshot_every > 0
+                && self.since_snapshot >= self.dcfg.snapshot_every
+                && self.snapshot_now().is_err()
+            {
+                crate::obs::durable_metrics().snapshot_failures.inc();
             }
             // Commits may have promoted mapped layers to the heap; keep
             // the resident-vs-mapped gauges truthful.
@@ -854,6 +863,37 @@ mod tests {
         assert_eq!(report.epochs_replayed, 5);
         assert_eq!(report.recovered_epoch, 5);
         assert!(report.torn_tail.is_none());
+        assert_engines_equal(recovered.engine(), &live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_periodic_snapshot_does_not_fail_the_committed_batch() {
+        let dir = tmp_dir("snapshot_failure");
+        let g0 = erdos_renyi_gnp(50, 0.08, 5).unwrap();
+        let engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
+        let dcfg = DurabilityConfig { snapshot_every: 1 };
+        let mut durable = DurableEngine::create(engine, &dir, dcfg).unwrap();
+        let batches = churn_batches(&g0, 2);
+        let failures = || crate::obs::durable_metrics().snapshot_failures.get();
+
+        // A regular file where the epoch-1 snapshot directory must go.
+        let blocker = dir.join("snap-1");
+        std::fs::write(&blocker, b"in the way").unwrap();
+        let before = failures();
+        let report = durable.apply(&batches[0]).expect("the batch committed");
+        assert_eq!(report.epoch, 1);
+        assert_eq!(durable.engine().epoch(), 1);
+        assert!(failures() > before, "the failed snapshot is counted");
+
+        // Unblocked, the next batch retries the overdue snapshot.
+        std::fs::remove_file(&blocker).unwrap();
+        durable.apply(&batches[1]).unwrap();
+        assert!(dir.join("snap-2/manifest.bin").exists());
+
+        let live = durable.engine().clone();
+        drop(durable);
+        let (recovered, _) = DurableEngine::open(&dir, dcfg).unwrap();
         assert_engines_equal(recovered.engine(), &live);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -296,11 +296,6 @@ impl StreamEngine {
         Self::with_shards(graph, cfg, 1)
     }
 
-    /// Cold-starts the system on a weighted graph. Single-shard.
-    pub fn new_weighted(graph: WeightedCsrGraph, cfg: StreamConfig) -> Result<Self> {
-        Self::with_shards_weighted(graph, cfg, 1)
-    }
-
     /// Cold-starts a sharded engine: the `R` walk layers are tiled into
     /// `shards` balanced contiguous ranges, one partial index each, then a
     /// bootstrap seed selection runs over the tiling. Every result (seeds,
@@ -344,7 +339,7 @@ impl StreamEngine {
     ) -> Self {
         let mut maintainer = SeedMaintainer::new(cfg.rule, cfg.k, cfg.threads);
         let refs: Vec<&WalkIndex> = shards.iter().map(|s| &**s).collect();
-        maintainer.maintain_sharded(&refs);
+        maintainer.maintain(&refs, None);
         StreamEngine {
             cfg,
             graph,
@@ -457,7 +452,7 @@ impl StreamEngine {
         self.lifetime.merge(&refresh);
         let refs: Vec<&WalkIndex> = self.shards.iter().map(|s| &**s).collect();
         let maintain_start = Instant::now();
-        let maintain = self.maintainer.maintain_sharded_warm(&refs, &edits);
+        let maintain = self.maintainer.maintain(&refs, Some(&edits));
         let maintain_elapsed = maintain_start.elapsed();
         let maintain_ms = maintain_elapsed.as_secs_f64() * 1e3;
         if maintain.warm {
@@ -502,14 +497,6 @@ impl StreamEngine {
         metrics.epoch.set(self.epoch as i64);
         metrics.publish_ns.record_duration(publish_start.elapsed());
         Ok(report)
-    }
-
-    /// Sets the seed maintainer's warm-start crossover (see
-    /// [`crate::SeedMaintainer::set_crossover`]): `0.0` forces every
-    /// batch's maintenance pass cold, `1.0` warms unconditionally. Results
-    /// never change — warmth only moves wall time.
-    pub fn set_maintain_crossover(&mut self, crossover: f64) {
-        self.maintainer.set_crossover(crossover);
     }
 
     /// The maintained seed set in selection order.
@@ -569,7 +556,7 @@ impl StreamEngine {
     }
 
     /// Borrowed handles to every shard's partial index, in layer order —
-    /// the tiling [`SeedMaintainer::maintain_sharded`] consumes. On a
+    /// the tiling [`SeedMaintainer::maintain`] consumes. On a
     /// 1-shard engine this is `[self.index()]`.
     pub fn shard_indexes(&self) -> Vec<&WalkIndex> {
         self.shards.iter().map(|s| &**s).collect()
@@ -678,7 +665,7 @@ mod tests {
     fn weighted_engine_round_trips() {
         let g0 = erdos_renyi_gnp(60, 0.08, 4).unwrap();
         let w0 = rwd_graph::weighted::weighted_twin(&g0, 7).unwrap();
-        let mut engine = StreamEngine::new_weighted(w0.clone(), cfg(4)).unwrap();
+        let mut engine = StreamEngine::with_shards_weighted(w0.clone(), cfg(4), 1).unwrap();
         assert!(engine.graph().is_none());
         let del = g0.edges().next().map(|(u, v)| (u.raw(), v.raw())).unwrap();
         let mut batch = EdgeBatch::new(7);

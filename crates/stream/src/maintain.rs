@@ -7,10 +7,10 @@ use rwd_core::greedy::delta::{DeltaGainEngine, EngineCore};
 use rwd_graph::NodeId;
 use rwd_walks::{PostingDelta, WalkIndex};
 
-/// Warm-start crossover default: absorb-and-replay wins while the batch's
-/// posting edits stay under this fraction of the index; past it the engine
-/// state is mostly invalidated anyway and a cold rebuild streams less.
-const DEFAULT_CROSSOVER: f64 = 0.25;
+/// Warm-start crossover: absorb-and-replay wins while the batch's posting
+/// edits stay under this fraction of the index; past it the engine state
+/// is mostly invalidated anyway and a cold rebuild streams less.
+const CROSSOVER: f64 = 0.25;
 
 /// Maintains a size-`k` greedy seed set across index epochs.
 ///
@@ -28,18 +28,16 @@ const DEFAULT_CROSSOVER: f64 = 0.25;
 /// # Warm starts
 ///
 /// The maintainer keeps the engine's owned state ([`EngineCore`]) alive
-/// between batches. When the caller supplies the refresh's posting edit
-/// script ([`SeedMaintainer::maintain_warm`] /
-/// [`SeedMaintainer::maintain_sharded_warm`]), the pass resumes the
-/// previous epoch's tables, absorbs the delta in `O(|delta|)`, and
-/// replays each still-valid recorded round from its log without touching
-/// the index — only the suffix from the first invalidated round pays for
-/// cold engine updates. The result (seeds, gain trace, objective, touched
-/// counts) is bit-identical to a cold fresh-engine replay at any shard
-/// and thread count; warmth only changes *when* the answer arrives. A
-/// crossover guard ([`SeedMaintainer::set_crossover`]) falls back to the
-/// cold path when a batch's edit script is so large that absorbing it
-/// would cost more than rebuilding.
+/// between batches. When the caller supplies the refreshes' posting edit
+/// scripts to [`SeedMaintainer::maintain`], the pass resumes the previous
+/// epoch's tables, absorbs the delta in `O(|delta|)`, and replays each
+/// still-valid recorded round from its log without touching the index —
+/// only the suffix from the first invalidated round pays for cold engine
+/// updates. The result (seeds, gain trace, objective, touched counts) is
+/// bit-identical to a cold fresh-engine replay at any shard and thread
+/// count; warmth only changes *when* the answer arrives. A batch whose
+/// edit script exceeds a quarter of the index's postings goes cold: past
+/// that, absorbing it would cost more than rebuilding.
 #[derive(Clone, Debug)]
 pub struct SeedMaintainer {
     rule: GainRule,
@@ -51,7 +49,6 @@ pub struct SeedMaintainer {
     objective: f64,
     /// The previous pass's engine state, resumable onto the next epoch.
     core: Option<EngineCore>,
-    crossover: f64,
 }
 
 /// What one maintenance pass changed.
@@ -95,7 +92,6 @@ impl SeedMaintainer {
             gain_trace: Vec::new(),
             objective: 0.0,
             core: None,
-            crossover: DEFAULT_CROSSOVER,
         }
     }
 
@@ -121,67 +117,30 @@ impl SeedMaintainer {
         self.k
     }
 
-    /// Sets the warm-start crossover: a batch goes warm only while its
-    /// posting edits stay at or under `crossover × total postings`. `0.0`
-    /// forces every pass cold (the fallback path under test), `1.0` warms
-    /// unconditionally.
-    pub fn set_crossover(&mut self, crossover: f64) {
-        assert!(
-            (0.0..=1.0).contains(&crossover) && crossover.is_finite(),
-            "crossover must lie in [0, 1]"
-        );
-        self.crossover = crossover;
-    }
-
-    /// Re-validates the seed set against a (refreshed) index: keeps every
-    /// leading seed that is still its round's argmax, replaces the rest.
-    /// Always runs the engine cold — use [`SeedMaintainer::maintain_warm`]
-    /// when the refresh's edit script is available.
+    /// Re-validates the seed set against a (refreshed) index tiling: keeps
+    /// every leading seed that is still its round's argmax, replaces the
+    /// rest. The greedy rounds replay over a [`DeltaGainEngine`] that
+    /// gathers per-layer integer contributions from a contiguous tiling of
+    /// layer-range shards (see [`DeltaGainEngine::over_shards`]); because
+    /// the engine merges staged integer gain deltas in absolute layer
+    /// order, the replay — picks, gain trace, kept prefix — is
+    /// bit-identical to maintaining over the equivalent monolithic index.
     ///
-    /// # Panics
-    /// Panics if `k > idx.n()` (the engine runs out of candidates).
-    pub fn maintain(&mut self, idx: &WalkIndex) -> MaintainReport {
-        self.maintain_sharded(&[idx])
-    }
-
-    /// [`SeedMaintainer::maintain`] resuming the previous pass's engine
-    /// state: `delta` must be the edit script of the refresh that took the
-    /// index from that pass's epoch to this one (see [`WalkIndex::refresh`]).
-    pub fn maintain_warm(&mut self, idx: &WalkIndex, delta: &PostingDelta) -> MaintainReport {
-        self.maintain_sharded_warm(&[idx], std::slice::from_ref(delta))
-    }
-
-    /// Sharded twin of [`SeedMaintainer::maintain`]: replays the greedy
-    /// rounds over a [`DeltaGainEngine`] that gathers per-layer integer
-    /// contributions from a contiguous tiling of layer-range shards
-    /// (see [`DeltaGainEngine::over_shards`]). Because the engine merges
-    /// staged integer gain deltas in absolute layer order, the replay —
-    /// picks, gain trace, kept prefix — is bit-identical to maintaining
-    /// over the equivalent monolithic index.
+    /// `deltas` holds the per-shard edit scripts of the refreshes that
+    /// separate the previous pass's epoch from `shards` (any order — delta
+    /// layers are absolute; see [`WalkIndex::refresh`]). With them the pass
+    /// resumes the previous engine state; it runs cold when `deltas` is
+    /// `None`, no resumable state exists, the tiling changed shape, or the
+    /// edit volume exceeds the crossover.
     ///
     /// # Panics
     /// Panics if the shards do not tile a contiguous layer range from 0, or
     /// if `k > n`.
-    pub fn maintain_sharded(&mut self, shards: &[&WalkIndex]) -> MaintainReport {
-        self.run(shards, None)
-    }
-
-    /// Warm twin of [`SeedMaintainer::maintain_sharded`]: `deltas` holds
-    /// the per-shard edit scripts of the refreshes separating the previous
-    /// pass's epoch from `shards` (any order — delta layers are absolute).
-    /// Falls back to a cold rebuild when no resumable state exists, the
-    /// tiling changed shape, or the edit volume exceeds the crossover.
-    pub fn maintain_sharded_warm(
+    pub fn maintain(
         &mut self,
         shards: &[&WalkIndex],
-        deltas: &[PostingDelta],
+        deltas: Option<&[PostingDelta]>,
     ) -> MaintainReport {
-        self.run(shards, Some(deltas))
-    }
-
-    /// The single maintenance pass behind every entry point. `deltas:
-    /// None` forces a cold rebuild; `Some` attempts the warm path first.
-    fn run(&mut self, shards: &[&WalkIndex], deltas: Option<&[PostingDelta]>) -> MaintainReport {
         let bootstrap = self.seeds.is_empty();
         let edits: usize = deltas
             .map(|ds| ds.iter().map(|d| d.postings_changed()).sum())
@@ -189,7 +148,7 @@ impl SeedMaintainer {
         let warm = match (&self.core, deltas) {
             (Some(core), Some(_)) => {
                 let total: usize = shards.iter().map(|s| s.total_postings()).sum();
-                core.matches(shards) && edits as f64 <= self.crossover * total as f64
+                core.matches(shards) && edits as f64 <= CROSSOVER * total as f64
             }
             _ => false,
         };
@@ -253,6 +212,12 @@ impl SeedMaintainer {
             replayed_rounds,
         }
     }
+
+    /// A cold [`SeedMaintainer::maintain`] pass over `shards`, kept because
+    /// the end-to-end benchmark (`e2e-bench/`) calls it.
+    pub fn maintain_sharded(&mut self, shards: &[&WalkIndex]) -> MaintainReport {
+        self.maintain(shards, None)
+    }
 }
 
 #[cfg(test)]
@@ -268,7 +233,7 @@ mod tests {
         let g = barabasi_albert(200, 3, 7).unwrap();
         let idx = WalkIndex::build(&g, 5, 8, 11);
         let mut m = SeedMaintainer::new(GainRule::HittingTime, 6, 0);
-        let rep = m.maintain(&idx);
+        let rep = m.maintain(&[&idx], None);
         let sel = select_from_index(&idx, GainRule::HittingTime, 6, Strategy::Delta, 0).unwrap();
         assert_eq!(m.seeds(), &sel.nodes[..]);
         assert_eq!(m.gain_trace(), &sel.gain_trace[..]);
@@ -286,7 +251,7 @@ mod tests {
         let g = barabasi_albert(150, 3, 5).unwrap();
         let full = WalkIndex::build(&g, 4, 8, 21);
         let mut mono = SeedMaintainer::new(GainRule::HittingTime, 5, 0);
-        let rep_mono = mono.maintain(&full);
+        let rep_mono = mono.maintain(&[&full], None);
         for shards in [2usize, 3, 8] {
             let parts: Vec<WalkIndex> = rwd_walks::LayerRange::partition(8, shards)
                 .into_iter()
@@ -307,9 +272,9 @@ mod tests {
         let g = barabasi_albert(150, 3, 2).unwrap();
         let idx = WalkIndex::build(&g, 4, 6, 9);
         let mut m = SeedMaintainer::new(GainRule::Coverage, 5, 0);
-        m.maintain(&idx);
+        m.maintain(&[&idx], None);
         let before = m.seeds().to_vec();
-        let rep = m.maintain(&idx);
+        let rep = m.maintain(&[&idx], None);
         assert_eq!(m.seeds(), &before[..]);
         assert_eq!(rep.seeds_swapped, 0);
         assert_eq!(rep.rounds_kept, 5, "every round's argmax is unchanged");
@@ -320,31 +285,31 @@ mod tests {
     /// objectives and touched counts, and the warm pass replays rounds.
     #[test]
     fn warm_pass_is_bitwise_cold_and_replays() {
-        let g0 = barabasi_albert(200, 3, 13).unwrap();
+        let g0 = barabasi_albert(2000, 3, 13).unwrap();
         let (l, r, seed, k) = (4u32, 6usize, 31u64, 5usize);
-        let mut warm_idx = WalkIndex::build(&g0, l, r, seed);
+        let mut idx = WalkIndex::build(&g0, l, r, seed);
         let mut warm = SeedMaintainer::new(GainRule::HittingTime, k, 0);
-        // One churned edge still invalidates every walk *visiting* its
-        // endpoints — on this small fixture that is ~28% of all postings,
-        // so widen the crossover to keep the pass warm.
-        warm.set_crossover(0.5);
-        warm.maintain_warm(&warm_idx, &PostingDelta::default());
+        warm.maintain(&[&idx], None);
 
+        // An edge between two late (low-degree) nodes: the walks visiting
+        // them are a small share of the index, so the edit script stays
+        // under the crossover.
+        assert!(!g0.has_edge(NodeId(1990), NodeId(1995)));
         let mut batch = EdgeBatch::new(1);
-        let nbr = g0.neighbors(NodeId(150))[0].raw();
-        batch.deletions.push((150, nbr));
+        batch.insertions.push((1990, 1995, 1.0));
         let delta = batch.apply(&g0).unwrap();
-        let (_, edits) = warm_idx.refresh(&delta.graph, &delta.touched, 0);
+        let (_, edits) = idx.refresh(&delta.graph, &delta.touched, 0);
         assert!(!edits.is_empty());
 
-        let rep = warm.maintain_warm(&warm_idx, &edits);
+        let rep = warm.maintain(&[&idx], Some(std::slice::from_ref(&edits)));
         assert!(rep.warm, "small batch must take the warm path");
         assert!(rep.absorbed_postings <= edits.postings_changed());
         assert!(rep.absorbed_postings > 0, "churn must leave net edits");
+        assert!(rep.replayed_rounds > 0, "untouched rounds replay");
 
         let mut cold = SeedMaintainer::new(GainRule::HittingTime, k, 0);
-        cold.maintain(&warm_idx);
-        let rep_cold = cold.maintain(&warm_idx);
+        cold.maintain(&[&idx], None);
+        let rep_cold = cold.maintain(&[&idx], None);
         assert_eq!(warm.seeds(), cold.seeds());
         let bits = |t: &[f64]| t.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(warm.gain_trace()), bits(cold.gain_trace()));
@@ -352,33 +317,37 @@ mod tests {
         assert_eq!(rep.touched_postings, rep_cold.touched_postings);
     }
 
+    /// Warmth needs an edit script no larger than a quarter of the
+    /// index's postings; `None` always runs cold.
     #[test]
-    fn zero_crossover_forces_cold() {
+    fn edits_past_the_crossover_force_cold() {
         let g = barabasi_albert(120, 3, 4).unwrap();
         let idx = WalkIndex::build(&g, 4, 4, 6);
         let mut m = SeedMaintainer::new(GainRule::Coverage, 4, 0);
-        m.set_crossover(0.0);
-        m.maintain_warm(&idx, &PostingDelta::default());
-        let rep = m.maintain_warm(&idx, &PostingDelta::default());
-        // An empty delta squeaks under any crossover (0 <= 0): still warm.
-        assert!(rep.warm, "empty delta is within a zero crossover");
-        let delta = PostingDelta {
+        let empty = [PostingDelta::default()];
+        m.maintain(&[&idx], Some(&empty));
+        let rep = m.maintain(&[&idx], Some(&empty));
+        assert!(rep.warm, "an empty script stays warm");
+
+        // The size check runs before anything is absorbed, so the script's
+        // contents do not matter here, only its length.
+        let over = [PostingDelta {
             layers: vec![rwd_walks::LayerDelta {
                 layer: 0,
-                resampled: vec![0],
-                removed: vec![(1, 0, 1)],
-                added: vec![(1, 0, 1)],
+                resampled: vec![1],
+                removed: vec![(1, 0, 1); idx.total_postings() / 4 + 1],
+                added: Vec::new(),
             }],
-        };
-        // Any non-empty delta now exceeds the zero crossover: cold.
-        let rep = m.maintain_warm(&idx, &delta);
-        assert!(!rep.warm);
+        }];
+        let rep = m.maintain(&[&idx], Some(&over));
+        assert!(
+            !rep.warm,
+            "a script over a quarter of the postings goes cold"
+        );
         assert_eq!(rep.replayed_rounds, 0);
-    }
+        assert_eq!(rep.absorbed_postings, 0);
 
-    #[test]
-    #[should_panic(expected = "crossover must lie in [0, 1]")]
-    fn crossover_out_of_range_panics() {
-        SeedMaintainer::new(GainRule::Coverage, 3, 0).set_crossover(1.5);
+        let rep = m.maintain(&[&idx], None);
+        assert!(!rep.warm, "None goes cold");
     }
 }

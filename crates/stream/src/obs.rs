@@ -103,6 +103,9 @@ pub(crate) struct DurableMetrics {
     pub snapshot_write_ns: Histogram,
     /// Engine snapshots written.
     pub snapshots_written: Counter,
+    /// Periodic snapshots that failed after their batch had committed
+    /// (retried at the next batch).
+    pub snapshot_failures: Counter,
     /// Crash recoveries performed by `DurableEngine::open`.
     pub recoveries: Counter,
     /// Journaled batches replayed during recoveries.
@@ -135,6 +138,10 @@ pub(crate) fn durable_metrics() -> &'static DurableMetrics {
             snapshots_written: reg.counter(
                 "rwd_durable_snapshots_written_total",
                 "Engine snapshots written",
+            ),
+            snapshot_failures: reg.counter(
+                "rwd_durable_snapshot_failures_total",
+                "Periodic snapshots that failed after their batch committed (retried next batch)",
             ),
             recoveries: reg.counter(
                 "rwd_durable_recoveries_total",

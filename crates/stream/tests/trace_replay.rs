@@ -59,7 +59,7 @@ fn weighted_replay_with_twin_base_stays_exact() {
     let trace = temporal_trace(&spec()).unwrap();
     let cfg = config();
     let wbase = rwd_graph::weighted::weighted_twin(&trace.base, spec().seed).unwrap();
-    let mut engine = StreamEngine::new_weighted(wbase, cfg).unwrap();
+    let mut engine = StreamEngine::with_shards_weighted(wbase, cfg, 1).unwrap();
     for batch in &trace.batches {
         engine.apply(batch).unwrap();
     }

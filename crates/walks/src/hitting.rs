@@ -3,17 +3,21 @@
 //! These implement the recursions of the paper's Theorems 2.1–2.3. Each call
 //! computes the quantity for **all** source nodes simultaneously in `O(mL)`
 //! time and `O(n)` space (two level buffers) — the engine behind the exact
-//! (DP-based) greedy algorithms `DPF1`/`DPF2`.
+//! (DP-based) greedy algorithms `DPF1`/`DPF2`. Every program is generic
+//! over [`WalkGraph`]: the one-step expectation
+//! ([`WalkGraph::step_mean`]) is `1/d_u`-uniform on a
+//! [`CsrGraph`](rwd_graph::CsrGraph) and `w(u,x)/strength(u)` on a
+//! weighted graph (the paper's weighted extension).
 
-use rwd_graph::weighted::WeightedCsrGraph;
-use rwd_graph::{CsrGraph, NodeId};
+use rwd_graph::NodeId;
 
 use crate::nodeset::NodeSet;
+use crate::walker::WalkGraph;
 
 /// Generalized hitting time `h^L_uS` (Eq. 4) for every source `u`.
 ///
 /// `h[u] = 0` for `u ∈ S`; otherwise
-/// `h^ℓ_uS = 1 + (1/d_u) Σ_{w ∈ N(u)} h^{ℓ-1}_wS` with `h^{ℓ-1}_wS = 0`
+/// `h^ℓ_uS = 1 + Σ_{w ∈ N(u)} P(u→w) h^{ℓ-1}_wS` with `h^{ℓ-1}_wS = 0`
 /// for `w ∈ S` — equivalent to the paper's sum over `w ∈ V\S`. Isolated
 /// nodes follow the stay-put convention and thus have `h = L` when outside
 /// `S`. The empty set yields `h = L` everywhere (a walk can never hit ∅).
@@ -31,7 +35,7 @@ use crate::nodeset::NodeSet;
 /// assert!((h[1] - 1.5).abs() < 1e-12);
 /// assert_eq!(h[2], 0.0);
 /// ```
-pub fn hitting_time_to_set(g: &CsrGraph, set: &NodeSet, l: u32) -> Vec<f64> {
+pub fn hitting_time_to_set<G: WalkGraph>(g: &G, set: &NodeSet, l: u32) -> Vec<f64> {
     let n = g.n();
     debug_assert_eq!(set.capacity(), n);
     // Level 0: T^0 = 0 for every node.
@@ -46,14 +50,8 @@ pub fn hitting_time_to_set(g: &CsrGraph, set: &NodeSet, l: u32) -> Vec<f64> {
             next[u] = if set.contains(id) {
                 0.0
             } else {
-                let nbrs = g.neighbors(id);
-                if nbrs.is_empty() {
-                    // Stay-put: the "neighbor" is u itself.
-                    1.0 + prev[u]
-                } else {
-                    let sum: f64 = nbrs.iter().map(|w| prev[w.index()]).sum();
-                    1.0 + sum / nbrs.len() as f64
-                }
+                // Stay-put: an isolated node's "neighbor" is itself.
+                1.0 + g.step_mean(id, &prev).unwrap_or(prev[u])
             };
         }
         std::mem::swap(&mut prev, &mut next);
@@ -64,8 +62,8 @@ pub fn hitting_time_to_set(g: &CsrGraph, set: &NodeSet, l: u32) -> Vec<f64> {
 /// Hit probability `p^L_uS` (Eq. 8) for every source `u`.
 ///
 /// `p[u] = 1` for `u ∈ S`; `p^0_uS = 0` outside `S`;
-/// `p^ℓ_uS = (1/d_u) Σ_{w ∈ N(u)} p^{ℓ-1}_wS` otherwise.
-pub fn hit_probability_to_set(g: &CsrGraph, set: &NodeSet, l: u32) -> Vec<f64> {
+/// `p^ℓ_uS = Σ_{w ∈ N(u)} P(u→w) p^{ℓ-1}_wS` otherwise.
+pub fn hit_probability_to_set<G: WalkGraph>(g: &G, set: &NodeSet, l: u32) -> Vec<f64> {
     let n = g.n();
     debug_assert_eq!(set.capacity(), n);
     let mut prev = vec![0.0f64; n];
@@ -82,13 +80,8 @@ pub fn hit_probability_to_set(g: &CsrGraph, set: &NodeSet, l: u32) -> Vec<f64> {
             next[u] = if set.contains(id) {
                 1.0
             } else {
-                let nbrs = g.neighbors(id);
-                if nbrs.is_empty() {
-                    prev[u] // stay-put: remains 0 outside S
-                } else {
-                    let sum: f64 = nbrs.iter().map(|w| prev[w.index()]).sum();
-                    sum / nbrs.len() as f64
-                }
+                // Stay-put: remains 0 outside S.
+                g.step_mean(id, &prev).unwrap_or(prev[u])
             };
         }
         std::mem::swap(&mut prev, &mut next);
@@ -98,88 +91,29 @@ pub fn hit_probability_to_set(g: &CsrGraph, set: &NodeSet, l: u32) -> Vec<f64> {
 
 /// Node-to-node hitting time `h^L_uv` (Eq. 2) for every source `u` — the
 /// singleton-set case of [`hitting_time_to_set`].
-pub fn hitting_time_to_node(g: &CsrGraph, v: NodeId, l: u32) -> Vec<f64> {
+pub fn hitting_time_to_node<G: WalkGraph>(g: &G, v: NodeId, l: u32) -> Vec<f64> {
     let set = NodeSet::from_nodes(g.n(), [v]);
     hitting_time_to_set(g, &set, l)
 }
 
 /// Exact objective `F1(S) = nL − Σ_{u ∈ V\S} h^L_uS` (Problem 1, Eq. 6).
-pub fn exact_f1(g: &CsrGraph, set: &NodeSet, l: u32) -> f64 {
+pub fn exact_f1<G: WalkGraph>(g: &G, set: &NodeSet, l: u32) -> f64 {
     let h = hitting_time_to_set(g, set, l);
     let total: f64 = h.iter().sum(); // members contribute 0
     g.n() as f64 * l as f64 - total
 }
 
 /// Exact objective `F2(S) = Σ_u p^L_uS` (Problem 2, Eq. 7).
-pub fn exact_f2(g: &CsrGraph, set: &NodeSet, l: u32) -> f64 {
+pub fn exact_f2<G: WalkGraph>(g: &G, set: &NodeSet, l: u32) -> f64 {
     hit_probability_to_set(g, set, l).iter().sum()
-}
-
-/// Weighted-graph generalized hitting time: transition probabilities are
-/// `w(u,x)/strength(u)` instead of `1/d_u` (the paper's directed/weighted
-/// extension remark).
-pub fn hitting_time_to_set_weighted(g: &WeightedCsrGraph, set: &NodeSet, l: u32) -> Vec<f64> {
-    let n = g.n();
-    let mut prev = vec![0.0f64; n];
-    if l == 0 {
-        return prev;
-    }
-    let mut next = vec![0.0f64; n];
-    for _level in 1..=l {
-        for u in 0..n {
-            let id = NodeId::new(u);
-            next[u] = if set.contains(id) {
-                0.0
-            } else {
-                let strength = g.strength(id);
-                if strength == 0.0 {
-                    1.0 + prev[u]
-                } else {
-                    let sum: f64 = g.neighbors(id).map(|(w, wt)| wt * prev[w.index()]).sum();
-                    1.0 + sum / strength
-                }
-            };
-        }
-        std::mem::swap(&mut prev, &mut next);
-    }
-    prev
-}
-
-/// Weighted-graph hit probability (see [`hitting_time_to_set_weighted`]).
-pub fn hit_probability_to_set_weighted(g: &WeightedCsrGraph, set: &NodeSet, l: u32) -> Vec<f64> {
-    let n = g.n();
-    let mut prev = vec![0.0f64; n];
-    for u in set.iter() {
-        prev[u.index()] = 1.0;
-    }
-    if l == 0 {
-        return prev;
-    }
-    let mut next = vec![0.0f64; n];
-    for _level in 1..=l {
-        for u in 0..n {
-            let id = NodeId::new(u);
-            next[u] = if set.contains(id) {
-                1.0
-            } else {
-                let strength = g.strength(id);
-                if strength == 0.0 {
-                    prev[u]
-                } else {
-                    let sum: f64 = g.neighbors(id).map(|(w, wt)| wt * prev[w.index()]).sum();
-                    sum / strength
-                }
-            };
-        }
-        std::mem::swap(&mut prev, &mut next);
-    }
-    prev
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rwd_graph::generators::{classic, paper_example};
+    use rwd_graph::weighted::WeightedCsrGraph;
+    use rwd_graph::CsrGraph;
 
     fn set_of(n: usize, nodes: &[u32]) -> NodeSet {
         NodeSet::from_nodes(n, nodes.iter().map(|&u| NodeId(u)))
@@ -337,16 +271,17 @@ mod tests {
         let edges: Vec<(u32, u32, f64)> = g.edges().map(|(u, v)| (u.raw(), v.raw(), 1.0)).collect();
         let wg = WeightedCsrGraph::from_weighted_edges(8, &edges).unwrap();
         let s = set_of(8, &[1, 6]);
-        let h = hitting_time_to_set(&g, &s, 6);
-        let hw = hitting_time_to_set_weighted(&wg, &s, 6);
-        for u in 0..8 {
-            assert!((h[u] - hw[u]).abs() < 1e-12);
-        }
-        let p = hit_probability_to_set(&g, &s, 6);
-        let pw = hit_probability_to_set_weighted(&wg, &s, 6);
-        for u in 0..8 {
-            assert!((p[u] - pw[u]).abs() < 1e-12);
-        }
+        // Weight 1.0 makes `strength` exactly `d` and every `1.0·x` exact,
+        // so the two transition rules agree bit for bit.
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(hitting_time_to_set(&g, &s, 6)),
+            bits(hitting_time_to_set(&wg, &s, 6))
+        );
+        assert_eq!(
+            bits(hit_probability_to_set(&g, &s, 6)),
+            bits(hit_probability_to_set(&wg, &s, 6))
+        );
     }
 
     #[test]
@@ -360,8 +295,8 @@ mod tests {
             WeightedCsrGraph::from_weighted_edges(3, &[(0, 1, 10.0), (0, 2, 1.0), (1, 2, 1.0)])
                 .unwrap();
         let s = set_of(3, &[1]);
-        let hb = hitting_time_to_set_weighted(&balanced, &s, 8);
-        let hs = hitting_time_to_set_weighted(&skewed, &s, 8);
+        let hb = hitting_time_to_set(&balanced, &s, 8);
+        let hs = hitting_time_to_set(&skewed, &s, 8);
         assert!(hs[0] < hb[0]);
     }
 }

@@ -96,16 +96,8 @@ impl WalkIndex {
     /// # Panics
     /// Panics if `set` was built over a different node universe.
     pub fn point_hit_time(&self, u: NodeId, set: &NodeSet) -> f64 {
-        self.check_set(set);
-        let r = self.r();
-        if set.contains(u) {
-            return 0.0;
-        }
-        let mut acc = 0.0f64;
-        for layer in 0..r {
-            acc += self.layer_hit_hop(layer, u, set) as f64;
-        }
-        acc / r as f64
+        let c = self.point_contribution(u, set);
+        c.hop_sum as f64 / c.layers as f64
     }
 
     /// Point form of [`WalkIndex::estimate_hit_probs`]: the estimated hit
@@ -117,27 +109,16 @@ impl WalkIndex {
     /// # Panics
     /// Panics if `set` was built over a different node universe.
     pub fn point_hit_prob(&self, u: NodeId, set: &NodeSet) -> f64 {
-        self.check_set(set);
-        let r = self.r();
-        if set.contains(u) {
-            return 1.0;
-        }
-        let mut hits = 0u32;
-        for layer in 0..r {
-            let fr = self.forward(layer, u);
-            if fr.ids().iter().any(|&id| set.contains(NodeId(id))) {
-                hits += 1;
-            }
-        }
-        hits as f64 / r as f64
+        let c = self.point_contribution(u, set);
+        c.hits as f64 / c.layers as f64
     }
 
     /// This index's integer contribution to the point queries for `u` —
     /// the shard-side half of a scatter-gather [`WalkIndex::point_hit_time`]
     /// / [`WalkIndex::point_hit_prob`]: one forward scan per layer yields
     /// both the first-visit hop (`L` on a miss) and the hit flag. A member
-    /// `u` contributes hop `0` and a hit for every layer, matching the
-    /// monolithic short-circuits after the final division.
+    /// `u` contributes hop `0` and a hit for every layer, so it scores 0
+    /// and 1 after the final division.
     ///
     /// # Panics
     /// Panics if `set` was built over a different node universe.
@@ -172,20 +153,6 @@ impl WalkIndex {
             hop_sum,
             hits,
         }
-    }
-
-    /// First-visit hop of walk `layer` from `u` into `set`, or `L` when the
-    /// walk misses. Forward lists are in ascending hop order, so the first
-    /// member encountered carries the minimal hop.
-    #[inline]
-    fn layer_hit_hop(&self, layer: usize, u: NodeId, set: &NodeSet) -> u32 {
-        let fr = self.forward(layer, u);
-        for (&id, &hop) in fr.ids().iter().zip(fr.weights()) {
-            if set.contains(NodeId(id)) {
-                return hop as u32;
-            }
-        }
-        self.l()
     }
 
     /// Expected number of nodes dominated by `set` — the Problem-2

@@ -6,8 +6,9 @@
 //!
 //! [`WalkGraph`] is the one seam between the walk machinery and the
 //! transition rule: index build, incremental refresh and Monte-Carlo
-//! estimation are generic over it, so the paper's weighted extension is
-//! only a different [`WalkGraph::step`] over the same algorithms.
+//! estimation are generic over it, and so are the exact dynamic programs
+//! through [`WalkGraph::step_mean`], so the paper's weighted extension is
+//! only a different transition rule over the same algorithms.
 
 use rwd_graph::weighted::WeightedCsrGraph;
 use rwd_graph::{CsrGraph, NodeId};
@@ -24,6 +25,11 @@ pub trait WalkGraph: Sync {
     /// Takes one step from `u`, drawing from `rng`; stays at `u` when it
     /// has no neighbors.
     fn step(&self, u: NodeId, rng: &mut WalkRng) -> NodeId;
+
+    /// The one-step expectation `E[f(Z_1) | Z_0 = u]` under this graph's
+    /// transition rule, or `None` when `u` has no neighbors (the caller
+    /// applies the stay-put convention).
+    fn step_mean(&self, u: NodeId, f: &[f64]) -> Option<f64>;
 }
 
 /// Uniform steps: one `gen_index` draw over the neighbor list.
@@ -42,6 +48,18 @@ impl WalkGraph for CsrGraph {
             nbrs[rng.gen_index(nbrs.len())]
         }
     }
+
+    /// `Σ f[w] / d_u`.
+    #[inline]
+    fn step_mean(&self, u: NodeId, f: &[f64]) -> Option<f64> {
+        let nbrs = self.neighbors(u);
+        if nbrs.is_empty() {
+            None
+        } else {
+            let sum: f64 = nbrs.iter().map(|w| f[w.index()]).sum();
+            Some(sum / nbrs.len() as f64)
+        }
+    }
 }
 
 /// Weight-proportional steps through the O(1) alias table (one uniform
@@ -55,6 +73,18 @@ impl WalkGraph for WeightedCsrGraph {
     #[inline]
     fn step(&self, u: NodeId, rng: &mut WalkRng) -> NodeId {
         self.pick_neighbor_alias(u, rng.gen_f64()).unwrap_or(u)
+    }
+
+    /// `Σ w(u,x)·f[x] / strength(u)`.
+    #[inline]
+    fn step_mean(&self, u: NodeId, f: &[f64]) -> Option<f64> {
+        let strength = self.strength(u);
+        if strength == 0.0 {
+            None
+        } else {
+            let sum: f64 = self.neighbors(u).map(|(w, wt)| wt * f[w.index()]).sum();
+            Some(sum / strength)
+        }
     }
 }
 

@@ -17,8 +17,8 @@ fn weighted_estimator_tracks_weighted_dp() {
     let set = NodeSet::from_nodes(3, [NodeId(1)]);
     let l = 5;
     let est = SampleEstimator::new(l, 6000, 3).estimate(&g, &set);
-    let h = hitting::hitting_time_to_set_weighted(&g, &set, l);
-    let p = hitting::hit_probability_to_set_weighted(&g, &set, l);
+    let h = hitting::hitting_time_to_set(&g, &set, l);
+    let p = hitting::hit_probability_to_set(&g, &set, l);
     for u in 0..3 {
         assert!(
             (est.hit_time[u] - h[u]).abs() < 0.05,
@@ -67,7 +67,7 @@ fn weighted_index_replay_tracks_weighted_dp() {
     let idx = WalkIndex::build(&g, 5, 4000, 21);
     let set = NodeSet::from_nodes(3, [NodeId(2)]);
     let replay = idx.estimate_hit_times(&set);
-    let exact = hitting::hitting_time_to_set_weighted(&g, &set, 5);
+    let exact = hitting::hitting_time_to_set(&g, &set, 5);
     for u in 0..3 {
         assert!(
             (replay[u] - exact[u]).abs() < 0.06,

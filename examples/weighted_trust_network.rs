@@ -16,7 +16,6 @@
 //! cargo run --release --example weighted_trust_network
 //! ```
 
-use rwd::core::algo::approx_greedy_weighted;
 use rwd::core::metrics;
 use rwd::core::report::{fmt_f, Table};
 use rwd::graph::weighted::WeightedCsrGraph;
@@ -59,10 +58,9 @@ fn main() {
         seed: 4,
         ..Params::default()
     };
-    let sel_uniform =
-        approx_greedy_weighted(&g_uniform, Problem::MaxCoverage, params).expect("uniform");
-    let sel_skewed =
-        approx_greedy_weighted(&g_skewed, Problem::MaxCoverage, params).expect("skewed");
+    let solver = ApproxGreedy::new(Problem::MaxCoverage, params);
+    let sel_uniform = solver.run(&g_uniform).expect("uniform");
+    let sel_skewed = solver.run(&g_skewed).expect("skewed");
 
     let overlap = sel_uniform
         .nodes
@@ -85,8 +83,8 @@ fn main() {
         ("optimized for uniform", &sel_uniform),
         ("optimized for skewed", &sel_skewed),
     ] {
-        let on_uniform = metrics::evaluate_exact_weighted(&g_uniform, &sel.nodes, 5);
-        let on_skewed = metrics::evaluate_exact_weighted(&g_skewed, &sel.nodes, 5);
+        let on_uniform = metrics::evaluate_exact(&g_uniform, &sel.nodes, 5);
+        let on_skewed = metrics::evaluate_exact(&g_skewed, &sel.nodes, 5);
         t.row([
             name.to_string(),
             fmt_f(on_uniform.ehn, 1),

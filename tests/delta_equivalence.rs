@@ -7,7 +7,7 @@
 //! and 1/2/8 worker threads. Any divergence means the delta recurrence
 //! dropped or double-counted a repair.
 
-use rwd::core::algo::{approx_greedy_weighted, delta_greedy_with_stats};
+use rwd::core::algo::delta_greedy_with_stats;
 use rwd::core::greedy::approx::GainRule;
 use rwd::prelude::*;
 
@@ -79,7 +79,7 @@ fn delta_matches_celf_and_sweep_on_weighted_graphs() {
                         threads,
                         strategy,
                     };
-                    approx_greedy_weighted(&wg, problem, p).unwrap()
+                    ApproxGreedy::new(problem, p).run(&wg).unwrap()
                 };
                 let delta = mk(Strategy::Delta);
                 let celf = mk(Strategy::Celf);

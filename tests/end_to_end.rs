@@ -169,14 +169,14 @@ fn weighted_extension_pipeline() {
     // The weighted walker + DP wired end to end: uniform weights reproduce
     // the unweighted DP; a skewed bridge edge drags walks across it.
     use rwd::graph::weighted::WeightedCsrGraph;
-    use rwd::walks::hitting::{hit_probability_to_set_weighted, hitting_time_to_set_weighted};
+    use rwd::walks::hitting::{hit_probability_to_set, hitting_time_to_set};
 
     let g = rwd::graph::generators::classic::cycle(12).unwrap();
     let uniform: Vec<(u32, u32, f64)> = g.edges().map(|(u, v)| (u.raw(), v.raw(), 1.0)).collect();
     let wg = WeightedCsrGraph::from_weighted_edges(12, &uniform).unwrap();
     let set = NodeSet::from_nodes(12, [NodeId(0)]);
-    let hw = hitting_time_to_set_weighted(&wg, &set, 6);
-    let hu = rwd::walks::hitting::hitting_time_to_set(&g, &set, 6);
+    let hw = hitting_time_to_set(&wg, &set, 6);
+    let hu = hitting_time_to_set(&g, &set, 6);
     for u in 0..12 {
         assert!((hw[u] - hu[u]).abs() < 1e-12);
     }
@@ -194,8 +194,8 @@ fn weighted_extension_pipeline() {
         })
         .collect();
     let wg2 = WeightedCsrGraph::from_weighted_edges(12, &skewed).unwrap();
-    let p_uniform = hit_probability_to_set_weighted(&wg, &set, 6);
-    let p_skewed = hit_probability_to_set_weighted(&wg2, &set, 6);
+    let p_uniform = hit_probability_to_set(&wg, &set, 6);
+    let p_skewed = hit_probability_to_set(&wg2, &set, 6);
     assert!(
         p_skewed[1] > p_uniform[1],
         "heavier edges into 0 raise hits"

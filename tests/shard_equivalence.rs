@@ -209,7 +209,7 @@ proptest! {
         let cfg = rwd::stream::StreamConfig {
             l, r, k, seed, rule: GainRule::Coverage, threads: 1,
         };
-        let mut reference = StreamEngine::new_weighted(w0.clone(), cfg).unwrap();
+        let mut reference = StreamEngine::with_shards_weighted(w0.clone(), cfg, 1).unwrap();
         for batch in &batches {
             reference.apply(batch).expect("resolved batches are valid");
         }

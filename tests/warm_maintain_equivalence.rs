@@ -5,9 +5,9 @@
 //! `O(touched)`, and still-valid recorded rounds replay from their logs
 //! instead of re-streaming the index. This suite pins the contract that
 //! warmth is **purely a wall-time optimization**: after any sequence of
-//! random churn batches, a warm engine and an engine forced cold on every
-//! batch (`set_maintain_crossover(0.0)` — the crossover fallback path)
-//! must agree **bitwise** on seeds, gain traces, objectives and
+//! random churn batches, a warm engine and a standalone maintainer run
+//! cold over the engine's shards after every batch (`maintain(shards,
+//! None)`) must agree **bitwise** on seeds, gain traces, objectives and
 //! touched-posting counts, at every shard count × thread count, on both
 //! unweighted and weighted graphs.
 
@@ -17,7 +17,7 @@ use rwd::core::greedy::approx::GainRule;
 use rwd::datasets::temporal::trace_weight;
 use rwd::graph::weighted::weighted_twin;
 use rwd::prelude::*;
-use rwd::stream::{EdgeBatch, StreamConfig};
+use rwd::stream::{EdgeBatch, SeedMaintainer, StreamConfig};
 
 const SHARDS: [usize; 3] = [1, 2, 4];
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -112,22 +112,22 @@ fn resolve_batches(g: &CsrGraph, batch_picks: &[Vec<(u64, u8)>], seed: u64) -> V
     batches
 }
 
-/// Drives the same batch trace through a warm engine and a forced-cold
-/// engine, asserting bitwise agreement after every batch, and returns the
-/// final seed set (for cross-configuration comparison).
+/// Drives a batch trace through a warm engine and, after every batch,
+/// runs a standalone maintainer cold over the engine's shards, asserting
+/// bitwise agreement; returns the final seed set (for cross-configuration
+/// comparison).
 fn assert_warm_equals_cold(
     mut warm: StreamEngine,
-    mut cold: StreamEngine,
     batches: &[EdgeBatch],
     tag: &str,
 ) -> Result<Vec<NodeId>, TestCaseError> {
-    // The fallback path under test: every non-empty edit script exceeds a
-    // zero crossover, so this engine rebuilds its gain engine each batch.
-    cold.set_maintain_crossover(0.0);
+    let cfg = *warm.config();
+    let mut cold = SeedMaintainer::new(cfg.rule, cfg.k, cfg.threads);
+    cold.maintain(&warm.shard_indexes(), None);
     let bits = |t: &[f64]| t.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
     for (b, batch) in batches.iter().enumerate() {
         let rw = warm.apply(batch).expect("resolved batches are valid");
-        let rc = cold.apply(batch).expect("resolved batches are valid");
+        let rc = cold.maintain(&warm.shard_indexes(), None);
         prop_assert_eq!(warm.seeds(), cold.seeds(), "{} batch {}: seeds", tag, b);
         prop_assert_eq!(
             bits(warm.gain_trace()),
@@ -145,28 +145,21 @@ fn assert_warm_equals_cold(
         );
         // The reports must agree on everything except how the answer was
         // produced (warm flag, absorbed/replayed accounting, wall times).
-        prop_assert_eq!(rw.maintain.seeds_swapped, rc.maintain.seeds_swapped);
-        prop_assert_eq!(rw.maintain.rounds_kept, rc.maintain.rounds_kept);
-        prop_assert_eq!(
-            rw.maintain.first_invalid_round,
-            rc.maintain.first_invalid_round
-        );
+        prop_assert_eq!(rw.maintain.seeds_swapped, rc.seeds_swapped);
+        prop_assert_eq!(rw.maintain.rounds_kept, rc.rounds_kept);
+        prop_assert_eq!(rw.maintain.first_invalid_round, rc.first_invalid_round);
         prop_assert_eq!(
             rw.maintain.touched_postings,
-            rc.maintain.touched_postings,
+            rc.touched_postings,
             "{} batch {}: touched postings",
             tag,
             b
         );
-        prop_assert_eq!(
-            rw.maintain.objective.to_bits(),
-            rc.maintain.objective.to_bits()
-        );
-        // A forced-cold pass never absorbs or replays (an all-identical
-        // edit script has zero gross edits and may still go warm — but
-        // then it absorbs zero postings by definition).
-        prop_assert_eq!(rc.maintain.replayed_rounds, 0, "{} batch {}", tag, b);
-        prop_assert_eq!(rc.maintain.absorbed_postings, 0);
+        prop_assert_eq!(rw.maintain.objective.to_bits(), rc.objective.to_bits());
+        // A pass without deltas is cold: it never absorbs or replays.
+        prop_assert!(!rc.warm, "{} batch {}", tag, b);
+        prop_assert_eq!(rc.replayed_rounds, 0, "{} batch {}", tag, b);
+        prop_assert_eq!(rc.absorbed_postings, 0);
     }
     Ok(warm.seeds().to_vec())
 }
@@ -189,9 +182,8 @@ proptest! {
                     l, r, k, seed, rule: GainRule::HittingTime, threads,
                 };
                 let warm = StreamEngine::with_shards(g0.clone(), cfg, shards).unwrap();
-                let cold = StreamEngine::with_shards(g0.clone(), cfg, shards).unwrap();
                 let tag = format!("shards {shards} threads {threads}");
-                let finals = assert_warm_equals_cold(warm, cold, &batches, &tag)?;
+                let finals = assert_warm_equals_cold(warm, &batches, &tag)?;
                 match &reference {
                     None => reference = Some(finals),
                     Some(want) => prop_assert_eq!(&finals, want, "{}: drift", tag),
@@ -216,9 +208,8 @@ proptest! {
                     l, r, k, seed, rule: GainRule::Coverage, threads,
                 };
                 let warm = StreamEngine::with_shards_weighted(w0.clone(), cfg, shards).unwrap();
-                let cold = StreamEngine::with_shards_weighted(w0.clone(), cfg, shards).unwrap();
                 let tag = format!("weighted shards {shards} threads {threads}");
-                let finals = assert_warm_equals_cold(warm, cold, &batches, &tag)?;
+                let finals = assert_warm_equals_cold(warm, &batches, &tag)?;
                 match &reference {
                     None => reference = Some(finals),
                     Some(want) => prop_assert_eq!(&finals, want, "{}: drift", tag),
