@@ -38,7 +38,7 @@
 //!   seeds swapped, objective drift) over the churn trace,
 //! * the open path: bringing a saved index back — zero-copy `mmap` open
 //!   of an RWDIDX4 snapshot vs deserializing the same file vs rebuilding
-//!   from the graph, plus the restart drill end to end (DurableEngine
+//!   from the graph, plus the restart drill end to end (durable engine
 //!   open in both modes through the first answered point query), with the
 //!   heap/mapped byte split and the deserializer's transient peak as the
 //!   RSS story — the mapped-vs-deserialize ratio feeding the CI gate,
@@ -76,7 +76,7 @@ use rwd_datasets::temporal::{temporal_trace, TemporalTraceSpec, TraceModel};
 use rwd_graph::generators::{barabasi_albert, erdos_renyi_gnp};
 use rwd_graph::weighted::weighted_twin;
 use rwd_graph::{CsrGraph, NodeId};
-use rwd_serve::{Query, ServeEngine, Server, Snapshot};
+use rwd_serve::{Query, Server, Snapshot};
 use rwd_stream::{SeedMaintainer, StreamConfig, StreamEngine};
 use rwd_walks::{NodeSet, WalkIndex};
 
@@ -390,7 +390,7 @@ fn main() {
         threads: 0,
     };
     let stream_engine = StreamEngine::new(g.clone(), serve_cfg).expect("valid serve configuration");
-    let server = Server::start(ServeEngine::from_stream(stream_engine), query_workers);
+    let server = Server::start(stream_engine, query_workers);
     let handle = server.handle();
     // Feed the whole churn trace to the writer up front: the queries below
     // then race real batch applications the entire run.
@@ -744,7 +744,7 @@ fn main() {
     // (b) one full engine snapshot write; (c) crash recovery (latest
     // snapshot + journal-suffix replay) vs a from-scratch rebuild on the
     // final graph, asserted bit-identical — the ratio feeds the CI gate.
-    use rwd_stream::{DurabilityConfig, DurableEngine};
+    use rwd_stream::{DurabilityConfig, OpenMode};
     let durability_root =
         std::env::temp_dir().join(format!("rwd-perf-durability-{}", std::process::id()));
     std::fs::remove_dir_all(&durability_root).ok();
@@ -763,7 +763,8 @@ fn main() {
     for rep in 0..reps {
         let dir = durability_root.join(format!("wal-{rep}"));
         let eng = StreamEngine::new(g.clone(), serve_cfg).expect("valid configuration");
-        let mut durable = DurableEngine::create(eng, &dir, DurabilityConfig { snapshot_every: 0 })
+        let mut durable = eng
+            .create_durable(&dir, DurabilityConfig { snapshot_every: 0 })
             .expect("fresh data dir");
         let t0 = Instant::now();
         for b in &trace.batches {
@@ -820,28 +821,29 @@ fn main() {
     let (live_seeds, live_objective) = {
         let eng = StreamEngine::with_shards_weighted(durability_wg.clone(), durability_cfg, 1)
             .expect("valid configuration");
-        let mut durable = DurableEngine::create(
-            eng,
-            &recovery_dir,
-            DurabilityConfig {
-                snapshot_every: crash_cadence,
-            },
-        )
-        .expect("fresh data dir");
+        let mut durable = eng
+            .create_durable(
+                &recovery_dir,
+                DurabilityConfig {
+                    snapshot_every: crash_cadence,
+                },
+            )
+            .expect("fresh data dir");
         for b in &durability_trace.batches {
             durable.apply(b).expect("trace batches are valid");
         }
-        (
-            durable.engine().seeds().to_vec(),
-            durable.engine().objective().to_bits(),
-        )
+        (durable.seeds().to_vec(), durable.objective().to_bits())
     };
     let mut recovery_ms = f64::INFINITY;
     let mut recovered = None;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let opened =
-            DurableEngine::open(&recovery_dir, DurabilityConfig::default()).expect("recovers");
+        let opened = StreamEngine::open_durable_with(
+            &recovery_dir,
+            DurabilityConfig::default(),
+            OpenMode::Mapped,
+        )
+        .expect("recovers");
         recovery_ms = recovery_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         recovered = Some(opened);
     }
@@ -850,11 +852,7 @@ fn main() {
         recovery_report.torn_tail.is_none(),
         "clean shutdown misread as torn"
     );
-    let final_graph = recovered
-        .engine()
-        .weighted_graph()
-        .expect("weighted engine")
-        .clone();
+    let final_graph = recovered.weighted_graph().expect("weighted engine").clone();
     let mut durability_rebuild_ms = f64::INFINITY;
     let mut cold = None;
     for _ in 0..reps {
@@ -866,22 +864,22 @@ fn main() {
     }
     let cold = cold.expect("reps >= 1");
     assert_eq!(
-        recovered.engine().seeds(),
+        recovered.seeds(),
         cold.seeds(),
         "recovered seeds must equal a from-scratch rebuild"
     );
     assert_eq!(
-        recovered.engine().objective().to_bits(),
+        recovered.objective().to_bits(),
         cold.objective().to_bits(),
         "recovered objective must equal a from-scratch rebuild"
     );
     assert_eq!(
-        recovered.engine().seeds(),
+        recovered.seeds(),
         &live_seeds[..],
         "recovered seeds must equal the live engine's"
     );
     assert_eq!(
-        recovered.engine().objective().to_bits(),
+        recovered.objective().to_bits(),
         live_objective,
         "recovered objective must equal the live engine's"
     );
@@ -937,10 +935,9 @@ fn main() {
     let mapped_vs_deserialize = deser_open_ms / mapped_open_ms.max(1e-9);
     let mapped_vs_rebuild = uw_all / mapped_open_ms.max(1e-9);
 
-    // The restart drill end to end: DurableEngine::open in both modes on
+    // The restart drill end to end: a durable open in both modes on
     // the durability section's data dir, through the first answered point
     // query — time-to-first-answer after a process restart.
-    use rwd_stream::OpenMode;
     let open_modes: &[(OpenMode, bool)] = &[
         (OpenMode::Mapped, mapped_available),
         (OpenMode::Deserialize, true),
@@ -955,10 +952,10 @@ fn main() {
         for _ in 0..reps {
             let t0 = Instant::now();
             let (eng, rep) =
-                DurableEngine::open_with(&recovery_dir, DurabilityConfig::default(), mode)
+                StreamEngine::open_durable_with(&recovery_dir, DurabilityConfig::default(), mode)
                     .expect("recovers");
             let opened = t0.elapsed().as_secs_f64() * 1e3;
-            let snap = Snapshot::capture(eng.engine());
+            let snap = Snapshot::capture(&eng);
             let first = snap.hit_time(NodeId(0));
             let ttfa = t0.elapsed().as_secs_f64() * 1e3;
             assert!(first.is_finite() || first.is_infinite());
@@ -966,8 +963,8 @@ fn main() {
             engine_open_ms[slot] = engine_open_ms[slot].min(opened);
             ttfa_ms[slot] = ttfa_ms[slot].min(ttfa);
             let bits = (
-                eng.engine().seeds().to_vec(),
-                eng.engine().objective().to_bits(),
+                eng.seeds().to_vec(),
+                eng.objective().to_bits(),
                 first.to_bits(),
             );
             match &first_bits {

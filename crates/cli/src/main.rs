@@ -439,6 +439,9 @@ fn parse_stream_setup(
     if data_dir.is_none() && flags.contains_key("snapshot-every") {
         return Err("--snapshot-every needs --data-dir".into());
     }
+    if data_dir.is_none() && flags.contains_key("mmap") {
+        return Err("--mmap needs --data-dir (it reopens the written snapshot zero-copy)".into());
+    }
     Ok(StreamSetup {
         model_name,
         spec,
@@ -514,11 +517,10 @@ fn metrics_table() -> String {
 fn start_engine(
     setup: &StreamSetup,
     base: &rwd_graph::CsrGraph,
-) -> Result<rwd_serve::ServeEngine, String> {
-    use rwd_serve::ServeEngine;
+) -> Result<rwd_stream::StreamEngine, String> {
     use rwd_stream::StreamEngine;
 
-    let stream = if setup.weighted {
+    let engine = if setup.weighted {
         let wbase =
             rwd_graph::weighted::weighted_twin(base, setup.spec.seed).map_err(|e| e.to_string())?;
         StreamEngine::with_shards_weighted(wbase, setup.cfg, setup.shards)
@@ -527,10 +529,10 @@ fn start_engine(
     }
     .map_err(|e| e.to_string())?;
     match &setup.data_dir {
-        Some(dir) => {
-            ServeEngine::create_durable(stream, dir, setup.dcfg).map_err(|e| e.to_string())
-        }
-        None => Ok(ServeEngine::from_stream(stream)),
+        Some(dir) => engine
+            .create_durable(dir, setup.dcfg)
+            .map_err(|e| e.to_string()),
+        None => Ok(engine),
     }
 }
 
@@ -605,19 +607,19 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut warm_batches = 0usize;
     let mut replayed_total = 0usize;
     let (mut refresh_ms_total, mut maintain_ms_total) = (0.0f64, 0.0f64);
-    let initial_objective = engine.stream().objective();
+    let initial_objective = engine.objective();
     let mut prev_objective = initial_objective;
     let mut max_step = 0.0f64;
     let mut tracker = (metrics_every > 0).then(|| {
         let mut tr = rwd_obs::EpochStabilityTracker::new();
-        let seeds: Vec<u32> = engine.stream().seeds().iter().map(|s| s.raw()).collect();
+        let seeds: Vec<u32> = engine.seeds().iter().map(|s| s.raw()).collect();
         tr.observe(0, &seeds, initial_objective, None);
         tr
     });
     for (bi, batch) in trace.batches.iter().enumerate() {
         let rep = engine.apply(batch).map_err(|e| e.to_string())?;
         if let Some(tr) = &mut tracker {
-            let seeds: Vec<u32> = engine.stream().seeds().iter().map(|s| s.raw()).collect();
+            let seeds: Vec<u32> = engine.seeds().iter().map(|s| s.raw()).collect();
             tr.observe(rep.epoch, &seeds, rep.maintain.objective, None);
         }
         if metrics_every > 0 && (bi as u64 + 1).is_multiple_of(metrics_every) {
@@ -662,12 +664,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             // Rebuild each shard's layer range from scratch on the current
             // graph; the maintained partial indexes must match bitwise.
             // (With shards = 1 this is the historical full-index check.)
-            let inner = engine.stream();
-            let rebuilt = match inner.graph_shared() {
-                EpochGraph::Unweighted(g) => rebuild_shards(&*g, inner),
-                EpochGraph::Weighted(g) => rebuild_shards(&*g, inner),
+            let rebuilt = match engine.graph_shared() {
+                EpochGraph::Unweighted(g) => rebuild_shards(&*g, &engine),
+                EpochGraph::Weighted(g) => rebuild_shards(&*g, &engine),
             };
-            if inner.shard_indexes().into_iter().ne(&rebuilt) {
+            if engine.shard_indexes().into_iter().ne(&rebuilt) {
                 return Err(format!(
                     "epoch {}: maintained index diverged from a rebuild",
                     rep.epoch
@@ -680,15 +681,13 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         println!("# per-shard refresh breakdown");
         println!("{}", st.render());
     }
-    if let Some(d) = engine.durable() {
+    if let Some(dir) = data_dir {
         println!(
-            "# durability: journaled {} batches to {} (snapshot every {} batches)",
-            spec.batches,
-            d.dir().display(),
-            d.durability_config().snapshot_every,
+            "# durability: journaled {} batches to {dir} (snapshot every {} batches)",
+            spec.batches, dcfg.snapshot_every,
         );
     }
-    let life = engine.stream().lifetime_stats();
+    let life = engine.lifetime_stats();
     println!(
         "# lifetime: {} of {} group-epochs resampled ({}%), {} postings rewritten{}",
         life.groups_resampled,
@@ -754,34 +753,23 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             fmt_f(sum.max_abs_objective_drift, 3),
         );
     }
-    let ids: Vec<String> = engine
-        .stream()
-        .seeds()
-        .iter()
-        .map(|u| u.to_string())
-        .collect();
+    let ids: Vec<String> = engine.seeds().iter().map(|u| u.to_string()).collect();
     println!("# final seeds: {}", ids.join(","));
 
-    if flags.contains_key("mmap") {
+    if let (true, Some(dir)) = (flags.contains_key("mmap"), data_dir) {
         // Snapshot the final state, drop the live engine, and reopen the
         // data dir zero-copy: the mapped engine must answer identically.
-        use rwd_serve::ServeEngine;
-        use rwd_stream::OpenMode;
-        let Some(dir) = data_dir else {
-            return Err(
-                "--mmap needs --data-dir (it reopens the written snapshot zero-copy)".into(),
-            );
-        };
-        let snap_epoch = engine.snapshot_to_disk().map_err(|e| e.to_string())?;
-        let live_seeds: Vec<NodeId> = engine.stream().seeds().to_vec();
-        let live_objective = engine.stream().objective();
+        use rwd_stream::{OpenMode, StreamEngine};
+        let snap_epoch = engine.snapshot_now().map_err(|e| e.to_string())?;
+        let live_seeds: Vec<NodeId> = engine.seeds().to_vec();
+        let live_objective = engine.objective();
         drop(engine);
         let started = std::time::Instant::now();
-        let (reopened, report) = ServeEngine::open_durable_with(dir, dcfg, OpenMode::Mapped)
+        let (reopened, report) = StreamEngine::open_durable_with(dir, dcfg, OpenMode::Mapped)
             .map_err(|e| e.to_string())?;
         let open_ms = started.elapsed().as_secs_f64() * 1e3;
-        if reopened.stream().seeds() != live_seeds
-            || reopened.stream().objective().to_bits() != live_objective.to_bits()
+        if reopened.seeds() != live_seeds
+            || reopened.objective().to_bits() != live_objective.to_bits()
         {
             return Err("mmap reopen diverged from the live engine".into());
         }
@@ -815,7 +803,7 @@ fn rebuild_shards<G: rwd_walks::WalkGraph>(
 /// `--verify` additionally rebuilds the whole pipeline from scratch on the
 /// recovered graph and asserts the recovered state is bit-identical.
 fn cmd_recover(args: &[String]) -> Result<(), String> {
-    use rwd_stream::{DurabilityConfig, DurableEngine, EpochGraph, OpenMode, SeedMaintainer};
+    use rwd_stream::{DurabilityConfig, EpochGraph, OpenMode, SeedMaintainer, StreamEngine};
 
     let (pos, flags) = parse(args)?;
     let dir = pos.first().ok_or("recover needs a data-dir path")?;
@@ -826,9 +814,8 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
         OpenMode::Deserialize
     };
 
-    let (durable, report) = DurableEngine::open_with(dir, DurabilityConfig::default(), mode)
+    let (engine, report) = StreamEngine::open_durable_with(dir, DurabilityConfig::default(), mode)
         .map_err(|e| e.to_string())?;
-    let engine = durable.engine();
     let recovery_ms = report.snapshot_load_ms + report.replay_ms;
 
     let mut t = Table::new(["property", "value"]);
@@ -867,8 +854,8 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
         let cfg = *engine.config();
         let started = std::time::Instant::now();
         let cold_shards = match engine.graph_shared() {
-            EpochGraph::Unweighted(g) => rebuild_shards(&*g, engine),
-            EpochGraph::Weighted(g) => rebuild_shards(&*g, engine),
+            EpochGraph::Unweighted(g) => rebuild_shards(&*g, &engine),
+            EpochGraph::Weighted(g) => rebuild_shards(&*g, &engine),
         };
         let mut cold = SeedMaintainer::new(cfg.rule, cfg.k, cfg.threads);
         cold.maintain_sharded(&cold_shards.iter().collect::<Vec<_>>());
@@ -1066,7 +1053,7 @@ fn count_samples(text: &str) -> usize {
 /// latency.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use rwd_datasets::temporal::temporal_trace;
-    use rwd_serve::{ServeEngine, Server};
+    use rwd_serve::{Server, Snapshot};
 
     let (pos, flags) = parse(args)?;
     let setup = parse_stream_setup("serve", &pos, &flags)?;
@@ -1202,21 +1189,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         print!("{text}");
     }
 
-    if flags.contains_key("mmap") {
+    if let (true, Some(dir)) = (flags.contains_key("mmap"), data_dir) {
         // Restart drill: reopen the data dir zero-copy and time the first
         // served answer — the restarted server's state (snapshot + journal
         // suffix) is bit-identical to the one that just shut down.
-        use rwd_stream::OpenMode;
-        let Some(dir) = data_dir else {
-            return Err(
-                "--mmap needs --data-dir (it reopens the written snapshot zero-copy)".into(),
-            );
-        };
+        use rwd_stream::{OpenMode, StreamEngine};
         let started = std::time::Instant::now();
-        let (reopened, report) = ServeEngine::open_durable_with(dir, dcfg, OpenMode::Mapped)
+        let (reopened, report) = StreamEngine::open_durable_with(dir, dcfg, OpenMode::Mapped)
             .map_err(|e| e.to_string())?;
         let open_ms = started.elapsed().as_secs_f64() * 1e3;
-        let snap = reopened.snapshot();
+        let snap = Snapshot::capture(&reopened);
         let q0 = std::time::Instant::now();
         let h = snap.hit_time(NodeId(0));
         let query_us = q0.elapsed().as_secs_f64() * 1e6;
@@ -1763,6 +1745,24 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--snapshot-every needs --data-dir"), "{err}");
+        // So is --mmap without --data-dir: named before the engine starts
+        // (which --shards 0 would fail), not after the whole run.
+        for cmd in ["stream", "serve"] {
+            let err = run(&argv(&[
+                cmd,
+                "--model",
+                "er",
+                "--nodes",
+                "60",
+                "--batches",
+                "1",
+                "--shards",
+                "0",
+                "--mmap",
+            ]))
+            .unwrap_err();
+            assert!(err.contains("--mmap needs --data-dir"), "{cmd}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -61,7 +61,10 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
     let err = |why: &str| format!("bad exposition line ({why}): {line:?}");
     let (series, value_text) = match line.find('{') {
         Some(open) => {
-            let close = line.rfind('}').ok_or_else(|| err("unclosed label block"))?;
+            let close = line
+                .rfind('}')
+                .filter(|&close| close > open)
+                .ok_or_else(|| err("unclosed label block"))?;
             (&line[..open + 1], line[close + 1..].trim())
         }
         None => {
@@ -198,6 +201,9 @@ mod tests {
     fn rejects_malformed_lines() {
         assert!(parse("novalue\n").is_err());
         assert!(parse("m{unclosed=\"x\" 1\n").is_err());
+        // A `}` before the first `{` must not slice the line backwards.
+        assert!(parse("}{\n").is_err());
+        assert!(parse("a}{ 1\n").is_err());
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //!   applying concurrently never mutates pinned state (the engine
 //!   copies-on-write instead), so every answer is coherent — index, seeds
 //!   and objective all from the same epoch,
-//! * [`engine`] — [`ServeEngine`]: the writer. Wraps a
-//!   [`StreamEngine`](rwd_stream::StreamEngine), applies churn batches,
-//!   and *publishes* the next epoch's snapshot only after the batch fully
-//!   lands — readers see epoch `e` or `e+1`, never a mix,
 //! * [`server`] — [`Server`]: a thread-pooled request loop (std `mpsc`
 //!   multiplexing, no external runtime — the same std-only discipline as
 //!   the rest of the workspace). Queries fan out over a worker pool
 //!   against the currently published snapshot; batches funnel through a
-//!   single writer thread. Submissions return a [`Ticket`] — an
-//!   async-shaped one-shot handle (`poll`/`wait`).
+//!   single writer thread that owns the
+//!   [`StreamEngine`](rwd_stream::StreamEngine), applies each batch and
+//!   *publishes* the next epoch's snapshot only after the batch fully
+//!   lands — readers see epoch `e` or `e+1`, never a mix. Submissions
+//!   return a [`Ticket`] — an async-shaped one-shot handle (`poll`/`wait`).
 //!
 //! Point queries ([`Snapshot::hit_time`], [`Snapshot::hit_prob`],
 //! [`Snapshot::coverage`], [`Snapshot::top_m_uncovered`]) are answered
@@ -30,20 +29,20 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod engine;
 pub(crate) mod metrics;
 pub mod server;
 pub mod snapshot;
 
-pub use engine::ServeEngine;
+/// The engine a [`Server`] drives: the evolving engine itself, which
+/// journals, snapshots and recovers on its own. The end-to-end benchmark
+/// (`e2e-bench/`) names it `ServeEngine`.
+pub use rwd_stream::StreamEngine as ServeEngine;
 pub use server::{ApplyOutcome, Query, QueryAnswer, QueryValue, Server, ServerHandle, Ticket};
 pub use snapshot::Snapshot;
 
 /// Errors produced by the serving layer.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The underlying evolving engine rejected a batch or configuration.
-    Stream(rwd_stream::StreamError),
     /// The server is shutting down and no longer accepts requests.
     Closed,
 }
@@ -51,26 +50,12 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Stream(e) => write!(f, "{e}"),
             ServeError::Closed => write!(f, "server is shut down"),
         }
     }
 }
 
-impl std::error::Error for ServeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServeError::Stream(e) => Some(e),
-            ServeError::Closed => None,
-        }
-    }
-}
-
-impl From<rwd_stream::StreamError> for ServeError {
-    fn from(e: rwd_stream::StreamError) -> Self {
-        ServeError::Stream(e)
-    }
-}
+impl std::error::Error for ServeError {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -5,9 +5,13 @@
 //! against the snapshot published at the moment it picks the job up —
 //! every answer is coherent (one epoch) because the worker pins exactly
 //! one snapshot per request. Churn batches funnel through a single writer
-//! thread that owns the [`ServeEngine`]; it publishes the next epoch only
-//! after a batch fully lands, so queries racing a batch see epoch `e` or
-//! `e + 1`, never a mix.
+//! thread that owns the [`StreamEngine`]; it applies each batch (journaled
+//! first when the engine is durable), then captures and publishes one
+//! [`Snapshot`] of the next epoch, so queries racing a batch see epoch `e`
+//! or `e + 1`, never a mix. The published snapshot is a standing pin, so
+//! each batch first clones every shard index shallowly (the walk layers are
+//! shared `Arc`s) and the refresh writes each layer it patches as a new
+//! one, leaving the pinned layer to readers.
 //!
 //! Submission is async-shaped without a runtime: [`ServerHandle::query`]
 //! and [`ServerHandle::apply`] return immediately with a [`Ticket`] — a
@@ -18,9 +22,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use rwd_graph::NodeId;
-use rwd_stream::{BatchReport, EdgeBatch};
+use rwd_stream::{BatchReport, EdgeBatch, StreamEngine};
 
-use crate::engine::ServeEngine;
 use crate::metrics::{ServerMetrics, BATCH_ENDPOINT};
 use crate::snapshot::Snapshot;
 use crate::{Result, ServeError};
@@ -294,7 +297,7 @@ type FaultHook = Box<dyn FnMut(&EdgeBatch) + Send>;
 impl Server {
     /// Starts the request loop over `engine` with `query_workers` pool
     /// threads (clamped to ≥ 1) plus one writer thread.
-    pub fn start(engine: ServeEngine, query_workers: usize) -> Server {
+    pub fn start(engine: StreamEngine, query_workers: usize) -> Server {
         Self::start_inner(engine, query_workers, None)
     }
 
@@ -304,13 +307,17 @@ impl Server {
     /// contract (tickets resolve, queries survive, shutdown joins) is
     /// testable without contriving a genuine engine panic.
     #[doc(hidden)]
-    pub fn start_with_fault(engine: ServeEngine, query_workers: usize, fault: FaultHook) -> Server {
+    pub fn start_with_fault(
+        engine: StreamEngine,
+        query_workers: usize,
+        fault: FaultHook,
+    ) -> Server {
         Self::start_inner(engine, query_workers, Some(fault))
     }
 
-    fn start_inner(engine: ServeEngine, query_workers: usize, fault: Option<FaultHook>) -> Server {
+    fn start_inner(engine: StreamEngine, query_workers: usize, fault: Option<FaultHook>) -> Server {
         let metrics = ServerMetrics::new();
-        let initial = engine.snapshot();
+        let initial = Snapshot::capture(&engine);
         metrics.published_epoch.set(initial.epoch() as i64);
         let shared = Arc::new(Shared {
             current: RwLock::new(initial),
@@ -412,7 +419,7 @@ fn query_worker(shared: &Shared, rx: &Mutex<Receiver<QueryJob>>) {
 }
 
 fn write_loop(
-    mut engine: ServeEngine,
+    mut engine: StreamEngine,
     shared: &Shared,
     rx: &Receiver<ApplyJob>,
     mut fault: Option<FaultHook>,
@@ -434,7 +441,10 @@ fn write_loop(
         }));
         match caught {
             Ok(report) => {
-                let snap = engine.snapshot();
+                // Published whether or not the batch applied: a rejected
+                // batch leaves the engine unchanged, so republishing it is
+                // correct.
+                let snap = Snapshot::capture(&engine);
                 metrics.published_epoch.set(snap.epoch() as i64);
                 shared.publish(snap);
                 let end = Instant::now();
@@ -498,30 +508,28 @@ mod tests {
     use super::*;
     use rwd_core::greedy::approx::GainRule;
     use rwd_graph::generators::erdos_renyi_gnp;
-    use rwd_stream::{StreamConfig, StreamEngine};
+    use rwd_stream::StreamConfig;
 
-    fn engine(n: usize, seed: u64) -> ServeEngine {
+    fn engine(n: usize, seed: u64) -> StreamEngine {
         let g = erdos_renyi_gnp(n, 0.1, seed).unwrap();
-        ServeEngine::from_stream(
-            StreamEngine::new(
-                g,
-                StreamConfig {
-                    l: 4,
-                    r: 5,
-                    k: 3,
-                    seed: 7,
-                    rule: GainRule::HittingTime,
-                    threads: 1,
-                },
-            )
-            .unwrap(),
+        StreamEngine::new(
+            g,
+            StreamConfig {
+                l: 4,
+                r: 5,
+                k: 3,
+                seed: 7,
+                rule: GainRule::HittingTime,
+                threads: 1,
+            },
         )
+        .unwrap()
     }
 
     #[test]
     fn queries_round_trip_with_epoch_provenance() {
         let serve = engine(40, 3);
-        let reference = serve.snapshot();
+        let reference = Snapshot::capture(&serve);
         let server = Server::start(serve, 2);
         let handle = server.handle();
 
@@ -547,7 +555,7 @@ mod tests {
     #[test]
     fn applies_publish_new_epochs_for_queries() {
         let serve = engine(40, 5);
-        let g = serve.stream().graph().unwrap().clone();
+        let g = serve.graph().unwrap().clone();
         let server = Server::start(serve, 1);
         let handle = server.handle();
 
@@ -620,7 +628,7 @@ mod tests {
         // queued and later apply ticket resolves with Closed, queries keep
         // serving the last published snapshot, and shutdown joins cleanly.
         let serve = engine(40, 13);
-        let g = serve.stream().graph().unwrap().clone();
+        let g = serve.graph().unwrap().clone();
         let server = Server::start_with_fault(
             serve,
             2,

@@ -47,9 +47,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures the engine's current state. (Used by the serving engine on
-    /// publication; cheap relative to a batch, O(k + n/64 + shards) for the
-    /// seed bitset and the per-shard handles.)
+    /// Captures the engine's current state. (The server's writer publishes
+    /// one per batch; cheap relative to a batch, O(k + n/64 + shards) for
+    /// the seed bitset and the per-shard handles.)
     pub fn capture(engine: &StreamEngine) -> Snapshot {
         let shards = engine.shard_indexes_shared();
         let n = shards[0].n();
@@ -76,20 +76,6 @@ impl Snapshot {
     /// The epoch's graph.
     pub fn graph(&self) -> &SnapshotGraph {
         &self.graph
-    }
-
-    /// The epoch's walk index.
-    ///
-    /// # Panics
-    /// Panics on a sharded snapshot — there is no single monolithic index
-    /// there; use [`Snapshot::shards`].
-    pub fn index(&self) -> &WalkIndex {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "index() needs a single-shard snapshot; a sharded snapshot exposes shards()"
-        );
-        &self.shards[0]
     }
 
     /// The per-shard partial indexes, in layer order (length 1 on a
@@ -215,7 +201,8 @@ mod tests {
     use super::*;
     use rwd_core::greedy::approx::GainRule;
     use rwd_graph::generators::erdos_renyi_gnp;
-    use rwd_stream::{EdgeBatch, StreamConfig};
+    use rwd_graph::CsrGraph;
+    use rwd_stream::{DurabilityConfig, EdgeBatch, OpenMode, StreamConfig, StreamError};
 
     fn cfg() -> StreamConfig {
         StreamConfig {
@@ -226,6 +213,27 @@ mod tests {
             rule: GainRule::HittingTime,
             threads: 0,
         }
+    }
+
+    /// The configuration the publication tests run under (their static
+    /// selection check needs the coverage rule).
+    fn serve_cfg() -> StreamConfig {
+        StreamConfig {
+            l: 4,
+            r: 5,
+            k: 3,
+            seed: 11,
+            rule: GainRule::Coverage,
+            threads: 0,
+        }
+    }
+
+    fn absent_edge(g: &CsrGraph) -> (u32, u32) {
+        let n = g.n() as u32;
+        (0..n)
+            .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+            .find(|&(u, v)| !g.has_edge(NodeId(u), NodeId(v)))
+            .expect("graph is not complete")
     }
 
     #[test]
@@ -243,8 +251,8 @@ mod tests {
         assert_eq!(snap.seed_set().len(), 4);
 
         // Full-sweep references on the pinned epoch.
-        let ht = snap.index().estimate_hit_times(snap.seed_set());
-        let hp = snap.index().estimate_hit_probs(snap.seed_set());
+        let ht = snap.shards()[0].estimate_hit_times(snap.seed_set());
+        let hp = snap.shards()[0].estimate_hit_probs(snap.seed_set());
 
         // Churn the engine; the pinned snapshot must not move.
         let (u, v) = (0..80u32)
@@ -280,7 +288,7 @@ mod tests {
         // coverage_of on an arbitrary set agrees with the point query sum.
         let probe = NodeSet::from_nodes(40, [NodeId(1), NodeId(3)]);
         let total: f64 = (0..40)
-            .map(|v| snap.index().point_hit_prob(NodeId(v), &probe))
+            .map(|v| snap.shards()[0].point_hit_prob(NodeId(v), &probe))
             .sum();
         assert!((snap.coverage_of(&probe) - total).abs() < 1e-9);
     }
@@ -318,5 +326,115 @@ mod tests {
             ss.coverage_of(&probe).to_bits(),
             ms.coverage_of(&probe).to_bits()
         );
+    }
+
+    #[test]
+    fn apply_publishes_after_the_batch_lands() {
+        let g0 = erdos_renyi_gnp(60, 0.08, 21).unwrap();
+        let mut engine = StreamEngine::new(g0.clone(), serve_cfg()).unwrap();
+        let pinned = Snapshot::capture(&engine);
+        assert_eq!(pinned.epoch(), 0);
+
+        let (u, v) = absent_edge(&g0);
+        let mut batch = EdgeBatch::new(5);
+        batch.insertions.push((u, v, 1.0));
+        let report = engine.apply(&batch).unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(engine.epoch(), 1);
+        assert_eq!(Snapshot::capture(&engine).epoch(), 1);
+        // The pre-batch pin still observes epoch 0 in full.
+        assert_eq!(pinned.epoch(), 0);
+        assert_eq!(pinned.m(), g0.m());
+
+        // A failed batch publishes nothing and changes nothing.
+        let mut bad = EdgeBatch::new(6);
+        bad.deletions.push((0, 0));
+        assert!(engine.apply(&bad).is_err());
+        assert_eq!(engine.epoch(), 1);
+        assert_eq!(Snapshot::capture(&engine).epoch(), 1);
+
+        // An empty batch keeps the same published epoch (engine no-op).
+        let report = engine.apply(&EdgeBatch::new(7)).unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(Snapshot::capture(&engine).epoch(), 1);
+    }
+
+    #[test]
+    fn durable_backend_round_trips_through_recovery() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static UNIQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "rwd-serve-durable-{}-{}",
+            std::process::id(),
+            UNIQ.fetch_add(1, Ordering::Relaxed)
+        ));
+
+        let g0 = erdos_renyi_gnp(50, 0.1, 33).unwrap();
+        let dcfg = DurabilityConfig { snapshot_every: 2 };
+        let mut durable = StreamEngine::new(g0.clone(), serve_cfg())
+            .unwrap()
+            .create_durable(&dir, dcfg)
+            .unwrap();
+        let mut plain = StreamEngine::new(g0, serve_cfg()).unwrap();
+        assert!(matches!(
+            plain.snapshot_now(),
+            Err(StreamError::InvalidConfig(_))
+        ));
+
+        // Drive both engines through the same churn; the durable one
+        // additionally journals (and snapshots at cadence 2).
+        for t in 0..3u64 {
+            let (u, v) = absent_edge(durable.graph().unwrap());
+            let mut batch = EdgeBatch::new(t);
+            batch.insertions.push((u, v, 1.0));
+            let a = durable.apply(&batch).unwrap();
+            let b = plain.apply(&batch).unwrap();
+            assert_eq!(a.epoch, b.epoch);
+        }
+        assert!(dir.join("snap-2/manifest.bin").exists());
+
+        // Recover into a fresh engine: its snapshot must be bit-identical
+        // to the live one it shadows.
+        let live = Snapshot::capture(&durable);
+        drop(durable);
+        let (recovered, report) =
+            StreamEngine::open_durable_with(&dir, dcfg, OpenMode::Mapped).unwrap();
+        assert_eq!(report.recovered_epoch, 3);
+        let snap = Snapshot::capture(&recovered);
+        assert_eq!(snap.epoch(), live.epoch());
+        assert_eq!(snap.seeds(), live.seeds());
+        assert_eq!(snap.objective().to_bits(), live.objective().to_bits());
+        for v in 0..50u32 {
+            assert_eq!(
+                snap.hit_time(NodeId(v)).to_bits(),
+                live.hit_time(NodeId(v)).to_bits(),
+                "hit_time diverged at node {v}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshots_match_static_selection_each_epoch() {
+        use rwd_core::algo::select_from_index;
+        use rwd_core::Strategy;
+
+        let g0 = erdos_renyi_gnp(50, 0.1, 9).unwrap();
+        let mut engine = StreamEngine::new(g0.clone(), serve_cfg()).unwrap();
+        let mut g = g0;
+        for t in 0..3u64 {
+            let (u, v) = absent_edge(&g);
+            let mut batch = EdgeBatch::new(t);
+            batch.insertions.push((u, v, 1.0));
+            engine.apply(&batch).unwrap();
+            g = engine.graph().unwrap().clone();
+            let snap = Snapshot::capture(&engine);
+            let sel =
+                select_from_index(&snap.shards()[0], GainRule::Coverage, 3, Strategy::Delta, 0)
+                    .unwrap();
+            assert_eq!(snap.seeds(), &sel.nodes[..], "epoch {}", snap.epoch());
+            let sum: f64 = sel.gain_trace.iter().sum();
+            assert_eq!(snap.objective().to_bits(), sum.to_bits());
+        }
     }
 }

@@ -10,7 +10,7 @@
 use rwd_core::greedy::approx::GainRule;
 use rwd_graph::{generators::erdos_renyi_gnp, NodeId};
 use rwd_obs::text;
-use rwd_serve::{Query, QueryValue, ServeEngine, Server};
+use rwd_serve::{Query, QueryValue, Server};
 use rwd_stream::{EdgeBatch, StreamConfig, StreamEngine};
 
 const N: usize = 80;
@@ -34,20 +34,18 @@ fn metrics_under_concurrent_churn_count_every_request() {
         .take(BATCHES as usize)
         .collect();
     assert_eq!(missing.len() as u64, BATCHES);
-    let engine = ServeEngine::from_stream(
-        StreamEngine::new(
-            g,
-            StreamConfig {
-                l: 4,
-                r: 5,
-                k: 3,
-                seed: 11,
-                rule: GainRule::HittingTime,
-                threads: 1,
-            },
-        )
-        .unwrap(),
-    );
+    let engine = StreamEngine::new(
+        g,
+        StreamConfig {
+            l: 4,
+            r: 5,
+            k: 3,
+            seed: 11,
+            rule: GainRule::HittingTime,
+            threads: 1,
+        },
+    )
+    .unwrap();
     let server = Server::start(engine, CLIENTS);
     let handle = server.handle();
 

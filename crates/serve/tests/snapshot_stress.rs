@@ -22,7 +22,7 @@ use rwd_core::greedy::approx::GainRule;
 use rwd_core::Strategy;
 use rwd_datasets::temporal::{temporal_trace, TemporalTraceSpec, TraceModel};
 use rwd_graph::{CsrGraph, NodeId};
-use rwd_serve::{Query, QueryValue, ServeEngine, Server};
+use rwd_serve::{Query, QueryValue, Server};
 use rwd_stream::{EdgeBatch, StreamConfig, StreamEngine};
 use rwd_walks::{NodeSet, WalkIndex};
 
@@ -158,9 +158,7 @@ fn run_stress(shards: usize) {
         rule: RULE,
         threads: 0,
     };
-    let engine = ServeEngine::from_stream(
-        StreamEngine::with_shards(trace.base.clone(), cfg, shards).unwrap(),
-    );
+    let engine = StreamEngine::with_shards(trace.base.clone(), cfg, shards).unwrap();
     let server = Server::start(engine, 3);
     let handle = server.handle();
 
@@ -257,7 +255,10 @@ fn run_stress(shards: usize) {
     }
     if shards == 1 {
         let fresh = WalkIndex::build(graphs.last().unwrap(), L, R, WALK_SEED);
-        assert!(*last.index() == fresh, "served index drifted from rebuild");
+        assert!(
+            *last.shards()[0] == fresh,
+            "served index drifted from rebuild"
+        );
     }
 }
 

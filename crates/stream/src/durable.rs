@@ -1,7 +1,9 @@
-//! Durable engine: write-ahead journal + periodic snapshots + crash-exact
-//! recovery.
+//! Durability: write-ahead journal + periodic snapshots + crash-exact
+//! recovery, as an optional part of [`StreamEngine`].
 //!
-//! A [`DurableEngine`] owns a data directory with two kinds of artifact:
+//! A durable engine ([`StreamEngine::create_durable`],
+//! [`StreamEngine::open_durable_with`]) owns a data directory with two
+//! kinds of artifact:
 //!
 //! * `journal-<E>.wal` — the write-ahead batch journal based at snapshot
 //!   epoch `E` (see [`crate::journal`] for the record format and the
@@ -17,16 +19,17 @@
 //!   manifest never existed. After a snapshot the journal rotates to the
 //!   new base and older artifacts are compacted away.
 //!
-//! [`DurableEngine::open`] recovers: newest loadable snapshot + journal
-//! suffix replayed through the normal apply path (incremental refresh and
-//! warm seed maintenance included). Because every transformation in the
-//! pipeline is bit-deterministic, the recovered engine is **bitwise
-//! identical** to the live engine that wrote the surviving prefix — the
-//! property `tests/recovery_equivalence.rs` fault-injects at every record
-//! boundary, mid-record truncation, and bit-flip. Seed-maintainer state is
-//! deliberately *not* serialized: a cold bootstrap over the loaded tiling
-//! is bitwise equal to the warm state (the maintainer's own proptested
-//! invariant), which keeps the snapshot format small and honest.
+//! [`StreamEngine::open_durable_with`] recovers: the newest loadable
+//! snapshot, then the journal suffix replayed through the normal apply path
+//! (incremental refresh and warm seed maintenance included). Because every
+//! transformation in the pipeline is bit-deterministic, the recovered
+//! engine is **bitwise identical** to the live engine that wrote the
+//! surviving prefix — the property `tests/recovery_equivalence.rs`
+//! fault-injects at every record boundary, mid-record truncation, and
+//! bit-flip. Seed-maintainer state is deliberately *not* serialized: a
+//! cold bootstrap over the loaded tiling is bitwise equal to the warm state
+//! (the maintainer's own proptested invariant), which keeps the snapshot
+//! format small and honest.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -40,14 +43,14 @@ use rwd_walks::crc::crc32;
 use rwd_walks::{LayerRange, WalkIndex};
 
 use crate::batch::EdgeBatch;
-use crate::engine::{self, BatchReport, EpochGraph, StreamConfig, StreamEngine};
+use crate::engine::{self, EpochGraph, StreamConfig, StreamEngine};
 use crate::journal::{self, BatchJournal};
 use crate::{Result, StreamError};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"RWDSNP1\0";
 const GRAPH_MAGIC: &[u8; 8] = b"RWDGRF1\0";
 
-/// Durability policy for a [`DurableEngine`].
+/// Durability policy of a durable [`StreamEngine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Take a snapshot (and compact the journal) every this many applied
@@ -56,8 +59,9 @@ pub struct DurabilityConfig {
     pub snapshot_every: u64,
 }
 
-/// How [`DurableEngine::open`] brings shard indexes back from a snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How [`StreamEngine::open_durable_with`] brings shard indexes back from
+/// a snapshot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpenMode {
     /// Zero-copy: RWDIDX4 shard files are `mmap(2)`-mapped in place
     /// ([`WalkIndex::open_mapped`]) — the first point query is answerable
@@ -66,14 +70,14 @@ pub enum OpenMode {
     /// [`OpenMode::Deserialize`]. Journal replay then promotes exactly the
     /// layers it touches to the heap; recovered state stays bitwise equal
     /// to the deserializing open.
-    #[default]
     Mapped,
     /// Parse every shard index into heap-owned columns
     /// ([`WalkIndex::load`]); higher open cost, no pinned file mappings.
     Deserialize,
 }
 
-/// What [`DurableEngine::open`] did to get back to the live state.
+/// What [`StreamEngine::open_durable_with`] did to get back to the live
+/// state.
 #[derive(Clone, Debug)]
 pub struct RecoveryReport {
     /// Epoch of the snapshot recovery started from.
@@ -99,70 +103,109 @@ pub struct RecoveryReport {
     pub mapped_bytes: usize,
 }
 
-/// A [`StreamEngine`] bound to a data directory: every applied batch is
-/// write-ahead journaled, snapshots land at a configurable cadence, and
-/// [`DurableEngine::open`] reconstructs the exact live state after a crash.
+/// The data-directory half of a durable [`StreamEngine`]: where it
+/// journals and snapshots, and how many batches since the last snapshot.
 #[derive(Debug)]
-pub struct DurableEngine {
-    engine: StreamEngine,
+pub(crate) struct Durable {
     dir: PathBuf,
     journal: BatchJournal,
     dcfg: DurabilityConfig,
     since_snapshot: u64,
-    undirected: bool,
 }
 
-impl DurableEngine {
-    /// Binds a freshly built engine to `dir`: writes the base snapshot at
-    /// the engine's current epoch and opens the journal. Rejects a
-    /// directory that already holds durability artifacts — recover those
-    /// with [`DurableEngine::open`] instead of overwriting history.
-    pub fn create(
-        engine: StreamEngine,
-        dir: impl AsRef<Path>,
-        dcfg: DurabilityConfig,
-    ) -> Result<Self> {
+impl Durable {
+    /// The write-ahead append [`StreamEngine::apply`] makes for a staged
+    /// batch that will publish `epoch` over the current `graph`.
+    pub(crate) fn append(
+        &mut self,
+        batch: &EdgeBatch,
+        epoch: u64,
+        graph: &EpochGraph,
+    ) -> Result<()> {
+        let undirected = match graph {
+            EpochGraph::Unweighted(g) => g.kind() == GraphKind::Undirected,
+            EpochGraph::Weighted(_) => true,
+        };
+        // Validation already passed on the staged graph, so
+        // canonicalization cannot fail; the journaled record holds the
+        // canonical edits (dedup is idempotent — replay stages the
+        // identical delta).
+        let appended = batch
+            .dedup_edits(undirected)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))
+            .and_then(|(ins, del)| self.journal.append(epoch, batch.timestamp, &ins, &del));
+        dio("write-ahead journal append", appended)
+    }
+
+    /// Snapshots `engine` at its current epoch, rotates the journal to the
+    /// new base, and compacts older artifacts.
+    fn snapshot(&mut self, engine: &StreamEngine) -> Result<u64> {
+        let epoch = engine.epoch();
+        save_snapshot(engine, &self.dir.join(format!("snap-{epoch}")))?;
+        self.journal = dio(
+            "journal rotate",
+            BatchJournal::create(self.dir.join(format!("journal-{epoch}.wal")), epoch),
+        )?;
+        // Compaction. Best-effort: leftovers are harmless (recovery picks
+        // the newest loadable snapshot and the newest journal base).
+        for (e, p) in find_numbered(&self.dir, "snap-")? {
+            if e < epoch {
+                std::fs::remove_dir_all(&p).ok();
+            }
+        }
+        for (e, p) in find_numbered(&self.dir, "journal-")? {
+            if e < epoch {
+                std::fs::remove_file(&p).ok();
+            }
+        }
+        self.since_snapshot = 0;
+        Ok(epoch)
+    }
+}
+
+impl StreamEngine {
+    /// Binds the engine to `dir`: writes the base snapshot at the current
+    /// epoch and opens the journal there; every later
+    /// [`StreamEngine::apply`] journals its batch first (an engine already
+    /// bound elsewhere moves, leaving its old directory's history as it
+    /// is). Rejects a directory that already holds durability artifacts —
+    /// recover those with [`StreamEngine::open_durable_with`] instead of
+    /// overwriting history.
+    pub fn create_durable(mut self, dir: impl AsRef<Path>, dcfg: DurabilityConfig) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         dio("data dir create", std::fs::create_dir_all(&dir))?;
         if !find_numbered(&dir, "snap-")?.is_empty() || !find_numbered(&dir, "journal-")?.is_empty()
         {
             return Err(StreamError::InvalidConfig(format!(
-                "data dir {} already holds durability artifacts; open() recovers them",
+                "data dir {} already holds durability artifacts; open_durable_with() recovers them",
                 dir.display()
             )));
         }
-        let epoch = engine.epoch();
-        save_snapshot(&engine, &dir.join(format!("snap-{epoch}")))?;
+        let epoch = self.epoch();
+        save_snapshot(&self, &dir.join(format!("snap-{epoch}")))?;
         let journal = dio(
             "journal create",
             BatchJournal::create(dir.join(format!("journal-{epoch}.wal")), epoch),
         )?;
-        let undirected = is_undirected(&engine);
-        publish_footprint(&engine);
-        Ok(DurableEngine {
-            engine,
+        publish_footprint(&self);
+        self.durable = Some(Durable {
             dir,
             journal,
             dcfg,
             since_snapshot: 0,
-            undirected,
-        })
+        });
+        Ok(self)
     }
 
-    /// Recovers the engine from `dir`: loads the newest loadable snapshot
-    /// (zero-copy by default — see [`OpenMode::Mapped`]), replays the
-    /// journal suffix through the normal apply path, truncates a torn tail
+    /// Recovers a durable engine from `dir`: loads the newest loadable
+    /// snapshot (shard indexes placed as `mode` says), replays the journal
+    /// suffix through the normal apply path, truncates a torn tail
     /// (reported, never fatal), and resumes journaling where the surviving
     /// history ends. Mid-journal corruption and unloadable snapshots fail
-    /// with named errors instead of serving drifted state.
-    pub fn open(dir: impl AsRef<Path>, dcfg: DurabilityConfig) -> Result<(Self, RecoveryReport)> {
-        Self::open_with(dir, dcfg, OpenMode::default())
-    }
-
-    /// [`DurableEngine::open`] with an explicit shard-index
-    /// [`OpenMode`]. Both modes recover the exact same state — the mode
-    /// only chooses where the posting columns live (mapped file vs heap).
-    pub fn open_with(
+    /// with named errors instead of serving drifted state. Both modes
+    /// recover the exact same state — the mode only chooses where the
+    /// posting columns live (mapped file vs heap).
+    pub fn open_durable_with(
         dir: impl AsRef<Path>,
         dcfg: DurabilityConfig,
         mode: OpenMode,
@@ -261,108 +304,49 @@ impl DurableEngine {
             heap_bytes,
             mapped_bytes,
         };
-        let undirected = is_undirected(&engine);
-        Ok((
-            DurableEngine {
-                engine,
-                dir,
-                journal,
-                dcfg,
-                since_snapshot: epochs_replayed,
-                undirected,
-            },
-            report,
-        ))
-    }
-
-    /// Applies one batch with the write-ahead contract: the canonicalized
-    /// batch is journaled and fsync'd after validation passes and before
-    /// any shard commits. Empty batches short-circuit without touching the
-    /// journal (they don't advance the epoch). At the configured cadence a
-    /// snapshot lands after the apply and the journal compacts.
-    ///
-    /// Once the batch has committed, `apply` returns `Ok`: the journal
-    /// already holds it, so a failed periodic snapshot only bumps
-    /// `rwd_durable_snapshot_failures_total` and is retried at the next
-    /// batch. Reporting it as an error would tell a client to resend edits
-    /// that already landed.
-    pub fn apply(&mut self, batch: &EdgeBatch) -> Result<BatchReport> {
-        let undirected = self.undirected;
-        let journal = &mut self.journal;
-        let mut hook = |b: &EdgeBatch, epoch: u64| -> std::io::Result<()> {
-            // Validation already passed on every shard, so canonicalization
-            // cannot fail; the journaled record holds the canonical edits
-            // (dedup is idempotent — replay stages the identical delta).
-            let (ins, del) = b.dedup_edits(undirected).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-            })?;
-            journal.append(epoch, b.timestamp, &ins, &del)
-        };
-        let report = self.engine.apply_hooked(batch, Some(&mut hook))?;
-        if !report.shards.is_empty() {
-            self.since_snapshot += 1;
-            if self.dcfg.snapshot_every > 0
-                && self.since_snapshot >= self.dcfg.snapshot_every
-                && self.snapshot_now().is_err()
-            {
-                crate::obs::durable_metrics().snapshot_failures.inc();
-            }
-            // Commits may have promoted mapped layers to the heap; keep
-            // the resident-vs-mapped gauges truthful.
-            publish_footprint(&self.engine);
-        }
-        Ok(report)
+        engine.durable = Some(Durable {
+            dir,
+            journal,
+            dcfg,
+            since_snapshot: epochs_replayed,
+        });
+        Ok((engine, report))
     }
 
     /// Takes a snapshot at the current epoch, rotates the journal to the
     /// new base, and compacts: older snapshots and journal files are
     /// deleted once the new manifest is durable. Returns the snapshot
-    /// epoch.
+    /// epoch. An engine with no data dir refuses with
+    /// [`StreamError::InvalidConfig`].
     pub fn snapshot_now(&mut self) -> Result<u64> {
-        let epoch = self.engine.epoch();
-        save_snapshot(&self.engine, &self.dir.join(format!("snap-{epoch}")))?;
-        self.journal = dio(
-            "journal rotate",
-            BatchJournal::create(self.dir.join(format!("journal-{epoch}.wal")), epoch),
-        )?;
-        // Compaction. Best-effort: leftovers are harmless (recovery picks
-        // the newest loadable snapshot and the newest journal base).
-        for (e, p) in find_numbered(&self.dir, "snap-")? {
-            if e < epoch {
-                std::fs::remove_dir_all(&p).ok();
-            }
+        let Some(mut durable) = self.durable.take() else {
+            return Err(StreamError::InvalidConfig(
+                "snapshot_now requires a durable engine (no data dir attached)".into(),
+            ));
+        };
+        let taken = durable.snapshot(self);
+        self.durable = Some(durable);
+        taken
+    }
+
+    /// The durable tail of [`StreamEngine::apply`] after a batch committed:
+    /// counts it toward the snapshot cadence and, when one is due, takes
+    /// it (a failure is counted and retried at the next batch).
+    pub(crate) fn snapshot_on_cadence(&mut self) {
+        let Some(durable) = &mut self.durable else {
+            return;
+        };
+        durable.since_snapshot += 1;
+        if durable.dcfg.snapshot_every > 0
+            && durable.since_snapshot >= durable.dcfg.snapshot_every
+            && self.snapshot_now().is_err()
+        {
+            crate::obs::durable_metrics().snapshot_failures.inc();
         }
-        for (e, p) in find_numbered(&self.dir, "journal-")? {
-            if e < epoch {
-                std::fs::remove_file(&p).ok();
-            }
-        }
-        self.since_snapshot = 0;
-        Ok(epoch)
+        // Commits may have promoted mapped layers to the heap; keep the
+        // resident-vs-mapped gauges truthful.
+        publish_footprint(self);
     }
-
-    /// The wrapped engine (read-only — mutation goes through
-    /// [`DurableEngine::apply`] so the journal never lags the state).
-    pub fn engine(&self) -> &StreamEngine {
-        &self.engine
-    }
-
-    /// The data directory this engine persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The durability policy.
-    pub fn durability_config(&self) -> DurabilityConfig {
-        self.dcfg
-    }
-}
-
-fn is_undirected(engine: &StreamEngine) -> bool {
-    engine
-        .graph()
-        .map(|g| g.kind() == GraphKind::Undirected)
-        .unwrap_or(true)
 }
 
 /// Pushes the engine's resident-vs-mapped column split to the global
@@ -788,35 +772,65 @@ mod tests {
         dir
     }
 
-    /// Every bitwise-comparable surface of an engine.
-    fn fingerprint(e: &StreamEngine) -> (u64, Vec<u32>, Vec<u64>, u64, bool) {
-        (
-            e.epoch(),
-            e.seeds().iter().map(|s| s.raw()).collect(),
-            e.gain_trace().iter().map(|g| g.to_bits()).collect(),
-            e.objective().to_bits(),
-            true,
-        )
+    /// An owned image of every bitwise-comparable surface of an engine:
+    /// epoch, seeds, gain and objective bits, the shard indexes, and the
+    /// adjacency with weight bits (`1.0` on an unweighted graph). Taken
+    /// before a live engine is dropped, so its recovery can be held to it.
+    struct Image {
+        fingerprint: (u64, Vec<u32>, Vec<u64>, u64),
+        shards: Vec<WalkIndex>,
+        weighted: bool,
+        adjacency: Vec<Vec<(u32, u64)>>,
     }
 
-    fn assert_engines_equal(a: &StreamEngine, b: &StreamEngine) {
-        assert_eq!(fingerprint(a), fingerprint(b));
-        assert_eq!(a.shard_count(), b.shard_count());
-        for (ia, ib) in a.shard_indexes().iter().zip(b.shard_indexes()) {
-            assert!(**ia == *ib, "a shard index drifted");
+    fn image(e: &StreamEngine) -> Image {
+        let graph = e.graph_shared();
+        let adjacency = match &graph {
+            EpochGraph::Unweighted(g) => g
+                .nodes()
+                .map(|u| {
+                    g.neighbors(u)
+                        .iter()
+                        .map(|v| (v.raw(), 1f64.to_bits()))
+                        .collect()
+                })
+                .collect(),
+            EpochGraph::Weighted(g) => g
+                .nodes()
+                .map(|u| {
+                    g.neighbors(u)
+                        .map(|(v, w)| (v.raw(), w.to_bits()))
+                        .collect()
+                })
+                .collect(),
+        };
+        Image {
+            fingerprint: (
+                e.epoch(),
+                e.seeds().iter().map(|s| s.raw()).collect(),
+                e.gain_trace().iter().map(|g| g.to_bits()).collect(),
+                e.objective().to_bits(),
+            ),
+            shards: e.shard_indexes().into_iter().cloned().collect(),
+            weighted: matches!(graph, EpochGraph::Weighted(_)),
+            adjacency,
         }
-        match (a.graph(), b.graph()) {
-            (Some(ga), Some(gb)) => {
-                assert_eq!(ga.offsets(), gb.offsets());
-                assert_eq!(ga.targets(), gb.targets());
-            }
-            (None, None) => {
-                let (ga, gb) = (a.weighted_graph().unwrap(), b.weighted_graph().unwrap());
-                assert_eq!(ga.n(), gb.n());
-                assert_eq!(ga.m(), gb.m());
-            }
-            _ => panic!("weighted-ness diverged"),
+    }
+
+    fn assert_engine_matches(e: &StreamEngine, want: &Image) {
+        let got = image(e);
+        assert_eq!(got.fingerprint, want.fingerprint);
+        assert_eq!(got.shards.len(), want.shards.len());
+        for (ia, ib) in got.shards.iter().zip(&want.shards) {
+            assert!(ia == ib, "a shard index drifted");
         }
+        assert_eq!(got.weighted, want.weighted, "weighted-ness diverged");
+        assert_eq!(got.adjacency, want.adjacency);
+    }
+
+    /// Recovers `dir` with the zero-copy open every caller uses.
+    fn open(dir: &Path, dcfg: DurabilityConfig) -> Result<(StreamEngine, RecoveryReport)> {
+        StreamEngine::open_durable_with(dir, dcfg, OpenMode::Mapped)
     }
 
     fn churn_batches(g0: &rwd_graph::CsrGraph, count: usize) -> Vec<EdgeBatch> {
@@ -850,20 +864,22 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let g0 = erdos_renyi_gnp(50, 0.08, 3).unwrap();
         let engine = StreamEngine::with_shards(g0.clone(), cfg(), 2).unwrap();
-        let mut durable = DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap();
+        let mut durable = engine
+            .create_durable(&dir, DurabilityConfig::default())
+            .unwrap();
         for b in churn_batches(&g0, 5) {
             durable.apply(&b).unwrap();
         }
-        assert_eq!(durable.engine().epoch(), 5);
-        let live = durable.engine().clone();
+        assert_eq!(durable.epoch(), 5);
+        let live = image(&durable);
         drop(durable);
 
-        let (recovered, report) = DurableEngine::open(&dir, DurabilityConfig::default()).unwrap();
+        let (recovered, report) = open(&dir, DurabilityConfig::default()).unwrap();
         assert_eq!(report.snapshot_epoch, 0);
         assert_eq!(report.epochs_replayed, 5);
         assert_eq!(report.recovered_epoch, 5);
         assert!(report.torn_tail.is_none());
-        assert_engines_equal(recovered.engine(), &live);
+        assert_engine_matches(&recovered, &live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -873,7 +889,7 @@ mod tests {
         let g0 = erdos_renyi_gnp(50, 0.08, 5).unwrap();
         let engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
         let dcfg = DurabilityConfig { snapshot_every: 1 };
-        let mut durable = DurableEngine::create(engine, &dir, dcfg).unwrap();
+        let mut durable = engine.create_durable(&dir, dcfg).unwrap();
         let batches = churn_batches(&g0, 2);
         let failures = || crate::obs::durable_metrics().snapshot_failures.get();
 
@@ -883,7 +899,7 @@ mod tests {
         let before = failures();
         let report = durable.apply(&batches[0]).expect("the batch committed");
         assert_eq!(report.epoch, 1);
-        assert_eq!(durable.engine().epoch(), 1);
+        assert_eq!(durable.epoch(), 1);
         assert!(failures() > before, "the failed snapshot is counted");
 
         // Unblocked, the next batch retries the overdue snapshot.
@@ -891,10 +907,10 @@ mod tests {
         durable.apply(&batches[1]).unwrap();
         assert!(dir.join("snap-2/manifest.bin").exists());
 
-        let live = durable.engine().clone();
+        let live = image(&durable);
         drop(durable);
-        let (recovered, _) = DurableEngine::open(&dir, dcfg).unwrap();
-        assert_engines_equal(recovered.engine(), &live);
+        let (recovered, _) = open(&dir, dcfg).unwrap();
+        assert_engine_matches(&recovered, &live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -904,12 +920,28 @@ mod tests {
         let g0 = erdos_renyi_gnp(50, 0.08, 7).unwrap();
         let engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
         let dcfg = DurabilityConfig { snapshot_every: 2 };
-        let mut durable = DurableEngine::create(engine, &dir, dcfg).unwrap();
+        let mut durable = engine.create_durable(&dir, dcfg).unwrap();
+        let newest = |prefix: &str| find_numbered(&dir, prefix).unwrap().pop().unwrap();
+        let mut landed = Vec::new();
         for b in churn_batches(&g0, 5) {
             durable.apply(&b).unwrap();
+            let (snap, _) = newest("snap-");
+            if snap > 0 && landed.last() != Some(&snap) {
+                landed.push(snap);
+            }
+            // An empty batch after each churn batch is a no-op: the epoch
+            // stays, nothing is journaled, and it does not count toward
+            // the cadence.
+            let epoch = durable.epoch();
+            let (_, journal) = newest("journal-");
+            let len = std::fs::metadata(&journal).unwrap().len();
+            let report = durable.apply(&EdgeBatch::new(900)).unwrap();
+            assert_eq!((report.epoch, durable.epoch()), (epoch, epoch));
+            assert_eq!(std::fs::metadata(&journal).unwrap().len(), len);
         }
-        // Snapshots landed after batches 2 and 4; compaction keeps only the
-        // newest snapshot and journal.
+        // Snapshots landed after batches 2 and 4 only; compaction keeps
+        // only the newest snapshot and journal.
+        assert_eq!(landed, vec![2, 4]);
         let snaps = find_numbered(&dir, "snap-").unwrap();
         let journals = find_numbered(&dir, "journal-").unwrap();
         assert_eq!(snaps.iter().map(|(e, _)| *e).collect::<Vec<_>>(), vec![4]);
@@ -917,13 +949,13 @@ mod tests {
             journals.iter().map(|(e, _)| *e).collect::<Vec<_>>(),
             vec![4]
         );
-        let live = durable.engine().clone();
+        let live = image(&durable);
         drop(durable);
 
-        let (recovered, report) = DurableEngine::open(&dir, dcfg).unwrap();
+        let (recovered, report) = open(&dir, dcfg).unwrap();
         assert_eq!(report.snapshot_epoch, 4);
         assert_eq!(report.epochs_replayed, 1, "only the suffix replays");
-        assert_engines_equal(recovered.engine(), &live);
+        assert_engine_matches(&recovered, &live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -933,7 +965,9 @@ mod tests {
         let g0 = erdos_renyi_gnp(40, 0.1, 11).unwrap();
         let mut prefix_engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
         let engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
-        let mut durable = DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap();
+        let mut durable = engine
+            .create_durable(&dir, DurabilityConfig::default())
+            .unwrap();
         let batches = churn_batches(&g0, 3);
         for b in &batches {
             durable.apply(b).unwrap();
@@ -948,22 +982,21 @@ mod tests {
         let bytes = std::fs::read(&jpath).unwrap();
         std::fs::write(&jpath, &bytes[..bytes.len() - 7]).unwrap();
 
-        let (mut recovered, report) =
-            DurableEngine::open(&dir, DurabilityConfig::default()).unwrap();
+        let (mut recovered, report) = open(&dir, DurabilityConfig::default()).unwrap();
         assert_eq!(report.recovered_epoch, 2);
         assert!(report.torn_tail.is_some());
-        assert_engines_equal(recovered.engine(), &prefix_engine);
+        assert_engine_matches(&recovered, &image(&prefix_engine));
 
         // The journal resumes cleanly: re-apply the lost batch and a fresh
         // reopen still agrees with the straight-line engine.
         recovered.apply(&batches[2]).unwrap();
         prefix_engine.apply(&batches[2]).unwrap();
-        let live = recovered.engine().clone();
+        let live = image(&recovered);
         drop(recovered);
-        let (again, report) = DurableEngine::open(&dir, DurabilityConfig::default()).unwrap();
+        let (again, report) = open(&dir, DurabilityConfig::default()).unwrap();
         assert!(report.torn_tail.is_none());
-        assert_engines_equal(again.engine(), &live);
-        assert_engines_equal(again.engine(), &prefix_engine);
+        assert_engine_matches(&again, &live);
+        assert_engine_matches(&again, &image(&prefix_engine));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -972,22 +1005,28 @@ mod tests {
         let dir = tmp_dir("mapped");
         let g0 = erdos_renyi_gnp(50, 0.08, 21).unwrap();
         let engine = StreamEngine::with_shards(g0.clone(), cfg(), 2).unwrap();
-        let mut durable = DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap();
+        let mut durable = engine
+            .create_durable(&dir, DurabilityConfig::default())
+            .unwrap();
         for b in churn_batches(&g0, 3) {
             durable.apply(&b).unwrap();
         }
         durable.snapshot_now().unwrap();
-        let live = durable.engine().clone();
+        let live = image(&durable);
         drop(durable);
 
         let (mapped, mrep) =
-            DurableEngine::open_with(&dir, DurabilityConfig::default(), OpenMode::Mapped).unwrap();
-        let (owned, orep) =
-            DurableEngine::open_with(&dir, DurabilityConfig::default(), OpenMode::Deserialize)
+            StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), OpenMode::Mapped)
                 .unwrap();
+        let (owned, orep) = StreamEngine::open_durable_with(
+            &dir,
+            DurabilityConfig::default(),
+            OpenMode::Deserialize,
+        )
+        .unwrap();
         assert_eq!(mrep.epochs_replayed, 0);
-        assert_engines_equal(mapped.engine(), &live);
-        assert_engines_equal(owned.engine(), &live);
+        assert_engine_matches(&mapped, &live);
+        assert_engine_matches(&owned, &live);
         // Deserialize mode owns everything; mapped mode (with nothing to
         // replay) serves every posting column straight from the file, and
         // the two accountings cover the same bytes.
@@ -1009,7 +1048,9 @@ mod tests {
         let g0 = erdos_renyi_gnp(40, 0.1, 5).unwrap();
         let w0 = rwd_graph::weighted::weighted_twin(&g0, 9).unwrap();
         let engine = StreamEngine::with_shards_weighted(w0, cfg(), 2).unwrap();
-        let mut durable = DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap();
+        let mut durable = engine
+            .create_durable(&dir, DurabilityConfig::default())
+            .unwrap();
         let mut b = EdgeBatch::new(1);
         let (u, v) = (0..40u32)
             .flat_map(|u| ((u + 1)..40).map(move |v| (u, v)))
@@ -1018,28 +1059,16 @@ mod tests {
         b.insertions.push((u, v, 2.25));
         durable.apply(&b).unwrap();
         durable.snapshot_now().unwrap();
-        let live = durable.engine().clone();
+        let live = image(&durable);
         drop(durable);
-        let (recovered, report) = DurableEngine::open(&dir, DurabilityConfig::default()).unwrap();
+        let (recovered, report) = open(&dir, DurabilityConfig::default()).unwrap();
         assert_eq!(report.snapshot_epoch, 1);
         assert_eq!(report.epochs_replayed, 0);
-        assert_engines_equal(recovered.engine(), &live);
-        // Weighted columns are bitwise equal, not just structurally.
-        let (ga, gb) = (
-            recovered.engine().weighted_graph().unwrap(),
-            live.weighted_graph().unwrap(),
-        );
-        for u in ga.nodes() {
-            let a: Vec<(u32, u64)> = ga
-                .neighbors(u)
-                .map(|(v, w)| (v.raw(), w.to_bits()))
-                .collect();
-            let b: Vec<(u32, u64)> = gb
-                .neighbors(u)
-                .map(|(v, w)| (v.raw(), w.to_bits()))
-                .collect();
-            assert_eq!(a, b);
-        }
+        assert_engine_matches(&recovered, &live);
+        // Weighted columns are bitwise equal, not just structurally: the
+        // image's adjacency carries every weight's bits.
+        assert!(live.weighted);
+        assert_eq!(image(&recovered).adjacency, live.adjacency);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1048,20 +1077,22 @@ mod tests {
         let dir = tmp_dir("errors");
         std::fs::create_dir_all(&dir).unwrap();
         assert!(matches!(
-            DurableEngine::open(&dir, DurabilityConfig::default()).unwrap_err(),
+            open(&dir, DurabilityConfig::default()).unwrap_err(),
             StreamError::NoSnapshot(_)
         ));
 
         // A snapshot whose shard file is bit-rotted is rejected by name.
         let g0 = erdos_renyi_gnp(30, 0.12, 2).unwrap();
         let engine = StreamEngine::new(g0, cfg()).unwrap();
-        let durable = DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap();
+        let durable = engine
+            .create_durable(&dir, DurabilityConfig::default())
+            .unwrap();
         drop(durable);
         let shard = dir.join("snap-0").join("shard-0.rwdidx");
         let mut bytes = std::fs::read(&shard).unwrap();
         bytes[35] ^= 0x08; // RNG seed byte: only the CRC trailer can notice
         std::fs::write(&shard, &bytes).unwrap();
-        let err = DurableEngine::open(&dir, DurabilityConfig::default()).unwrap_err();
+        let err = open(&dir, DurabilityConfig::default()).unwrap_err();
         assert!(
             matches!(&err, StreamError::CorruptSnapshot(m) if m.contains("checksum")),
             "{err}"
@@ -1073,19 +1104,21 @@ mod tests {
         bytes[..8].copy_from_slice(b"RWDIDX3\0");
         std::fs::write(&shard, &bytes).unwrap();
         for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
-            let err =
-                DurableEngine::open_with(&dir, DurabilityConfig::default(), mode).unwrap_err();
+            let err = StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), mode)
+                .unwrap_err();
             assert!(
                 matches!(&err, StreamError::CorruptSnapshot(m) if m.contains("retired RWDIDX3")),
                 "{mode:?}: {err}"
             );
         }
 
-        // create() refuses to clobber an existing data dir.
+        // create_durable() refuses to clobber an existing data dir.
         let g0 = erdos_renyi_gnp(30, 0.12, 2).unwrap();
         let engine = StreamEngine::new(g0, cfg()).unwrap();
         assert!(matches!(
-            DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap_err(),
+            engine
+                .create_durable(&dir, DurabilityConfig::default())
+                .unwrap_err(),
             StreamError::InvalidConfig(_)
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -1106,7 +1139,11 @@ mod tests {
         let g0 = erdos_renyi_gnp(30, 0.12, 6).unwrap();
         let c = StreamConfig { r: 6, ..cfg() };
         let engine = StreamEngine::with_shards(g0.clone(), c, 2).unwrap();
-        drop(DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap());
+        drop(
+            engine
+                .create_durable(&dir, DurabilityConfig::default())
+                .unwrap(),
+        );
         let snap = dir.join("snap-0");
         let manifest = snap.join("manifest.bin");
         let good = read_with_crc(&manifest, MANIFEST_MAGIC, "manifest").unwrap();
@@ -1183,8 +1220,8 @@ mod tests {
                 }
             }
             for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
-                let err =
-                    DurableEngine::open_with(&dir, DurabilityConfig::default(), mode).unwrap_err();
+                let err = StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), mode)
+                    .unwrap_err();
                 assert!(
                     matches!(&err, StreamError::CorruptSnapshot(msg) if msg.contains(want)),
                     "{what} ({mode:?}): {err}"
@@ -1197,7 +1234,7 @@ mod tests {
 
         // The untouched manifest still opens.
         write_with_crc(&manifest, [&MANIFEST_MAGIC[..], &good].concat()).unwrap();
-        assert!(DurableEngine::open(&dir, DurabilityConfig::default()).is_ok());
+        assert!(open(&dir, DurabilityConfig::default()).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1206,7 +1243,9 @@ mod tests {
         let dir = tmp_dir("midcorrupt");
         let g0 = erdos_renyi_gnp(40, 0.1, 13).unwrap();
         let engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
-        let mut durable = DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap();
+        let mut durable = engine
+            .create_durable(&dir, DurabilityConfig::default())
+            .unwrap();
         for b in churn_batches(&g0, 3) {
             durable.apply(&b).unwrap();
         }
@@ -1215,7 +1254,7 @@ mod tests {
         let mut bytes = std::fs::read(&jpath).unwrap();
         bytes[30] ^= 0x01; // record 0 payload: not the final record
         std::fs::write(&jpath, &bytes).unwrap();
-        let err = DurableEngine::open(&dir, DurabilityConfig::default()).unwrap_err();
+        let err = open(&dir, DurabilityConfig::default()).unwrap_err();
         assert!(matches!(err, StreamError::CorruptJournal(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

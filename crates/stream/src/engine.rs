@@ -31,6 +31,7 @@ use rwd_graph::{CsrGraph, NodeId};
 use rwd_walks::{LayerRange, NodeSet, PostingDelta, RefreshStats, WalkIndex};
 
 use crate::batch::EdgeBatch;
+use crate::durable::Durable;
 use crate::maintain::{MaintainReport, SeedMaintainer};
 use crate::{Result, StreamError};
 
@@ -207,13 +208,6 @@ impl EpochGraph {
     }
 }
 
-/// A durability hook [`StreamEngine::apply_hooked`] invokes after phase 1
-/// has staged a batch (so validation has passed and the commit is certain
-/// to succeed) and before phase 2 commits anything: arguments are the
-/// batch and the epoch the commit will publish. An `Err` aborts the apply
-/// with nothing changed — the write-ahead contract.
-pub(crate) type ApplyHook<'a> = &'a mut dyn FnMut(&EdgeBatch, u64) -> std::io::Result<()>;
-
 /// Validates the engine configuration against the graph size and the
 /// shard count against the layer count. Every constructor path — cold
 /// start and snapshot load — runs it before building or loading indexes.
@@ -263,6 +257,10 @@ pub(crate) fn validate(cfg: &StreamConfig, n: usize, shards: usize) -> Result<()
 /// any result** — only in wall time and in the per-shard rows of
 /// [`BatchReport::shards`].
 ///
+/// [`StreamEngine::create_durable`] and [`StreamEngine::open_durable_with`]
+/// make the engine durable: it then journals and snapshots itself (see
+/// [`crate::durable`]) and answers exactly as in memory.
+///
 /// Invariant (asserted by the equivalence suites): after any sequence of
 /// batches, the maintained index (concatenated across shards) is
 /// bit-identical to a cold `WalkIndex::build` on the current graph, and
@@ -277,7 +275,7 @@ pub(crate) fn validate(cfg: &StreamConfig, n: usize, shards: usize) -> Result<()
 /// clone is shallow — the walk layers are themselves shared `Arc`s — and
 /// the refresh replaces each layer it patches with a fresh one, so a
 /// pinned reader never observes a mid-refresh index.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct StreamEngine {
     cfg: StreamConfig,
     graph: EpochGraph,
@@ -287,6 +285,9 @@ pub struct StreamEngine {
     epoch: u64,
     /// Churn accumulated over every applied batch, summed across shards.
     lifetime: RefreshStats,
+    /// The data directory the engine journals into and snapshots under
+    /// (`None` in memory); see [`crate::durable`].
+    pub(crate) durable: Option<Durable>,
 }
 
 impl StreamEngine {
@@ -347,6 +348,7 @@ impl StreamEngine {
             maintainer,
             epoch,
             lifetime: RefreshStats::default(),
+            durable: None,
         }
     }
 
@@ -357,26 +359,22 @@ impl StreamEngine {
     /// partially-landed batch: the epoch stamp moves only after the last
     /// shard has committed.
     ///
+    /// **Durability.** A durable engine journals the canonical batch,
+    /// fsync'd, after phase 1 and before phase 2 (the write-ahead point),
+    /// so a failed append changes nothing. After the commit it snapshots at
+    /// the configured cadence; a failed periodic snapshot is counted in
+    /// `rwd_durable_snapshot_failures_total` and retried at the next batch,
+    /// never returned: the journal already holds the batch, and an error
+    /// would tell a client to resend edits that landed.
+    ///
     /// **No-op batches.** A batch with no edits short-circuits: nothing is
-    /// refreshed, no greedy round is replayed, and — deliberately — the
-    /// epoch does **not** advance. The epoch stamps *state*, not batch
-    /// arrivals: readers cache per-epoch answers, so identical state must
-    /// keep an identical stamp. The returned report carries the current
-    /// epoch with all churn counters at zero and no per-shard rows.
+    /// refreshed or journaled, no greedy round is replayed, and —
+    /// deliberately — the epoch does **not** advance. The epoch stamps
+    /// *state*, not batch arrivals: readers cache per-epoch answers, so
+    /// identical state must keep an identical stamp. The returned report
+    /// carries the current epoch with all churn counters at zero and no
+    /// per-shard rows.
     pub fn apply(&mut self, batch: &EdgeBatch) -> Result<BatchReport> {
-        self.apply_hooked(batch, None)
-    }
-
-    /// [`StreamEngine::apply`] with an optional durability hook threaded
-    /// between phase 1 (stage) and phase 2 (commit) — the write-ahead
-    /// point: validation has passed, nothing has changed yet, and the
-    /// commit that follows is infallible. No-op batches never reach the
-    /// hook (they don't advance the epoch, so there is nothing to log).
-    pub(crate) fn apply_hooked(
-        &mut self,
-        batch: &EdgeBatch,
-        hook: Option<ApplyHook<'_>>,
-    ) -> Result<BatchReport> {
         if batch.is_empty() {
             return Ok(BatchReport {
                 epoch: self.epoch,
@@ -411,12 +409,9 @@ impl StreamEngine {
         // Write-ahead point: the batch is valid and the epoch it will
         // publish is known; journal it before any state changes so a crash
         // either loses the whole batch or none of it.
-        if let Some(hook) = hook {
+        if let Some(durable) = &mut self.durable {
             let journal_timer = metrics.journal_ns.time();
-            hook(batch, self.epoch + 1).map_err(|e| StreamError::Durability {
-                context: "write-ahead journal append".into(),
-                source: e,
-            })?;
+            durable.append(batch, self.epoch + 1, &self.graph)?;
             journal_timer.stop();
         }
         // Phase 2 — every shard refreshes against the staged epoch,
@@ -496,6 +491,7 @@ impl StreamEngine {
             .add(report.maintain.replayed_rounds as u64);
         metrics.epoch.set(self.epoch as i64);
         metrics.publish_ns.record_duration(publish_start.elapsed());
+        self.snapshot_on_cadence();
         Ok(report)
     }
 
@@ -515,36 +511,6 @@ impl StreamEngine {
         self.maintainer.objective()
     }
 
-    /// The maintained walk index.
-    ///
-    /// # Panics
-    /// Panics on a multi-shard engine — there is no single monolithic
-    /// index there; use [`StreamEngine::shard_indexes`] /
-    /// [`StreamEngine::shard_indexes_shared`] instead.
-    pub fn index(&self) -> &WalkIndex {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "index() needs the single-shard engine; a sharded engine exposes shard_indexes()"
-        );
-        &self.shards[0]
-    }
-
-    /// A shared handle to the current epoch's index; holding it pins this
-    /// epoch (the next batch copies-on-write instead of mutating what the
-    /// holder observes).
-    ///
-    /// # Panics
-    /// Panics on a multi-shard engine (see [`StreamEngine::index`]).
-    pub fn index_shared(&self) -> Arc<WalkIndex> {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "index_shared() needs the single-shard engine; use shard_indexes_shared()"
-        );
-        Arc::clone(&self.shards[0])
-    }
-
     /// Number of shards the engine runs (1 for [`StreamEngine::new`]).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -556,8 +522,7 @@ impl StreamEngine {
     }
 
     /// Borrowed handles to every shard's partial index, in layer order —
-    /// the tiling [`SeedMaintainer::maintain`] consumes. On a
-    /// 1-shard engine this is `[self.index()]`.
+    /// the tiling [`SeedMaintainer::maintain`] consumes.
     pub fn shard_indexes(&self) -> Vec<&WalkIndex> {
         self.shards.iter().map(|s| &**s).collect()
     }
@@ -656,7 +621,10 @@ mod tests {
         // Cold-start comparison on the evolved graph.
         let g1 = engine.graph().unwrap().clone();
         let fresh = WalkIndex::build(&g1, 5, 6, 13);
-        assert!(*engine.index() == fresh, "index drifted from cold start");
+        assert!(
+            *engine.shard_indexes()[0] == fresh,
+            "index drifted from cold start"
+        );
         let sel = select_from_index(&fresh, GainRule::HittingTime, 5, Strategy::Delta, 0).unwrap();
         assert_eq!(engine.seeds(), &sel.nodes[..], "seeds drifted");
     }
@@ -675,7 +643,7 @@ mod tests {
         assert_eq!(report.touched_nodes, 2);
         let w1 = engine.weighted_graph().unwrap().clone();
         let fresh = WalkIndex::build(&w1, 5, 6, 13);
-        assert!(*engine.index() == fresh);
+        assert!(*engine.shard_indexes()[0] == fresh);
     }
 
     #[test]
@@ -689,7 +657,7 @@ mod tests {
         let mut engine = StreamEngine::new(g0, cfg(4)).unwrap();
         let seeds = engine.seeds().to_vec();
         let objective = engine.objective();
-        let index_before = engine.index().clone();
+        let index_before = engine.shard_indexes()[0].clone();
 
         let report = engine.apply(&EdgeBatch::new(77)).unwrap();
         assert_eq!(engine.epoch(), 0, "no-op batch must not bump the epoch");
@@ -706,7 +674,7 @@ mod tests {
         assert_eq!(report.maintain.touched_postings, 0);
         assert_eq!(report.maintain.objective.to_bits(), objective.to_bits());
         assert_eq!(engine.seeds(), &seeds[..]);
-        assert!(*engine.index() == index_before);
+        assert!(*engine.shard_indexes()[0] == index_before);
         assert_eq!(engine.lifetime_stats(), RefreshStats::default());
 
         // A later real batch then advances to epoch 1 as usual.
@@ -725,7 +693,7 @@ mod tests {
     fn shared_handles_pin_the_published_epoch() {
         let g0 = erdos_renyi_gnp(50, 0.1, 3).unwrap();
         let mut engine = StreamEngine::new(g0, cfg(3)).unwrap();
-        let idx0 = engine.index_shared();
+        let idx0 = engine.shard_indexes_shared().remove(0);
         let EpochGraph::Unweighted(g0_shared) = engine.graph_shared() else {
             panic!("engine runs unweighted");
         };
@@ -743,7 +711,7 @@ mod tests {
         assert!(*idx0 == before);
         assert!(!g0_shared.has_edge(NodeId(u), NodeId(v)));
         assert!(engine.graph().unwrap().has_edge(NodeId(u), NodeId(v)));
-        assert!(*engine.index() != *idx0);
+        assert!(*engine.shard_indexes()[0] != *idx0);
     }
 
     #[test]
@@ -804,7 +772,7 @@ mod tests {
         assert_eq!(bits(sharded.gain_trace()), bits(mono.gain_trace()));
 
         // Each shard's post-churn index is the monolith's slice, bitwise.
-        let full = mono.index();
+        let full = mono.shard_indexes()[0];
         for (idx, rg) in sharded.shard_indexes().iter().zip(sharded.shard_ranges()) {
             let slice = WalkIndex::build_layer_range(mono.graph().unwrap(), 5, rg, 13, 0);
             assert!(**idx == slice, "shard {rg:?} drifted from the monolith");

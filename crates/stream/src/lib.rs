@@ -35,11 +35,12 @@
 //!   log (length-prefixed, CRC-checksummed records, fsync'd before any
 //!   shard commits) plus the scan that classifies a torn tail (truncate
 //!   and continue) versus mid-journal corruption (named error),
-//! * [`durable`] — [`DurableEngine`]: a [`StreamEngine`] wrapped in a data
-//!   directory — journal every batch ahead of its commit, snapshot the
-//!   whole engine at a configurable cadence (compacting the journal), and
-//!   recover after a crash to a state **bit-identical** to the live engine
-//!   that wrote the surviving prefix.
+//! * [`durable`] — the optional data directory of a [`StreamEngine`]
+//!   ([`StreamEngine::create_durable`], [`StreamEngine::open_durable_with`]):
+//!   journal every batch ahead of its commit, snapshot the whole engine at
+//!   a configurable cadence (compacting the journal), and recover after a
+//!   crash to a state **bit-identical** to the live engine that wrote the
+//!   surviving prefix.
 //!
 //! The determinism contract carries over from the static pipeline: the
 //! state after any prefix of batches is a pure function of
@@ -57,7 +58,7 @@ pub mod maintain;
 pub(crate) mod obs;
 
 pub use batch::{EdgeBatch, GraphDelta, WeightedGraphDelta};
-pub use durable::{DurabilityConfig, DurableEngine, OpenMode, RecoveryReport};
+pub use durable::{DurabilityConfig, OpenMode, RecoveryReport};
 pub use engine::{BatchReport, EpochGraph, ShardBatchStats, StreamConfig, StreamEngine};
 pub use journal::BatchJournal;
 pub use maintain::{MaintainReport, SeedMaintainer};

@@ -91,7 +91,8 @@ pub(crate) fn stream_metrics() -> &'static StreamMetrics {
     })
 }
 
-/// Journal, snapshot, and recovery metrics for [`crate::DurableEngine`].
+/// Journal, snapshot, and recovery metrics of a durable
+/// [`crate::StreamEngine`].
 pub(crate) struct DurableMetrics {
     /// Bytes appended to the write-ahead journal (record framing included).
     pub journal_bytes: Counter,
@@ -106,7 +107,7 @@ pub(crate) struct DurableMetrics {
     /// Periodic snapshots that failed after their batch had committed
     /// (retried at the next batch).
     pub snapshot_failures: Counter,
-    /// Crash recoveries performed by `DurableEngine::open`.
+    /// Crash recoveries performed by `StreamEngine::open_durable_with`.
     pub recoveries: Counter,
     /// Journaled batches replayed during recoveries.
     pub recovery_replayed_batches: Counter,
@@ -145,7 +146,7 @@ pub(crate) fn durable_metrics() -> &'static DurableMetrics {
             ),
             recoveries: reg.counter(
                 "rwd_durable_recoveries_total",
-                "Crash recoveries performed by DurableEngine::open",
+                "Crash recoveries performed by StreamEngine::open_durable_with",
             ),
             recovery_replayed_batches: reg.counter(
                 "rwd_durable_recovery_replayed_batches_total",

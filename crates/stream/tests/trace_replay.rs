@@ -48,7 +48,11 @@ fn replaying_a_trace_never_drifts_from_cold_start() {
         );
         // The maintained index equals a cold build on the current graph.
         let fresh = WalkIndex::build(engine.graph().unwrap(), cfg.l, cfg.r, cfg.seed);
-        assert!(*engine.index() == fresh, "epoch {} drifted", report.epoch);
+        assert!(
+            *engine.shard_indexes()[0] == fresh,
+            "epoch {} drifted",
+            report.epoch
+        );
     }
     assert_eq!(engine.epoch(), 5);
     assert!(engine.lifetime_stats().groups_resampled > 0);
@@ -64,5 +68,8 @@ fn weighted_replay_with_twin_base_stays_exact() {
         engine.apply(batch).unwrap();
     }
     let fresh = WalkIndex::build(engine.weighted_graph().unwrap(), cfg.l, cfg.r, cfg.seed);
-    assert!(*engine.index() == fresh, "weighted replay drifted");
+    assert!(
+        *engine.shard_indexes()[0] == fresh,
+        "weighted replay drifted"
+    );
 }

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use rwd_core::metrics::{self, MetricParams};
     pub use rwd_core::problem::{Params, Problem, Selection};
     pub use rwd_graph::{CsrGraph, GraphBuilder, NodeId};
-    pub use rwd_serve::{Query, ServeEngine, Server, Snapshot};
+    pub use rwd_serve::{Query, Server, Snapshot};
     pub use rwd_stream::{EdgeBatch, StreamConfig, StreamEngine};
     pub use rwd_walks::{NodeSet, WalkIndex};
 }

@@ -4,7 +4,7 @@
 //! commits and snapshots at a configurable cadence. The contract proved
 //! here: for a crash at *any* byte of the journal — every record
 //! boundary, every mid-record truncation, a bit flip in the unsynced
-//! tail — `DurableEngine::open` reconstructs an engine **bit-identical**
+//! tail — `StreamEngine::open_durable_with` reconstructs an engine **bit-identical**
 //! to the live engine that wrote the surviving record prefix: same seeds,
 //! same gain trace, same objective, same per-shard maintained indexes,
 //! same point-query answers. A bit flip *before* the tail is committed
@@ -25,7 +25,7 @@ use rwd::core::greedy::approx::GainRule;
 use rwd::datasets::temporal::trace_weight;
 use rwd::graph::weighted::weighted_twin;
 use rwd::prelude::*;
-use rwd::stream::{DurabilityConfig, DurableEngine, OpenMode, StreamError};
+use rwd::stream::{DurabilityConfig, OpenMode, StreamError};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -296,12 +296,13 @@ fn check_every_kill_point(
     .expect("valid config");
     // Cadence 0: the journal keeps every record, so each record boundary
     // is a distinct crash state over the same base snapshot.
-    let mut durable =
-        DurableEngine::create(engine, &dir, DurabilityConfig { snapshot_every: 0 }).unwrap();
+    let mut durable = engine
+        .create_durable(&dir, DurabilityConfig { snapshot_every: 0 })
+        .unwrap();
     for b in batches {
         durable.apply(b).expect("resolved batches are valid");
     }
-    let live = fingerprint(durable.engine());
+    let live = fingerprint(&durable);
     drop(durable);
 
     let journal = journal_path(&dir);
@@ -321,7 +322,9 @@ fn check_every_kill_point(
             .unwrap()
             .set_len(cut as u64)
             .unwrap();
-        let (rec, report) = DurableEngine::open(&killed, DurabilityConfig::default()).unwrap();
+        let (rec, report) =
+            StreamEngine::open_durable_with(&killed, DurabilityConfig::default(), OpenMode::Mapped)
+                .unwrap();
         assert!(
             report.torn_tail.is_none(),
             "boundary cut {cut} misread as torn: {:?}",
@@ -329,7 +332,7 @@ fn check_every_kill_point(
         );
         assert_eq!(report.recovered_epoch, i as u64);
         let reference = reference_after(g0, weighted, cfg, shards, &batches[..i]);
-        assert_recovered_equals(rec.engine(), &reference, &format!("boundary {i}"));
+        assert_recovered_equals(&rec, &reference, &format!("boundary {i}"));
         drop(rec);
         std::fs::remove_dir_all(&killed).ok();
     }
@@ -348,11 +351,13 @@ fn check_every_kill_point(
             .unwrap()
             .set_len(cut as u64)
             .unwrap();
-        let (rec, report) = DurableEngine::open(&killed, DurabilityConfig::default()).unwrap();
+        let (rec, report) =
+            StreamEngine::open_durable_with(&killed, DurabilityConfig::default(), OpenMode::Mapped)
+                .unwrap();
         assert!(report.torn_tail.is_some(), "mid-record cut {cut} not torn");
         assert_eq!(report.recovered_epoch, i as u64);
         let reference = reference_after(g0, weighted, cfg, shards, &batches[..i]);
-        assert_recovered_equals(rec.engine(), &reference, &format!("torn record {i}"));
+        assert_recovered_equals(&rec, &reference, &format!("torn record {i}"));
 
         // Recovery is not a dead end: the reopened journal accepts the
         // next batch and stays bit-exact with the reference.
@@ -362,7 +367,7 @@ fn check_every_kill_point(
             rec.apply(&extra).expect("follow-up batch applies");
             reference.apply(&extra).expect("follow-up batch applies");
             assert_recovered_equals(
-                rec.engine(),
+                &rec,
                 &reference,
                 &format!("post-recovery batch after torn record {i}"),
             );
@@ -381,14 +386,16 @@ fn check_every_kill_point(
         let off = boundaries[records - 1] + 9; // a payload byte of the last record
         buf[off] ^= 0x10;
         std::fs::write(&jp, &buf).unwrap();
-        let (rec, report) = DurableEngine::open(&killed, DurabilityConfig::default()).unwrap();
+        let (rec, report) =
+            StreamEngine::open_durable_with(&killed, DurabilityConfig::default(), OpenMode::Mapped)
+                .unwrap();
         assert!(
             report.torn_tail.is_some(),
             "tail bit flip not classified torn"
         );
         assert_eq!(report.recovered_epoch, (records - 1) as u64);
         let reference = reference_after(g0, weighted, cfg, shards, &batches[..records - 1]);
-        assert_recovered_equals(rec.engine(), &reference, "tail bit flip");
+        assert_recovered_equals(&rec, &reference, "tail bit flip");
         drop(rec);
         std::fs::remove_dir_all(&killed).ok();
     }
@@ -403,7 +410,11 @@ fn check_every_kill_point(
         let off = boundaries[0] + 9; // a payload byte of the first record
         buf[off] ^= 0x10;
         std::fs::write(&jp, &buf).unwrap();
-        match DurableEngine::open(&killed, DurabilityConfig::default()) {
+        match StreamEngine::open_durable_with(
+            &killed,
+            DurabilityConfig::default(),
+            OpenMode::Mapped,
+        ) {
             Err(StreamError::CorruptJournal(msg)) => {
                 assert!(msg.contains("not a torn append"), "{msg}")
             }
@@ -418,10 +429,10 @@ fn check_every_kill_point(
     // same journal suffix.
     for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
         let (rec, report) =
-            DurableEngine::open_with(&dir, DurabilityConfig::default(), mode).unwrap();
+            StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), mode).unwrap();
         assert!(report.torn_tail.is_none());
         assert_eq!(
-            fingerprint(rec.engine()),
+            fingerprint(&rec),
             live,
             "full recovery ({mode:?} open) != live engine"
         );
@@ -486,24 +497,24 @@ proptest! {
                 };
                 let dir = tmp_dir("grid");
                 let engine = StreamEngine::with_shards(g0.clone(), cfg, shards).unwrap();
-                let mut durable = DurableEngine::create(
-                    engine,
-                    &dir,
-                    DurabilityConfig { snapshot_every: cadence },
-                )
-                .unwrap();
+                let mut durable = engine
+                    .create_durable(&dir, DurabilityConfig { snapshot_every: cadence })
+                    .unwrap();
                 for b in &batches {
                     durable.apply(b).expect("resolved batches are valid");
                 }
-                let live = fingerprint(durable.engine());
+                let live = fingerprint(&durable);
                 drop(durable);
 
-                let (rec, report) =
-                    DurableEngine::open(&dir, DurabilityConfig { snapshot_every: cadence })
-                        .unwrap();
+                let (rec, report) = StreamEngine::open_durable_with(
+                    &dir,
+                    DurabilityConfig { snapshot_every: cadence },
+                    OpenMode::Mapped,
+                )
+                .unwrap();
                 prop_assert!(report.torn_tail.is_none());
                 prop_assert_eq!(
-                    fingerprint(rec.engine()), live,
+                    fingerprint(&rec), live,
                     "shards {} threads {} cadence {}: recovery != live engine",
                     shards, threads, cadence
                 );
