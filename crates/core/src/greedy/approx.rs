@@ -20,7 +20,7 @@
 //! blends normalized gains — the paper's first future-work direction.
 
 use rwd_graph::NodeId;
-use rwd_walks::{NodeSet, WalkIndex};
+use rwd_walks::{parallel, NodeSet, WalkIndex};
 
 /// Which marginal-gain rule the engine applies.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -86,11 +86,6 @@ impl GainRule {
         }
     }
 }
-
-/// Below this many touched postings, [`GainEngine::update`] and
-/// [`GainEngine::gains_all`] run serially — thread spawn/join costs more
-/// than the whole pass. Shared with the layer-parallel index estimators.
-const MIN_PARALLEL_UPDATE_WORK: usize = rwd_walks::parallel::MIN_PARALLEL_SWEEP_WORK;
 
 /// Incremental marginal-gain evaluation over a [`WalkIndex`].
 pub struct GainEngine<'a> {
@@ -222,16 +217,13 @@ impl<'a> GainEngine<'a> {
     /// for already-selected nodes are meaningless; callers skip them.
     ///
     /// Small instances (by the same work measure that gates
-    /// [`GainEngine::update`]: table slots plus streamed postings) run
-    /// serially — thread spawn/join would dominate. Both paths accumulate
-    /// exact integer-valued sums, so gains are bit-identical either way.
+    /// [`GainEngine::update`]: table slots plus streamed postings) run as
+    /// one part — thread spawn/join would dominate. Each part accumulates
+    /// exact integer-valued sums and the partials are summed in chunk
+    /// order, so gains are bit-identical at any worker count.
     pub fn gains_all(&self) -> Vec<f64> {
         let work = self.r * self.n + self.idx.total_postings();
-        let workers = if work < MIN_PARALLEL_UPDATE_WORK {
-            1
-        } else {
-            self.effective_threads()
-        };
+        let chunk = parallel::part_len(self.r, work, self.threads);
         let alloc = |needed: bool| {
             if needed {
                 vec![0.0f64; self.n]
@@ -239,51 +231,27 @@ impl<'a> GainEngine<'a> {
                 Vec::new()
             }
         };
-
-        let (g1, g2) = if workers == 1 {
+        let parts = (0..self.r)
+            .step_by(chunk)
+            .map(|lo| lo..(lo + chunk).min(self.r));
+        let mut partials = parallel::fan_out(parts, |layers| {
             let mut g1 = alloc(self.rule.needs_f1());
             let mut g2 = alloc(self.rule.needs_f2());
-            for i in 0..self.r {
+            for i in layers {
                 self.accumulate_layer(i, &mut g1, &mut g2);
             }
             (g1, g2)
-        } else {
-            let chunk = self.r.div_ceil(workers);
-            let layer_range: Vec<usize> = (0..self.r).collect();
-            let mut partials: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(workers);
-            // Scoped fan-out over layer chunks; the reduction below sums the
-            // per-worker partials in chunk order, so gains are identical for
-            // any worker count.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = layer_range
-                    .chunks(chunk)
-                    .map(|layers| {
-                        scope.spawn(move || {
-                            let mut g1 = alloc(self.rule.needs_f1());
-                            let mut g2 = alloc(self.rule.needs_f2());
-                            for &i in layers {
-                                self.accumulate_layer(i, &mut g1, &mut g2);
-                            }
-                            (g1, g2)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    partials.push(h.join().expect("gain worker panicked"));
-                }
-            });
-            let mut g1 = alloc(self.rule.needs_f1());
-            let mut g2 = alloc(self.rule.needs_f2());
-            for (p1, p2) in partials {
-                for (a, b) in g1.iter_mut().zip(p1) {
-                    *a += b;
-                }
-                for (a, b) in g2.iter_mut().zip(p2) {
-                    *a += b;
-                }
+        })
+        .into_iter();
+        let (mut g1, mut g2) = partials.next().expect("an index has at least one layer");
+        for (p1, p2) in partials {
+            for (a, b) in g1.iter_mut().zip(p1) {
+                *a += b;
             }
-            (g1, g2)
-        };
+            for (a, b) in g2.iter_mut().zip(p2) {
+                *a += b;
+            }
+        }
 
         let r = self.r as f64;
         (0..self.n)
@@ -363,68 +331,35 @@ impl<'a> GainEngine<'a> {
     }
 
     /// Algorithm 5: commits `u` to the target set and refreshes `D`,
-    /// parallel over walk layers. Each layer owns a disjoint slice of the
-    /// `D` tables; the per-layer `Σ D1`/`Σ D2` deltas are exact integer
-    /// sums, reduced in layer order, so totals are bit-identical at any
+    /// parallel over layer chunks. Each layer owns a disjoint slice of the
+    /// `D` tables; the per-chunk `Σ D1`/`Σ D2` deltas are exact integer
+    /// sums, reduced in chunk order, so totals are bit-identical at any
     /// worker count.
     pub fn update(&mut self, u: NodeId) {
         assert!(self.selected.insert(u), "node {u} selected twice");
         // An update touches only u's inverted lists — often a few hundred
         // entries. Fan out only when the postings work dwarfs thread
-        // spawn/join cost; below the threshold the serial path is faster at
-        // any requested worker count, and both paths are bit-identical.
+        // spawn/join cost; below the gate one part runs inline.
         let work: usize = (0..self.r).map(|i| self.idx.postings(i, u).len()).sum();
-        let workers = if work < MIN_PARALLEL_UPDATE_WORK {
-            1
-        } else {
-            self.effective_threads()
-        };
-        let (n, idx) = (self.n, self.idx);
-
-        if workers == 1 {
-            let mut it1 = self.d1.chunks_mut(n);
-            let mut it2 = self.d2.chunks_mut(n);
-            for i in 0..self.r {
-                let (dec1, inc2) = Self::update_layer(idx, u, i, it1.next(), it2.next());
-                self.d1_total -= dec1;
-                self.d2_total += inc2;
+        let (n, r, idx) = (self.n, self.r, self.idx);
+        let chunk = parallel::part_len(r, work, self.threads);
+        let mut d1_parts = self.d1.chunks_mut(chunk * n);
+        let mut d2_parts = self.d2.chunks_mut(chunk * n);
+        // A part: its first layer and its layers' `D` slices (`None` for an
+        // unused table).
+        let parts = (0..r)
+            .step_by(chunk)
+            .map(|lo| (lo, d1_parts.next(), d2_parts.next()));
+        let partials = parallel::fan_out(parts, |(lo, d1, d2)| {
+            let mut l1 = d1.into_iter().flat_map(|d| d.chunks_mut(n));
+            let mut l2 = d2.into_iter().flat_map(|d| d.chunks_mut(n));
+            let (mut dec1, mut inc2) = (0u64, 0u64);
+            for i in lo..(lo + chunk).min(r) {
+                let (a, b) = Self::update_layer(idx, u, i, l1.next(), l2.next());
+                dec1 += a;
+                inc2 += b;
             }
-            return;
-        }
-
-        /// One layer's update job: its index and its disjoint `D` slices.
-        type LayerJob<'s> = (usize, Option<&'s mut [u32]>, Option<&'s mut [u8]>);
-
-        let mut it1 = self.d1.chunks_mut(n);
-        let mut it2 = self.d2.chunks_mut(n);
-        let mut per_layer: Vec<LayerJob<'_>> =
-            (0..self.r).map(|i| (i, it1.next(), it2.next())).collect();
-        let chunk = self.r.div_ceil(workers);
-        let mut partials: Vec<(u64, u64)> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = per_layer
-                .chunks_mut(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        let (mut dec1, mut inc2) = (0u64, 0u64);
-                        for (i, d1, d2) in group.iter_mut() {
-                            let (a, b) = Self::update_layer(
-                                idx,
-                                u,
-                                *i,
-                                d1.as_deref_mut(),
-                                d2.as_deref_mut(),
-                            );
-                            dec1 += a;
-                            inc2 += b;
-                        }
-                        (dec1, inc2)
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("update worker panicked"));
-            }
+            (dec1, inc2)
         });
         for (dec1, inc2) in partials {
             self.d1_total -= dec1;
@@ -434,10 +369,6 @@ impl<'a> GainEngine<'a> {
 
     fn blend(&self, g1: f64, g2: f64) -> f64 {
         self.rule.blend(g1, g2, self.n, self.l)
-    }
-
-    fn effective_threads(&self) -> usize {
-        rwd_walks::parallel::resolve_threads(self.threads).min(self.r)
     }
 }
 
@@ -612,14 +543,14 @@ mod tests {
     fn parallel_update_path_is_thread_invariant_above_threshold() {
         // A star hub's inverted lists hold ~every leaf in every layer, so
         // r = 32 layers on a 2000-node star puts update(hub) well past
-        // MIN_PARALLEL_UPDATE_WORK — the multi-worker branch must produce
+        // MIN_PARALLEL_SWEEP_WORK — the multi-worker branch must produce
         // bit-identical tables and totals at any worker count.
         let g = rwd_graph::generators::classic::star(2_000).unwrap();
         let idx = WalkIndex::build(&g, 3, 32, 17);
         let hub = NodeId(0);
         let work: usize = (0..idx.r()).map(|i| idx.postings(i, hub).len()).sum();
         assert!(
-            work >= super::MIN_PARALLEL_UPDATE_WORK,
+            work >= parallel::MIN_PARALLEL_SWEEP_WORK,
             "fixture must cross the parallel threshold (work = {work})"
         );
         for rule in [GainRule::HittingTime, GainRule::Coverage] {
@@ -651,7 +582,7 @@ mod tests {
         let g = rwd_graph::generators::classic::star(2_000).unwrap();
         let idx = WalkIndex::build(&g, 3, 32, 17);
         assert!(
-            idx.r() * idx.n() + idx.total_postings() >= super::MIN_PARALLEL_UPDATE_WORK,
+            idx.r() * idx.n() + idx.total_postings() >= parallel::MIN_PARALLEL_SWEEP_WORK,
             "fixture must cross the sweep gate"
         );
         for rule in [

@@ -84,7 +84,7 @@
 use std::collections::BinaryHeap;
 
 use rwd_graph::NodeId;
-use rwd_walks::parallel::{resolve_threads, MIN_PARALLEL_SWEEP_WORK};
+use rwd_walks::parallel;
 use rwd_walks::{NodeSet, PostingDelta, WalkIndex};
 
 use crate::greedy::approx::GainRule;
@@ -136,6 +136,21 @@ struct LayerLog {
     dec1: Vec<Dec1>,
     /// Problem-2 gain decrements (always by one).
     dec2: Vec<u32>,
+}
+
+impl LayerLog {
+    /// Empties the log for reuse as global layer `gl`'s, keeping its
+    /// buffers.
+    fn reset(&mut self, gl: u32) {
+        self.gl = gl;
+        self.touched = 0;
+        self.slot1.clear();
+        self.off1.clear();
+        self.slot2.clear();
+        self.off2.clear();
+        self.dec1.clear();
+        self.dec2.clear();
+    }
 }
 
 /// One committed greedy round's mutations, layer by layer in global layer
@@ -287,6 +302,11 @@ pub struct DeltaGainEngine<'a> {
     /// clean layer replays its recorded log verbatim, skipping both the
     /// per-slot bit tests and the live row scan.
     layer_dirty: Vec<bool>,
+    /// One staging log per global layer for [`DeltaGainEngine::update`]:
+    /// its parts stage their gain decrements here. A logged round moves
+    /// the logs into its [`RoundLog`]; an unlogged one leaves them to be
+    /// reset and reused, so it allocates nothing once they are grown.
+    stage: Vec<LayerLog>,
 }
 
 impl<'a> DeltaGainEngine<'a> {
@@ -356,6 +376,7 @@ impl<'a> DeltaGainEngine<'a> {
             patch1: Vec::new(),
             patch2: Vec::new(),
             layer_dirty: Vec::new(),
+            stage: Vec::new(),
         };
         engine.rebuild_heap();
         engine
@@ -426,6 +447,7 @@ impl<'a> DeltaGainEngine<'a> {
             patch1: Vec::new(),
             patch2: Vec::new(),
             layer_dirty: Vec::new(),
+            stage: Vec::new(),
         }
     }
 
@@ -1045,11 +1067,11 @@ impl<'a> DeltaGainEngine<'a> {
     /// *and* repairs the gain table via the forward view — only candidates
     /// reachable from a changed slot are touched.
     ///
-    /// Layers fan out over workers above the shared work gate; each layer
-    /// owns a disjoint slice of the `D` tables and stages its gain
-    /// decrements, which are applied in layer-chunk order on the calling
-    /// thread. Decrements are integers, so the tables are bit-identical at
-    /// any worker count.
+    /// Layers fan out over layer chunks above the shared work gate; each
+    /// layer owns a disjoint slice of the `D` tables and stages its gain
+    /// decrements in its layer log, and the logs are applied in layer order
+    /// on the calling thread. Decrements are integers, so the tables are
+    /// bit-identical at any worker count.
     pub fn update(&mut self, u: NodeId) {
         // A cold commit invalidates any recorded rounds not yet replayed:
         // their logs presumed the recorded history, which this commit now
@@ -1069,31 +1091,30 @@ impl<'a> DeltaGainEngine<'a> {
             .map(|&(s, li)| self.shards[s].postings(li, u).len())
             .sum();
         let work = postings * (1 + core.l as usize);
-        let workers = if work < MIN_PARALLEL_SWEEP_WORK {
-            1
-        } else {
-            resolve_threads(core.threads).min(core.r)
-        };
+        let chunk = parallel::part_len(core.r, work, core.threads);
         let n = core.n;
         let shards = &self.shards;
         let log_on = core.log_rounds;
-        core.touched_last = 0;
-        let mut log = RoundLog {
-            pick: u.raw(),
-            ..RoundLog::default()
-        };
-
-        if workers == 1 {
-            let gain1 = &mut core.gain1;
-            let gain2 = &mut core.gain2;
-            let mut it1 = core.d1.chunks_mut(n);
-            let mut it2 = core.d2.chunks_mut(n);
-            let (mut dec1_sum, mut inc2_sum, mut touched_sum) = (0u64, 0u64, 0usize);
-            for (gl, &(s, li)) in self.layer_map.iter().enumerate() {
-                let mut ll = LayerLog {
-                    gl: gl as u32,
-                    ..LayerLog::default()
-                };
+        self.stage.resize_with(core.r, LayerLog::default);
+        let mut d1_parts = core.d1.chunks_mut(chunk * n);
+        let mut d2_parts = core.d2.chunks_mut(chunk * n);
+        // A part: its first global layer, its `(shard, local layer)` map
+        // entries, their staging logs and their `D` slices (`None` for an
+        // unused table).
+        let parts = self
+            .layer_map
+            .chunks(chunk)
+            .zip(self.stage.chunks_mut(chunk))
+            .enumerate()
+            .map(|(ci, (map, logs))| (ci * chunk, map, logs, d1_parts.next(), d2_parts.next()));
+        // Each part stages its layers' gain decrements in their logs and
+        // returns `(Σ dec1, Σ inc2, touched)`.
+        let sums = parallel::fan_out(parts, |(gl0, map, logs, d1, d2)| {
+            let mut l1 = d1.into_iter().flat_map(|d| d.chunks_mut(n));
+            let mut l2 = d2.into_iter().flat_map(|d| d.chunks_mut(n));
+            let (mut dec1, mut inc2, mut touched) = (0u64, 0u64, 0usize);
+            for (off, (&(s, li), ll)) in map.iter().zip(logs.iter_mut()).enumerate() {
+                ll.reset((gl0 + off) as u32);
                 let LayerLog {
                     slot1: ls1,
                     off1: lo1,
@@ -1102,30 +1123,24 @@ impl<'a> DeltaGainEngine<'a> {
                     dec1: ld1,
                     dec2: ld2,
                     ..
-                } = &mut ll;
+                } = ll;
                 // The slot sinks need each slot's decrement start offset,
                 // but the dec sinks own the log vectors — shared counters
                 // bridge the two closures.
                 let (c1, c2) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u32));
-                let (dec1, inc2, touched) = Self::update_layer(
+                let (a, b, t) = Self::update_layer(
                     shards[s],
                     u,
                     li,
-                    it1.next(),
-                    it2.next(),
+                    l1.next(),
+                    l2.next(),
                     &mut |v, dec| {
-                        gain1[v as usize] -= dec as u64;
-                        if log_on {
-                            ld1.push((v, dec));
-                            c1.set(c1.get() + 1);
-                        }
+                        ld1.push((v, dec));
+                        c1.set(c1.get() + 1);
                     },
                     &mut |v| {
-                        gain2[v as usize] -= 1;
-                        if log_on {
-                            ld2.push(v);
-                            c2.set(c2.get() + 1);
-                        }
+                        ld2.push(v);
+                        c2.set(c2.get() + 1);
                     },
                     &mut |node, value| {
                         if log_on {
@@ -1140,128 +1155,34 @@ impl<'a> DeltaGainEngine<'a> {
                         }
                     },
                 );
-                dec1_sum += dec1;
-                inc2_sum += inc2;
-                touched_sum += touched;
-                if log_on {
-                    ll.touched = touched;
-                    log.layers.push(ll);
-                }
+                ll.touched = t;
+                dec1 += a;
+                inc2 += b;
+                touched += t;
             }
-            core.d1_total -= dec1_sum;
-            core.d2_total += inc2_sum;
-            core.touched_last = touched_sum;
-            if log_on {
-                core.rounds.push(log);
-                core.snaps1.extend_from_slice(&core.gain1);
-                core.snaps2.extend_from_slice(&core.gain2);
-            }
-            return;
-        }
-
-        /// One layer's update job: its owning index, its global and local
-        /// layer indices and its disjoint `D` slices.
-        type LayerJob<'s, 'i> = (
-            &'i WalkIndex,
-            u32,
-            usize,
-            Option<&'s mut [u32]>,
-            Option<&'s mut [u8]>,
-        );
-
-        let mut it1 = core.d1.chunks_mut(n);
-        let mut it2 = core.d2.chunks_mut(n);
-        let mut per_layer: Vec<LayerJob<'_, 'a>> = self
-            .layer_map
-            .iter()
-            .enumerate()
-            .map(|(gl, &(s, li))| (shards[s], gl as u32, li, it1.next(), it2.next()))
-            .collect();
-        let chunk = core.r.div_ceil(workers);
-        /// Per-worker staged output: `(Σ dec1, Σ inc2, touched, per-layer
-        /// logs)`. The gain decrements ride inside the layer logs — they
-        /// double as the staging buffers — and are applied in layer-chunk
-        /// order after the join (integer adds commute, so the tables are
-        /// bit-identical to the serial path).
-        type Staged = (u64, u64, usize, Vec<LayerLog>);
-        let mut partials: Vec<Staged> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = per_layer
-                .chunks_mut(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        let (mut dec1, mut inc2, mut touched) = (0u64, 0u64, 0usize);
-                        let mut layers: Vec<LayerLog> = Vec::with_capacity(group.len());
-                        for (idx, gl, li, d1, d2) in group.iter_mut() {
-                            let mut ll = LayerLog {
-                                gl: *gl,
-                                ..LayerLog::default()
-                            };
-                            let LayerLog {
-                                slot1: ls1,
-                                off1: lo1,
-                                slot2: ls2,
-                                off2: lo2,
-                                dec1: ld1,
-                                dec2: ld2,
-                                ..
-                            } = &mut ll;
-                            let (c1, c2) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u32));
-                            let (a, b, t) = Self::update_layer(
-                                idx,
-                                u,
-                                *li,
-                                d1.as_deref_mut(),
-                                d2.as_deref_mut(),
-                                &mut |v, dec| {
-                                    ld1.push((v, dec));
-                                    c1.set(c1.get() + 1);
-                                },
-                                &mut |v| {
-                                    ld2.push(v);
-                                    c2.set(c2.get() + 1);
-                                },
-                                &mut |node, value| {
-                                    if log_on {
-                                        lo1.push(c1.get());
-                                        ls1.push((node, value));
-                                    }
-                                },
-                                &mut |node| {
-                                    if log_on {
-                                        lo2.push(c2.get());
-                                        ls2.push(node);
-                                    }
-                                },
-                            );
-                            ll.touched = t;
-                            dec1 += a;
-                            inc2 += b;
-                            touched += t;
-                            layers.push(ll);
-                        }
-                        (dec1, inc2, touched, layers)
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("delta update worker panicked"));
-            }
+            (dec1, inc2, touched)
         });
-        for (dec1, inc2, touched, layers) in partials {
+        core.touched_last = 0;
+        for (dec1, inc2, touched) in sums {
             core.d1_total -= dec1;
             core.d2_total += inc2;
             core.touched_last += touched;
-            for ll in layers {
-                for &(v, dec) in &ll.dec1 {
-                    core.gain1[v as usize] -= dec as u64;
-                }
-                for &v in &ll.dec2 {
-                    core.gain2[v as usize] -= 1;
-                }
-                if log_on {
-                    log.layers.push(ll);
-                }
+        }
+        // Integer decrements, applied in layer order: the tables are
+        // bit-identical at any worker count.
+        let mut log = RoundLog {
+            pick: u.raw(),
+            ..RoundLog::default()
+        };
+        for ll in &mut self.stage {
+            for &(v, dec) in &ll.dec1 {
+                core.gain1[v as usize] -= dec as u64;
+            }
+            for &v in &ll.dec2 {
+                core.gain2[v as usize] -= 1;
+            }
+            if log_on {
+                log.layers.push(std::mem::take(ll));
             }
         }
         if log_on {
@@ -1492,7 +1413,7 @@ mod tests {
         let hub = NodeId(0);
         let work: usize = (0..idx.r()).map(|i| idx.postings(i, hub).len()).sum();
         assert!(
-            work >= MIN_PARALLEL_SWEEP_WORK,
+            work >= parallel::MIN_PARALLEL_SWEEP_WORK,
             "fixture must cross the parallel threshold (work = {work})"
         );
         for rule in ALL_RULES {

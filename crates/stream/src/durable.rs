@@ -111,6 +111,10 @@ pub(crate) struct Durable {
     journal: BatchJournal,
     dcfg: DurabilityConfig,
     since_snapshot: u64,
+    /// Epoch of the snapshot this engine created, loaded or last wrote.
+    /// That snapshot already holds the state at this epoch, and a mapped
+    /// open serves its shard files in place, so it is never rewritten.
+    snapshot_epoch: u64,
 }
 
 impl Durable {
@@ -138,10 +142,15 @@ impl Durable {
     }
 
     /// Snapshots `engine` at its current epoch, rotates the journal to the
-    /// new base, and compacts older artifacts.
+    /// new base, and compacts older artifacts. At the epoch of the snapshot
+    /// it already has, it writes nothing.
     fn snapshot(&mut self, engine: &StreamEngine) -> Result<u64> {
         let epoch = engine.epoch();
+        if epoch == self.snapshot_epoch {
+            return Ok(epoch);
+        }
         save_snapshot(engine, &self.dir.join(format!("snap-{epoch}")))?;
+        self.snapshot_epoch = epoch;
         self.journal = dio(
             "journal rotate",
             BatchJournal::create(self.dir.join(format!("journal-{epoch}.wal")), epoch),
@@ -193,6 +202,7 @@ impl StreamEngine {
             journal,
             dcfg,
             since_snapshot: 0,
+            snapshot_epoch: epoch,
         });
         Ok(self)
     }
@@ -309,6 +319,7 @@ impl StreamEngine {
             journal,
             dcfg,
             since_snapshot: epochs_replayed,
+            snapshot_epoch,
         });
         Ok((engine, report))
     }
@@ -316,7 +327,11 @@ impl StreamEngine {
     /// Takes a snapshot at the current epoch, rotates the journal to the
     /// new base, and compacts: older snapshots and journal files are
     /// deleted once the new manifest is durable. Returns the snapshot
-    /// epoch. An engine with no data dir refuses with
+    /// epoch. At the epoch of the snapshot the engine created, loaded or
+    /// last wrote, it writes nothing: that snapshot already holds this
+    /// state, and rewriting it in place would truncate the files a mapped
+    /// open serves from and leave no loadable snapshot during the rewrite.
+    /// An engine with no data dir refuses with
     /// [`StreamError::InvalidConfig`].
     pub fn snapshot_now(&mut self) -> Result<u64> {
         let Some(mut durable) = self.durable.take() else {
@@ -616,99 +631,11 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
         )));
     }
 
-    // Graph rebuild from the canonical edge list.
-    let g = read_with_crc(&snap_dir.join("graph.bin"), GRAPH_MAGIC, "graph")?;
-    if g.len() < 18 {
-        return Err(corrupt(format!(
-            "graph file in {} is too short",
-            snap_dir.display()
-        )));
-    }
-    let g_weighted = g[0] != 0;
-    let g_kind = g[1];
-    let g_n = u64::from_le_bytes(g[2..10].try_into().unwrap()) as usize;
-    let g_m = u64::from_le_bytes(g[10..18].try_into().unwrap()) as usize;
-    if g_weighted != weighted || g_n != n {
-        return Err(corrupt(format!(
-            "graph file in {} disagrees with the manifest (weighted {g_weighted} vs \
-             {weighted}, n {g_n} vs {n})",
-            snap_dir.display()
-        )));
-    }
-    let body = &g[18..];
-    let graph = if weighted {
-        if body.len() != g_m * 16 {
-            return Err(corrupt(format!(
-                "graph file in {} holds {} edge bytes where {g_m} weighted edges need {}",
-                snap_dir.display(),
-                body.len(),
-                g_m * 16
-            )));
-        }
-        let edges: Vec<(u32, u32, f64)> = body
-            .chunks_exact(16)
-            .map(|c| {
-                (
-                    u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                    u32::from_le_bytes(c[4..8].try_into().unwrap()),
-                    f64::from_bits(u64::from_le_bytes(c[8..16].try_into().unwrap())),
-                )
-            })
-            .collect();
-        let wg = WeightedCsrGraph::from_weighted_edges(n, &edges).map_err(|e| {
-            corrupt(format!(
-                "graph file in {} fails to rebuild: {e}",
-                snap_dir.display()
-            ))
-        })?;
-        EpochGraph::Weighted(Arc::new(wg))
-    } else {
-        if body.len() != g_m * 8 {
-            return Err(corrupt(format!(
-                "graph file in {} holds {} edge bytes where {g_m} edges need {}",
-                snap_dir.display(),
-                body.len(),
-                g_m * 8
-            )));
-        }
-        let mut b = match g_kind {
-            0 => GraphBuilder::undirected(),
-            1 => GraphBuilder::directed(),
-            k => {
-                return Err(corrupt(format!(
-                    "graph file in {} names unknown graph kind {k}",
-                    snap_dir.display()
-                )))
-            }
-        }
-        .with_nodes(n)
-        .with_edge_capacity(g_m);
-        for c in body.chunks_exact(8) {
-            b.add_edge(
-                u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                u32::from_le_bytes(c[4..8].try_into().unwrap()),
-            );
-        }
-        let cg = b.build().map_err(|e| {
-            corrupt(format!(
-                "graph file in {} fails to rebuild: {e}",
-                snap_dir.display()
-            ))
-        })?;
-        if cg.m() != g_m {
-            return Err(corrupt(format!(
-                "graph file in {} rebuilt to {} edges, not the recorded {g_m} (the edge \
-                 list was not canonical)",
-                snap_dir.display(),
-                cg.m()
-            )));
-        }
-        EpochGraph::Unweighted(Arc::new(cg))
-    };
-
     // Per-shard indexes, cross-checked against the manifest's tiling.
-    // Mapped mode zero-copies the shard files; hosts without the mapped
-    // path deserialize.
+    // They open before the graph is built: each shard file's own layout
+    // bounds `n` by the file's length, so a lying manifest `n` is refused
+    // here instead of sizing the graph build. Mapped mode zero-copies the
+    // shard files; hosts without the mapped path deserialize.
     let use_map = mode == OpenMode::Mapped && cfg!(unix) && cfg!(target_endian = "little");
     let mut shards = Vec::with_capacity(shard_count);
     for (i, &rg) in ranges.iter().enumerate() {
@@ -747,6 +674,104 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
         }
         shards.push(Arc::new(idx));
     }
+
+    // Graph rebuild from the canonical edge list.
+    let g = read_with_crc(&snap_dir.join("graph.bin"), GRAPH_MAGIC, "graph")?;
+    if g.len() < 18 {
+        return Err(corrupt(format!(
+            "graph file in {} is too short",
+            snap_dir.display()
+        )));
+    }
+    let g_weighted = g[0] != 0;
+    let g_kind = g[1];
+    let g_n = u64::from_le_bytes(g[2..10].try_into().unwrap()) as usize;
+    let g_m = u64::from_le_bytes(g[10..18].try_into().unwrap()) as usize;
+    if g_weighted != weighted || g_n != n {
+        return Err(corrupt(format!(
+            "graph file in {} disagrees with the manifest (weighted {g_weighted} vs \
+             {weighted}, n {g_n} vs {n})",
+            snap_dir.display()
+        )));
+    }
+    let body = &g[18..];
+    let graph = if weighted {
+        if g_m.checked_mul(16) != Some(body.len()) {
+            return Err(corrupt(format!(
+                "graph file in {} holds {} edge bytes, not the 16 per edge its {g_m} \
+                 weighted edges need",
+                snap_dir.display(),
+                body.len()
+            )));
+        }
+        let edges: Vec<(u32, u32, f64)> = body
+            .chunks_exact(16)
+            .map(|c| {
+                (
+                    u32::from_le_bytes(c[0..4].try_into().unwrap()),
+                    u32::from_le_bytes(c[4..8].try_into().unwrap()),
+                    f64::from_bits(u64::from_le_bytes(c[8..16].try_into().unwrap())),
+                )
+            })
+            .collect();
+        let wg = WeightedCsrGraph::from_weighted_edges(n, &edges).map_err(|e| {
+            corrupt(format!(
+                "graph file in {} fails to rebuild: {e}",
+                snap_dir.display()
+            ))
+        })?;
+        if wg.m() != g_m {
+            return Err(corrupt(format!(
+                "graph file in {} rebuilt to {} weighted edges, not the recorded {g_m} \
+                 (the edge list was not canonical)",
+                snap_dir.display(),
+                wg.m()
+            )));
+        }
+        EpochGraph::Weighted(Arc::new(wg))
+    } else {
+        if g_m.checked_mul(8) != Some(body.len()) {
+            return Err(corrupt(format!(
+                "graph file in {} holds {} edge bytes, not the 8 per edge its {g_m} edges need",
+                snap_dir.display(),
+                body.len()
+            )));
+        }
+        let mut b = match g_kind {
+            0 => GraphBuilder::undirected(),
+            1 => GraphBuilder::directed(),
+            k => {
+                return Err(corrupt(format!(
+                    "graph file in {} names unknown graph kind {k}",
+                    snap_dir.display()
+                )))
+            }
+        }
+        .with_nodes(n)
+        .with_edge_capacity(g_m);
+        for c in body.chunks_exact(8) {
+            b.add_edge(
+                u32::from_le_bytes(c[0..4].try_into().unwrap()),
+                u32::from_le_bytes(c[4..8].try_into().unwrap()),
+            );
+        }
+        let cg = b.build().map_err(|e| {
+            corrupt(format!(
+                "graph file in {} fails to rebuild: {e}",
+                snap_dir.display()
+            ))
+        })?;
+        if cg.m() != g_m {
+            return Err(corrupt(format!(
+                "graph file in {} rebuilt to {} edges, not the recorded {g_m} (the edge \
+                 list was not canonical)",
+                snap_dir.display(),
+                cg.m()
+            )));
+        }
+        EpochGraph::Unweighted(Arc::new(cg))
+    };
+
     Ok(StreamEngine::from_parts(cfg, graph, shards, epoch))
 }
 
@@ -1015,7 +1040,7 @@ mod tests {
         let live = image(&durable);
         drop(durable);
 
-        let (mapped, mrep) =
+        let (mut mapped, mrep) =
             StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), OpenMode::Mapped)
                 .unwrap();
         let (owned, orep) = StreamEngine::open_durable_with(
@@ -1039,6 +1064,14 @@ mod tests {
                 "mapped and owned opens account different column totals"
             );
         }
+        // A snapshot at the epoch just loaded is already on disk: it must
+        // not rewrite the files the mapped engine serves from.
+        assert!(matches!(mapped.snapshot_now(), Ok(3)));
+        assert_engine_matches(&mapped, &live);
+        drop((mapped, owned));
+        let (reopened, report) = open(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!((report.snapshot_epoch, report.epochs_replayed), (3, 0));
+        assert_engine_matches(&reopened, &live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1124,10 +1157,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A manifest whose CRC is valid but which describes an engine the
-    /// cold start would refuse is named corruption on both open paths:
-    /// never a panic, an allocation sized by a lying field, or a silent
-    /// truncation.
+    /// A manifest or graph file whose CRC is valid but which describes an
+    /// engine the cold start would refuse is named corruption on both open
+    /// paths: never a panic, an allocation sized by a lying field, or a
+    /// silent truncation.
     #[test]
     fn invalid_manifests_are_named_corruption_in_both_open_modes() {
         // Overwrites the little-endian `u64` at `at` (offsets past the
@@ -1152,18 +1185,28 @@ mod tests {
             .map(|i| std::fs::read(shard_file(i)).unwrap())
             .collect();
 
-        // (case, manifest patch, expected error text)
-        type Case = (&'static str, fn(&mut Vec<u8>), &'static str);
-        let cases: [Case; 7] = [
+        let graph_file = snap.join("graph.bin");
+        let good_graph = read_with_crc(&graph_file, GRAPH_MAGIC, "graph").unwrap();
+        // graph.bin past its magic: weighted flag, kind, `n` at 2, the
+        // edge count at 10, then `record`-byte edge records from 18. The
+        // count is rewritten as `excess` plus the records the body holds.
+        fn lie_count(g: &mut [u8], record: usize, excess: u64) {
+            let edges = ((g.len() - 18) / record) as u64;
+            put(g, 10, excess + edges);
+        }
+
+        // (case, manifest and graph.bin patch, expected error text)
+        type Case = (&'static str, fn(&mut Vec<u8>, &mut Vec<u8>), &'static str);
+        let cases: [Case; 10] = [
             (
                 "k = n + 1",
-                |m| put(m, 24, 31),
+                |m, _| put(m, 24, 31),
                 "k = 31 outside [1, n = 30]",
             ),
-            ("k = 0", |m| put(m, 24, 0), "k = 0 outside"),
+            ("k = 0", |m, _| put(m, 24, 0), "k = 0 outside"),
             (
                 "lambda = 2",
-                |m| {
+                |m, _| {
                     m[48] = 2;
                     put(m, 49, 2f64.to_bits());
                 },
@@ -1171,7 +1214,7 @@ mod tests {
             ),
             (
                 "2^60 shards, no range entries",
-                |m| {
+                |m, _| {
                     put(m, 66, 1 << 60);
                     m.truncate(74);
                 },
@@ -1179,7 +1222,7 @@ mod tests {
             ),
             (
                 "2^60 shards over 2^61 layers, no range entries",
-                |m| {
+                |m, _| {
                     put(m, 16, 1 << 61);
                     put(m, 66, 1 << 60);
                     m.truncate(74);
@@ -1188,22 +1231,54 @@ mod tests {
             ),
             (
                 "l = 2^32 + 4",
-                |m| put(m, 8, (1 << 32) + 4),
+                |m, _| put(m, 8, (1 << 32) + 4),
                 "walk length 4294967300 beyond u32",
             ),
             (
                 "ranges [0, 2), [4, 6)",
-                |m| {
+                |m, _| {
                     put(m, 82, 2);
                     put(m, 90, 4);
                 },
                 "continues at layer 2",
             ),
+            (
+                "graph.bin counts 2^61 + body/8 edges",
+                |_, g| lie_count(g, 8, 1 << 61),
+                "not the 8 per edge",
+            ),
+            (
+                "weighted graph.bin counts 2^60 + body/16 edges",
+                |m, g| {
+                    m[57] = 1;
+                    g[0] = 1;
+                    let body: Vec<u8> = g[18..]
+                        .chunks_exact(8)
+                        .flat_map(|e| [e, &1f64.to_bits().to_le_bytes()].concat())
+                        .collect();
+                    g.truncate(18);
+                    g.extend_from_slice(&body);
+                    lie_count(g, 16, 1 << 60);
+                },
+                "not the 16 per edge",
+            ),
+            (
+                "manifest and graph.bin claim n = 31",
+                |m, g| {
+                    // The shard files bound n before the graph is
+                    // decoded, so its lying count is never reached.
+                    put(m, 58, 31);
+                    put(g, 2, 31);
+                    lie_count(g, 8, 1 << 61);
+                },
+                "(n 30 vs 31,",
+            ),
         ];
         for (what, patch, want) in cases {
-            let mut m = good.clone();
-            patch(&mut m);
+            let (mut m, mut g) = (good.clone(), good_graph.clone());
+            patch(&mut m, &mut g);
             write_with_crc(&manifest, [&MANIFEST_MAGIC[..], &m].concat()).unwrap();
+            write_with_crc(&graph_file, [&GRAPH_MAGIC[..], &g].concat()).unwrap();
             if what.starts_with("ranges") {
                 // Shard files that match the gapped ranges, so only the
                 // tiling itself is wrong.
@@ -1232,8 +1307,9 @@ mod tests {
             }
         }
 
-        // The untouched manifest still opens.
+        // The untouched manifest and graph still open.
         write_with_crc(&manifest, [&MANIFEST_MAGIC[..], &good].concat()).unwrap();
+        write_with_crc(&graph_file, [&GRAPH_MAGIC[..], &good_graph].concat()).unwrap();
         assert!(open(&dir, DurabilityConfig::default()).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -123,25 +123,12 @@ pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
 pub fn crc32_parallel(bytes: &[u8], threads: usize) -> u32 {
     const MIN_CHUNK: usize = 1 << 20;
     let workers = threads.clamp(1, bytes.len().div_ceil(MIN_CHUNK).max(1));
-    if workers <= 1 {
-        return crc32(bytes);
-    }
-    let chunk = bytes.len().div_ceil(workers);
-    let parts: Vec<(u32, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bytes
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || (crc32(c), c.len() as u64)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("crc worker"))
-            .collect()
-    });
-    let mut acc = 0u32;
-    for (c, len) in parts {
-        acc = crc32_combine(acc, c, len);
-    }
-    acc
+    let chunk = bytes.len().div_ceil(workers).max(1);
+    let mut parts =
+        crate::parallel::fan_out(bytes.chunks(chunk), |c| (crc32(c), c.len() as u64)).into_iter();
+    // An empty input makes no parts; its checksum is 0.
+    let (first, _) = parts.next().unwrap_or_default();
+    parts.fold(first, |acc, (c, len)| crc32_combine(acc, c, len))
 }
 
 fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {

@@ -95,10 +95,6 @@ impl SampleEstimator {
         }
     }
 
-    fn effective_threads(&self, n: usize) -> usize {
-        crate::parallel::resolve_threads(self.threads).min(n.max(1))
-    }
-
     /// Runs Algorithm 2 for target set `set`. Walks step by the graph's
     /// own rule ([`WalkGraph`]), so on a weighted graph this is the
     /// paper's weighted extension: the same estimator with transition
@@ -110,36 +106,30 @@ impl SampleEstimator {
         let mut hit_time = vec![0.0f64; n];
         let mut hit_prob = vec![0.0f64; n];
 
-        let threads = self.effective_threads(n);
-        let chunk = n.div_ceil(threads);
-        if n > 0 {
-            // Scoped fan-out over disjoint node chunks. Each walk draws from
-            // its own (seed, node, walk-index) stream, so the partitioning
-            // never influences the sampled values — only who computes them.
-            std::thread::scope(|scope| {
-                for (ci, (ht, hp)) in hit_time
-                    .chunks_mut(chunk)
-                    .zip(hit_prob.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let base = ci * chunk;
-                    scope.spawn(move || {
-                        for (off, (ht_u, hp_u)) in ht.iter_mut().zip(hp.iter_mut()).enumerate() {
-                            let u = NodeId::new(base + off);
-                            if set.contains(u) {
-                                *ht_u = 0.0;
-                                *hp_u = 1.0;
-                                continue;
-                            }
-                            let (t_sum, hits) = self.sample_node(g, u, set);
-                            let r = self.r as f64;
-                            *ht_u = (t_sum as f64 + (self.r - hits) as f64 * self.l as f64) / r;
-                            *hp_u = hits as f64 / r;
-                        }
-                    });
+        // Fan out over disjoint node chunks. Each walk draws from its own
+        // (seed, node, walk-index) stream, so the partitioning never
+        // influences the sampled values — only who computes them.
+        let chunk = n
+            .div_ceil(crate::parallel::resolve_threads(self.threads))
+            .max(1);
+        let parts = hit_time
+            .chunks_mut(chunk)
+            .zip(hit_prob.chunks_mut(chunk))
+            .enumerate();
+        crate::parallel::fan_out(parts, |(ci, (ht, hp))| {
+            for (off, (ht_u, hp_u)) in ht.iter_mut().zip(hp.iter_mut()).enumerate() {
+                let u = NodeId::new(ci * chunk + off);
+                if set.contains(u) {
+                    *ht_u = 0.0;
+                    *hp_u = 1.0;
+                    continue;
                 }
-            });
-        }
+                let (t_sum, hits) = self.sample_node(g, u, set);
+                let r = self.r as f64;
+                *ht_u = (t_sum as f64 + (self.r - hits) as f64 * self.l as f64) / r;
+                *hp_u = hits as f64 / r;
+            }
+        });
 
         let miss_time: f64 = hit_time.iter().sum();
         let f1 = n as f64 * self.l as f64 - miss_time;

@@ -44,7 +44,7 @@ use rwd_graph::NodeId;
 
 use crate::delta::{LayerDelta, PostingDelta};
 use crate::nodeset::NodeSet;
-use crate::parallel::resolve_threads;
+use crate::parallel::{self, resolve_threads};
 use crate::rng::WalkRng;
 use crate::storage::{le_bytes, Column, MmapRegion, Pod};
 use crate::walker::WalkGraph;
@@ -989,7 +989,6 @@ fn build_layers<G: WalkGraph>(
     let chunks_per_layer = n.div_ceil(chunk_nodes).max(1);
     let tasks = r * chunks_per_layer;
 
-    let mut parts: Vec<Vec<Triple>> = (0..tasks).map(|_| Vec::new()).collect();
     let task_range = |t: usize| {
         let layer_idx = layer_base + t / chunks_per_layer;
         let lo = ((t % chunks_per_layer) * chunk_nodes).min(n);
@@ -997,73 +996,43 @@ fn build_layers<G: WalkGraph>(
         (layer_idx, lo, hi)
     };
 
-    if workers == 1 {
+    // Each worker part drains the shared task counter with one reused
+    // scratch; a lone worker takes every task in order.
+    let next = AtomicUsize::new(0);
+    let done = parallel::fan_out(0..workers.min(tasks), |_| {
+        let mut out: Vec<(usize, Vec<Triple>)> = Vec::new();
         let mut scratch = VisitScratch::new(n);
-        for (t, part) in parts.iter_mut().enumerate() {
-            let (layer_idx, lo, hi) = task_range(t);
-            *part = walk_node_range(layer_idx, lo, hi, l, seed, g, &mut scratch);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers.min(tasks))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out: Vec<(usize, Vec<Triple>)> = Vec::new();
-                        let mut scratch = VisitScratch::new(n);
-                        loop {
-                            let t = next.fetch_add(1, Ordering::Relaxed);
-                            if t >= tasks {
-                                break;
-                            }
-                            let (layer_idx, lo, hi) = task_range(t);
-                            out.push((
-                                t,
-                                walk_node_range(layer_idx, lo, hi, l, seed, g, &mut scratch),
-                            ));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (t, v) in h.join().expect("index build worker panicked") {
-                    parts[t] = v;
-                }
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= tasks {
+                break;
             }
-        });
+            let (layer_idx, lo, hi) = task_range(t);
+            out.push((
+                t,
+                walk_node_range(layer_idx, lo, hi, l, seed, g, &mut scratch),
+            ));
+        }
+        out
+    });
+    let mut parts: Vec<Vec<Triple>> = (0..tasks).map(|_| Vec::new()).collect();
+    for (t, v) in done.into_iter().flatten() {
+        parts[t] = v;
     }
 
     // Pack each layer's chunk outputs (already in node order) into SoA CSR,
-    // parallel over layers; each layer's staging buffers are freed as it
-    // packs, so triple staging and final columns barely overlap.
-    let mut layers: Vec<Option<Layer>> = (0..r).map(|_| None).collect();
-    let pack_workers = workers.min(r);
-    if pack_workers == 1 {
-        for (slot, group) in layers.iter_mut().zip(parts.chunks_mut(chunks_per_layer)) {
-            *slot = Some(Layer::from_parts(n, group));
-        }
-    } else {
-        let lchunk = r.div_ceil(pack_workers);
-        let mut layer_groups: Vec<&mut [Vec<Triple>]> =
-            parts.chunks_mut(chunks_per_layer).collect();
-        std::thread::scope(|scope| {
-            for (slots, groups) in layers
-                .chunks_mut(lchunk)
-                .zip(layer_groups.chunks_mut(lchunk))
-            {
-                scope.spawn(move || {
-                    for (slot, group) in slots.iter_mut().zip(groups.iter_mut()) {
-                        *slot = Some(Layer::from_parts(n, group));
-                    }
-                });
-            }
-        });
-    }
-    layers
-        .into_iter()
-        .map(|o| o.expect("layer built"))
-        .collect()
+    // parallel over layer chunks; each layer's staging buffers are freed as
+    // it packs, so triple staging and final columns barely overlap.
+    let lchunk = r.div_ceil(workers);
+    parallel::fan_out(parts.chunks_mut(lchunk * chunks_per_layer), |groups| {
+        groups
+            .chunks_mut(chunks_per_layer)
+            .map(|group| Layer::from_parts(n, group))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 impl WalkIndex {
@@ -1102,7 +1071,13 @@ impl WalkIndex {
         let total: usize = layers.iter().map(|la| la.ids.len()).sum();
         let mut posting_counts = vec![0u64; n];
         let mut posting_hop_sums = vec![0u64; n];
-        let fill = |lo: usize, counts: &mut [u64], sums: &mut [u64]| {
+        let chunk = parallel::part_len(n, n + total, threads);
+        let parts = posting_counts
+            .chunks_mut(chunk)
+            .zip(posting_hop_sums.chunks_mut(chunk))
+            .enumerate();
+        parallel::fan_out(parts, |(ci, (counts, sums))| {
+            let lo = ci * chunk;
             for layer in layers {
                 for (slot, v) in (lo..lo + counts.len()).enumerate() {
                     let a = layer.offsets[v] as usize;
@@ -1115,27 +1090,7 @@ impl WalkIndex {
                     sums[slot] += s;
                 }
             }
-        };
-        let workers = if n + total < crate::parallel::MIN_PARALLEL_SWEEP_WORK {
-            1
-        } else {
-            resolve_threads(threads).min(n.max(1))
-        };
-        if workers == 1 {
-            fill(0, &mut posting_counts, &mut posting_hop_sums);
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (ci, (counts, sums)) in posting_counts
-                    .chunks_mut(chunk)
-                    .zip(posting_hop_sums.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let fill = &fill;
-                    scope.spawn(move || fill(ci * chunk, counts, sums));
-                }
-            });
-        }
+        });
         (posting_counts, posting_hop_sums)
     }
 
@@ -1273,11 +1228,12 @@ impl WalkIndex {
         }
         let (l, seed, layer_base) = (self.l, self.seed, self.layer_base);
 
-        // Patches a chunk of layers with one reused scratch; returns the
-        // chunk's stats, its layer edit scripts (ascending layers), and its
-        // staged aggregate deltas.
-        type ChunkOut = (RefreshStats, Vec<LayerDelta>, Vec<i64>, Vec<i64>);
-        let patch_chunk = |base: usize, layers: &mut [Arc<Layer>]| -> ChunkOut {
+        // Each part patches a chunk of layers with one reused scratch and
+        // returns the chunk's stats, its layer edit scripts (ascending
+        // layers), and its staged aggregate deltas.
+        let chunk = r.div_ceil(resolve_threads(threads));
+        let parts = self.layers.chunks_mut(chunk).enumerate();
+        let partials = parallel::fan_out(parts, |(ci, layers)| {
             let mut ws = PatchScratch::new(n);
             let mut out = RefreshStats::default();
             let mut deltas = Vec::new();
@@ -1287,7 +1243,7 @@ impl WalkIndex {
                     n,
                     l,
                     seed,
-                    layer_base + base + off,
+                    layer_base + ci * chunk + off,
                     touched,
                     g,
                     &mut ws,
@@ -1298,29 +1254,7 @@ impl WalkIndex {
                 out.postings_added += part.postings_added;
             }
             (out, deltas, ws.agg_dcount, ws.agg_dhops)
-        };
-
-        let workers = resolve_threads(threads).min(r);
-        let mut partials: Vec<ChunkOut> = Vec::with_capacity(workers);
-        if workers == 1 {
-            partials.push(patch_chunk(0, &mut self.layers));
-        } else {
-            let chunk = r.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .layers
-                    .chunks_mut(chunk)
-                    .enumerate()
-                    .map(|(ci, layers)| {
-                        let patch_chunk = &patch_chunk;
-                        scope.spawn(move || patch_chunk(ci * chunk, layers))
-                    })
-                    .collect();
-                for h in handles {
-                    partials.push(h.join().expect("refresh worker panicked"));
-                }
-            });
-        }
+        });
         // Chunks are gathered in layer order, so concatenating their edit
         // scripts keeps the delta ascending by absolute layer — the same
         // canonical order a single-threaded refresh emits.
@@ -1536,7 +1470,8 @@ impl WalkIndex {
     /// (`0` = all cores). Layers fan out over workers, each reusing one
     /// `D`-scratch buffer across its layers; per-layer sums are exact
     /// integers reduced in layer order, so the result is bit-identical at
-    /// any worker count. Instances below the shared work gate run serially.
+    /// any worker count. Instances below the shared work gate run as one
+    /// inline part.
     pub fn estimate_hit_times_with_threads(&self, set: &NodeSet, threads: usize) -> Vec<f64> {
         self.replay_layers(threads, |layer, d| {
             d.fill(self.l);
@@ -1578,19 +1513,14 @@ impl WalkIndex {
 
     /// Shared layer-replay driver: `fill` recomputes one layer's per-node
     /// integer table into the reused scratch `d`, and the driver averages
-    /// those tables over layers — serially below the work gate, otherwise
-    /// parallel over layer chunks with one scratch buffer per worker and a
+    /// those tables over layers — one part below the work gate, otherwise
+    /// parallel over layer chunks with one scratch buffer per part and a
     /// chunk-ordered reduction. All summed values are small integers, so
     /// the result is bit-identical for any worker count.
     fn replay_layers(&self, threads: usize, fill: impl Fn(&Layer, &mut [u32]) + Sync) -> Vec<f64> {
         let r = self.layers.len();
-        let work = r * self.n;
-        let workers = if work < crate::parallel::MIN_PARALLEL_SWEEP_WORK {
-            1
-        } else {
-            resolve_threads(threads).min(r)
-        };
-        let accumulate = |layers: &[Arc<Layer>]| {
+        let chunk = parallel::part_len(r, r * self.n, threads);
+        let mut partials = parallel::fan_out(self.layers.chunks(chunk), |layers| {
             let mut acc = vec![0.0f64; self.n];
             let mut d = vec![0u32; self.n];
             for layer in layers {
@@ -1600,31 +1530,14 @@ impl WalkIndex {
                 }
             }
             acc
-        };
-        let mut acc = if workers == 1 {
-            accumulate(&self.layers)
-        } else {
-            let chunk = r.div_ceil(workers);
-            let mut partials: Vec<Vec<f64>> = Vec::with_capacity(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .layers
-                    .chunks(chunk)
-                    .map(|layers| scope.spawn(|| accumulate(layers)))
-                    .collect();
-                for h in handles {
-                    partials.push(h.join().expect("estimate worker panicked"));
-                }
-            });
-            let mut parts = partials.into_iter();
-            let mut acc = parts.next().expect("at least one worker");
-            for p in parts {
-                for (a, b) in acc.iter_mut().zip(p) {
-                    *a += b;
-                }
+        })
+        .into_iter();
+        let mut acc = partials.next().expect("an index has at least one layer");
+        for p in partials {
+            for (a, b) in acc.iter_mut().zip(p) {
+                *a += b;
             }
-            acc
-        };
+        }
         let r = r as f64;
         acc.iter_mut().for_each(|a| *a /= r);
         acc
@@ -1744,20 +1657,23 @@ impl WalkIndex {
         };
         let specs = &layout.layers;
         let total_postings: usize = specs.iter().map(|s| s.entries).sum();
-        let workers = if n + total_postings < crate::parallel::MIN_PARALLEL_SWEEP_WORK {
-            1
+        // Off unix, positioned reads fall back to a shared-cursor seek, so
+        // every layer goes in one part.
+        let chunk = if cfg!(unix) {
+            parallel::part_len(specs.len(), n + total_postings, threads)
         } else {
-            resolve_threads(threads).min(specs.len())
+            specs.len()
         };
-        // Off unix, positioned reads fall back to a shared-cursor seek.
-        let workers = if cfg!(unix) { workers } else { 1 };
-        // One worker's pass over its layer chunk: a reused read buffer, and
-        // the chunk's transient high-water mark (section bytes + the 12 B
-        // per posting the forward transposition stages). Results land in
-        // per-layer slots, so layer order and the first failing layer's
-        // error are scheduling-free.
-        let run_chunk =
-            |b_chunk: &[V4LayerSpec], s_chunk: &mut [Option<std::io::Result<Layer>>]| -> usize {
+        // Each part reads its layer chunk through one reused buffer and
+        // reports the chunk's transient high-water mark (section bytes +
+        // the 12 B per posting the forward transposition stages). Results
+        // land in per-layer slots, so layer order and the first failing
+        // layer's error are scheduling-free.
+        let mut slots: Vec<Option<std::io::Result<Layer>>> = Vec::new();
+        slots.resize_with(specs.len(), || None);
+        let parse_peak = parallel::fan_out(
+            specs.chunks(chunk).zip(slots.chunks_mut(chunk)),
+            |(b_chunk, s_chunk)| {
                 let mut buf: Vec<u8> = Vec::new();
                 let mut peak = 0usize;
                 for (slot, spec) in s_chunk.iter_mut().zip(b_chunk) {
@@ -1765,28 +1681,10 @@ impl WalkIndex {
                     *slot = Some(read_parse(&mut buf, spec));
                 }
                 peak
-            };
-        let mut slots: Vec<Option<std::io::Result<Layer>>> = Vec::new();
-        slots.resize_with(specs.len(), || None);
-        let parse_peak = if workers <= 1 {
-            run_chunk(specs, &mut slots)
-        } else {
-            let chunk = specs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = specs
-                    .chunks(chunk)
-                    .zip(slots.chunks_mut(chunk))
-                    .map(|(b_chunk, s_chunk)| {
-                        let run_chunk = &run_chunk;
-                        scope.spawn(move || run_chunk(b_chunk, s_chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("load worker panicked"))
-                    .sum()
-            })
-        };
+            },
+        )
+        .into_iter()
+        .sum();
         let mut layers = Vec::with_capacity(specs.len());
         for slot in slots {
             layers.push(slot.expect("every layer has a parse slot")?);

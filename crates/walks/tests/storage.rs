@@ -223,11 +223,17 @@ fn damaged_v4_files_are_rejected_by_name_on_every_open_path() {
 /// The bounded-peak claim behind the deserializing open: transient buffers
 /// (CRC chunk + per-worker section buffer + transposition staging) stay
 /// under a quarter of the final index, i.e. peak RSS ≤ 1.25× the loaded
-/// index.
+/// index, for the one-worker load the bound is defined at. The fixture is
+/// past the load's work gate, so 2 and 8 workers take the multi-part path,
+/// which must land on the same index.
 #[test]
 fn deserializing_load_peak_memory_is_bounded() {
     let g = rwd_graph::generators::barabasi_albert(2000, 6, 3).unwrap();
     let idx = WalkIndex::build(&g, 8, 6, 4242);
+    assert!(
+        idx.n() + idx.total_postings() >= rwd_walks::parallel::MIN_PARALLEL_SWEEP_WORK,
+        "fixture must cross the load's work gate"
+    );
     let dir = tmp_dir("peak");
     let p = dir.join("mono.rwdidx");
     idx.save(&p).unwrap();
@@ -240,6 +246,10 @@ fn deserializing_load_peak_memory_is_bounded() {
         stats.transient_peak_bytes,
         idx.memory_bytes()
     );
+    for threads in [2, 8] {
+        let (loaded, _) = WalkIndex::load_with_stats(&p, threads).unwrap();
+        assert!(loaded == idx, "a {threads}-worker load drifted");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
