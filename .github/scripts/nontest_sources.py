@@ -6,6 +6,7 @@ shims, every tests/ and benches/ directory, and top-level
 
     python3 .github/scripts/nontest_sources.py count     # lines per crate
     python3 .github/scripts/nontest_sources.py fan-outs  # scoped-thread check
+    python3 .github/scripts/nontest_sources.py celf      # CELF-entry check
 """
 
 import os
@@ -17,6 +18,12 @@ TEST_MOD = re.compile(r"(pub(\(crate\))? )?mod \w+ \{$")
 # The one module allowed to open a thread scope: every parallel pass goes
 # through its fan-out primitive.
 FAN_OUT_HOME = os.path.join("crates", "walks", "src", "parallel.rs")
+# The modules allowed to build a CELF heap entry: the entry's own, the one
+# lazy greedy driver, and the delta engine's lazy argmax.
+GREEDY = os.path.join("crates", "core", "src", "greedy")
+CELF_HOMES = [os.path.join(GREEDY, f) for f in ("celf.rs", "driver.rs", "delta.rs")]
+# A struct literal, not the type's own `struct`/`impl … for` headers.
+CELF_LITERAL = re.compile(r"(?<!struct )(?<!for )\bCelfEntry \{")
 
 
 def nontest_lines():
@@ -63,25 +70,46 @@ def count():
     return 0
 
 
-def fan_outs():
-    """Fails, printing file:line, where a non-test source other than the
-    fan-out primitive's module contains `thread::scope`."""
+def confined(matches, homes, what, advice):
+    """Fails, printing file:line, where a non-test source outside `homes`
+    has a line that `matches`."""
     hits = [
         f"{path}:{no}: {line.strip()}"
         for _, path, no, line in nontest_lines()
-        if "thread::scope" in line and path != FAN_OUT_HOME
+        if matches(line) and path not in homes
     ]
     for hit in hits:
         print(hit)
     if hits:
-        print(f"{len(hits)} fan-out(s) outside {FAN_OUT_HOME}; use rwd_walks::parallel::fan_out")
+        print(f"{len(hits)} {what}(s) outside {', '.join(homes)}; {advice}")
         return 1
-    print(f"every scoped fan-out goes through {FAN_OUT_HOME}")
+    print(f"no {what} outside {', '.join(homes)}")
     return 0
 
 
+def fan_outs():
+    """Scoped thread fan-outs live in the fan-out primitive's module."""
+    return confined(
+        lambda line: "thread::scope" in line,
+        [FAN_OUT_HOME],
+        "thread scope",
+        "use rwd_walks::parallel::fan_out",
+    )
+
+
+def celf():
+    """CELF rounds are written once: only the greedy driver (and the delta
+    engine's lazy argmax) build `CelfEntry` records."""
+    return confined(
+        CELF_LITERAL.search,
+        CELF_HOMES,
+        "CelfEntry literal",
+        "run lazy rounds through rwd_core::greedy::driver::greedy_lazy",
+    )
+
+
 if __name__ == "__main__":
-    commands = {"count": count, "fan-outs": fan_outs}
+    commands = {"count": count, "fan-outs": fan_outs, "celf": celf}
     if len(sys.argv) != 2 or sys.argv[1] not in commands:
         sys.exit(f"usage: {sys.argv[0]} {{{'|'.join(commands)}}}")
     sys.exit(commands[sys.argv[1]]())

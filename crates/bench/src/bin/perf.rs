@@ -837,6 +837,9 @@ fn main() {
     let mut recovery_ms = f64::INFINITY;
     let mut recovered = None;
     for _ in 0..reps {
+        // One live engine per data dir: the previous rep's engine lets go
+        // of the directory before this rep's clock starts.
+        drop(recovered.take());
         let t0 = Instant::now();
         let opened = StreamEngine::open_durable_with(
             &recovery_dir,

@@ -80,21 +80,8 @@ fn eval(g: &CsrGraph, sel: &[NodeId], l: u32) -> metrics::Metrics {
 /// Table 1: the Example 3.1 inverted index (exact paper values).
 pub fn table1(_opts: Options) {
     println!("== Table 1: inverted index of Example 3.1 (R = 1, L = 2) ==\n");
-    let v = |i: usize| rwd_graph::generators::paper_example::v(i);
-    let walks: Vec<Vec<NodeId>> = [
-        [1usize, 2, 3],
-        [2, 3, 5],
-        [3, 2, 5],
-        [4, 7, 5],
-        [5, 2, 6],
-        [6, 7, 5],
-        [7, 5, 7],
-        [8, 7, 4],
-    ]
-    .iter()
-    .map(|w| w.iter().map(|&x| v(x)).collect())
-    .collect();
-    let idx = WalkIndex::from_walks(8, 2, &walks);
+    use rwd_graph::generators::paper_example::{example31_walks, v};
+    let idx = WalkIndex::from_walks(8, 2, &example31_walks());
 
     let mut t = Table::new(["node", "postings <id, weight>"]);
     for owner in 1..=8 {

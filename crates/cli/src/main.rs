@@ -1219,27 +1219,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// Walks through the paper's Example 3.1 with full intermediate output.
 fn cmd_demo() -> Result<(), String> {
     use rwd_core::greedy::approx::{GainEngine, GainRule};
-    use rwd_graph::generators::paper_example::{figure1, v};
+    use rwd_graph::generators::paper_example::{example31_walks, figure1, v};
     use rwd_walks::WalkIndex;
 
     println!("Example 3.1 of the paper: R = 1, L = 2, k = 2 on Figure 1\n");
     let g = figure1();
     println!("graph: n = {}, m = {} (v1..v8 = ids 0..7)\n", g.n(), g.m());
 
-    let walks: Vec<Vec<NodeId>> = [
-        [1usize, 2, 3],
-        [2, 3, 5],
-        [3, 2, 5],
-        [4, 7, 5],
-        [5, 2, 6],
-        [6, 7, 5],
-        [7, 5, 7],
-        [8, 7, 4],
-    ]
-    .iter()
-    .map(|w| w.iter().map(|&x| v(x)).collect())
-    .collect();
-    let idx = WalkIndex::from_walks(8, 2, &walks);
+    let idx = WalkIndex::from_walks(8, 2, &example31_walks());
 
     println!("Table 1 — inverted index:");
     for owner in 1..=8 {
@@ -1345,19 +1332,24 @@ mod tests {
         ]))
         .unwrap();
         run(&argv(&["stats", path_s])).unwrap();
-        run(&argv(&[
-            "select",
-            path_s,
-            "--algo",
+        // Every solver and baseline behind `--algo`.
+        for algo in [
+            "approx-f1",
             "approx-f2",
-            "--k",
-            "5",
-            "--l",
-            "4",
-            "--r",
-            "25",
-        ]))
-        .unwrap();
+            "dp-f1",
+            "dp-f2",
+            "sampling-f1",
+            "sampling-f2",
+            "degree",
+            "dominate",
+            "random",
+            "pagerank",
+        ] {
+            run(&argv(&[
+                "select", path_s, "--algo", algo, "--k", "5", "--l", "4", "--r", "25",
+            ]))
+            .unwrap_or_else(|e| panic!("--algo {algo}: {e}"));
+        }
         run(&argv(&[
             "eval", path_s, "--nodes", "0,1,2", "--l", "4", "--r", "50",
         ]))

@@ -1,13 +1,16 @@
 //! User-facing solvers.
 //!
-//! | Solver | Paper name | Gain evaluation | Complexity |
+//! | Solver | Paper name | Gain oracle | Complexity |
 //! |---|---|---|---|
 //! | [`DpGreedy`] | `DPF1` / `DPF2` | exact DP (Eq. 4/8) | `O(k·n·mL)` plain, far less with CELF |
 //! | [`SamplingGreedy`] | §3.1 sampling greedy | Algorithm 2 per candidate | `O(k·n²·RL)` plain |
-//! | [`ApproxGreedy`] | `ApproxF1` / `ApproxF2` (Algorithm 6) | Algorithm 4/5 over the walk index | `O(kRLn)` time, `O(nRL + m)` space |
+//! | [`ApproxGreedy`] | `ApproxF1` / `ApproxF2` (Algorithm 6), and the combined `λ`-objective | Algorithm 4/5 over the walk index | `O(kRLn)` time, `O(nRL + m)` space |
 //!
-//! Every solver returns a [`Selection`] and is a deterministic function of
-//! `(graph, problem, params)`.
+//! All three run their rounds through the one greedy driver
+//! ([`driver::greedy_plain`] / [`driver::greedy_lazy`]), except that
+//! [`Strategy::Delta`] takes the delta engine's maintained argmax instead;
+//! every [`Selection`] is built by one `finish`. Every solver is a
+//! deterministic function of `(graph, problem, params)`.
 
 use std::time::Instant;
 
@@ -16,7 +19,8 @@ use rwd_walks::{WalkGraph, WalkIndex};
 
 use crate::greedy::approx::{GainEngine, GainRule};
 use crate::greedy::delta::DeltaGainEngine;
-use crate::greedy::{driver, Strategy};
+use crate::greedy::driver::{self, GreedyOutcome};
+use crate::greedy::Strategy;
 use crate::objective::{ExactF1, ExactF2, SampledF1, SampledF2};
 use crate::problem::{Params, Problem, Selection};
 use crate::Result;
@@ -120,42 +124,37 @@ impl SamplingGreedy {
 /// quantify the speed differences.
 #[derive(Clone, Copy, Debug)]
 pub struct ApproxGreedy {
-    problem: Problem,
+    rule: GainRule,
     params: Params,
 }
 
 impl ApproxGreedy {
-    /// Creates the solver.
-    pub fn new(problem: Problem, params: Params) -> Self {
-        ApproxGreedy { problem, params }
+    /// Creates the solver for a [`Problem`], or for any [`GainRule`] such as
+    /// the combined `λ`-objective (extension; see [`GainRule::Combined`]).
+    pub fn new(rule: impl Into<GainRule>, params: Params) -> Self {
+        ApproxGreedy {
+            rule: rule.into(),
+            params,
+        }
     }
 
-    /// Builds the index and runs the selection. On a weighted graph the
-    /// walks follow edge weights (the paper's weighted extension) and
-    /// Algorithms 4–6 run unchanged on the weighted walk index.
+    /// Builds the index and runs the selection; the reported time includes
+    /// the build. On a weighted graph the walks follow edge weights (the
+    /// paper's weighted extension) and Algorithms 4–6 run unchanged on the
+    /// weighted walk index.
     pub fn run<G: WalkGraph>(&self, g: &G) -> Result<Selection> {
         self.params.validate(g.n())?;
         let start = Instant::now();
-        let idx = WalkIndex::build_with_threads(
-            g,
-            self.params.l,
-            self.params.r,
-            self.params.seed,
-            self.params.threads,
-        );
-        let rule = match self.problem {
-            Problem::MinHittingTime => GainRule::HittingTime,
-            Problem::MaxCoverage => GainRule::Coverage,
-        };
-        let mut sel = select_from_index(
-            &idx,
-            rule,
-            self.params.k,
-            self.params.strategy,
-            self.params.threads,
-        )?;
+        let Params {
+            l,
+            r,
+            seed,
+            threads,
+            ..
+        } = self.params;
+        let idx = WalkIndex::build_with_threads(g, l, r, seed, threads);
+        let mut sel = self.run_with_index(&idx)?;
         sel.elapsed = start.elapsed();
-        sel.algorithm = format!("Approx{}", self.problem.suffix());
         Ok(sel)
     }
 
@@ -163,40 +162,20 @@ impl ApproxGreedy {
     /// one index across many `k`/`λ` settings).
     pub fn run_with_index(&self, idx: &WalkIndex) -> Result<Selection> {
         self.params.validate(idx.n())?;
-        let rule = match self.problem {
-            Problem::MinHittingTime => GainRule::HittingTime,
-            Problem::MaxCoverage => GainRule::Coverage,
+        let Params {
+            k,
+            strategy,
+            threads,
+            ..
+        } = self.params;
+        let mut sel = select_from_index(idx, self.rule, k, strategy, threads)?;
+        sel.algorithm = match self.rule {
+            GainRule::HittingTime => "ApproxF1".into(),
+            GainRule::Coverage => "ApproxF2".into(),
+            GainRule::Combined { lambda } => format!("ApproxCombined(λ={lambda})"),
         };
-        let start = Instant::now();
-        let mut sel = select_from_index(
-            idx,
-            rule,
-            self.params.k,
-            self.params.strategy,
-            self.params.threads,
-        )?;
-        sel.elapsed = start.elapsed();
-        sel.algorithm = format!("Approx{}", self.problem.suffix());
         Ok(sel)
     }
-}
-
-/// Approximate greedy under the combined `λ`-objective (extension; see
-/// [`GainRule::Combined`]).
-pub fn approx_combined(g: &CsrGraph, lambda: f64, params: Params) -> Result<Selection> {
-    params.validate(g.n())?;
-    let start = Instant::now();
-    let idx = WalkIndex::build_with_threads(g, params.l, params.r, params.seed, params.threads);
-    let mut sel = select_from_index(
-        &idx,
-        GainRule::Combined { lambda },
-        params.k,
-        params.strategy,
-        params.threads,
-    )?;
-    sel.elapsed = start.elapsed();
-    sel.algorithm = format!("ApproxCombined(λ={lambda})");
-    Ok(sel)
 }
 
 /// Core of Algorithm 6 given a built index, a gain rule and an evaluation
@@ -212,42 +191,11 @@ pub fn select_from_index(
     if strategy == Strategy::Delta {
         return delta_greedy_with_stats(idx, rule, k, threads).map(|(sel, _)| sel);
     }
-    if k == 0 || k > idx.n() {
-        return Err(crate::CoreError::InvalidParams(format!(
-            "k = {k} outside [1, n = {}]",
-            idx.n()
-        )));
-    }
+    check_budget(k, idx.n())?;
     let start = Instant::now();
     let mut engine = GainEngine::with_threads(idx, rule, threads);
-    let mut nodes = Vec::with_capacity(k);
-    let mut gain_trace = Vec::with_capacity(k);
-    let mut evaluations = 0usize;
-
-    if strategy.lazy() {
-        run_lazy(
-            &mut engine,
-            k,
-            &mut nodes,
-            &mut gain_trace,
-            &mut evaluations,
-        );
-    } else {
-        run_sweep(
-            &mut engine,
-            k,
-            &mut nodes,
-            &mut gain_trace,
-            &mut evaluations,
-        );
-    }
-
-    Ok(assemble_selection(
-        nodes,
-        gain_trace,
-        evaluations,
-        start.elapsed(),
-    ))
+    let outcome = driver::run(&mut engine, k, strategy.lazy());
+    Ok(finish(outcome, start, String::new()))
 }
 
 /// [`Strategy::Delta`] greedy with per-round output-sensitivity stats: the
@@ -261,31 +209,21 @@ pub fn delta_greedy_with_stats(
     k: usize,
     threads: usize,
 ) -> Result<(Selection, Vec<usize>)> {
-    if k == 0 || k > idx.n() {
-        return Err(crate::CoreError::InvalidParams(format!(
-            "k = {k} outside [1, n = {}]",
-            idx.n()
-        )));
-    }
+    check_budget(k, idx.n())?;
     let start = Instant::now();
     let mut engine = DeltaGainEngine::with_threads(idx, rule, threads);
-    let mut nodes = Vec::with_capacity(k);
-    let mut gain_trace = Vec::with_capacity(k);
-    let mut touched = Vec::with_capacity(k);
+    let mut outcome = GreedyOutcome::with_capacity(k);
     // The closed-form initialization evaluates every candidate once; the
     // rounds themselves re-evaluate nothing.
-    let evaluations = idx.n();
+    outcome.evaluations = idx.n();
+    let mut touched = Vec::with_capacity(k);
     for _round in 0..k {
         let (pick, gain) = engine.best_candidate().expect("k <= n leaves candidates");
         engine.update(pick);
-        nodes.push(pick);
-        gain_trace.push(gain);
+        outcome.record(pick, gain, 0.0);
         touched.push(engine.last_update_touched());
     }
-    Ok((
-        assemble_selection(nodes, gain_trace, evaluations, start.elapsed()),
-        touched,
-    ))
+    Ok((finish(outcome, start, String::new()), touched))
 }
 
 /// Objective of an **arbitrary** seed sequence at query time: replays the
@@ -336,109 +274,17 @@ pub fn objective_from_index(
     Ok(objective)
 }
 
-/// Builds a [`Selection`], recovering the objective trace from the gain
-/// trace (`F(∅) = 0` for every rule, and gains are exact marginals of the
-/// sampled objective).
-fn assemble_selection(
-    nodes: Vec<NodeId>,
-    gain_trace: Vec<f64>,
-    evaluations: usize,
-    elapsed: std::time::Duration,
-) -> Selection {
-    let mut objective_trace = Vec::with_capacity(gain_trace.len());
-    let mut acc = 0.0;
-    for &g in &gain_trace {
-        acc += g;
-        objective_trace.push(acc);
+/// Rejects a budget outside `[1, n]`.
+fn check_budget(k: usize, n: usize) -> Result<()> {
+    if k == 0 || k > n {
+        return Err(crate::CoreError::InvalidParams(format!(
+            "k = {k} outside [1, n = {n}]"
+        )));
     }
-    Selection {
-        nodes,
-        gain_trace,
-        objective_trace,
-        evaluations,
-        elapsed,
-        algorithm: String::new(),
-    }
+    Ok(())
 }
 
-/// Paper-faithful mode: one full gain sweep per round.
-fn run_sweep(
-    engine: &mut GainEngine<'_>,
-    k: usize,
-    nodes: &mut Vec<NodeId>,
-    gain_trace: &mut Vec<f64>,
-    evaluations: &mut usize,
-) {
-    let n = engine.selected().capacity();
-    for _round in 0..k {
-        let gains = engine.gains_all();
-        *evaluations += n - nodes.len();
-        let mut best: Option<(NodeId, f64)> = None;
-        for (u, &gain) in gains.iter().enumerate() {
-            let u = NodeId::new(u);
-            if engine.selected().contains(u) {
-                continue;
-            }
-            if best.is_none_or(|(_, bg)| gain > bg) {
-                best = Some((u, gain));
-            }
-        }
-        let (pick, gain) = best.expect("k <= n leaves candidates");
-        engine.update(pick);
-        nodes.push(pick);
-        gain_trace.push(gain);
-    }
-}
-
-/// Lazy mode: one initial sweep, then CELF with per-candidate Algorithm 4.
-fn run_lazy(
-    engine: &mut GainEngine<'_>,
-    k: usize,
-    nodes: &mut Vec<NodeId>,
-    gain_trace: &mut Vec<f64>,
-    evaluations: &mut usize,
-) {
-    use std::collections::BinaryHeap;
-
-    use crate::greedy::celf::CelfEntry;
-
-    let n = engine.selected().capacity();
-    let initial = engine.gains_all();
-    *evaluations += n;
-    let mut heap: BinaryHeap<CelfEntry> = initial
-        .iter()
-        .enumerate()
-        .map(|(u, &gain)| CelfEntry {
-            gain,
-            node: u as u32,
-            round: 0,
-        })
-        .collect();
-
-    for round in 1..=k {
-        loop {
-            let top = heap.pop().expect("candidates remain while k <= n");
-            if engine.selected().contains(NodeId(top.node)) {
-                continue;
-            }
-            if top.round == round {
-                engine.update(NodeId(top.node));
-                nodes.push(NodeId(top.node));
-                gain_trace.push(top.gain);
-                break;
-            }
-            let gain = engine.gain_single(NodeId(top.node));
-            *evaluations += 1;
-            heap.push(CelfEntry {
-                gain,
-                node: top.node,
-                round,
-            });
-        }
-    }
-}
-
-fn finish(outcome: driver::GreedyOutcome, start: Instant, algorithm: String) -> Selection {
+fn finish(outcome: GreedyOutcome, start: Instant, algorithm: String) -> Selection {
     Selection {
         nodes: outcome.nodes,
         gain_trace: outcome.gain_trace,
@@ -627,12 +473,17 @@ mod tests {
     fn combined_interpolates_between_problems() {
         let g = barabasi_albert(150, 3, 2).unwrap();
         let p = params(6, 5, 64);
-        let f1_side = approx_combined(&g, 1.0, p).unwrap();
+        let f1_side = ApproxGreedy::new(GainRule::Combined { lambda: 1.0 }, p)
+            .run(&g)
+            .unwrap();
+        assert_eq!(f1_side.algorithm, "ApproxCombined(λ=1)");
         let pure1 = ApproxGreedy::new(Problem::MinHittingTime, p)
             .run(&g)
             .unwrap();
         assert_eq!(f1_side.nodes, pure1.nodes, "λ=1 reduces to Problem 1");
-        let f2_side = approx_combined(&g, 0.0, p).unwrap();
+        let f2_side = ApproxGreedy::new(GainRule::Combined { lambda: 0.0 }, p)
+            .run(&g)
+            .unwrap();
         let pure2 = ApproxGreedy::new(Problem::MaxCoverage, p).run(&g).unwrap();
         assert_eq!(f2_side.nodes, pure2.nodes, "λ=0 reduces to Problem 2");
     }

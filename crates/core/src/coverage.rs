@@ -5,14 +5,16 @@
 //! the walk index: keep selecting the maximal-coverage-gain node (Problem 2
 //! gain rule) until the estimated `F̂2(S)` crosses `α·n`. Because `F2` is
 //! monotone submodular, this greedy is the classic `H(n)`-approximate
-//! partial-cover algorithm.
+//! partial-cover algorithm. The rounds run on the delta engine's maintained
+//! argmax, which picks exactly what a full gain sweep per round would.
 
 use std::time::Instant;
 
 use rwd_graph::{CsrGraph, NodeId};
 use rwd_walks::WalkIndex;
 
-use crate::greedy::approx::{GainEngine, GainRule};
+use crate::greedy::approx::GainRule;
+use crate::greedy::delta::DeltaGainEngine;
 use crate::Result;
 
 /// Result of the partial-cover greedy.
@@ -90,23 +92,14 @@ pub fn min_nodes_for_coverage(g: &CsrGraph, p: CoverageParams) -> Result<Coverag
     let cap = if p.max_k == 0 { n } else { p.max_k.min(n) };
 
     let idx = WalkIndex::build_with_threads(g, p.l, p.r, p.seed, p.threads);
-    let mut engine = GainEngine::with_threads(&idx, GainRule::Coverage, p.threads);
+    let mut engine = DeltaGainEngine::with_threads(&idx, GainRule::Coverage, p.threads);
     let mut nodes = Vec::new();
     let mut coverage_trace = Vec::new();
 
     while engine.est_f2() < target && nodes.len() < cap {
-        let gains = engine.gains_all();
-        let mut best: Option<(NodeId, f64)> = None;
-        for (u, &gain) in gains.iter().enumerate() {
-            let u = NodeId::new(u);
-            if engine.selected().contains(u) {
-                continue;
-            }
-            if best.is_none_or(|(_, bg)| gain > bg) {
-                best = Some((u, gain));
-            }
-        }
-        let Some((pick, _)) = best else { break };
+        let (pick, _) = engine
+            .best_candidate()
+            .expect("fewer than n picks leave a candidate");
         engine.update(pick);
         nodes.push(pick);
         coverage_trace.push(engine.est_f2());
@@ -125,7 +118,58 @@ pub fn min_nodes_for_coverage(g: &CsrGraph, p: CoverageParams) -> Result<Coverag
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::approx::GainEngine;
+    use crate::greedy::driver::greedy_plain;
     use rwd_graph::generators::{barabasi_albert, classic};
+
+    /// The partial cover's picks and coverage trace must equal, bit for
+    /// bit, one full gain sweep per round (the driver's plain rounds over
+    /// the sweep engine) and that engine's `F̂2` after each pick; the stop
+    /// rule must fire exactly at the target or the cap.
+    fn assert_matches_sweep_replay(g: &CsrGraph, p: CoverageParams) {
+        let res = min_nodes_for_coverage(g, p).unwrap();
+        let idx = WalkIndex::build_with_threads(g, p.l, p.r, p.seed, p.threads);
+        let mut sweep = GainEngine::with_threads(&idx, GainRule::Coverage, p.threads);
+        assert_eq!(greedy_plain(&mut sweep, res.k()).nodes, res.nodes);
+        let mut replay = GainEngine::with_threads(&idx, GainRule::Coverage, p.threads);
+        for (&pick, &coverage) in res.nodes.iter().zip(&res.coverage_trace) {
+            assert!(replay.est_f2() < res.target, "picked past the target");
+            replay.update(pick);
+            assert_eq!(replay.est_f2().to_bits(), coverage.to_bits(), "{pick}");
+        }
+        assert_eq!(res.reached, replay.est_f2() >= res.target);
+        assert!(res.reached || res.k() == p.max_k);
+    }
+
+    #[test]
+    fn picks_and_trace_match_a_sweep_replay() {
+        // Run to the target on a BA graph.
+        let ba = barabasi_albert(300, 3, 5).unwrap();
+        assert_matches_sweep_replay(
+            &ba,
+            CoverageParams {
+                alpha: 0.95,
+                l: 5,
+                r: 50,
+                seed: 1,
+                ..Default::default()
+            },
+        );
+        // Stopped by the cap on `max_k_caps_selection`'s path, where two
+        // candidates tie for the maximal gain in round 2 and the smaller id
+        // must win.
+        assert_matches_sweep_replay(
+            &classic::path(40).unwrap(),
+            CoverageParams {
+                alpha: 1.0,
+                l: 2,
+                r: 32,
+                seed: 2,
+                max_k: 3,
+                ..Default::default()
+            },
+        );
+    }
 
     #[test]
     fn star_needs_one_node() {

@@ -22,6 +22,9 @@
 use rwd_graph::NodeId;
 use rwd_walks::{parallel, NodeSet, WalkIndex};
 
+use crate::greedy::driver::GainOracle;
+use crate::problem::Problem;
+
 /// Which marginal-gain rule the engine applies.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GainRule {
@@ -34,6 +37,15 @@ pub enum GainRule {
         /// Blend weight toward the hitting-time component.
         lambda: f64,
     },
+}
+
+impl From<Problem> for GainRule {
+    fn from(problem: Problem) -> Self {
+        match problem {
+            Problem::MinHittingTime => GainRule::HittingTime,
+            Problem::MaxCoverage => GainRule::Coverage,
+        }
+    }
 }
 
 impl GainRule {
@@ -372,6 +384,26 @@ impl<'a> GainEngine<'a> {
     }
 }
 
+/// The engine is the greedy driver's oracle for Algorithm 6: one index
+/// sweep per gain pass, Algorithm 4 per candidate, Algorithm 5 per commit.
+impl GainOracle for GainEngine<'_> {
+    fn selected(&self) -> &NodeSet {
+        &self.selected
+    }
+
+    fn gains_all(&self) -> Vec<f64> {
+        GainEngine::gains_all(self)
+    }
+
+    fn gain_single(&self, u: NodeId) -> f64 {
+        GainEngine::gain_single(self, u)
+    }
+
+    fn commit(&mut self, u: NodeId, _gain: f64) {
+        self.update(u);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,21 +412,7 @@ mod tests {
 
     /// The Example 3.1 index: R = 1, L = 2, fixed walks.
     fn example31_index() -> WalkIndex {
-        let v = |i: usize| NodeId::new(i - 1);
-        let walks: Vec<Vec<NodeId>> = [
-            [1, 2, 3],
-            [2, 3, 5],
-            [3, 2, 5],
-            [4, 7, 5],
-            [5, 2, 6],
-            [6, 7, 5],
-            [7, 5, 7],
-            [8, 7, 4],
-        ]
-        .iter()
-        .map(|w| w.iter().map(|&x| v(x)).collect())
-        .collect();
-        WalkIndex::from_walks(8, 2, &walks)
+        WalkIndex::from_walks(8, 2, &paper_example::example31_walks())
     }
 
     #[test]

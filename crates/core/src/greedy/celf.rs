@@ -1,12 +1,11 @@
 //! The shared CELF heap entry.
 //!
-//! Both lazy-greedy drivers — [`crate::greedy::driver::greedy_lazy`] over
-//! arbitrary [`crate::objective::Objective`]s and the Algorithm-6 lazy loop
-//! in [`crate::algo`] over the gain engine — push the same `(gain, node,
+//! The lazy driver [`crate::greedy::driver::greedy_lazy`] (over any gain
+//! oracle) and the delta engine's lazy argmax push the same `(gain, node,
 //! round)` records into a [`std::collections::BinaryHeap`]. The ordering is
 //! gain-descending with ties broken toward the **smaller** node id, so a
 //! CELF pop sequence resolves ties exactly like a plain ascending-id scan
-//! and the two strategies select identical nodes.
+//! and every strategy selects identical nodes.
 
 use std::cmp::Ordering;
 

@@ -235,25 +235,6 @@ impl EngineCore {
             && shards[0].l() == self.l
             && shards.iter().map(|s| s.r()).sum::<usize>() == self.r
     }
-
-    /// Rounds committed (and logged) since the last absorb/construction.
-    pub fn rounds_recorded(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Total logged mutations `(slot drops, gain decrements)` across the
-    /// recorded rounds — the volume a full warm replay re-applies.
-    pub fn mutations_recorded(&self) -> (usize, usize) {
-        self.rounds.iter().fold((0, 0), |(s, d), log| {
-            let (ls, ld) = log.layers.iter().fold((0, 0), |(s, d), l| {
-                (
-                    s + l.slot1.len() + l.slot2.len(),
-                    d + l.dec1.len() + l.dec2.len(),
-                )
-            });
-            (s + ls, d + ld)
-        })
-    }
 }
 
 /// Incremental exact-gain maintenance over a dual-view [`WalkIndex`] — or
@@ -411,12 +392,6 @@ impl<'a> DeltaGainEngine<'a> {
     /// [`DeltaGainEngine::resume`].
     pub fn into_core(self) -> EngineCore {
         self.core
-    }
-
-    /// A view of the engine's owned state (for introspection — e.g. log
-    /// volume accounting) without detaching it.
-    pub fn core_ref(&self) -> &EngineCore {
-        &self.core
     }
 
     /// Re-binds a detached [`EngineCore`] to (the next epoch of) its shard
@@ -1298,21 +1273,7 @@ mod tests {
 
     /// The Example 3.1 index: R = 1, L = 2, fixed walks.
     fn example31_index() -> WalkIndex {
-        let v = |i: usize| NodeId::new(i - 1);
-        let walks: Vec<Vec<NodeId>> = [
-            [1, 2, 3],
-            [2, 3, 5],
-            [3, 2, 5],
-            [4, 7, 5],
-            [5, 2, 6],
-            [6, 7, 5],
-            [7, 5, 7],
-            [8, 7, 4],
-        ]
-        .iter()
-        .map(|w| w.iter().map(|&x| v(x)).collect())
-        .collect();
-        WalkIndex::from_walks(8, 2, &walks)
+        WalkIndex::from_walks(8, 2, &paper_example::example31_walks())
     }
 
     const ALL_RULES: [GainRule; 3] = [

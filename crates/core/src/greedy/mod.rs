@@ -1,14 +1,16 @@
 //! Greedy selection machinery.
 //!
 //! * [`driver`] — the paper's Algorithm 1: generic greedy over any
-//!   [`crate::objective::Objective`], in plain (full rescan) and lazy (CELF,
-//!   the `[19]` acceleration the paper recommends) forms,
+//!   marginal-gain oracle ([`GainOracle`]), in plain (full rescan) and lazy
+//!   (CELF, the `[19]` acceleration the paper recommends) forms — the
+//!   workspace's only plain and CELF rounds,
 //! * [`approx`] — the Algorithm 4/5 gain engine over the inverted walk
-//!   index, powering the approximate greedy of Algorithm 6,
+//!   index, the oracle that makes the driver Algorithm 6,
 //! * [`delta`] — the output-sensitive engine: exact gains maintained
 //!   incrementally through the index's forward view, so a round costs an
 //!   argmax plus repairs proportional to what the last commit changed,
-//! * [`celf`] — the CELF heap entry shared by both lazy drivers.
+//! * [`celf`] — the CELF heap entry, shared by the lazy driver and the
+//!   delta engine's lazy argmax.
 //!
 //! All strategies select **identical** seed sets (asserted across the test
 //! suites); they differ only in how much work each round performs.
@@ -21,7 +23,7 @@ pub mod driver;
 pub use approx::{GainEngine, GainRule};
 pub use celf::CelfEntry;
 pub use delta::{DeltaGainEngine, EngineCore};
-pub use driver::{greedy, greedy_lazy, greedy_plain, GreedyOutcome};
+pub use driver::{greedy, greedy_lazy, greedy_plain, GainOracle, GreedyOutcome};
 
 /// How greedy rounds evaluate marginal gains. Every strategy returns the
 /// same selection (ties break toward the smaller node id everywhere); they
@@ -46,8 +48,8 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Whether the strategy avoids full per-round rescans — the `lazy` bit
-    /// understood by the [`driver`]'s Objective-based greedy.
+    /// Whether the strategy avoids full per-round rescans — the [`driver`]'s
+    /// `lazy` bit.
     pub fn lazy(self) -> bool {
         !matches!(self, Strategy::Sweep)
     }

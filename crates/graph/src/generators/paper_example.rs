@@ -34,6 +34,24 @@ pub fn figure1() -> CsrGraph {
     .expect("static edge list is valid")
 }
 
+/// The eight walks of the paper's Example 3.1 (`R = 1`, `L = 2`), one per
+/// source `v1..v8` in order — the walks behind Table 1.
+pub fn example31_walks() -> Vec<Vec<NodeId>> {
+    [
+        [1, 2, 3],
+        [2, 3, 5],
+        [3, 2, 5],
+        [4, 7, 5],
+        [5, 2, 6],
+        [6, 7, 5],
+        [7, 5, 7],
+        [8, 7, 4],
+    ]
+    .iter()
+    .map(|w| w.iter().map(|&x| v(x)).collect())
+    .collect()
+}
+
 /// Converts a paper label `v1..v8` to the dense [`NodeId`] used here.
 pub fn v(label: usize) -> NodeId {
     assert!((1..=N).contains(&label), "paper labels run v1..v8");
@@ -54,27 +72,24 @@ mod tests {
     #[test]
     fn walks_from_the_paper_are_valid() {
         let g = figure1();
-        let walks: [&[usize]; 10] = [
-            &[1, 2, 3, 2, 6],
-            &[1, 6, 2, 3, 5],
-            &[1, 2, 3],
-            &[2, 3, 5],
-            &[3, 2, 5],
-            &[4, 7, 5],
-            &[5, 2, 6],
-            &[6, 7, 5],
-            &[7, 5, 7],
-            &[8, 7, 4],
-        ];
+        let section2: [&[usize]; 2] = [&[1, 2, 3, 2, 6], &[1, 6, 2, 3, 5]];
+        let walks = section2
+            .iter()
+            .map(|w| w.iter().map(|&x| v(x)).collect())
+            .chain(example31_walks());
         for walk in walks {
             for pair in walk.windows(2) {
                 assert!(
-                    g.has_edge(v(pair[0]), v(pair[1])),
+                    g.has_edge(pair[0], pair[1]),
                     "edge v{}-v{} missing",
-                    pair[0],
-                    pair[1]
+                    pair[0].index() + 1,
+                    pair[1].index() + 1
                 );
             }
+        }
+        // One walk per source, in label order.
+        for (i, walk) in example31_walks().iter().enumerate() {
+            assert_eq!(walk[0], v(i + 1));
         }
     }
 

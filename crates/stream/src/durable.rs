@@ -19,6 +19,13 @@
 //!   manifest never existed. After a snapshot the journal rotates to the
 //!   new base and older artifacts are compacted away.
 //!
+//! An engine holds an exclusive `flock` on `<dir>/LOCK` for as long as it
+//! lives, so one data directory has at most one live engine: a second
+//! create or open is refused by name instead of interleaving journal
+//! appends or compacting away the other engine's snapshot. The kernel
+//! releases the lock when the engine drops or its process dies, so a crash
+//! leaves no stale lock to clean up.
+//!
 //! [`StreamEngine::open_durable_with`] recovers: the newest loadable
 //! snapshot, then the journal suffix replayed through the normal apply path
 //! (incremental refresh and warm seed maintenance included). Because every
@@ -107,6 +114,8 @@ pub struct RecoveryReport {
 /// journals and snapshots, and how many batches since the last snapshot.
 #[derive(Debug)]
 pub(crate) struct Durable {
+    /// The data-dir lock, held for the engine's lifetime.
+    _lock: File,
     dir: PathBuf,
     journal: BatchJournal,
     dcfg: DurabilityConfig,
@@ -179,10 +188,11 @@ impl StreamEngine {
     /// bound elsewhere moves, leaving its old directory's history as it
     /// is). Rejects a directory that already holds durability artifacts —
     /// recover those with [`StreamEngine::open_durable_with`] instead of
-    /// overwriting history.
+    /// overwriting history — and one another live engine holds.
     pub fn create_durable(mut self, dir: impl AsRef<Path>, dcfg: DurabilityConfig) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         dio("data dir create", std::fs::create_dir_all(&dir))?;
+        let lock = lock_dir(&dir)?;
         if !find_numbered(&dir, "snap-")?.is_empty() || !find_numbered(&dir, "journal-")?.is_empty()
         {
             return Err(StreamError::InvalidConfig(format!(
@@ -198,6 +208,7 @@ impl StreamEngine {
         )?;
         publish_footprint(&self);
         self.durable = Some(Durable {
+            _lock: lock,
             dir,
             journal,
             dcfg,
@@ -212,15 +223,20 @@ impl StreamEngine {
     /// suffix through the normal apply path, truncates a torn tail
     /// (reported, never fatal), and resumes journaling where the surviving
     /// history ends. Mid-journal corruption and unloadable snapshots fail
-    /// with named errors instead of serving drifted state. Both modes
-    /// recover the exact same state — the mode only chooses where the
-    /// posting columns live (mapped file vs heap).
+    /// with named errors instead of serving drifted state, and a directory
+    /// another live engine holds is refused. Both modes recover the exact
+    /// same state — the mode only chooses where the posting columns live
+    /// (mapped file vs heap).
     pub fn open_durable_with(
         dir: impl AsRef<Path>,
         dcfg: DurabilityConfig,
         mode: OpenMode,
     ) -> Result<(Self, RecoveryReport)> {
         let dir = dir.as_ref().to_path_buf();
+        if !dir.is_dir() {
+            return Err(StreamError::NoSnapshot(dir));
+        }
+        let lock = lock_dir(&dir)?;
         let snaps = find_numbered(&dir, "snap-")?;
         if snaps.is_empty() {
             return Err(StreamError::NoSnapshot(dir));
@@ -315,6 +331,7 @@ impl StreamEngine {
             mapped_bytes,
         };
         engine.durable = Some(Durable {
+            _lock: lock,
             dir,
             journal,
             dcfg,
@@ -382,6 +399,27 @@ fn dio<T>(context: &str, r: std::io::Result<T>) -> Result<T> {
         context: context.into(),
         source,
     })
+}
+
+/// Takes the exclusive lock that makes the caller `dir`'s one live engine:
+/// an `flock` on `<dir>/LOCK`, held while the returned file stays open.
+fn lock_dir(dir: &Path) -> Result<File> {
+    let file = dio(
+        "data dir lock",
+        File::options()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join("LOCK")),
+    )?;
+    let held = file.try_lock().map_err(|e| match e {
+        std::fs::TryLockError::WouldBlock => std::io::Error::new(
+            std::io::ErrorKind::WouldBlock,
+            format!("{} is held by another live engine", dir.display()),
+        ),
+        std::fs::TryLockError::Error(e) => e,
+    });
+    dio("data dir lock", held.map(|()| file))
 }
 
 /// Lists `<prefix><number>` entries of `dir` (an optional `.wal` suffix is
@@ -1026,6 +1064,49 @@ mod tests {
     }
 
     #[test]
+    fn a_live_engine_locks_its_data_dir() {
+        fn refused<T>(attempt: Result<T>) {
+            match attempt {
+                Ok(_) => panic!("a second live engine got into the data dir"),
+                Err(e) => assert!(
+                    matches!(&e, StreamError::Durability { context, .. } if context == "data dir lock"),
+                    "{e}"
+                ),
+            }
+        }
+        let dir = tmp_dir("lock");
+        let g0 = erdos_renyi_gnp(40, 0.1, 5).unwrap();
+        let engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
+        let mut durable = engine
+            .create_durable(&dir, DurabilityConfig::default())
+            .unwrap();
+        for b in churn_batches(&g0, 2) {
+            durable.apply(&b).unwrap();
+        }
+        let live = image(&durable);
+        // While it lives, neither a recovery (in either mode) nor a second
+        // creator may touch the directory.
+        for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
+            refused(StreamEngine::open_durable_with(
+                &dir,
+                DurabilityConfig::default(),
+                mode,
+            ));
+        }
+        let second = StreamEngine::new(g0, cfg()).unwrap();
+        refused(second.create_durable(&dir, DurabilityConfig::default()));
+        // Dropping the engine releases the lock; the reopened engine holds
+        // it in turn.
+        drop(durable);
+        let (reopened, report) = open(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!(report.epochs_replayed, 2);
+        assert_engine_matches(&reopened, &live);
+        refused(open(&dir, DurabilityConfig::default()));
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn mapped_open_zero_copies_a_v4_snapshot() {
         let dir = tmp_dir("mapped");
         let g0 = erdos_renyi_gnp(50, 0.08, 21).unwrap();
@@ -1043,14 +1124,19 @@ mod tests {
         let (mut mapped, mrep) =
             StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), OpenMode::Mapped)
                 .unwrap();
+        assert_eq!(mrep.epochs_replayed, 0);
+        assert_engine_matches(&mapped, &live);
+        // A snapshot at the epoch just loaded is already on disk: it must
+        // not rewrite the files the mapped engine serves from.
+        assert!(matches!(mapped.snapshot_now(), Ok(3)));
+        assert_engine_matches(&mapped, &live);
+        drop(mapped);
         let (owned, orep) = StreamEngine::open_durable_with(
             &dir,
             DurabilityConfig::default(),
             OpenMode::Deserialize,
         )
         .unwrap();
-        assert_eq!(mrep.epochs_replayed, 0);
-        assert_engine_matches(&mapped, &live);
         assert_engine_matches(&owned, &live);
         // Deserialize mode owns everything; mapped mode (with nothing to
         // replay) serves every posting column straight from the file, and
@@ -1064,11 +1150,7 @@ mod tests {
                 "mapped and owned opens account different column totals"
             );
         }
-        // A snapshot at the epoch just loaded is already on disk: it must
-        // not rewrite the files the mapped engine serves from.
-        assert!(matches!(mapped.snapshot_now(), Ok(3)));
-        assert_engine_matches(&mapped, &live);
-        drop((mapped, owned));
+        drop(owned);
         let (reopened, report) = open(&dir, DurabilityConfig::default()).unwrap();
         assert_eq!((report.snapshot_epoch, report.epochs_replayed), (3, 0));
         assert_engine_matches(&reopened, &live);

@@ -2234,21 +2234,7 @@ mod tests {
     #[test]
     fn from_walks_matches_example_3_1_table_1() {
         // The fixed walks of Example 3.1 (paper labels v1..v8 = ids 0..7).
-        let v = |i: usize| NodeId::new(i - 1);
-        let walks: Vec<Vec<NodeId>> = [
-            [1, 2, 3],
-            [2, 3, 5],
-            [3, 2, 5],
-            [4, 7, 5],
-            [5, 2, 6],
-            [6, 7, 5],
-            [7, 5, 7],
-            [8, 7, 4],
-        ]
-        .iter()
-        .map(|w| w.iter().map(|&x| v(x)).collect())
-        .collect();
-        let idx = WalkIndex::from_walks(8, 2, &walks);
+        let idx = WalkIndex::from_walks(8, 2, &paper_example::example31_walks());
 
         let lists: Vec<Vec<(usize, u32)>> = (0..8)
             .map(|owner| {
@@ -2300,20 +2286,7 @@ mod tests {
     #[test]
     fn estimate_hit_times_replays_correctly() {
         let v = |i: usize| NodeId::new(i - 1);
-        let walks: Vec<Vec<NodeId>> = [
-            [1, 2, 3],
-            [2, 3, 5],
-            [3, 2, 5],
-            [4, 7, 5],
-            [5, 2, 6],
-            [6, 7, 5],
-            [7, 5, 7],
-            [8, 7, 4],
-        ]
-        .iter()
-        .map(|w| w.iter().map(|&x| v(x)).collect())
-        .collect();
-        let idx = WalkIndex::from_walks(8, 2, &walks);
+        let idx = WalkIndex::from_walks(8, 2, &paper_example::example31_walks());
         // S = {v2}: first hits — v1 at 1, v3 at 1, v5 at 1; others miss (L = 2).
         let s = NodeSet::from_nodes(8, [v(2)]);
         let h = idx.estimate_hit_times(&s);
@@ -2383,20 +2356,7 @@ mod tests {
         // forward(v2) = {v3@1, v5@2}; v5's walk (v5, v2, v6) gives
         // {v2@1, v6@2}.
         let v = |i: usize| NodeId::new(i - 1);
-        let walks: Vec<Vec<NodeId>> = [
-            [1, 2, 3],
-            [2, 3, 5],
-            [3, 2, 5],
-            [4, 7, 5],
-            [5, 2, 6],
-            [6, 7, 5],
-            [7, 5, 7],
-            [8, 7, 4],
-        ]
-        .iter()
-        .map(|w| w.iter().map(|&x| v(x)).collect())
-        .collect();
-        let idx = WalkIndex::from_walks(8, 2, &walks);
+        let idx = WalkIndex::from_walks(8, 2, &paper_example::example31_walks());
         let fwd = |src: usize| -> Vec<(usize, u32)> {
             idx.forward(0, v(src))
                 .iter()

@@ -20,17 +20,17 @@
 //! cargo run --release --example ads_placement
 //! ```
 
-use rwd::core::algo::approx_combined;
 use rwd::core::report::{fmt_f, Table};
 use rwd::prelude::*;
 
 fn sweep(g: &CsrGraph, params: Params, metric_params: MetricParams) {
-    let baseline = approx_combined(g, 0.0, params).expect("pure coverage");
+    let combined = |lambda| ApproxGreedy::new(GainRule::Combined { lambda }, params).run(g);
+    let baseline = combined(0.0).expect("pure coverage");
     let base_set: std::collections::HashSet<NodeId> = baseline.nodes.iter().copied().collect();
 
     let mut table = Table::new(["λ (toward latency)", "AHT (↓)", "EHN (↑)", "overlap w/ λ=0"]);
     for lambda in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let sel = approx_combined(g, lambda, params).expect("combined greedy");
+        let sel = combined(lambda).expect("combined greedy");
         let m = metrics::evaluate(g, &sel.nodes, metric_params);
         let overlap = sel.nodes.iter().filter(|u| base_set.contains(u)).count();
         table.row([

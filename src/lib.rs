@@ -52,7 +52,7 @@ pub mod prelude {
     pub use rwd_core::algo::{ApproxGreedy, DpGreedy, SamplingGreedy};
     pub use rwd_core::baselines;
     pub use rwd_core::coverage::{min_nodes_for_coverage, CoverageParams};
-    pub use rwd_core::greedy::Strategy;
+    pub use rwd_core::greedy::{GainRule, Strategy};
     pub use rwd_core::metrics::{self, MetricParams};
     pub use rwd_core::problem::{Params, Problem, Selection};
     pub use rwd_graph::{CsrGraph, GraphBuilder, NodeId};

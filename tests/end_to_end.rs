@@ -1,7 +1,6 @@
 //! End-to-end pipelines through the façade crate: datasets → solvers →
 //! metrics → extensions, the way a downstream user would wire things up.
 
-use rwd::core::algo::approx_combined;
 use rwd::core::greedy::driver;
 use rwd::core::objective::{EdgeCoverage, Objective};
 use rwd::prelude::*;
@@ -112,9 +111,10 @@ fn combined_objective_interpolates_metrics() {
         seed: 5,
         ..Params::default()
     };
-    let pure1 = approx_combined(&g, 1.0, params).unwrap();
-    let pure2 = approx_combined(&g, 0.0, params).unwrap();
-    let blend = approx_combined(&g, 0.5, params).unwrap();
+    let combined = |lambda| ApproxGreedy::new(GainRule::Combined { lambda }, params).run(&g);
+    let pure1 = combined(1.0).unwrap();
+    let pure2 = combined(0.0).unwrap();
+    let blend = combined(0.5).unwrap();
     assert_eq!(blend.nodes.len(), 12);
 
     // Endpoint equivalence with the dedicated problems.

@@ -8,35 +8,19 @@
 //! paper is asserted here.
 
 use rwd::core::greedy::approx::{GainEngine, GainRule};
-use rwd::graph::generators::paper_example::{figure1, v};
+use rwd::graph::generators::paper_example::{example31_walks, figure1, v};
 use rwd::prelude::*;
 
-/// The eight fixed walks of Example 3.1, in paper labels.
-const WALKS: [[usize; 3]; 8] = [
-    [1, 2, 3],
-    [2, 3, 5],
-    [3, 2, 5],
-    [4, 7, 5],
-    [5, 2, 6],
-    [6, 7, 5],
-    [7, 5, 7],
-    [8, 7, 4],
-];
-
 fn example_index() -> WalkIndex {
-    let walks: Vec<Vec<NodeId>> = WALKS
-        .iter()
-        .map(|w| w.iter().map(|&x| v(x)).collect())
-        .collect();
-    WalkIndex::from_walks(8, 2, &walks)
+    WalkIndex::from_walks(8, 2, &example31_walks())
 }
 
 #[test]
 fn walks_are_valid_on_figure1() {
     let g = figure1();
-    for w in WALKS {
-        assert!(g.has_edge(v(w[0]), v(w[1])), "v{}-v{}", w[0], w[1]);
-        assert!(g.has_edge(v(w[1]), v(w[2])), "v{}-v{}", w[1], w[2]);
+    for w in example31_walks() {
+        assert!(g.has_edge(w[0], w[1]), "{}-{}", w[0], w[1]);
+        assert!(g.has_edge(w[1], w[2]), "{}-{}", w[1], w[2]);
     }
 }
 
