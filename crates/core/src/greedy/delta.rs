@@ -48,15 +48,16 @@
 //! the integer gain decrements. When an incremental refresh later rewrites
 //! part of the index and emits its [`PostingDelta`] edit script,
 //! [`DeltaGainEngine::absorb`] patches the engine back to the **new**
-//! index's `S = ∅` state in `O(|delta| + changed slots)`:
+//! index's `S = ∅` state in `O(|delta| + n·R)`:
 //!
-//! * the recorded slot drops are undone (back to `L` / `0` — the `S = ∅`
-//!   closed form), touching only slots a round actually changed;
+//! * every `D` slot is reset to its `S = ∅` closed form (`L` / `0`);
 //! * each removed posting `(owner, src, w)` subtracts its closed-form
 //!   `S = ∅` contribution from `owner`'s baseline (`L − w` from `gain1`,
 //!   `1` from `gain2`) and each added posting adds it back — the same
 //!   per-posting algebra the `d − max(w, d')` update rule specializes to
-//!   at `D ≡ L`;
+//!   at `D ≡ L`. The script is taken as [`rwd_walks::WalkIndex::refresh`]
+//!   emits it, **net** of the postings a resampled group reproduced
+//!   verbatim, so every edit names a group whose walk really changed;
 //! * the gain tables are restored from the patched baselines and the CELF
 //!   heap is rebuilt in place — every allocation (tables, heap storage,
 //!   logs) is recycled. The per-posting terms also accumulate into dense
@@ -71,21 +72,23 @@
 //! verbatim (their reads on the new index would be byte-identical to the
 //! old epoch's), while *resampled* slots have their recorded decrements
 //! un-applied and their group's slot decision redone live against the
-//! fresh index — one scan of the pick's inverted row per dirty layer,
-//! testing each entry against the resampled bitset in `O(1)`. Per-group
-//! `D` evolution is independent and gain
-//! decrements are commutative integer adds, so a batch that resamples 1%
-//! of the walk groups costs 1% live work, never a whole layer or round. A
-//! round whose argmax moved ends the fast path and the caller recomputes
-//! the remaining rounds cold. Either way the engine state after every
-//! round is bit-identical to a freshly built engine on the refreshed
-//! index committing the same picks — at any thread or shard count.
+//! fresh index. The live work is the cold commit's own Algorithm-5 layer
+//! pass under a slot filter that admits only the resampled groups — one
+//! scan of the pick's inverted row per dirty layer, testing each entry
+//! against the resampled bitset in `O(1)`. Per-group `D` evolution is
+//! independent and gain decrements are commutative integer adds, so a
+//! batch that resamples 1% of the walk groups costs 1% live work, never a
+//! whole layer or round. A round whose argmax moved ends the fast path and
+//! the caller recomputes the remaining rounds cold. Either way the engine
+//! state after every round is bit-identical to a freshly built engine on
+//! the refreshed index committing the same picks — at any thread or shard
+//! count.
 
 use std::collections::BinaryHeap;
 
 use rwd_graph::NodeId;
 use rwd_walks::parallel;
-use rwd_walks::{NodeSet, PostingDelta, WalkIndex};
+use rwd_walks::{NodeSet, PostingDelta, PostingEdit, WalkIndex};
 
 use crate::greedy::approx::GainRule;
 use crate::greedy::celf::CelfEntry;
@@ -99,10 +102,16 @@ type Dec1 = (u32, u32);
 /// compacting the log — `u32::MAX` is never a valid node id.
 const DEAD_SLOT: u32 = u32::MAX;
 
+/// Whether bit `idx` of a bitset is set.
+fn bit(bits: &[u64], idx: usize) -> bool {
+    bits.get(idx >> 6).is_some_and(|w| w >> (idx & 63) & 1 != 0)
+}
+
 /// The exact mutations one committed greedy round applied to **one**
 /// layer — enough to re-apply that layer's share of the round without
-/// touching the index (warm replay) and to rewind its `D`-slot drops
-/// (absorb). Recorded only when round logging is enabled.
+/// touching the index (warm replay). Every layer update stages its gain
+/// decrements here; the slot entries are recorded, and the log kept, only
+/// when round logging is enabled.
 ///
 /// The offset arrays attribute every gain decrement to the slot whose
 /// forward stream emitted it, which is what makes replay work at **slot
@@ -216,9 +225,9 @@ pub struct EngineCore {
     /// a live round. `O(k·n)` memory, the same order as the `D` tables.
     snaps1: Vec<u64>,
     snaps2: Vec<u64>,
-    /// Bitset over `global layer · n + src`: walk groups the last absorbed
-    /// delta net-changed. A replay takes a resampled group's slot work
-    /// from a live recomputation instead of the log — the group's walk
+    /// Bitset over `global layer · n + src`: walk groups with an edit in
+    /// the last absorbed delta. A replay takes a resampled group's slot
+    /// work from a live recomputation instead of the log — the group's walk
     /// (and so its forward list and row postings) is not the one the log
     /// was recorded against. A bitset (not a hash set) because a replay
     /// probes it once per logged slot and once per fresh row posting.
@@ -266,27 +275,28 @@ pub struct DeltaGainEngine<'a> {
     pending_snaps2: Vec<u64>,
     /// Next pending log to validate.
     replay_cursor: usize,
-    /// The last absorbed delta's net baseline patches, dense per node
+    /// The last absorbed delta's baseline patches, dense per node
     /// (`Δgain1` / `Δgain2`), re-added on top of each restored snapshot
     /// (snapshots predate the delta). Dense because every replayed round
     /// rebases the full gain vector anyway — one fused sequential pass
     /// beats a sparse chain of random-index adds.
-    patch1: Vec<i64>,
-    patch2: Vec<i64>,
+    ///
     /// The replayed rounds of this epoch fold their fixups into the same
-    /// patch vectors: for every resampled slot the replay un-applies the
+    /// vectors: for every resampled slot the replay un-applies the
     /// recorded decrements (`+dec`) and applies the live ones (`−dec`).
     /// Snapshots record the *previous* epoch's gain evolution, so the
     /// cold-equivalent gains of round `t` are `snapshot(t) + patch`, where
     /// `patch` has accumulated the fixups of all rounds before `t`.
+    patch1: Vec<i64>,
+    patch2: Vec<i64>,
     /// Whether each global layer holds any resampled group at all — a
-    /// clean layer replays its recorded log verbatim, skipping both the
-    /// per-slot bit tests and the live row scan.
+    /// clean layer replays its recorded slots without bit tests and skips
+    /// the live pass.
     layer_dirty: Vec<bool>,
     /// One staging log per global layer for [`DeltaGainEngine::update`]:
-    /// its parts stage their gain decrements here. A logged round moves
-    /// the logs into its [`RoundLog`]; an unlogged one leaves them to be
-    /// reset and reused, so it allocates nothing once they are grown.
+    /// its layer updates stage their gain decrements here. A logged round
+    /// moves the logs into its [`RoundLog`]; an unlogged one leaves them to
+    /// be reset and reused, so it allocates nothing once they are grown.
     stage: Vec<LayerLog>,
 }
 
@@ -577,23 +587,28 @@ impl<'a> DeltaGainEngine<'a> {
 
     /// Patches the engine from its current post-selection state back to the
     /// **refreshed** index's `S = ∅` state, in time proportional to the
-    /// delta plus the slots the logged rounds changed — never `O(k ·
-    /// postings)` and never a table reallocation:
+    /// delta plus the table sizes — never `O(k · postings)` and never a
+    /// table reallocation:
     ///
-    /// 1. every logged `D`-slot drop is undone (the `S = ∅` values are the
-    ///    closed-form constants `L` / `0`), and the selection set cleared;
+    /// 1. every `D` slot is reset to its `S = ∅` closed-form constant
+    ///    (`L` / `0`), and the selection set cleared;
     /// 2. the `S = ∅` gain baselines are patched posting-by-posting from
-    ///    the delta (`±(L − hop)` on `gain1`, `±1` on `gain2` per edit —
-    ///    exactly the closed form `init_gains` evaluates, one term
-    ///    at a time);
+    ///    the delta (`−(L − hop)` on `gain1` and `−1` on `gain2` per
+    ///    removed posting, `+` per added one — exactly the closed form
+    ///    `init_gains` evaluates, one term at a time), and every group an
+    ///    edit names is marked resampled;
     /// 3. the gain tables are restored from the patched baselines and the
     ///    heap re-heapified in place.
     ///
     /// The previous rounds' logs become the pending replay sequence for
-    /// [`DeltaGainEngine::try_replay_recorded`]. Returns the number of
-    /// **net** posting edits absorbed — postings a resampled group
-    /// reproduced identically cancel before they can patch a baseline or
-    /// poison a replay.
+    /// [`DeltaGainEngine::try_replay_recorded`]. Every edit of `deltas` is
+    /// absorbed: as many as their [`PostingDelta::postings_changed`] sum.
+    ///
+    /// The scripts are expected **net**, as [`WalkIndex::refresh`] emits
+    /// them: a posting a resampled group reproduced verbatim is in neither
+    /// list. A gross script stays exact — a reproduced posting's `−` and
+    /// `+` cancel in the baselines — but it marks its group resampled, so
+    /// the replay re-decides that group live instead of from the log.
     ///
     /// The caller must have re-bound the engine to the refreshed shards
     /// ([`DeltaGainEngine::resume`]) and `deltas` must be exactly the edit
@@ -603,7 +618,7 @@ impl<'a> DeltaGainEngine<'a> {
     /// # Panics
     /// Panics when round logging is off — the engine has no baselines to
     /// rewind to.
-    pub fn absorb(&mut self, deltas: &[PostingDelta]) -> usize {
+    pub fn absorb(&mut self, deltas: &[PostingDelta]) {
         let core = &mut self.core;
         assert!(
             core.log_rounds,
@@ -621,23 +636,13 @@ impl<'a> DeltaGainEngine<'a> {
         core.touched_last = 0;
 
         // 2. Patch the S = ∅ baselines by the edit script and mark the
-        // owners/groups the delta touched for the replay validity checks.
-        //
-        // Identical removed/added pairs cancel first: a resampled walk that
-        // diverges late (or not at all) reproduces most of its postings
-        // verbatim, and a posting that is removed and re-added with the
-        // same `(owner, src, hop)` leaves both the inverted row and the
-        // group's forward list byte-identical (both views are canonically
-        // ordered). Only *net* edits patch baselines or poison replays —
-        // without the cancellation nearly every hub would come out dirty
-        // and the recorded rounds would never replay.
+        // groups it names resampled, for the replay's slot decisions.
         let words = (core.r * n).div_ceil(64);
         core.resampled.clear();
         core.resampled.resize(words, 0);
         let needs_f1 = core.rule.needs_f1();
         let needs_f2 = core.rule.needs_f2();
         let l = core.l as i64;
-        let mut absorbed = 0usize;
         self.patch1.clear();
         self.patch2.clear();
         self.patch1.resize(if needs_f1 { n } else { 0 }, 0);
@@ -646,72 +651,35 @@ impl<'a> DeltaGainEngine<'a> {
         self.layer_dirty.clear();
         self.layer_dirty.resize(core.r, false);
         let layer_dirty = &mut self.layer_dirty;
-        // One net edit: the closed-form S = ∅ contribution of the posting,
+        // One edit: the closed-form S = ∅ contribution of the posting,
         // signed. `c` is ±1 — a posting names its group's unique first
         // visit of `owner`, so it appears at most once per side. The raw
         // terms also accumulate into the dense patch vectors, the additive
         // bridge that carries recorded gain snapshots across the epoch
         // boundary.
-        let mut patch =
-            |core: &mut EngineCore, base: usize, (owner, src, hop): (u32, u32, u16), c: i64| {
-                absorbed += 1;
-                let grp = base + src as usize;
-                core.resampled[grp >> 6] |= 1 << (grp & 63);
-                layer_dirty[base / n] = true;
-                let p1 = if needs_f1 { c * (l - hop as i64) } else { 0 };
-                let p2 = if needs_f2 { c } else { 0 };
-                if needs_f1 {
-                    patch1[owner as usize] += p1;
-                }
-                if needs_f2 {
-                    patch2[owner as usize] += p2;
-                }
-                if needs_f1 {
-                    let b = &mut core.base1[owner as usize];
-                    *b = (*b as i64 + p1) as u64;
-                }
-                if needs_f2 {
-                    let b = &mut core.base2[owner as usize];
-                    *b = (*b as i64 + p2) as u64;
-                }
-            };
+        let mut patch = |layer: usize, (owner, src, hop): PostingEdit, c: i64| {
+            let grp = layer * n + src as usize;
+            core.resampled[grp >> 6] |= 1 << (grp & 63);
+            layer_dirty[layer] = true;
+            if needs_f1 {
+                let p1 = c * (l - hop as i64);
+                patch1[owner as usize] += p1;
+                let b = &mut core.base1[owner as usize];
+                *b = (*b as i64 + p1) as u64;
+            }
+            if needs_f2 {
+                patch2[owner as usize] += c;
+                let b = &mut core.base2[owner as usize];
+                *b = (*b as i64 + c) as u64;
+            }
+        };
         for delta in deltas {
             for layer in &delta.layers {
-                let base = layer.layer * n;
-                // Both edit lists are grouped by ascending source, and a
-                // group's entries are its first-visit postings in walk
-                // order — hop-ascending with distinct hops. `(src, hop)`
-                // is therefore a strictly increasing key on each side, and
-                // identical reproductions cancel in one ordered merge.
-                let (rem, add) = (&layer.removed, &layer.added);
-                let key = |e: &(u32, u32, u16)| (e.1, e.2, e.0);
-                debug_assert!(rem.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-                debug_assert!(add.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-                let (mut i, mut j) = (0usize, 0usize);
-                loop {
-                    match (rem.get(i), add.get(j)) {
-                        (Some(r), Some(a)) if r == a => {
-                            i += 1; // reproduced verbatim: not an edit
-                            j += 1;
-                        }
-                        (Some(&r), Some(&a)) if key(&r) < key(&a) => {
-                            patch(core, base, r, -1);
-                            i += 1;
-                        }
-                        (Some(_), Some(&a)) => {
-                            patch(core, base, a, 1);
-                            j += 1;
-                        }
-                        (Some(&r), None) => {
-                            patch(core, base, r, -1);
-                            i += 1;
-                        }
-                        (None, Some(&a)) => {
-                            patch(core, base, a, 1);
-                            j += 1;
-                        }
-                        (None, None) => break,
-                    }
+                for &e in &layer.removed {
+                    patch(layer.layer, e, -1);
+                }
+                for &e in &layer.added {
+                    patch(layer.layer, e, 1);
                 }
             }
         }
@@ -731,7 +699,6 @@ impl<'a> DeltaGainEngine<'a> {
         core.snaps2.reserve(self.pending_snaps2.len());
         self.replay_cursor = 0;
         self.rebuild_heap();
-        absorbed
     }
 
     /// Attempts to commit the next pending recorded round, taking as much
@@ -753,12 +720,14 @@ impl<'a> DeltaGainEngine<'a> {
     ///    already inside the snapshot. A *resampled* slot's decrement
     ///    range is instead un-applied from the gains — the log streamed a
     ///    forward list that no longer exists.
-    /// 3. A **live pass** scans the pick's fresh inverted row once per
-    ///    dirty layer, bit-testing each entry against the resampled set,
-    ///    and redoes, exactly as a cold update would, the slot decision
-    ///    and forward walk of every *resampled* group it finds — work
-    ///    bounded by the row length, independent of how many groups the
-    ///    batch resampled elsewhere.
+    /// 3. A **live pass** runs the cold commit's own layer update,
+    ///    `update_layer`, on each dirty layer of the fresh index, under a
+    ///    slot filter that admits only the resampled groups: one scan of
+    ///    the pick's inverted row that bit-tests each entry and redoes the
+    ///    slot decision and forward walk of every resampled group it finds
+    ///    — work bounded by the row length, independent of how many groups
+    ///    the batch resampled elsewhere. A layer with no resampled group
+    ///    skips both the bit tests and the live pass.
     ///
     /// Per-group `D` evolution is independent (a group's slot is only
     /// ever written by that group's postings) and gain decrements are
@@ -775,7 +744,7 @@ impl<'a> DeltaGainEngine<'a> {
         if log.pick != pick.raw() {
             return false;
         }
-        let log = std::mem::take(&mut self.pending[cursor]);
+        let mut log = std::mem::take(&mut self.pending[cursor]);
         self.replay_cursor = cursor + 1;
         let core = &mut self.core;
         assert!(core.selected.insert(pick), "node {pick} selected twice");
@@ -815,47 +784,15 @@ impl<'a> DeltaGainEngine<'a> {
             ..
         } = core;
         let (patch1, patch2) = (&mut self.patch1, &mut self.patch2);
-        let layer_dirty = &self.layer_dirty;
-        let shards = &self.shards;
-        let layer_map = &self.layer_map;
-        let bit =
-            |bits: &[u64], idx: usize| bits.get(idx >> 6).is_some_and(|w| w >> (idx & 63) & 1 != 0);
         let mut touched_sum = 0usize;
-        let mut layers: Vec<LayerLog> = Vec::with_capacity(log.layers.len());
-        for mut rec in log.layers {
-            let gl = rec.gl;
-            let base = gl as usize * n;
-            let (sh, li) = layer_map[gl as usize];
-            let idx = shards[sh];
-            if !layer_dirty[gl as usize] {
-                // The delta left this layer alone, so the recorded log IS
-                // this round's cold log: apply its slot drops (the gain
-                // decrements are already inside the snapshot) and re-log
-                // it verbatim — no row scan, no decrement copies. The
-                // pick's row is unchanged too (a row edit implies a
-                // resampled group here), so `touched` carries over.
-                for &(g, v) in &rec.slot1 {
-                    if g == DEAD_SLOT {
-                        continue;
-                    }
-                    let slot = &mut d1[base + g as usize];
-                    debug_assert!(v < *slot, "replayed drop must lower the slot");
-                    *d1_total -= (*slot - v) as u64;
-                    *slot = v;
-                }
-                for &g in &rec.slot2 {
-                    if g == DEAD_SLOT {
-                        continue;
-                    }
-                    let slot = &mut d2[base + g as usize];
-                    debug_assert_eq!(*slot, 0, "replayed flip must set a clear slot");
-                    *slot = 1;
-                    *d2_total += 1;
-                }
-                touched_sum += rec.touched;
-                layers.push(rec);
-                continue;
-            }
+        for rec in &mut log.layers {
+            let gl = rec.gl as usize;
+            let base = gl * n;
+            let (sh, li) = self.layer_map[gl];
+            let idx = self.shards[sh];
+            // A layer the delta left alone holds no resampled group: its
+            // recorded slots all replay and there is no live work.
+            let dirty = self.layer_dirty[gl];
             let mut touched = 0usize;
 
             // 2. Recorded slots. A clean slot replays byte-for-byte: the
@@ -864,24 +801,23 @@ impl<'a> DeltaGainEngine<'a> {
             // logs), and its decrement count re-accounts the forward
             // postings a cold commit would stream (every decrement past
             // the slot's self-term is one streamed posting). A resampled
-            // slot's recorded work is rolled back out of the snapshot.
+            // slot's recorded work is rolled back out of the snapshot and
+            // tombstoned.
             let dec1_end = rec.dec1.len();
             for k in 0..rec.slot1.len() {
                 let (g, v) = rec.slot1[k];
                 if g == DEAD_SLOT {
                     continue;
                 }
-                if bit(resampled, base + g as usize) {
-                    let lo = rec.off1[k] as usize;
-                    let hi = rec.off1.get(k + 1).map_or(dec1_end, |&x| x as usize);
+                let lo = rec.off1[k] as usize;
+                let hi = rec.off1.get(k + 1).map_or(dec1_end, |&x| x as usize);
+                if dirty && bit(resampled, base + g as usize) {
                     for &(node, dec) in &rec.dec1[lo..hi] {
                         gain1[node as usize] = gain1[node as usize].wrapping_add(dec as u64);
                         patch1[node as usize] += dec as i64;
                     }
                     rec.slot1[k].0 = DEAD_SLOT;
                 } else {
-                    let lo = rec.off1[k] as usize;
-                    let hi = rec.off1.get(k + 1).map_or(dec1_end, |&x| x as usize);
                     let slot = &mut d1[base + g as usize];
                     debug_assert!(v < *slot, "replayed drop must lower the slot");
                     *d1_total -= (*slot - v) as u64;
@@ -895,17 +831,15 @@ impl<'a> DeltaGainEngine<'a> {
                 if g == DEAD_SLOT {
                     continue;
                 }
-                if bit(resampled, base + g as usize) {
-                    let lo = rec.off2[k] as usize;
-                    let hi = rec.off2.get(k + 1).map_or(dec2_end, |&x| x as usize);
+                let lo = rec.off2[k] as usize;
+                let hi = rec.off2.get(k + 1).map_or(dec2_end, |&x| x as usize);
+                if dirty && bit(resampled, base + g as usize) {
                     for &node in &rec.dec2[lo..hi] {
                         gain2[node as usize] = gain2[node as usize].wrapping_add(1);
                         patch2[node as usize] += 1;
                     }
                     rec.slot2[k] = DEAD_SLOT;
                 } else {
-                    let lo = rec.off2[k] as usize;
-                    let hi = rec.off2.get(k + 1).map_or(dec2_end, |&x| x as usize);
                     let slot = &mut d2[base + g as usize];
                     debug_assert_eq!(*slot, 0, "replayed flip must set a clear slot");
                     *slot = 1;
@@ -914,125 +848,46 @@ impl<'a> DeltaGainEngine<'a> {
                 }
             }
 
-            // 3. Live pass — [`Self::update_layer`] restricted to the
-            // resampled groups of the pick's row, against the fresh
-            // index. Gain decrements
-            // apply directly and fold into the patch vectors (signed
-            // opposite to the un-apply above): later snapshots predate
-            // them. New log entries append to `rec` — their offsets point
-            // past every recorded decrement, so the ranges stay disjoint.
-            let pr = idx.postings(li, pick);
-            touched += pr.len();
-            debug_assert!(
-                pr.ids().windows(2).all(|p| p[0] < p[1]),
-                "inverted rows must be strictly src-sorted"
-            );
-            if !d1.is_empty() {
-                let d = &mut d1[base..base + n];
-                if bit(resampled, base + pick.index()) {
-                    let old = d[pick.index()];
-                    if old > 0 {
-                        d[pick.index()] = 0;
-                        *d1_total -= old as u64;
-                        rec.off1.push(rec.dec1.len() as u32);
-                        rec.slot1.push((pick.raw(), 0));
-                        gain1[pick.index()] = gain1[pick.index()].wrapping_sub(old as u64);
-                        patch1[pick.index()] += -(old as i64);
-                        rec.dec1.push((pick.raw(), old));
-                        let fwd = idx.forward(li, pick);
-                        for (&v, &w) in fwd.ids().iter().zip(fwd.weights()) {
-                            let w = w as u32;
-                            if w >= old {
-                                break;
-                            }
-                            touched += 1;
-                            let dec = old - w;
-                            gain1[v as usize] = gain1[v as usize].wrapping_sub(dec as u64);
-                            patch1[v as usize] += -(dec as i64);
-                            rec.dec1.push((v, dec));
-                        }
-                    }
+            // 3. Live pass: the cold layer update against the fresh index,
+            // admitting only the resampled groups. Its log entries append
+            // to `rec` (their offsets point past every recorded decrement,
+            // so the ranges stay disjoint); its decrements apply to the
+            // gains at once and fold into the patch vectors, signed
+            // opposite to the un-apply above, since later snapshots
+            // predate them. A clean layer's pick row is unchanged too (a
+            // row edit implies a resampled group), so it only re-accounts
+            // the row scan.
+            if dirty {
+                let (s1, s2) = (rec.dec1.len(), rec.dec2.len());
+                let (dec1, inc2, t) = Self::update_layer(
+                    idx,
+                    pick,
+                    li,
+                    (!d1.is_empty()).then(|| &mut d1[base..base + n]),
+                    (!d2.is_empty()).then(|| &mut d2[base..base + n]),
+                    |src| bit(resampled, base + src as usize),
+                    rec,
+                    true,
+                );
+                *d1_total -= dec1;
+                *d2_total += inc2;
+                touched += t;
+                for &(v, dec) in &rec.dec1[s1..] {
+                    gain1[v as usize] = gain1[v as usize].wrapping_sub(dec as u64);
+                    patch1[v as usize] -= dec as i64;
                 }
-                for (pos, &src) in pr.ids().iter().enumerate() {
-                    if !bit(resampled, base + src as usize) {
-                        continue;
-                    }
-                    let new = pr.weights()[pos] as u32;
-                    let old = d[src as usize];
-                    if new < old {
-                        d[src as usize] = new;
-                        *d1_total -= (old - new) as u64;
-                        rec.off1.push(rec.dec1.len() as u32);
-                        rec.slot1.push((src, new));
-                        let dec = old - new;
-                        gain1[src as usize] = gain1[src as usize].wrapping_sub(dec as u64);
-                        patch1[src as usize] += -(dec as i64);
-                        rec.dec1.push((src, dec));
-                        let fwd = idx.forward(li, NodeId(src));
-                        for (&v, &hw) in fwd.ids().iter().zip(fwd.weights()) {
-                            let hw = hw as u32;
-                            if hw >= old {
-                                break;
-                            }
-                            touched += 1;
-                            let dec = old - hw.max(new);
-                            gain1[v as usize] = gain1[v as usize].wrapping_sub(dec as u64);
-                            patch1[v as usize] += -(dec as i64);
-                            rec.dec1.push((v, dec));
-                        }
-                    }
+                for &v in &rec.dec2[s2..] {
+                    gain2[v as usize] = gain2[v as usize].wrapping_sub(1);
+                    patch2[v as usize] -= 1;
                 }
+            } else {
+                touched += idx.postings(li, pick).len();
             }
-            if !d2.is_empty() {
-                let d = &mut d2[base..base + n];
-                if bit(resampled, base + pick.index()) && d[pick.index()] == 0 {
-                    d[pick.index()] = 1;
-                    *d2_total += 1;
-                    rec.off2.push(rec.dec2.len() as u32);
-                    rec.slot2.push(pick.raw());
-                    gain2[pick.index()] = gain2[pick.index()].wrapping_sub(1);
-                    patch2[pick.index()] -= 1;
-                    rec.dec2.push(pick.raw());
-                    let fwd = idx.forward(li, pick);
-                    touched += fwd.len();
-                    for &v in fwd.ids() {
-                        gain2[v as usize] = gain2[v as usize].wrapping_sub(1);
-                        patch2[v as usize] -= 1;
-                        rec.dec2.push(v);
-                    }
-                }
-                for &src in pr.ids() {
-                    if !bit(resampled, base + src as usize) {
-                        continue;
-                    }
-                    if d[src as usize] == 0 {
-                        d[src as usize] = 1;
-                        *d2_total += 1;
-                        rec.off2.push(rec.dec2.len() as u32);
-                        rec.slot2.push(src);
-                        gain2[src as usize] = gain2[src as usize].wrapping_sub(1);
-                        patch2[src as usize] -= 1;
-                        rec.dec2.push(src);
-                        let fwd = idx.forward(li, NodeId(src));
-                        touched += fwd.len();
-                        for &v in fwd.ids() {
-                            gain2[v as usize] = gain2[v as usize].wrapping_sub(1);
-                            patch2[v as usize] -= 1;
-                            rec.dec2.push(v);
-                        }
-                    }
-                }
-            }
-
             rec.touched = touched;
             touched_sum += touched;
-            layers.push(rec);
         }
         core.touched_last = touched_sum;
-        core.rounds.push(RoundLog {
-            pick: pick.raw(),
-            layers,
-        });
+        core.rounds.push(log);
         core.snaps1.extend_from_slice(&core.gain1);
         core.snaps2.extend_from_slice(&core.gain2);
         true
@@ -1090,45 +945,15 @@ impl<'a> DeltaGainEngine<'a> {
             let (mut dec1, mut inc2, mut touched) = (0u64, 0u64, 0usize);
             for (off, (&(s, li), ll)) in map.iter().zip(logs.iter_mut()).enumerate() {
                 ll.reset((gl0 + off) as u32);
-                let LayerLog {
-                    slot1: ls1,
-                    off1: lo1,
-                    slot2: ls2,
-                    off2: lo2,
-                    dec1: ld1,
-                    dec2: ld2,
-                    ..
-                } = ll;
-                // The slot sinks need each slot's decrement start offset,
-                // but the dec sinks own the log vectors — shared counters
-                // bridge the two closures.
-                let (c1, c2) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u32));
                 let (a, b, t) = Self::update_layer(
                     shards[s],
                     u,
                     li,
                     l1.next(),
                     l2.next(),
-                    &mut |v, dec| {
-                        ld1.push((v, dec));
-                        c1.set(c1.get() + 1);
-                    },
-                    &mut |v| {
-                        ld2.push(v);
-                        c2.set(c2.get() + 1);
-                    },
-                    &mut |node, value| {
-                        if log_on {
-                            lo1.push(c1.get());
-                            ls1.push((node, value));
-                        }
-                    },
-                    &mut |node| {
-                        if log_on {
-                            lo2.push(c2.get());
-                            ls2.push(node);
-                        }
-                    },
+                    |_| true,
+                    ll,
+                    log_on,
                 );
                 ll.touched = t;
                 dec1 += a;
@@ -1167,15 +992,17 @@ impl<'a> DeltaGainEngine<'a> {
         }
     }
 
-    /// Algorithm 5 for layer `i` plus gain repair: every slot the refresh
-    /// lowers (the new member's own slot and each improved posting source)
-    /// streams its forward list once, emitting the closed-form decrement
-    /// for each affected candidate into `sink1`/`sink2`. Forward lists are
+    /// Algorithm 5 for layer `i` plus gain repair, over the slots `keep`
+    /// admits (all of them for a cold commit, the resampled groups for a
+    /// warm replay): every admitted slot the commit lowers (the new
+    /// member's own slot and each improved posting source) streams its
+    /// forward list once, appending the closed-form decrement of each
+    /// affected candidate to `log.dec1`/`log.dec2`. Forward lists are
     /// hop-ascending, so the Problem-1 streams stop at the first hop `≥`
     /// the slot's old value — entries past it contribute `max(0, d − w) =
-    /// 0` before *and* after the drop. Every slot drop/flip is also
-    /// reported to `slot1`/`slot2` (for round logs). Returns `(Σ D1
-    /// decrease, Σ D2 increase, postings streamed)`.
+    /// 0` before *and* after the drop. With `log_slots` every slot
+    /// drop/flip is logged too, with the start offset of its decrement
+    /// range. Returns `(Σ D1 decrease, Σ D2 increase, postings streamed)`.
     #[allow(clippy::too_many_arguments)]
     fn update_layer(
         idx: &WalkIndex,
@@ -1183,81 +1010,74 @@ impl<'a> DeltaGainEngine<'a> {
         i: usize,
         d1: Option<&mut [u32]>,
         d2: Option<&mut [u8]>,
-        sink1: &mut impl FnMut(u32, u32),
-        sink2: &mut impl FnMut(u32),
-        slot1: &mut impl FnMut(u32, u32),
-        slot2: &mut impl FnMut(u32),
+        keep: impl Fn(u32) -> bool,
+        log: &mut LayerLog,
+        log_slots: bool,
     ) -> (u64, u64, usize) {
         let (mut dec1, mut inc2, mut touched) = (0u64, 0u64, 0usize);
         let pr = idx.postings(i, u);
         touched += pr.len();
         if let Some(d) = d1 {
-            // The seed's own slot: D1[i][u] → 0. Affected candidates are
-            // forward(i, u); with d' = 0 ≤ w the decrement is `old − w`.
-            let old = d[u.index()];
-            if old > 0 {
-                d[u.index()] = 0;
-                slot1(u.raw(), 0);
-                dec1 += old as u64;
-                sink1(u.raw(), old);
-                let fwd = idx.forward(i, u);
-                for (&v, &w) in fwd.ids().iter().zip(fwd.weights()) {
-                    let w = w as u32;
-                    if w >= old {
+            // Slot `src` drops `old → new` when that improves it; candidates
+            // in forward(i, src) lose
+            // `max(0, old − w) − max(0, new − w) = old − max(w, new)`.
+            let mut lower = |src: u32, new: u32| {
+                let old = d[src as usize];
+                if new >= old {
+                    return;
+                }
+                d[src as usize] = new;
+                if log_slots {
+                    log.off1.push(log.dec1.len() as u32);
+                    log.slot1.push((src, new));
+                }
+                dec1 += (old - new) as u64;
+                log.dec1.push((src, old - new));
+                let fwd = idx.forward(i, NodeId(src));
+                for (&v, &hw) in fwd.ids().iter().zip(fwd.weights()) {
+                    let hw = hw as u32;
+                    if hw >= old {
                         break;
                     }
                     touched += 1;
-                    sink1(v, old - w);
+                    log.dec1.push((v, old - hw.max(new)));
                 }
+            };
+            // The seed's own slot drops to 0, then each posting source's
+            // first hit.
+            if keep(u.raw()) {
+                lower(u.raw(), 0);
             }
-            // Each posting source whose first-hit improves: D1[i][src]
-            // drops `old → new`; candidates in forward(i, src) lose
-            // `max(0, old − w) − max(0, new − w) = old − max(w, new)`.
             for (&src, &w) in pr.ids().iter().zip(pr.weights()) {
-                let new = w as u32;
-                let old = d[src as usize];
-                if new < old {
-                    d[src as usize] = new;
-                    slot1(src, new);
-                    dec1 += (old - new) as u64;
-                    sink1(src, old - new);
-                    let fwd = idx.forward(i, NodeId(src));
-                    for (&v, &hw) in fwd.ids().iter().zip(fwd.weights()) {
-                        let hw = hw as u32;
-                        if hw >= old {
-                            break;
-                        }
-                        touched += 1;
-                        sink1(v, old - hw.max(new));
-                    }
+                if keep(src) {
+                    lower(src, w as u32);
                 }
             }
         }
         if let Some(d) = d2 {
             // Coverage: a slot flip 0 → 1 costs every candidate the slot's
             // walk visits (and the slot's own-term) exactly one unit.
-            if d[u.index()] == 0 {
-                d[u.index()] = 1;
-                slot2(u.raw());
-                inc2 += 1;
-                sink2(u.raw());
-                let fwd = idx.forward(i, u);
-                touched += fwd.len();
-                for &v in fwd.ids() {
-                    sink2(v);
+            let mut flip = |src: u32| {
+                if d[src as usize] != 0 {
+                    return;
                 }
+                d[src as usize] = 1;
+                if log_slots {
+                    log.off2.push(log.dec2.len() as u32);
+                    log.slot2.push(src);
+                }
+                inc2 += 1;
+                log.dec2.push(src);
+                let fwd = idx.forward(i, NodeId(src));
+                touched += fwd.len();
+                log.dec2.extend_from_slice(fwd.ids());
+            };
+            if keep(u.raw()) {
+                flip(u.raw());
             }
             for &src in pr.ids() {
-                if d[src as usize] == 0 {
-                    d[src as usize] = 1;
-                    slot2(src);
-                    inc2 += 1;
-                    sink2(src);
-                    let fwd = idx.forward(i, NodeId(src));
-                    touched += fwd.len();
-                    for &v in fwd.ids() {
-                        sink2(v);
-                    }
+                if keep(src) {
+                    flip(src);
                 }
             }
         }
@@ -1543,9 +1363,7 @@ mod tests {
             let (_, delta) = churned(&mut idx, &g, edge);
             assert!(!delta.is_empty(), "churn must touch the index");
             let mut warm = DeltaGainEngine::resume(&[&idx], core);
-            let absorbed = warm.absorb(std::slice::from_ref(&delta));
-            // Net edits: identically reproduced postings cancel out.
-            assert!(absorbed <= delta.postings_changed());
+            warm.absorb(std::slice::from_ref(&delta));
             let cold = DeltaGainEngine::with_threads(&idx, rule, 1);
             for u in 0..idx.n() {
                 let u = NodeId::new(u);
@@ -1565,56 +1383,90 @@ mod tests {
         }
     }
 
+    /// Selects `rounds` logged rounds on `g`, churns `edge` out of the
+    /// index, absorbs the delta and drives the warm engine with a cold
+    /// engine's picks on the refreshed index: replayed or not, every
+    /// round's picks, gains and touched counts must match the cold engine
+    /// exactly. Returns how many rounds replayed, and how many of those
+    /// had a resampled group in the pick's row or own slot — the groups a
+    /// replay re-decides live.
+    fn replay_against_cold(
+        g: &rwd_graph::CsrGraph,
+        edge: (u32, u32),
+        rule: GainRule,
+        (l, r, seed, rounds): (u32, usize, u64, usize),
+    ) -> (usize, usize) {
+        let mut idx = WalkIndex::build(g, l, r, seed);
+        let mut engine = DeltaGainEngine::with_threads(&idx, rule, 1);
+        engine.enable_round_logging();
+        for _ in 0..rounds {
+            let (pick, _) = engine.best_candidate().unwrap();
+            engine.update(pick);
+        }
+        let core = engine.into_core();
+        let (_, delta) = churned(&mut idx, g, edge);
+        let mut warm = DeltaGainEngine::resume(&[&idx], core);
+        warm.absorb(std::slice::from_ref(&delta));
+        let mut cold = DeltaGainEngine::with_threads(&idx, rule, 1);
+        let (mut replayed, mut live) = (0, 0);
+        for round in 0..rounds {
+            let (wp, wg) = warm.best_candidate().unwrap();
+            let (cp, cg) = cold.best_candidate().unwrap();
+            assert_eq!(wp, cp, "rule {rule:?} round {round}");
+            assert_eq!(wg.to_bits(), cg.to_bits());
+            cold.update(cp);
+            let resampled =
+                |i: usize, src: u32| bit(&warm.core.resampled, i * idx.n() + src as usize);
+            let pick_row_resampled = (0..idx.r()).any(|i| {
+                resampled(i, wp.raw()) || idx.postings(i, wp).ids().iter().any(|&s| resampled(i, s))
+            });
+            if warm.try_replay_recorded(wp) {
+                replayed += 1;
+                live += usize::from(pick_row_resampled);
+            } else {
+                warm.update(wp);
+            }
+            assert_eq!(
+                warm.last_update_touched(),
+                cold.last_update_touched(),
+                "rule {rule:?} round {round}"
+            );
+            for u in 0..idx.n() {
+                let u = NodeId::new(u);
+                assert_eq!(
+                    warm.gain(u).to_bits(),
+                    cold.gain(u).to_bits(),
+                    "rule {rule:?} round {round} node {u}"
+                );
+            }
+        }
+        (replayed, live)
+    }
+
     #[test]
     fn warm_replay_reproduces_cold_rounds_bitwise() {
-        // After absorb, drive the warm engine with the cold engine's picks:
-        // replayed or not, every round's gains and tables must match the
-        // cold engine exactly. The churn lives in a disjoint component, so
-        // the recorded rounds (picked from the dense core) must all replay.
+        // The churn lives in a disjoint component, so the recorded rounds
+        // (picked from the dense core) must all replay.
         let g = two_component_graph(160, 40, 3);
-        let edge = (160u32, 161u32);
         for rule in ALL_RULES {
-            let mut idx = WalkIndex::build(&g, 5, 6, 23);
-            let mut engine = DeltaGainEngine::with_threads(&idx, rule, 1);
-            engine.enable_round_logging();
-            for _ in 0..5 {
-                let (pick, _) = engine.best_candidate().unwrap();
-                engine.update(pick);
-            }
-            let core = engine.into_core();
-            let (_, delta) = churned(&mut idx, &g, edge);
-            let mut warm = DeltaGainEngine::resume(&[&idx], core);
-            warm.absorb(std::slice::from_ref(&delta));
-            let mut cold = DeltaGainEngine::with_threads(&idx, rule, 1);
-            let mut replayed_any = false;
-            for round in 0..5 {
-                let (wp, wg) = warm.best_candidate().unwrap();
-                let (cp, cg) = cold.best_candidate().unwrap();
-                assert_eq!(wp, cp, "rule {rule:?} round {round}");
-                assert_eq!(wg.to_bits(), cg.to_bits());
-                cold.update(cp);
-                if warm.try_replay_recorded(wp) {
-                    replayed_any = true;
-                } else {
-                    warm.update(wp);
-                }
-                assert_eq!(
-                    warm.last_update_touched(),
-                    cold.last_update_touched(),
-                    "rule {rule:?} round {round}"
-                );
-                for u in 0..idx.n() {
-                    let u = NodeId::new(u);
-                    assert_eq!(
-                        warm.gain(u).to_bits(),
-                        cold.gain(u).to_bits(),
-                        "rule {rule:?} round {round} node {u}"
-                    );
-                }
-            }
+            let (replayed, _) = replay_against_cold(&g, (160, 161), rule, (5, 6, 23, 5));
             // The single-edge churn leaves most rounds' reads untouched;
             // the fast path must actually fire for the test to mean much.
-            assert!(replayed_any, "rule {rule:?}: no round replayed warm");
+            assert!(replayed > 0, "rule {rule:?}: no round replayed warm");
+        }
+    }
+
+    #[test]
+    fn warm_replay_redoes_resampled_groups_in_the_pick_row() {
+        // The churned edge sits in the core, so the walks it resamples
+        // also visit the hubs the greedy picks: a replayed round's pick
+        // row holds resampled groups, whose slot decisions and forward
+        // walks the replay must redo live against the fresh index.
+        let g = barabasi_albert(160, 3, 31).unwrap();
+        let edge = (7u32, g.neighbors(NodeId(7))[0].raw());
+        for rule in ALL_RULES {
+            let (_, live) = replay_against_cold(&g, edge, rule, (5, 6, 19, 5));
+            assert!(live > 0, "rule {rule:?}: no replayed round had live work");
         }
     }
 

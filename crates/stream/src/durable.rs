@@ -181,6 +181,46 @@ impl Durable {
     }
 }
 
+/// A refused [`StreamEngine::create_durable`]: why, plus the engine,
+/// handed back as it was. `Debug` and `Display` print the cause alone, and
+/// `?` converts it into that [`StreamError`].
+pub struct CreateDurableError {
+    /// Why the data directory was refused.
+    pub cause: StreamError,
+    engine: Box<StreamEngine>,
+}
+
+impl CreateDurableError {
+    /// The engine the refused call consumed, unchanged.
+    pub fn into_engine(self) -> StreamEngine {
+        *self.engine
+    }
+}
+
+impl std::fmt::Debug for CreateDurableError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.cause, f)
+    }
+}
+
+impl std::fmt::Display for CreateDurableError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(&self.cause, f)
+    }
+}
+
+impl std::error::Error for CreateDurableError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.cause)
+    }
+}
+
+impl From<CreateDurableError> for StreamError {
+    fn from(e: CreateDurableError) -> Self {
+        e.cause
+    }
+}
+
 impl StreamEngine {
     /// Binds the engine to `dir`: writes the base snapshot at the current
     /// epoch and opens the journal there; every later
@@ -188,34 +228,52 @@ impl StreamEngine {
     /// bound elsewhere moves, leaving its old directory's history as it
     /// is). Rejects a directory that already holds durability artifacts —
     /// recover those with [`StreamEngine::open_durable_with`] instead of
-    /// overwriting history — and one another live engine holds.
-    pub fn create_durable(mut self, dir: impl AsRef<Path>, dcfg: DurabilityConfig) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        dio("data dir create", std::fs::create_dir_all(&dir))?;
-        let lock = lock_dir(&dir)?;
-        if !find_numbered(&dir, "snap-")?.is_empty() || !find_numbered(&dir, "journal-")?.is_empty()
-        {
+    /// overwriting history — and one another live engine holds. A refusal
+    /// or I/O failure hands the engine back inside the error
+    /// ([`CreateDurableError::into_engine`]), bound where it was before.
+    pub fn create_durable(
+        mut self,
+        dir: impl AsRef<Path>,
+        dcfg: DurabilityConfig,
+    ) -> std::result::Result<Self, CreateDurableError> {
+        match self.bind_dir(dir.as_ref(), dcfg) {
+            Ok(durable) => {
+                publish_footprint(&self);
+                self.durable = Some(durable);
+                Ok(self)
+            }
+            Err(cause) => Err(CreateDurableError {
+                cause,
+                engine: Box::new(self),
+            }),
+        }
+    }
+
+    /// The fallible part of [`StreamEngine::create_durable`]: locks `dir`,
+    /// checks it holds no history, and writes the base snapshot and journal.
+    fn bind_dir(&self, dir: &Path, dcfg: DurabilityConfig) -> Result<Durable> {
+        dio("data dir create", std::fs::create_dir_all(dir))?;
+        let lock = lock_dir(dir)?;
+        if !find_numbered(dir, "snap-")?.is_empty() || !find_numbered(dir, "journal-")?.is_empty() {
             return Err(StreamError::InvalidConfig(format!(
                 "data dir {} already holds durability artifacts; open_durable_with() recovers them",
                 dir.display()
             )));
         }
         let epoch = self.epoch();
-        save_snapshot(&self, &dir.join(format!("snap-{epoch}")))?;
+        save_snapshot(self, &dir.join(format!("snap-{epoch}")))?;
         let journal = dio(
             "journal create",
             BatchJournal::create(dir.join(format!("journal-{epoch}.wal")), epoch),
         )?;
-        publish_footprint(&self);
-        self.durable = Some(Durable {
+        Ok(Durable {
             _lock: lock,
-            dir,
+            dir: dir.to_path_buf(),
             journal,
             dcfg,
             since_snapshot: 0,
             snapshot_epoch: epoch,
-        });
-        Ok(self)
+        })
     }
 
     /// Recovers a durable engine from `dir`: loads the newest loadable
@@ -1064,6 +1122,51 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_journal_append_leaves_nothing_behind() {
+        let g0 = erdos_renyi_gnp(40, 0.1, 13).unwrap();
+        let batches = churn_batches(&g0, 4);
+        // A record is an 8-byte header (length, checksum) plus a payload
+        // of at least 24 bytes: the write fails inside the length field,
+        // inside the checksum, inside the payload, and after the whole
+        // record (a failed fsync).
+        for (case, bytes) in [2, 6, 20, usize::MAX].into_iter().enumerate() {
+            let dir = tmp_dir(&format!("append_fault_{case}"));
+            let engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
+            let mut durable = engine
+                .create_durable(&dir, DurabilityConfig::default())
+                .unwrap();
+            durable.apply(&batches[0]).unwrap();
+            let journal = &mut durable.durable.as_mut().unwrap().journal;
+            journal.inject_append_fault(bytes);
+            let err = durable.apply(&batches[1]).unwrap_err();
+            assert!(
+                matches!(&err, StreamError::Durability { context, .. } if context == "write-ahead journal append"),
+                "{bytes}: {err}"
+            );
+            assert_eq!(
+                durable.epoch(),
+                1,
+                "{bytes}: a refused batch publishes nothing"
+            );
+            for b in &batches[1..] {
+                durable.apply(b).unwrap();
+            }
+            let live = image(&durable);
+            drop(durable);
+            let (recovered, report) = open(&dir, DurabilityConfig::default()).unwrap();
+            assert_eq!(report.epochs_replayed, 4, "{bytes}");
+            assert!(
+                report.torn_tail.is_none(),
+                "{bytes}: {:?}",
+                report.torn_tail
+            );
+            assert_engine_matches(&recovered, &live);
+            drop(recovered);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn a_live_engine_locks_its_data_dir() {
         fn refused<T>(attempt: Result<T>) {
             match attempt {
@@ -1093,8 +1196,31 @@ mod tests {
                 mode,
             ));
         }
-        let second = StreamEngine::new(g0, cfg()).unwrap();
-        refused(second.create_durable(&dir, DurabilityConfig::default()));
+        let second = StreamEngine::new(g0.clone(), cfg()).unwrap();
+        let Err(refusal) = second.create_durable(&dir, DurabilityConfig::default()) else {
+            panic!("a second live engine got into the data dir");
+        };
+        assert!(
+            matches!(&refusal.cause, StreamError::Durability { context, .. } if context == "data dir lock"),
+            "{refusal}"
+        );
+        // The refused engine comes back whole: it churns on and goes
+        // durable in a fresh directory instead.
+        let mut second = refusal.into_engine();
+        for b in churn_batches(&g0, 3) {
+            second.apply(&b).unwrap();
+        }
+        let other = tmp_dir("lock_other");
+        let second = second
+            .create_durable(&other, DurabilityConfig::default())
+            .unwrap();
+        let second_live = image(&second);
+        drop(second);
+        let (reopened, report) = open(&other, DurabilityConfig::default()).unwrap();
+        assert_eq!(report.snapshot_epoch, 3);
+        assert_engine_matches(&reopened, &second_live);
+        drop(reopened);
+        std::fs::remove_dir_all(&other).ok();
         // Dropping the engine releases the lock; the reopened engine holds
         // it in turn.
         drop(durable);
@@ -1233,7 +1359,8 @@ mod tests {
         assert!(matches!(
             engine
                 .create_durable(&dir, DurabilityConfig::default())
-                .unwrap_err(),
+                .unwrap_err()
+                .cause,
             StreamError::InvalidConfig(_)
         ));
         std::fs::remove_dir_all(&dir).ok();

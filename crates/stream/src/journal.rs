@@ -28,9 +28,17 @@
 //! failure on a record **followed by more bytes** cannot be a torn append;
 //! it is mid-journal corruption of committed history and is rejected with
 //! a named error instead of silently dropping the suffix.
+//!
+//! **Failed appends leave nothing behind.** An append whose write or fsync
+//! fails truncates the file back to its committed length before it
+//! returns the error, so the refused batch can never replay and the next
+//! append lands on a record boundary. A journal whose rollback fails too
+//! refuses every later append until the engine is reopened; recovery then
+//! reads what the failed append left as a torn tail or, if the whole record
+//! reached the disk, replays it.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use rwd_walks::crc::crc32;
@@ -45,12 +53,22 @@ const PAYLOAD_FIXED: usize = 8 + 8 + 4 + 4;
 
 /// An append-only handle on a journal file. Every append is fsync'd
 /// before it returns, so a batch whose apply reported success has its
-/// record on stable storage.
+/// record on stable storage; one whose apply failed has none.
 #[derive(Debug)]
 pub struct BatchJournal {
     file: File,
     path: PathBuf,
     base_epoch: u64,
+    /// Byte length of the committed prefix: the header plus every record
+    /// whose append returned `Ok`. A failed append truncates back to it.
+    committed: u64,
+    /// Set when a failed append could not be rolled back: the file may
+    /// hold stray bytes past `committed`, so every later append is refused.
+    stray: bool,
+    /// Test-only fault: the next append writes this many bytes of its
+    /// record, then fails.
+    #[cfg(test)]
+    fault: Option<usize>,
 }
 
 impl BatchJournal {
@@ -72,6 +90,10 @@ impl BatchJournal {
             file,
             path,
             base_epoch,
+            committed: header.len() as u64,
+            stray: false,
+            #[cfg(test)]
+            fault: None,
         })
     }
 
@@ -95,19 +117,25 @@ impl BatchJournal {
             file.set_len(valid_len)?;
             file.sync_all()?;
         }
-        use std::io::Seek;
         let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))?;
+        file.seek(SeekFrom::End(0))?;
         Ok(BatchJournal {
             file,
             path,
             base_epoch,
+            committed: valid_len,
+            stray: false,
+            #[cfg(test)]
+            fault: None,
         })
     }
 
     /// Appends one record and fsyncs. `epoch` is the epoch the batch
     /// publishes; the caller passes the canonicalized edits (see the
-    /// module docs).
+    /// module docs). On a write or fsync error the file is truncated back
+    /// to its committed length before the error returns; if that fails
+    /// too, this and every later append is refused until the journal is
+    /// reopened.
     pub fn append(
         &mut self,
         epoch: u64,
@@ -115,6 +143,13 @@ impl BatchJournal {
         insertions: &[(u32, u32, f64)],
         deletions: &[(u32, u32)],
     ) -> std::io::Result<()> {
+        if self.stray {
+            return Err(std::io::Error::other(format!(
+                "{} may hold a failed append that could not be rolled back; \
+                 reopen the engine to recover",
+                self.path.display()
+            )));
+        }
         let payload = encode_payload(epoch, timestamp, insertions, deletions);
         let mut record = Vec::with_capacity(8 + payload.len());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -122,12 +157,42 @@ impl BatchJournal {
         record.extend_from_slice(&payload);
         let metrics = crate::obs::durable_metrics();
         let timer = metrics.journal_append_ns.time();
-        self.file.write_all(&record)?;
-        self.file.sync_all()?;
+        if let Err(e) = self.write_synced(&record) {
+            self.stray = self.roll_back().is_err();
+            return Err(e);
+        }
         timer.stop();
+        self.committed += record.len() as u64;
         metrics.journal_bytes.add(record.len() as u64);
         metrics.journal_appends.inc();
         Ok(())
+    }
+
+    /// Writes `record` at the end of the file and fsyncs it.
+    fn write_synced(&mut self, record: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(bytes) = self.fault.take() {
+            self.file.write_all(&record[..bytes.min(record.len())])?;
+            return Err(std::io::Error::other("injected append fault"));
+        }
+        self.file.write_all(record)?;
+        self.file.sync_all()
+    }
+
+    /// Truncates the file back to its committed length, durably, and
+    /// moves the write position there.
+    fn roll_back(&mut self) -> std::io::Result<()> {
+        self.file.set_len(self.committed)?;
+        self.file.sync_all()?;
+        self.file.seek(SeekFrom::Start(self.committed)).map(drop)
+    }
+
+    /// Makes the next append write the first `bytes` bytes of its record
+    /// and then fail (a torn write; `usize::MAX` writes the whole record,
+    /// as when only the fsync fails).
+    #[cfg(test)]
+    pub(crate) fn inject_append_fault(&mut self, bytes: usize) {
+        self.fault = Some(bytes);
     }
 
     /// The journal's base epoch (its records start at `base_epoch + 1`).
@@ -150,9 +215,8 @@ trait ReadExactAtStart {
 
 impl ReadExactAtStart for File {
     fn read_exact_at_start(&self, buf: &mut [u8]) -> std::io::Result<()> {
-        use std::io::Seek;
         let mut f = self.try_clone()?;
-        f.seek(std::io::SeekFrom::Start(0))?;
+        f.seek(SeekFrom::Start(0))?;
         f.read_exact(buf)
     }
 }
@@ -490,6 +554,26 @@ mod tests {
         assert_eq!(s2.records.len(), 3);
         assert_eq!(s2.records[2].epoch, 3);
         assert_eq!(s2.records[2].batch.timestamp, 99);
+    }
+
+    #[test]
+    fn an_append_that_cannot_roll_back_refuses_until_reopened() {
+        let path = tmp("stuck.wal");
+        let mut j = BatchJournal::create(&path, 0).unwrap();
+        j.append(1, 1, &[(0, 1, 1.0)], &[]).unwrap();
+        // A read-only handle fails the write and the rollback alike.
+        j.file = File::open(&path).unwrap();
+        assert!(j.append(2, 2, &[(1, 2, 1.0)], &[]).is_err());
+        let err = j.append(2, 2, &[(1, 2, 1.0)], &[]).unwrap_err();
+        assert!(err.to_string().contains("reopen"), "{err}");
+        drop(j);
+        let s = scan(&path).unwrap();
+        assert_eq!(s.records.len(), 1);
+        let mut j = BatchJournal::open_append(&path, s.valid_len).unwrap();
+        j.append(2, 2, &[(1, 2, 1.0)], &[]).unwrap();
+        let s = scan(&path).unwrap();
+        assert_eq!(s.records.len(), 2);
+        assert!(s.torn_tail.is_none());
     }
 
     #[test]

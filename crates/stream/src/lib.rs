@@ -58,7 +58,7 @@ pub mod maintain;
 pub(crate) mod obs;
 
 pub use batch::{EdgeBatch, GraphDelta, WeightedGraphDelta};
-pub use durable::{DurabilityConfig, OpenMode, RecoveryReport};
+pub use durable::{CreateDurableError, DurabilityConfig, OpenMode, RecoveryReport};
 pub use engine::{BatchReport, EpochGraph, ShardBatchStats, StreamConfig, StreamEngine};
 pub use journal::BatchJournal;
 pub use maintain::{MaintainReport, SeedMaintainer};

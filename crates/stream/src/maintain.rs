@@ -152,11 +152,10 @@ impl SeedMaintainer {
             }
             _ => false,
         };
-        let mut absorbed_postings = 0usize;
         let mut engine = if warm {
             let core = self.core.take().expect("warm implies a resumable core");
             let mut engine = DeltaGainEngine::resume(shards, core);
-            absorbed_postings = engine.absorb(deltas.expect("warm implies deltas"));
+            engine.absorb(deltas.expect("warm implies deltas"));
             engine
         } else {
             self.core = None; // stale state, if any, is now meaningless
@@ -208,7 +207,7 @@ impl SeedMaintainer {
             touched_postings,
             first_invalid_round: (rounds_kept < self.k).then_some(rounds_kept),
             warm,
-            absorbed_postings,
+            absorbed_postings: if warm { edits } else { 0 },
             replayed_rounds,
         }
     }
@@ -303,7 +302,7 @@ mod tests {
 
         let rep = warm.maintain(&[&idx], Some(std::slice::from_ref(&edits)));
         assert!(rep.warm, "small batch must take the warm path");
-        assert!(rep.absorbed_postings <= edits.postings_changed());
+        assert_eq!(rep.absorbed_postings, edits.postings_changed());
         assert!(rep.absorbed_postings > 0, "churn must leave net edits");
         assert!(rep.replayed_rounds > 0, "untouched rounds replay");
 
@@ -334,7 +333,6 @@ mod tests {
         let over = [PostingDelta {
             layers: vec![rwd_walks::LayerDelta {
                 layer: 0,
-                resampled: vec![1],
                 removed: vec![(1, 0, 1); idx.total_postings() / 4 + 1],
                 added: Vec::new(),
             }],

@@ -936,7 +936,6 @@ fn patch_layer<G: WalkGraph>(
     ws.buf = Arc::try_unwrap(displaced).map_or_else(|_| LayerBufs::default(), Layer::into_bufs);
     deltas.push(LayerDelta {
         layer: layer_idx,
-        resampled: affected_srcs,
         removed,
         added,
     });

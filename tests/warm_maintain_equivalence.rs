@@ -9,7 +9,8 @@
 //! cold over the engine's shards after every batch (`maintain(shards,
 //! None)`) must agree **bitwise** on seeds, gain traces, objectives and
 //! touched-posting counts, at every shard count × thread count, on both
-//! unweighted and weighted graphs.
+//! unweighted and weighted graphs, under the hitting-time, coverage and
+//! combined rules.
 
 use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
@@ -183,6 +184,31 @@ proptest! {
                 };
                 let warm = StreamEngine::with_shards(g0.clone(), cfg, shards).unwrap();
                 let tag = format!("shards {shards} threads {threads}");
+                let finals = assert_warm_equals_cold(warm, &batches, &tag)?;
+                match &reference {
+                    None => reference = Some(finals),
+                    Some(want) => prop_assert_eq!(&finals, want, "{}: drift", tag),
+                }
+            }
+        }
+    }
+
+    /// Unweighted under the combined rule: both `D` tables go through one
+    /// layer pass, in the cold commit and in the replay's live work alike.
+    #[test]
+    fn warm_maintenance_equals_cold_combined(
+        (g0, batches, l, r, seed) in churn_instance()
+    ) {
+        prop_assume!(!batches.is_empty());
+        let k = (g0.n() / 12).max(2);
+        let mut reference: Option<Vec<NodeId>> = None;
+        for shards in SHARDS {
+            for threads in THREADS {
+                let cfg = StreamConfig {
+                    l, r, k, seed, rule: GainRule::Combined { lambda: 0.35 }, threads,
+                };
+                let warm = StreamEngine::with_shards(g0.clone(), cfg, shards).unwrap();
+                let tag = format!("combined shards {shards} threads {threads}");
                 let finals = assert_warm_equals_cold(warm, &batches, &tag)?;
                 match &reference {
                     None => reference = Some(finals),
