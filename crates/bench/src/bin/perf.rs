@@ -27,10 +27,11 @@
 //!   script, recorded rounds replayed from their logs) vs one forced cold
 //!   every batch — seeds asserted bit-identical, the warm-vs-cold ratio
 //!   feeding the CI gate,
-//! * the durability layer: per-batch write-ahead journal overhead (plain
-//!   vs journaled apply of the same trace), one full snapshot write, and
-//!   crash recovery (snapshot + journal-suffix replay) vs a from-scratch
-//!   rebuild — asserted bit-identical, the ratio feeding the CI gate,
+//! * the durability layer: the fsync'd write-ahead journal append per
+//!   batch (read from the `rwd_durable_journal_append_ns` histogram), one
+//!   full snapshot write, and crash recovery (snapshot + journal-suffix
+//!   replay) vs a from-scratch rebuild — asserted bit-identical, the ratio
+//!   feeding the CI gate,
 //! * the observability layer: the cost of the metrics hot path itself —
 //!   the same point query with and without an RAII timer + histogram
 //!   record around it (the ratio feeding the ≤ 1.1x CI gate) — plus
@@ -47,7 +48,9 @@
 //! PR-10 snapshot; earlier `BENCH_<n>.json` files stay beside it so the
 //! trajectory is diffable).
 //!
-//! Schema `rwd-perf/9` (extends `rwd-perf/8` with the `open` block):
+//! Schema `rwd-perf/10` (the durability block reports the fsync'd append
+//! itself as `journal_append_ms_per_batch`; `rwd-perf/9` added the `open`
+//! block):
 //! every timing records the worker count it actually ran with, and
 //! `available_parallelism` is a top-level field — so a snapshot taken
 //! on a 1-core container is self-describing instead of silently reporting
@@ -737,27 +740,24 @@ fn main() {
         maintain_trace.batches.len(),
     );
 
-    // --- durability: journal overhead, snapshot write, recovery vs rebuild
+    // --- durability: journal append, snapshot write, recovery vs rebuild
     // Three costs of the durable layer: (a) the per-batch write-ahead
-    // journal tax — the same churn trace through a plain engine vs one
-    // bound to a data dir (fsync'd append before any shard commits);
-    // (b) one full engine snapshot write; (c) crash recovery (latest
-    // snapshot + journal-suffix replay) vs a from-scratch rebuild on the
-    // final graph, asserted bit-identical — the ratio feeds the CI gate.
+    // journal tax — the fsync'd append itself, averaged over every batch
+    // of the journaled reps from the histogram e2e-bench reads as
+    // `journal.append_ms`; (b) one full engine snapshot write; (c) crash
+    // recovery (latest snapshot + journal-suffix replay) vs a from-scratch
+    // rebuild on the final graph, asserted bit-identical — the ratio feeds
+    // the CI gate.
     use rwd_stream::{DurabilityConfig, OpenMode};
     let durability_root =
         std::env::temp_dir().join(format!("rwd-perf-durability-{}", std::process::id()));
     std::fs::remove_dir_all(&durability_root).ok();
 
-    let mut plain_apply_total = f64::INFINITY;
-    for _ in 0..reps {
-        let mut eng = StreamEngine::new(g.clone(), serve_cfg).expect("valid configuration");
-        let t0 = Instant::now();
-        for b in &trace.batches {
-            eng.apply(b).expect("trace batches are valid");
-        }
-        plain_apply_total = plain_apply_total.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
+    let appends = rwd_obs::global().histogram(
+        "rwd_durable_journal_append_ns",
+        "Wall time of one journal append including fsync (nanoseconds)",
+    );
+    let appends_before = (appends.count(), appends.sum());
     let mut journaled_apply_total = f64::INFINITY;
     // Each rep's engine takes one snapshot of its final epoch: a second
     // snapshot at the same epoch writes nothing, so it cannot be timed.
@@ -778,9 +778,10 @@ fn main() {
         snapshot_epoch = durable.snapshot_now().expect("snapshot writes");
         snapshot_write_ms = snapshot_write_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
-    let journal_overhead_per_batch =
-        (journaled_apply_total - plain_apply_total) / scale.stream_batches.max(1) as f64;
-    record("stream_apply_plain_total", plain_apply_total, cores);
+    // One append per journaled (non-empty) batch.
+    let appended = (appends.count() - appends_before.0).max(1);
+    let journal_append_per_batch =
+        (appends.sum() - appends_before.1) as f64 / 1e6 / appended as f64;
     record("stream_apply_journaled_total", journaled_apply_total, cores);
     record("snapshot_write", snapshot_write_ms, 1);
 
@@ -890,10 +891,9 @@ fn main() {
     record("recovery", recovery_ms, cores);
     record("recovery_cold_rebuild", durability_rebuild_ms, cores);
     eprintln!(
-        "      durability: journal overhead {journal_overhead_per_batch:.3} ms/batch \
-         (plain {plain_apply_total:.1} ms vs journaled {journaled_apply_total:.1} ms \
-         over {} batches); snapshot write {snapshot_write_ms:.1} ms at epoch \
-         {snapshot_epoch}; recovery {recovery_ms:.1} ms (snapshot epoch {}, {} \
+        "      durability: journal append {journal_append_per_batch:.3} ms/batch \
+         (journaled apply {journaled_apply_total:.1} ms over {} batches); snapshot \
+         write {snapshot_write_ms:.1} ms at epoch {snapshot_epoch}; recovery {recovery_ms:.1} ms (snapshot epoch {}, {} \
          epochs replayed) vs rebuild {durability_rebuild_ms:.1} ms \
          ({recovery_speedup:.2}x)",
         scale.stream_batches, recovery_report.snapshot_epoch, recovery_report.epochs_replayed,
@@ -1044,7 +1044,7 @@ fn main() {
 
     let json = format!(
         r#"{{
-  "schema": "rwd-perf/9",
+  "schema": "rwd-perf/10",
   "pr": 10,
   "unix_secs": {unix_secs},
   "available_parallelism": {cores},
@@ -1113,9 +1113,8 @@ fn main() {
   }},
   "durability": {{
     "trace_batches": {stream_batches},
-    "plain_apply_ms_total": {plain_apply_s},
     "journaled_apply_ms_total": {journaled_apply_s},
-    "journal_overhead_ms_per_batch": {journal_overhead_s},
+    "journal_append_ms_per_batch": {journal_append_s},
     "snapshot_write_ms": {snapshot_write_s},
     "snapshot_epoch": {snapshot_epoch},
     "recovery_trace": {{ "model": "erdos_renyi_gnp", "n": {n}, "mean_degree": 4.0,
@@ -1207,9 +1206,8 @@ fn main() {
         cold_maintain_ms_s = fmt_ms(cold_maintain_ms),
         warm_maintain_ms_s = fmt_ms(warm_maintain_ms),
         warm_speedup_s = fmt_ms(warm_speedup),
-        plain_apply_s = fmt_ms(plain_apply_total),
         journaled_apply_s = fmt_ms(journaled_apply_total),
-        journal_overhead_s = fmt_ms(journal_overhead_per_batch),
+        journal_append_s = fmt_ms(journal_append_per_batch),
         snapshot_write_s = fmt_ms(snapshot_write_ms),
         recovery_snap_epoch = recovery_report.snapshot_epoch,
         recovery_replayed = recovery_report.epochs_replayed,

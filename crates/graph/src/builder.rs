@@ -1,35 +1,13 @@
-//! Incremental graph construction with explicit policies.
+//! Incremental graph construction: every build is a simple graph.
 
 use crate::csr::{CsrGraph, GraphKind};
 use crate::error::GraphError;
 use crate::node::NodeId;
 use crate::Result;
 
-/// What to do with self-loops (`u == v`) during [`GraphBuilder::build`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SelfLoopPolicy {
-    /// Drop self-loops silently (default; the paper uses simple graphs).
-    Remove,
-    /// Keep self-loops. A kept undirected self-loop occupies one adjacency
-    /// slot (a walk at `u` may step back onto `u`).
-    Keep,
-    /// Fail the build when a self-loop is present.
-    Error,
-}
-
-/// What to do with duplicate edges during [`GraphBuilder::build`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MultiEdgePolicy {
-    /// Collapse duplicates to a single edge (default).
-    Dedup,
-    /// Keep duplicates (parallel edges bias walk transition probabilities,
-    /// matching the weighted-graph view of multigraphs).
-    Keep,
-    /// Fail the build when a duplicate is present.
-    Error,
-}
-
-/// Accumulates edges and produces a [`CsrGraph`].
+/// Accumulates edges and produces a simple [`CsrGraph`]: self-loops are
+/// dropped and duplicate edges (for an undirected graph, in either
+/// orientation) collapse to one.
 ///
 /// ```
 /// use rwd_graph::GraphBuilder;
@@ -43,21 +21,18 @@ pub enum MultiEdgePolicy {
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     kind: GraphKind,
-    self_loops: SelfLoopPolicy,
-    multi_edges: MultiEdgePolicy,
     edges: Vec<(u32, u32)>,
     explicit_n: Option<usize>,
     max_seen: Option<u32>,
 }
 
 impl GraphBuilder {
-    /// Starts an undirected builder with default policies
-    /// (remove self-loops, dedup multi-edges).
+    /// Starts an undirected builder.
     pub fn undirected() -> Self {
         Self::new(GraphKind::Undirected)
     }
 
-    /// Starts a directed builder with default policies.
+    /// Starts a directed builder.
     pub fn directed() -> Self {
         Self::new(GraphKind::Directed)
     }
@@ -65,8 +40,6 @@ impl GraphBuilder {
     fn new(kind: GraphKind) -> Self {
         GraphBuilder {
             kind,
-            self_loops: SelfLoopPolicy::Remove,
-            multi_edges: MultiEdgePolicy::Dedup,
             edges: Vec::new(),
             explicit_n: None,
             max_seen: None,
@@ -86,18 +59,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Sets the self-loop policy.
-    pub fn self_loops(mut self, p: SelfLoopPolicy) -> Self {
-        self.self_loops = p;
-        self
-    }
-
-    /// Sets the multi-edge policy.
-    pub fn multi_edges(mut self, p: MultiEdgePolicy) -> Self {
-        self.multi_edges = p;
-        self
-    }
-
     /// Adds one edge (directed: the arc `u→v`).
     #[inline]
     pub fn add_edge(&mut self, u: u32, v: u32) {
@@ -106,7 +67,8 @@ impl GraphBuilder {
         self.edges.push((u, v));
     }
 
-    /// Number of edges currently accumulated (before policy application).
+    /// Number of edges currently accumulated (before self-loops and
+    /// duplicates are dropped).
     pub fn pending_edges(&self) -> usize {
         self.edges.len()
     }
@@ -115,8 +77,6 @@ impl GraphBuilder {
     pub fn build(self) -> Result<CsrGraph> {
         let GraphBuilder {
             kind,
-            self_loops,
-            multi_edges,
             mut edges,
             explicit_n,
             max_seen,
@@ -136,19 +96,7 @@ impl GraphBuilder {
             None => inferred,
         };
 
-        // Self-loop policy.
-        match self_loops {
-            SelfLoopPolicy::Remove => edges.retain(|&(u, v)| u != v),
-            SelfLoopPolicy::Keep => {}
-            SelfLoopPolicy::Error => {
-                if let Some(&(u, _)) = edges.iter().find(|&&(u, v)| u == v) {
-                    return Err(GraphError::InvalidInput(format!(
-                        "self-loop at node {u} (policy = Error)"
-                    )));
-                }
-            }
-        }
-
+        edges.retain(|&(u, v)| u != v);
         // Canonicalize undirected edges so duplicate detection sees (u,v) == (v,u).
         if kind == GraphKind::Undirected {
             for e in &mut edges {
@@ -157,32 +105,15 @@ impl GraphBuilder {
                 }
             }
         }
-
-        match multi_edges {
-            MultiEdgePolicy::Dedup => {
-                edges.sort_unstable();
-                edges.dedup();
-            }
-            MultiEdgePolicy::Keep => {}
-            MultiEdgePolicy::Error => {
-                let mut sorted = edges.clone();
-                sorted.sort_unstable();
-                if sorted.windows(2).any(|w| w[0] == w[1]) {
-                    return Err(GraphError::InvalidInput(
-                        "duplicate edge (policy = Error)".into(),
-                    ));
-                }
-            }
-        }
-
+        edges.sort_unstable();
+        edges.dedup();
         let num_edges = edges.len();
 
-        // Counting sort into CSR. Undirected edges emit both arcs; an
-        // undirected self-loop (Keep policy) emits a single arc slot.
+        // Counting sort into CSR. Undirected edges emit both arcs.
         let mut deg = vec![0usize; n];
         for &(u, v) in &edges {
             deg[u as usize] += 1;
-            if kind == GraphKind::Undirected && u != v {
+            if kind == GraphKind::Undirected {
                 deg[v as usize] += 1;
             }
         }
@@ -200,7 +131,7 @@ impl GraphBuilder {
         for &(u, v) in &edges {
             targets[cursor[u as usize]] = NodeId(v);
             cursor[u as usize] += 1;
-            if kind == GraphKind::Undirected && u != v {
+            if kind == GraphKind::Undirected {
                 targets[cursor[v as usize]] = NodeId(u);
                 cursor[v as usize] += 1;
             }
@@ -261,33 +192,31 @@ mod tests {
 
     #[test]
     fn self_loop_policies() {
-        let mk = |p| {
-            let mut b = GraphBuilder::undirected().self_loops(p);
+        // The one policy left: self-loops are dropped, in both kinds.
+        for mut b in [GraphBuilder::undirected(), GraphBuilder::directed()] {
             b.add_edge(0, 0);
             b.add_edge(0, 1);
-            b.build()
-        };
-        let g = mk(SelfLoopPolicy::Remove).unwrap();
-        assert_eq!(g.m(), 1);
-        let g = mk(SelfLoopPolicy::Keep).unwrap();
-        assert_eq!(g.m(), 2);
-        assert_eq!(g.degree(NodeId(0)), 2); // loop occupies one slot
-        assert!(mk(SelfLoopPolicy::Error).is_err());
+            b.add_edge(1, 1);
+            let g = b.build().unwrap();
+            assert_eq!((g.n(), g.m()), (2, 1));
+            assert_eq!(g.neighbors(NodeId(0)), &[NodeId(1)]);
+        }
     }
 
     #[test]
     fn multi_edge_policies() {
-        let mk = |p| {
-            let mut b = GraphBuilder::undirected().multi_edges(p);
-            b.add_edge(0, 1);
-            b.add_edge(0, 1);
-            b.build()
-        };
-        assert_eq!(mk(MultiEdgePolicy::Dedup).unwrap().m(), 1);
-        let multi = mk(MultiEdgePolicy::Keep).unwrap();
-        assert_eq!(multi.m(), 2);
-        assert_eq!(multi.degree(NodeId(0)), 2);
-        assert!(mk(MultiEdgePolicy::Error).is_err());
+        // The one policy left: duplicate edges collapse to one.
+        let mut b = GraphBuilder::undirected();
+        b.add_edge(0, 1);
+        b.add_edge(0, 1);
+        let g = b.build().unwrap();
+        assert_eq!(g.m(), 1);
+        assert_eq!(g.neighbors(NodeId(0)), &[NodeId(1)]);
+        assert_eq!(g.neighbors(NodeId(1)), &[NodeId(0)]);
+        let mut b = GraphBuilder::directed();
+        b.add_edge(0, 1);
+        b.add_edge(0, 1);
+        assert_eq!(b.build().unwrap().m(), 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl CsrGraph {
     /// removed) over nodes `0..n` from an edge list.
     ///
     /// This is the convenience constructor used throughout tests and
-    /// examples; use [`crate::GraphBuilder`] for policy control.
+    /// examples; [`crate::GraphBuilder`] also builds directed graphs.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self> {
         let mut b = crate::GraphBuilder::undirected().with_nodes(n);
         for &(u, v) in edges {
@@ -167,9 +167,7 @@ impl CsrGraph {
     /// endpoints still count as touched). Every deletion must name an
     /// existing edge and every insertion a non-existing one (after the
     /// batch's deletions); self-loops, out-of-range endpoints and duplicate
-    /// entries within either list are rejected. The graph must be simple
-    /// (the default build policies) for the existence checks to be
-    /// meaningful.
+    /// entries within either list are rejected.
     ///
     /// Cost: `O(n + m + |batch| log |batch|)` — the CSR arrays are copied
     /// (they are immutable, and offsets shift), but only touched rows are

@@ -7,7 +7,8 @@
 //! * [`CsrGraph`] — a compact, immutable compressed-sparse-row adjacency
 //!   structure with O(1) degree and neighbor-slice access (the representation
 //!   every hot loop in the walk engine runs against),
-//! * [`GraphBuilder`] — edge accumulation with self-loop / multi-edge policies,
+//! * [`GraphBuilder`] — edge accumulation into a simple graph (self-loops
+//!   dropped, duplicate edges collapsed),
 //! * [`generators`] — synthetic graph models (Barabási–Albert, Erdős–Rényi,
 //!   Chung–Lu power-law, Watts–Strogatz, random-regular, classic topologies,
 //!   and the running example of the paper's Figure 1),
@@ -35,7 +36,7 @@ pub mod subgraph;
 pub mod traversal;
 pub mod weighted;
 
-pub use builder::{GraphBuilder, MultiEdgePolicy, SelfLoopPolicy};
+pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, GraphKind};
 pub use error::GraphError;
 pub use node::NodeId;

@@ -112,11 +112,15 @@ impl EdgeBatch {
     /// [`CsrGraph::with_edits`] for the remaining validation rules.
     pub fn apply(&self, g: &CsrGraph) -> Result<GraphDelta, GraphError> {
         let undirected = g.kind() == rwd_graph::GraphKind::Undirected;
-        let (ins, del) = self.dedup_edits(undirected)?;
-        let ins: Vec<(u32, u32)> = ins.iter().map(|&(u, v, _)| (u, v)).collect();
-        let (graph, touched) = g.with_edits(&ins, &del)?;
+        let edits = self.dedup_edits(undirected)?;
+        let ins: Vec<(u32, u32)> = edits.0.iter().map(|&(u, v, _)| (u, v)).collect();
+        let (graph, touched) = g.with_edits(&ins, &edits.1)?;
         let touched = NodeSet::from_nodes(graph.n(), touched);
-        Ok(GraphDelta { graph, touched })
+        Ok(GraphDelta {
+            graph,
+            touched,
+            edits,
+        })
     }
 
     /// Applies the batch to a weighted graph: alias tables and cumulative
@@ -124,10 +128,14 @@ impl EdgeBatch {
     /// ([`WeightedCsrGraph::with_edits`]). Identical duplicate edits are
     /// collapsed first ([`EdgeBatch::dedup_edits`]).
     pub fn apply_weighted(&self, g: &WeightedCsrGraph) -> Result<WeightedGraphDelta, GraphError> {
-        let (ins, del) = self.dedup_edits(true)?;
-        let (graph, touched) = g.with_edits(&ins, &del)?;
+        let edits = self.dedup_edits(true)?;
+        let (graph, touched) = g.with_edits(&edits.0, &edits.1)?;
         let touched = NodeSet::from_nodes(graph.n(), touched);
-        Ok(WeightedGraphDelta { graph, touched })
+        Ok(WeightedGraphDelta {
+            graph,
+            touched,
+            edits,
+        })
     }
 }
 
@@ -140,6 +148,9 @@ pub struct GraphDelta {
     pub graph: CsrGraph,
     /// Nodes whose adjacency list changed.
     pub touched: NodeSet,
+    /// The canonical edits that were applied ([`EdgeBatch::dedup_edits`]),
+    /// which a durable engine journals.
+    pub(crate) edits: DedupedEdits,
 }
 
 impl GraphDelta {
@@ -156,6 +167,8 @@ pub struct WeightedGraphDelta {
     pub graph: WeightedCsrGraph,
     /// Nodes whose adjacency list (and thus sampler) changed.
     pub touched: NodeSet,
+    /// The canonical edits that were applied ([`EdgeBatch::dedup_edits`]).
+    pub(crate) edits: DedupedEdits,
 }
 
 #[cfg(test)]

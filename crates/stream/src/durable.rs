@@ -49,7 +49,7 @@ use rwd_graph::{GraphBuilder, GraphKind, NodeId};
 use rwd_walks::crc::crc32;
 use rwd_walks::{LayerRange, WalkIndex};
 
-use crate::batch::EdgeBatch;
+use crate::batch::DedupedEdits;
 use crate::engine::{self, EpochGraph, StreamConfig, StreamEngine};
 use crate::journal::{self, BatchJournal};
 use crate::{Result, StreamError};
@@ -128,25 +128,15 @@ pub(crate) struct Durable {
 
 impl Durable {
     /// The write-ahead append [`StreamEngine::apply`] makes for a staged
-    /// batch that will publish `epoch` over the current `graph`.
+    /// batch that will publish `epoch`: the canonical edits staging applied
+    /// (dedup is idempotent, so replay stages the identical delta).
     pub(crate) fn append(
         &mut self,
-        batch: &EdgeBatch,
+        (ins, del): &DedupedEdits,
         epoch: u64,
-        graph: &EpochGraph,
+        timestamp: u64,
     ) -> Result<()> {
-        let undirected = match graph {
-            EpochGraph::Unweighted(g) => g.kind() == GraphKind::Undirected,
-            EpochGraph::Weighted(_) => true,
-        };
-        // Validation already passed on the staged graph, so
-        // canonicalization cannot fail; the journaled record holds the
-        // canonical edits (dedup is idempotent — replay stages the
-        // identical delta).
-        let appended = batch
-            .dedup_edits(undirected)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))
-            .and_then(|(ins, del)| self.journal.append(epoch, batch.timestamp, &ins, &del));
+        let appended = self.journal.append(epoch, timestamp, ins, del);
         dio("write-ahead journal append", appended)
     }
 
@@ -874,6 +864,7 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EdgeBatch;
     use rwd_graph::generators::erdos_renyi_gnp;
 
     fn cfg() -> StreamConfig {

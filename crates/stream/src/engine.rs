@@ -30,7 +30,7 @@ use rwd_graph::weighted::WeightedCsrGraph;
 use rwd_graph::{CsrGraph, NodeId};
 use rwd_walks::{LayerRange, NodeSet, PostingDelta, RefreshStats, WalkIndex};
 
-use crate::batch::EdgeBatch;
+use crate::batch::{DedupedEdits, EdgeBatch};
 use crate::durable::Durable;
 use crate::maintain::{MaintainReport, SeedMaintainer};
 use crate::{Result, StreamError};
@@ -168,16 +168,21 @@ impl EpochGraph {
     }
 
     /// Phase 1: applies the batch functionally, returning the next epoch's
-    /// graph and the touched nodes. `self` is left as-is either way.
-    fn stage(&self, batch: &EdgeBatch) -> Result<(EpochGraph, NodeSet)> {
+    /// graph, the touched nodes and the canonical edits it applied (what
+    /// the journal records). `self` is left as-is either way.
+    fn stage(&self, batch: &EdgeBatch) -> Result<(EpochGraph, NodeSet, DedupedEdits)> {
         Ok(match self {
             EpochGraph::Unweighted(g) => {
-                let delta = batch.apply(g)?;
-                (EpochGraph::Unweighted(Arc::new(delta.graph)), delta.touched)
+                let d = batch.apply(g)?;
+                (
+                    EpochGraph::Unweighted(Arc::new(d.graph)),
+                    d.touched,
+                    d.edits,
+                )
             }
             EpochGraph::Weighted(g) => {
-                let delta = batch.apply_weighted(g)?;
-                (EpochGraph::Weighted(Arc::new(delta.graph)), delta.touched)
+                let d = batch.apply_weighted(g)?;
+                (EpochGraph::Weighted(Arc::new(d.graph)), d.touched, d.edits)
             }
         })
     }
@@ -404,14 +409,14 @@ impl StreamEngine {
         let metrics = crate::obs::stream_metrics();
         // Phase 1 — stage the batch once, into the next graph epoch.
         let stage_start = Instant::now();
-        let (next, touched) = self.graph.stage(batch)?;
+        let (next, touched, edits) = self.graph.stage(batch)?;
         metrics.stage_ns.record_duration(stage_start.elapsed());
         // Write-ahead point: the batch is valid and the epoch it will
         // publish is known; journal it before any state changes so a crash
         // either loses the whole batch or none of it.
         if let Some(durable) = &mut self.durable {
             let journal_timer = metrics.journal_ns.time();
-            durable.append(batch, self.epoch + 1, &self.graph)?;
+            durable.append(&edits, self.epoch + 1, batch.timestamp)?;
             journal_timer.stop();
         }
         // Phase 2 — every shard refreshes against the staged epoch,

@@ -188,9 +188,11 @@ type Triple = (u32, u32, u16);
 /// zero-copy mapped after [`WalkIndex::open_mapped`]. Equality compares
 /// values, so a mapped layer equals the owned layer it was saved from.
 ///
-/// A layer is immutable once built and lives behind an [`Arc`], so cloning
-/// a [`WalkIndex`] shares its layers instead of copying them; a refresh
-/// replaces a patched layer's `Arc` and never writes through a shared one.
+/// A layer is written once and lives behind an [`Arc`], so cloning a
+/// [`WalkIndex`] shares its layers instead of copying them. A refresh
+/// writes each patched layer as a fresh one, every column allocated at its
+/// exact length, and swaps its `Arc` in; the old layer is freed when its
+/// last holder drops it.
 #[derive(Debug, PartialEq, Eq)]
 struct Layer {
     offsets: Column<u32>,
@@ -199,21 +201,6 @@ struct Layer {
     fwd_offsets: Column<u32>,
     fwd_ids: Column<u32>,
     fwd_weights: Column<u16>,
-}
-
-/// The recycled heap buffers of a displaced [`Layer`] generation (see
-/// [`PatchScratch::buf`]). A mapped column has no heap buffer to recycle,
-/// so displacing a mapped layer yields empty vectors — the next patch
-/// simply allocates fresh, which is exactly the copy-on-write promotion
-/// cost.
-#[derive(Default)]
-struct LayerBufs {
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
-    weights: Vec<u16>,
-    fwd_offsets: Vec<u32>,
-    fwd_ids: Vec<u32>,
-    fwd_weights: Vec<u16>,
 }
 
 impl Layer {
@@ -233,18 +220,6 @@ impl Layer {
             fwd_offsets: fwd_offsets.into(),
             fwd_ids: fwd_ids.into(),
             fwd_weights: fwd_weights.into(),
-        }
-    }
-
-    /// Reclaims the heap buffers for recycling (empty for mapped columns).
-    fn into_bufs(self) -> LayerBufs {
-        LayerBufs {
-            offsets: self.offsets.take_buffer(),
-            ids: self.ids.take_buffer(),
-            weights: self.weights.take_buffer(),
-            fwd_offsets: self.fwd_offsets.take_buffer(),
-            fwd_ids: self.fwd_ids.take_buffer(),
-            fwd_weights: self.fwd_weights.take_buffer(),
         }
     }
 
@@ -526,7 +501,7 @@ pub struct WalkIndex {
     /// (`Σ_i |I[i][v]|`), precomputed at construction — the `S = ∅`
     /// closed-form gain initializers read these instead of re-streaming
     /// every list. Mapped straight from an RWDIDX4 file on a zero-copy
-    /// open; promoted on the first refresh that changes any posting.
+    /// open; each non-empty refresh writes it afresh as an owned column.
     posting_counts: Column<u64>,
     /// Per-node sum of posting hop weights across all layers
     /// (`Σ_i Σ_{(src,w) ∈ I[i][v]} w`).
@@ -592,7 +567,8 @@ fn walk_one<G: WalkGraph>(
 
 /// Per-worker scratch for incremental layer patching: stamped affected-set
 /// marks (reset-free across layers) and the worker's staged per-node
-/// aggregate deltas.
+/// aggregate deltas. It holds no column buffers: each patched layer's
+/// columns are allocated fresh, at their exact final length.
 struct PatchScratch {
     visit: VisitScratch,
     /// `affected[src] == stamp` ⟺ src's walk group resamples this layer.
@@ -611,16 +587,6 @@ struct PatchScratch {
     agg_dhops: Vec<i64>,
     /// Reused staging for the fresh postings re-sorted by `(owner, src)`.
     adds: Vec<Triple>,
-    /// Recycled column buffers: each patch builds the next epoch's columns
-    /// here, and when the layer it displaces is held by nobody else, that
-    /// layer's buffers become the next patch's. The scratch lives for one
-    /// refresh call, so a worker allocates fresh columns for the first
-    /// layer it patches and reuses them for the rest of its chunk. A
-    /// displaced layer still pinned by a snapshot is never recycled — the
-    /// snapshot keeps reading it — and a displaced *mapped* layer
-    /// contributes empty buffers (its bytes belong to the map), which is
-    /// precisely the one-time copy-on-write promotion cost.
-    buf: LayerBufs,
 }
 
 impl PatchScratch {
@@ -634,7 +600,6 @@ impl PatchScratch {
             agg_dcount: vec![0; n],
             agg_dhops: vec![0; n],
             adds: Vec::new(),
-            buf: LayerBufs::default(),
         }
     }
 
@@ -686,7 +651,9 @@ fn splice_rows(
 /// would produce.
 ///
 /// The old layer is only read (through its `Arc`, which a pinned snapshot
-/// may share); the patched layer replaces the `Arc` in `layer`.
+/// may share); the patched layer is written into six fresh columns, each
+/// allocated at its exact final length (`n + 1` offsets, `new_total`
+/// postings), and replaces the `Arc` in `layer`.
 ///
 /// When at least one group resampled, the layer's **net** edit script (see
 /// [`LayerDelta`]) is appended to `deltas`: each affected group's old and
@@ -839,16 +806,10 @@ fn patch_layer<G: WalkGraph>(
         new_total <= u32::MAX as usize,
         "layer posting count {new_total} overflows u32 CSR offsets"
     );
-    let mut offsets = std::mem::take(&mut ws.buf.offsets);
-    offsets.clear();
-    offsets.reserve(n + 1);
+    let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0u32);
-    let mut ids = std::mem::take(&mut ws.buf.ids);
-    ids.clear();
-    ids.reserve(new_total);
-    let mut weights = std::mem::take(&mut ws.buf.weights);
-    weights.clear();
-    weights.reserve(new_total);
+    let mut ids = Vec::with_capacity(new_total);
+    let mut weights = Vec::with_capacity(new_total);
     let inv = (&old.offsets[..], &old.ids[..], &old.weights[..]);
     let mut row = 0usize; // first old row not yet emitted
     let mut ac = 0usize; // cursor into ws.adds (owner-ascending)
@@ -887,16 +848,10 @@ fn patch_layer<G: WalkGraph>(
     splice_rows(inv, row..n, &mut offsets, &mut ids, &mut weights);
 
     // --- 5. forward columns: affected rows replaced, runs spliced -------
-    let mut fwd_offsets = std::mem::take(&mut ws.buf.fwd_offsets);
-    fwd_offsets.clear();
-    fwd_offsets.reserve(n + 1);
+    let mut fwd_offsets = Vec::with_capacity(n + 1);
     fwd_offsets.push(0u32);
-    let mut fwd_ids = std::mem::take(&mut ws.buf.fwd_ids);
-    fwd_ids.clear();
-    fwd_ids.reserve(new_total);
-    let mut fwd_weights = std::mem::take(&mut ws.buf.fwd_weights);
-    fwd_weights.clear();
-    fwd_weights.reserve(new_total);
+    let mut fwd_ids = Vec::with_capacity(new_total);
+    let mut fwd_weights = Vec::with_capacity(new_total);
     let fwd = (&old.fwd_offsets[..], &old.fwd_ids[..], &old.fwd_weights[..]);
     let mut row = 0usize;
     for (gi, &src) in affected_srcs.iter().enumerate() {
@@ -925,15 +880,17 @@ fn patch_layer<G: WalkGraph>(
         &mut fwd_weights,
     );
 
-    // Swap the fresh (always owned) columns in. The displaced generation
-    // becomes the next patch's buffers only when this index held its last
-    // reference; a snapshot still sharing it keeps it intact, and its
-    // memory is freed when that snapshot drops. When the displaced layer
-    // was mapped, this swap *is* the copy-on-write promotion: exactly this
-    // layer's columns leave the file region, untouched layers stay mapped.
-    let patched = Layer::owned(offsets, ids, weights, fwd_offsets, fwd_ids, fwd_weights);
-    let displaced = std::mem::replace(layer, Arc::new(patched));
-    ws.buf = Arc::try_unwrap(displaced).map_or_else(|_| LayerBufs::default(), Layer::into_bufs);
+    // Swap the fresh (always owned) layer in. The displaced one is freed
+    // here unless a snapshot still shares it; when it was mapped, exactly
+    // this layer leaves the file region and untouched layers stay mapped.
+    *layer = Arc::new(Layer::owned(
+        offsets,
+        ids,
+        weights,
+        fwd_offsets,
+        fwd_ids,
+        fwd_weights,
+    ));
     deltas.push(LayerDelta {
         layer: layer_idx,
         removed,
@@ -1258,11 +1215,10 @@ impl WalkIndex {
         // scripts keeps the delta ascending by absolute layer — the same
         // canonical order a single-threaded refresh emits.
         let mut delta = PostingDelta::default();
-        // Any non-empty refresh may edit the aggregates, so promote them to
-        // owned up front (a 16 B/node copy at most — negligible next to the
-        // column surgery above, and a no-op for an already-owned index).
-        let counts = self.posting_counts.make_mut();
-        let hop_sums = self.posting_hop_sums.make_mut();
+        // The aggregates are written afresh (old value plus the staged
+        // deltas), so an owned or mapped column is never edited in place.
+        let mut counts = self.posting_counts.to_vec();
+        let mut hop_sums = self.posting_hop_sums.to_vec();
         for (p, deltas, dcount, dhops) in partials {
             stats.groups_resampled += p.groups_resampled;
             stats.postings_removed += p.postings_removed;
@@ -1277,6 +1233,8 @@ impl WalkIndex {
                 *slot = (*slot as i64 + d) as u64;
             }
         }
+        self.posting_counts = counts.into();
+        self.posting_hop_sums = hop_sums.into();
         timer.stop();
         crate::obs::metrics()
             .groups_resampled
@@ -1427,8 +1385,9 @@ impl WalkIndex {
     }
 
     /// Bytes of index data owned on the heap (the resident-set cost the
-    /// process pays unconditionally). A freshly mapped index owns nothing;
-    /// every refresh that touches a layer moves that layer's share here.
+    /// process pays unconditionally), counted as each column's allocation.
+    /// A freshly mapped index owns nothing; every refresh that touches a
+    /// layer moves that layer's share here.
     pub fn heap_bytes(&self) -> usize {
         self.layers.iter().map(|la| la.heap_bytes()).sum::<usize>()
             + self.posting_counts.heap_bytes()
@@ -1448,7 +1407,7 @@ impl WalkIndex {
     }
 
     /// How many of this index's layers still borrow their columns from a
-    /// mapped file (diagnostics for the lazy-promotion path).
+    /// mapped file (a refresh rewrites every layer it patches on the heap).
     pub fn mapped_layers(&self) -> usize {
         self.layers.iter().filter(|la| la.is_mapped()).count()
     }
@@ -1704,9 +1663,8 @@ impl WalkIndex {
     /// to postings. Pages fault in on first touch and remain evictable, so
     /// a 100M-posting index answers its first point query at page-cache
     /// speed. The opened index is **bitwise equal** (by value) to
-    /// [`WalkIndex::load`] of the same file; the first refresh that
-    /// touches a layer promotes exactly that layer's columns to the heap
-    /// (copy-on-write at layer grain).
+    /// [`WalkIndex::load`] of the same file; a refresh writes each layer
+    /// it patches afresh on the heap, and untouched layers stay mapped.
     ///
     /// Requires a little-endian unix host (the on-disk columns are the LE
     /// in-memory image); elsewhere use [`WalkIndex::load`].

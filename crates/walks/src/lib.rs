@@ -28,7 +28,7 @@
 //! * [`parallel`] — the shared worker-count policy every fan-out uses,
 //! * [`storage`] — the column store behind the index: every posting column
 //!   is either heap-owned or a zero-copy window into an `mmap(2)`-backed
-//!   RWDIDX4 file, promoted to the heap only when first mutated,
+//!   RWDIDX4 file, written once and never mutated,
 //! * [`crc`] — streaming CRC-32 backing the content checksums every
 //!   durable artifact (index files, snapshots, journal records) carries.
 //!

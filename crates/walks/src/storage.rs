@@ -10,11 +10,12 @@
 //! queries, gain engines, `save`) reads the same slice type and cannot
 //! observe which store backs it.
 //!
-//! Mutation promotes: [`Column::make_mut`] copies a mapped column to an
-//! owned `Vec` on first write. The refresh path swaps whole rebuilt
-//! columns per layer, so promotion lands exactly at layer grain — a
-//! promoted-then-edited index is bitwise equal to an owned-then-edited
-//! one (see `tests/storage_equivalence.rs`).
+//! A column is written once and never mutated. A refresh writes each
+//! layer it patches as fresh owned columns and leaves the old layer,
+//! owned or mapped, to whoever still holds it, so a mapped index moves to
+//! the heap exactly at layer grain — and a refreshed mapped index is
+//! bitwise equal to a refreshed owned one (see
+//! `tests/storage_equivalence.rs`).
 //!
 //! The mmap itself is a minimal std-only `mmap(2)`/`munmap(2)` FFI
 //! wrapper (`PROT_READ`, `MAP_PRIVATE`) — no crates. The on-disk format
@@ -195,8 +196,9 @@ mod sys {
     pub(super) unsafe fn unmap(_ptr: *const u8, _len: usize) {}
 }
 
-/// One posting column: heap-owned or a zero-copy window into a mapped
-/// index file. Dereferences to `&[T]` either way.
+/// One posting column: an owned vector or a zero-copy window into a
+/// mapped index file, built once and never mutated. Dereferences to `&[T]`
+/// either way.
 #[derive(Clone)]
 pub struct Column<T: Pod> {
     repr: Repr<T>,
@@ -279,10 +281,11 @@ impl<T: Pod> Column<T> {
         matches!(self.repr, Repr::Mapped { .. })
     }
 
-    /// Bytes of heap this column owns (0 when mapped).
+    /// Bytes of heap this column's allocation holds — its capacity, spare
+    /// room included (0 when mapped).
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Owned(v) => v.len() * std::mem::size_of::<T>(),
+            Repr::Owned(v) => v.capacity() * std::mem::size_of::<T>(),
             Repr::Mapped { .. } => 0,
         }
     }
@@ -293,34 +296,6 @@ impl<T: Pod> Column<T> {
             Repr::Owned(_) => 0,
             Repr::Mapped { len, .. } => len * std::mem::size_of::<T>(),
         }
-    }
-
-    /// Mutable access, promoting a mapped column to an owned copy first
-    /// (copy-on-write: the mapped bytes are untouched).
-    pub fn make_mut(&mut self) -> &mut Vec<T> {
-        if let Repr::Mapped { .. } = self.repr {
-            self.repr = Repr::Owned(self.as_slice().to_vec());
-        }
-        match &mut self.repr {
-            Repr::Owned(v) => v,
-            Repr::Mapped { .. } => unreachable!("just promoted"),
-        }
-    }
-
-    /// Recovers the backing `Vec` for buffer recycling: the vector itself
-    /// for an owned column, an empty one for a mapped column (there is no
-    /// heap buffer to recycle — the map stays with its region).
-    pub fn take_buffer(self) -> Vec<T> {
-        match self.repr {
-            Repr::Owned(v) => v,
-            Repr::Mapped { .. } => Vec::new(),
-        }
-    }
-}
-
-impl<T: Pod> Default for Column<T> {
-    fn default() -> Self {
-        Column::owned(Vec::new())
     }
 }
 
@@ -440,12 +415,6 @@ mod tests {
         assert!(Column::<u32>::mapped(region.clone(), 0, vals.len() + 1).is_err());
         // Misaligned element pointer is rejected (offset 2 within u32s).
         assert!(Column::<u32>::mapped(region.clone(), 2, 1).is_err());
-        // Promotion copies the values and drops the map reference.
-        let mut col2 = col.clone();
-        col2.make_mut()[0] = 99;
-        assert_eq!(col2[0], 99);
-        assert_eq!(col[0], vals[0]);
-        assert!(!col2.is_mapped());
         std::fs::remove_file(&path).ok();
     }
 

@@ -298,3 +298,69 @@ fn refresh_promotes_mapped_layers_and_matches_owned_refresh() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `heap_bytes() + mapped_bytes()` is the exact size of the columns: per
+/// layer `8(n + 1)` bytes of offsets (two views) and 12 bytes per posting
+/// (a 4-byte id and a 2-byte hop in each view), plus 16 bytes per node of
+/// aggregates. A refresh allocates every column it writes at its exact
+/// length, so the identity holds along a refresh chain from a built, a
+/// loaded or a mapped-open index, whether or not a clone pins each
+/// previous epoch the way a serving snapshot does.
+#[test]
+fn heap_accounting_is_exact_along_refresh_chains() {
+    let g0 = sample_graph();
+    let n = g0.n();
+    let (l, r, seed) = (5, 6, 17);
+    let built = WalkIndex::build(&g0, l, r, seed);
+    let dir = tmp_dir("accounting");
+    let path = dir.join("mono.rwdidx");
+    built.save(&path).unwrap();
+    let mut starts = vec![
+        ("built", built.clone()),
+        ("loaded", WalkIndex::load(&path).unwrap()),
+    ];
+    if mapped_path_available() {
+        starts.push(("mapped", WalkIndex::open_mapped(&path).unwrap()));
+    }
+    let exact = |idx: &WalkIndex| idx.r() * 8 * (n + 1) + 12 * idx.total_postings() + 16 * n;
+
+    // Four epochs, each one edge flip away from the last.
+    let mut chain = Vec::new();
+    let mut g = g0;
+    for step in 0..4u32 {
+        let (u, v) = (step * 7 % n as u32, (step * 13 + 5) % n as u32);
+        let flip = [(u.min(v), u.max(v))];
+        let (next, touched) = if g.has_edge(NodeId(u), NodeId(v)) {
+            g.with_edits(&[], &flip)
+        } else {
+            g.with_edits(&flip, &[])
+        }
+        .unwrap();
+        chain.push((next.clone(), NodeSet::from_nodes(n, touched)));
+        g = next;
+    }
+    let rebuilt = WalkIndex::build(&g, l, r, seed);
+
+    for (what, start) in &starts {
+        assert_eq!(start.heap_bytes() + start.mapped_bytes(), exact(start));
+        for pinned in [false, true] {
+            for threads in [1, 2] {
+                let mut idx = start.clone();
+                let mut pins = Vec::new();
+                for (step, (g, touched)) in chain.iter().enumerate() {
+                    if pinned {
+                        pins.push(idx.clone());
+                    }
+                    idx.refresh(g, touched, threads);
+                    assert_eq!(
+                        idx.heap_bytes() + idx.mapped_bytes(),
+                        exact(&idx),
+                        "{what} index, pinned {pinned}, {threads} threads, refresh {step}"
+                    );
+                }
+                assert!(idx == rebuilt, "{what} refresh chain drifted");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
