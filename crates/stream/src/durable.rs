@@ -27,16 +27,17 @@
 //! leaves no stale lock to clean up.
 //!
 //! [`StreamEngine::open_durable_with`] recovers: the newest loadable
-//! snapshot, then the journal suffix replayed through the normal apply path
-//! (incremental refresh and warm seed maintenance included). Because every
-//! transformation in the pipeline is bit-deterministic, the recovered
-//! engine is **bitwise identical** to the live engine that wrote the
-//! surviving prefix — the property `tests/recovery_equivalence.rs`
-//! fault-injects at every record boundary, mid-record truncation, and
-//! bit-flip. Seed-maintainer state is deliberately *not* serialized: a
-//! cold bootstrap over the loaded tiling is bitwise equal to the warm state
-//! (the maintainer's own proptested invariant), which keeps the snapshot
-//! format small and honest.
+//! snapshot, then the journal suffix staged record by record and committed
+//! as one run. An index is a pure function of its graph (walks derive from
+//! counter-based `(seed, src, layer)` RNG streams), and a refresh accepts
+//! an index built on any predecessor graph given a touched set covering
+//! every changed row, so the recovered engine is **bitwise identical** to
+//! the live engine that wrote the surviving prefix — the property
+//! `tests/recovery_equivalence.rs` fault-injects at every record boundary,
+//! mid-record truncation, and bit-flip. Seed-maintainer state is
+//! deliberately *not* serialized: the open's one cold maintainer pass is
+//! bitwise equal to the warm state (the maintainer's own proptested
+//! invariant), which keeps the snapshot format small and honest.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -50,7 +51,7 @@ use rwd_walks::crc::crc32;
 use rwd_walks::{LayerRange, WalkIndex};
 
 use crate::batch::DedupedEdits;
-use crate::engine::{self, EpochGraph, StreamConfig, StreamEngine};
+use crate::engine::{self, EpochGraph, StagedRun, StreamConfig, StreamEngine};
 use crate::journal::{self, BatchJournal};
 use crate::{Result, StreamError};
 
@@ -74,9 +75,9 @@ pub enum OpenMode {
     /// ([`WalkIndex::open_mapped`]) — the first point query is answerable
     /// after a header walk and one CRC pass, no per-posting deserialize.
     /// Hosts without the mapped path (non-unix or big-endian) fall back to
-    /// [`OpenMode::Deserialize`]. Journal replay then promotes exactly the
-    /// layers it touches to the heap; recovered state stays bitwise equal
-    /// to the deserializing open.
+    /// [`OpenMode::Deserialize`]. The journal replay's one refresh then
+    /// writes exactly the layers the suffix touches to the heap; recovered
+    /// state stays bitwise equal to the deserializing open.
     Mapped,
     /// Parse every shard index into heap-owned columns
     /// ([`WalkIndex::load`]); higher open cost, no pinned file mappings.
@@ -96,10 +97,12 @@ pub struct RecoveryReport {
     /// Why the journal tail was truncated, when it was (`None` = the
     /// journal ended cleanly on a record boundary).
     pub torn_tail: Option<String>,
-    /// Wall time of the snapshot load (graph + shard indexes + bootstrap
-    /// seed maintenance).
+    /// Wall time of the snapshot load: manifest, shard index open and
+    /// graph rebuild.
     pub snapshot_load_ms: f64,
-    /// Wall time of the journal suffix replay.
+    /// Wall time of everything after the load: the journal scan, staging
+    /// the suffix, its one refresh per shard, and the open's one
+    /// seed-maintenance pass (a bootstrap when nothing replays).
     pub replay_ms: f64,
     /// Heap-owned walk-index column bytes after recovery (replay included).
     pub heap_bytes: usize,
@@ -268,13 +271,19 @@ impl StreamEngine {
 
     /// Recovers a durable engine from `dir`: loads the newest loadable
     /// snapshot (shard indexes placed as `mode` says), replays the journal
-    /// suffix through the normal apply path, truncates a torn tail
-    /// (reported, never fatal), and resumes journaling where the surviving
-    /// history ends. Mid-journal corruption and unloadable snapshots fail
-    /// with named errors instead of serving drifted state, and a directory
-    /// another live engine holds is refused. Both modes recover the exact
-    /// same state — the mode only chooses where the posting columns live
-    /// (mapped file vs heap).
+    /// suffix, truncates a torn tail (reported, never fatal), and resumes
+    /// journaling where the surviving history ends. The replay stages every
+    /// record past the snapshot in order, then commits them as one run: one
+    /// refresh per shard against the last staged graph and the union of the
+    /// records' touched sets, and one cold seed-maintenance pass (with no
+    /// records to replay, the open bootstraps the seed set instead). A
+    /// record that fails to stage or holds no edits refuses the whole open
+    /// as [`StreamError::CorruptJournal`], naming its epoch, before any
+    /// shard is refreshed. Mid-journal corruption and unloadable snapshots
+    /// fail with named errors instead of serving drifted state, and a
+    /// directory another live engine holds is refused. Both modes recover
+    /// the exact same state — the mode only chooses where the posting
+    /// columns live (mapped file vs heap).
     pub fn open_durable_with(
         dir: impl AsRef<Path>,
         dcfg: DurabilityConfig,
@@ -312,7 +321,8 @@ impl StreamEngine {
 
         let journals = find_numbered(&dir, "journal-")?;
         let replay_start = Instant::now();
-        let (journal, epochs_replayed, torn_tail) = match journals.last() {
+        let mut run = StagedRun::new(engine.graph_shared());
+        let (journal, torn_tail) = match journals.last() {
             None => {
                 // Crash between base-snapshot write and journal creation:
                 // the snapshot alone is the whole history.
@@ -323,7 +333,7 @@ impl StreamEngine {
                         snapshot_epoch,
                     ),
                 )?;
-                (j, 0u64, None)
+                (j, None)
             }
             Some((base, path)) => {
                 if *base > snapshot_epoch {
@@ -332,34 +342,42 @@ impl StreamEngine {
                          snapshot (epoch {snapshot_epoch}); the intervening history is gone"
                     )));
                 }
+                // Every record past the snapshot stages in order, so each is
+                // still validated against its own predecessor graph, and a
+                // bad one refuses the open before any shard is refreshed.
                 let scan = journal::scan(path)?;
-                let mut replayed = 0u64;
-                for rec in &scan.records {
-                    if rec.epoch <= snapshot_epoch {
-                        continue;
-                    }
-                    let report = engine.apply(&rec.batch).map_err(|e| {
+                for rec in scan.records.iter().filter(|rec| rec.epoch > snapshot_epoch) {
+                    run.stage(&rec.batch).map_err(|e| {
                         StreamError::CorruptJournal(format!(
                             "journaled batch for epoch {} failed to re-apply: {e}",
                             rec.epoch
                         ))
                     })?;
-                    if report.epoch != rec.epoch {
+                    let staged = snapshot_epoch + run.batches();
+                    if staged != rec.epoch {
                         return Err(StreamError::CorruptJournal(format!(
                             "replaying the record for epoch {} advanced the engine to \
-                             epoch {} instead",
-                            rec.epoch, report.epoch
+                             epoch {staged} instead",
+                            rec.epoch
                         )));
                     }
-                    replayed += 1;
                 }
                 let j = dio(
                     "journal reopen",
                     BatchJournal::open_append(path, scan.valid_len),
                 )?;
-                (j, replayed, scan.torn_tail)
+                (j, scan.torn_tail)
             }
         };
+        // The open's one maintainer pass: the replay's single commit (cold,
+        // as the loaded maintainer holds no engine state) or, with nothing
+        // to replay, the bootstrap.
+        let epochs_replayed = run.batches();
+        if epochs_replayed == 0 {
+            engine.bootstrap();
+        } else {
+            engine.commit(run);
+        }
         let replay_ms = replay_start.elapsed().as_secs_f64() * 1e3;
 
         let metrics = crate::obs::durable_metrics();
@@ -1533,5 +1551,72 @@ mod tests {
         let err = open(&dir, DurabilityConfig::default()).unwrap_err();
         assert!(matches!(err, StreamError::CorruptJournal(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checksum-valid record that does not replay — it deletes an absent
+    /// edge, or holds no edits — refuses the whole open by name, and the
+    /// refused open changes nothing: cut the record and the directory
+    /// recovers the live image of the records before it.
+    #[test]
+    fn unreplayable_records_refuse_the_open_by_name() {
+        let g0 = erdos_renyi_gnp(40, 0.1, 19).unwrap();
+        let batches = churn_batches(&g0, 3);
+        for (case, bad, want) in [
+            (
+                "absent deletion",
+                true,
+                "journaled batch for epoch 4 failed to re-apply",
+            ),
+            (
+                "no edits",
+                false,
+                "replaying the record for epoch 4 advanced the engine to epoch 3 instead",
+            ),
+        ] {
+            let dir = tmp_dir(&format!("unreplayable_{bad}"));
+            let engine = StreamEngine::with_shards(g0.clone(), cfg(), 2).unwrap();
+            let mut durable = engine
+                .create_durable(&dir, DurabilityConfig::default())
+                .unwrap();
+            for b in &batches {
+                durable.apply(b).unwrap();
+            }
+            let live = image(&durable);
+            let g = durable.graph().unwrap();
+            let absent = (0..40u32)
+                .flat_map(|u| ((u + 1)..40).map(move |v| (u, v)))
+                .find(|&(u, v)| !g.has_edge(NodeId(u), NodeId(v)))
+                .unwrap();
+            drop(durable);
+
+            let path = dir.join("journal-0.wal");
+            let len = std::fs::metadata(&path).unwrap().len();
+            let deletions = if bad { vec![absent] } else { Vec::new() };
+            BatchJournal::open_append(&path, len)
+                .unwrap()
+                .append(4, 104, &[], &deletions)
+                .unwrap();
+            for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
+                let err = StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), mode)
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, StreamError::CorruptJournal(m) if m.contains(want)),
+                    "{case} ({mode:?}): {err}"
+                );
+            }
+
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_len(len)
+                .unwrap();
+            let (recovered, report) = open(&dir, DurabilityConfig::default()).unwrap();
+            assert_eq!(report.epochs_replayed, 3, "{case}");
+            assert!(report.torn_tail.is_none(), "{case}");
+            assert_engine_matches(&recovered, &live);
+            drop(recovered);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

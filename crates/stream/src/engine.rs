@@ -14,6 +14,10 @@
 //!    epoch swaps in, one seed-maintenance pass runs over the refreshed
 //!    tiling and the epoch advances.
 //!
+//! Recovery stages a whole journal suffix in order and commits it once:
+//! the touched sets' union covers every node whose adjacency differs
+//! between the first graph and the last, which is all a refresh needs.
+//!
 //! Exactness is structural, not approximate: walk layers derive from
 //! counter-based `(seed, node, absolute-layer)` RNG streams, so a shard's
 //! layers are bitwise the monolith's layers; seed maintenance runs a
@@ -132,8 +136,8 @@ pub struct ShardBatchStats {
     /// Walk groups resampled / postings rewritten inside that range.
     pub refresh: RefreshStats,
     /// Wall time of the shard's commit: the index refresh and — when a
-    /// snapshot pins the epoch — the shallow index clone before it (layer
-    /// pointers plus the two per-node aggregate columns).
+    /// snapshot pins the epoch — the index clone before it, which copies
+    /// pointers only (the layers and the aggregate pair are shared).
     pub refresh_ms: f64,
 }
 
@@ -213,6 +217,72 @@ impl EpochGraph {
     }
 }
 
+/// Phase 1's output for a run of one or more batches, staged in order on
+/// the engine's graph and not yet committed.
+pub(crate) struct StagedRun {
+    /// The graph after the last staged batch.
+    graph: EpochGraph,
+    /// Union of the staged batches' touched sets. It covers every node
+    /// whose adjacency differs between the engine's graph and `graph`; a
+    /// node a later batch changed back stays in it, and its walks are
+    /// merely resampled to the same bits.
+    touched: NodeSet,
+    /// Non-empty batches staged: the epochs the commit advances.
+    batches: u64,
+    insertions: usize,
+    deletions: usize,
+    /// Each batch's touched-node count, summed.
+    touched_nodes: usize,
+    /// The last staged batch's timestamp.
+    timestamp: u64,
+}
+
+impl StagedRun {
+    /// An empty run on `graph`.
+    pub(crate) fn new(graph: EpochGraph) -> Self {
+        let touched = NodeSet::new(graph.n());
+        StagedRun {
+            graph,
+            touched,
+            batches: 0,
+            insertions: 0,
+            deletions: 0,
+            touched_nodes: 0,
+            timestamp: 0,
+        }
+    }
+
+    /// Non-empty batches staged so far.
+    pub(crate) fn batches(&self) -> u64 {
+        self.batches
+    }
+
+    /// Phase 1 for one more batch: applies it functionally to the run's
+    /// graph and returns the canonical edits it applied (what the journal
+    /// records). On a validation error the run is left as it was; an empty
+    /// batch stages nothing.
+    pub(crate) fn stage(&mut self, batch: &EdgeBatch) -> Result<DedupedEdits> {
+        if batch.is_empty() {
+            return Ok(DedupedEdits::default());
+        }
+        let stage_start = Instant::now();
+        let (next, touched, edits) = self.graph.stage(batch)?;
+        self.graph = next;
+        for v in touched.iter() {
+            self.touched.insert(v);
+        }
+        self.batches += 1;
+        self.insertions += batch.insertions.len();
+        self.deletions += batch.deletions.len();
+        self.touched_nodes += touched.len();
+        self.timestamp = batch.timestamp;
+        crate::obs::stream_metrics()
+            .stage_ns
+            .record_duration(stage_start.elapsed());
+        Ok(edits)
+    }
+}
+
 /// Validates the engine configuration against the graph size and the
 /// shard count against the layer count. Every constructor path — cold
 /// start and snapshot load — runs it before building or loading indexes.
@@ -277,9 +347,10 @@ pub(crate) fn validate(cfg: &StreamConfig, n: usize, shards: usize) -> Result<()
 /// an epoch at zero cost ([`StreamEngine::shard_indexes_shared`]): the next
 /// commit mutates a shard in place when nothing else holds it (the steady
 /// state) or clones it first when something does (`Arc::make_mut`). The
-/// clone is shallow — the walk layers are themselves shared `Arc`s — and
-/// the refresh replaces each layer it patches with a fresh one, so a
-/// pinned reader never observes a mid-refresh index.
+/// clone copies pointers only — the walk layers and the per-node aggregate
+/// pair are themselves shared `Arc`s — and the refresh replaces each one it
+/// rewrites with a fresh one, so a pinned reader never observes a
+/// mid-refresh index.
 #[derive(Debug)]
 pub struct StreamEngine {
     cfg: StreamConfig,
@@ -328,33 +399,40 @@ impl StreamEngine {
             .into_iter()
             .map(|range| Arc::new(graph.build_layer_range(&cfg, range)))
             .collect();
-        Ok(Self::from_parts(cfg, graph, shards, 0))
+        let mut engine = Self::from_parts(cfg, graph, shards, 0);
+        engine.bootstrap();
+        Ok(engine)
     }
 
     /// Assembles an engine at `epoch` from a graph and the shard indexes
-    /// over it (already [`validate`]d, tiling `[0, R)` in order), and
-    /// bootstraps the seed set over the tiling. The cold start and the
-    /// snapshot load both end here; a loaded engine's cold bootstrap is
-    /// bit-identical to the warm state the live engine carried, because
-    /// warm ≡ cold is the maintainer's proptested invariant.
+    /// over it (already [`validate`]d, tiling `[0, R)` in order), with no
+    /// seeds yet. The cold start and the snapshot load both end here, and
+    /// each then runs exactly one maintainer pass: the cold start's
+    /// [`StreamEngine::bootstrap`], and a recovery's bootstrap or the cold
+    /// pass of its one replay commit. Either is bit-identical to the warm
+    /// state the live engine carried, because warm ≡ cold is the
+    /// maintainer's proptested invariant.
     pub(crate) fn from_parts(
         cfg: StreamConfig,
         graph: EpochGraph,
         shards: Vec<Arc<WalkIndex>>,
         epoch: u64,
     ) -> Self {
-        let mut maintainer = SeedMaintainer::new(cfg.rule, cfg.k, cfg.threads);
-        let refs: Vec<&WalkIndex> = shards.iter().map(|s| &**s).collect();
-        maintainer.maintain(&refs, None);
         StreamEngine {
             cfg,
             graph,
             shards,
-            maintainer,
+            maintainer: SeedMaintainer::new(cfg.rule, cfg.k, cfg.threads),
             epoch,
             lifetime: RefreshStats::default(),
             durable: None,
         }
+    }
+
+    /// Selects the seed set cold over the current tiling.
+    pub(crate) fn bootstrap(&mut self) {
+        let refs: Vec<&WalkIndex> = self.shards.iter().map(|s| &**s).collect();
+        self.maintainer.maintain(&refs, None);
     }
 
     /// Applies one churn batch end to end: graph edit → incremental index
@@ -406,27 +484,39 @@ impl StreamEngine {
                 shards: Vec::new(),
             });
         }
-        let metrics = crate::obs::stream_metrics();
         // Phase 1 — stage the batch once, into the next graph epoch.
-        let stage_start = Instant::now();
-        let (next, touched, edits) = self.graph.stage(batch)?;
-        metrics.stage_ns.record_duration(stage_start.elapsed());
+        let mut run = StagedRun::new(self.graph.clone());
+        let edits = run.stage(batch)?;
         // Write-ahead point: the batch is valid and the epoch it will
         // publish is known; journal it before any state changes so a crash
         // either loses the whole batch or none of it.
         if let Some(durable) = &mut self.durable {
-            let journal_timer = metrics.journal_ns.time();
+            let journal_timer = crate::obs::stream_metrics().journal_ns.time();
             durable.append(&edits, self.epoch + 1, batch.timestamp)?;
             journal_timer.stop();
         }
-        // Phase 2 — every shard refreshes against the staged epoch,
-        // gathering per-shard stats and posting edit scripts (absolute
-        // layers, so the maintainer consumes them without translation).
+        let report = self.commit(run);
+        self.snapshot_on_cadence();
+        Ok(report)
+    }
+
+    /// Phase 2 for a staged run: every shard refreshes once against the
+    /// run's last graph and the union of its touched sets, the graph swaps
+    /// in, one seed-maintenance pass runs, and the epoch advances past
+    /// every batch of the run. The report and the churn counters sum the
+    /// run's batches.
+    pub(crate) fn commit(&mut self, run: StagedRun) -> BatchReport {
+        let metrics = crate::obs::stream_metrics();
+        // Every shard refreshes against the staged epoch, gathering
+        // per-shard stats and posting edit scripts (absolute layers, so
+        // the maintainer consumes them without translation).
         let mut shard_stats = Vec::with_capacity(self.shards.len());
         let mut edits = Vec::with_capacity(self.shards.len());
         for (shard, idx) in self.shards.iter_mut().enumerate() {
             let start = Instant::now();
-            let (refresh, delta) = next.refresh(Arc::make_mut(idx), &touched, self.cfg.threads);
+            let (refresh, delta) =
+                run.graph
+                    .refresh(Arc::make_mut(idx), &run.touched, self.cfg.threads);
             let refresh_ms = start.elapsed().as_secs_f64() * 1e3;
             metrics.refresh_ns.record((refresh_ms * 1e6) as u64);
             shard_stats.push(ShardBatchStats {
@@ -437,7 +527,7 @@ impl StreamEngine {
             });
             edits.push(delta);
         }
-        self.graph = next;
+        self.graph = run.graph;
         // Every counter adds across shards, including `groups_total` (the
         // per-shard totals `n · |range|` tile `n · R` exactly).
         let refresh = shard_stats
@@ -461,21 +551,21 @@ impl StreamEngine {
             metrics.maintain_cold_ns.record_duration(maintain_elapsed);
         }
         let publish_start = Instant::now();
-        self.epoch += 1;
+        self.epoch += run.batches;
         let report = BatchReport {
             epoch: self.epoch,
-            timestamp: batch.timestamp,
-            insertions: batch.insertions.len(),
-            deletions: batch.deletions.len(),
+            timestamp: run.timestamp,
+            insertions: run.insertions,
+            deletions: run.deletions,
             edges: self.graph.m(),
-            touched_nodes: touched.len(),
+            touched_nodes: run.touched_nodes,
             refresh,
             maintain,
             maintain_ms,
             shards: shard_stats,
         };
         // Churn counters folded out of the report, then the publish stamp.
-        metrics.batches.inc();
+        metrics.batches.add(run.batches);
         metrics.insertions.add(report.insertions as u64);
         metrics.deletions.add(report.deletions as u64);
         metrics.touched_nodes.add(report.touched_nodes as u64);
@@ -496,8 +586,7 @@ impl StreamEngine {
             .add(report.maintain.replayed_rounds as u64);
         metrics.epoch.set(self.epoch as i64);
         metrics.publish_ns.record_duration(publish_start.elapsed());
-        self.snapshot_on_cadence();
-        Ok(report)
+        report
     }
 
     /// The maintained seed set in selection order.

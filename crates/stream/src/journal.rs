@@ -17,8 +17,8 @@
 //! insertion weights are stored as `f64::to_bits` so the replayed batch is
 //! bit-identical to the journaled one. Records hold the canonicalized
 //! (post-[`EdgeBatch::dedup_edits`]) edits; canonicalization is
-//! idempotent, so replaying a canonical batch through the normal apply
-//! path stages exactly the same delta the original apply did.
+//! idempotent, so staging a canonical batch again on replay yields
+//! exactly the same delta the original apply did.
 //!
 //! **Torn-tail rule** (what a crash mid-append leaves behind): while
 //! scanning, a record whose header is incomplete, whose length points past

@@ -189,10 +189,10 @@ type Triple = (u32, u32, u16);
 /// values, so a mapped layer equals the owned layer it was saved from.
 ///
 /// A layer is written once and lives behind an [`Arc`], so cloning a
-/// [`WalkIndex`] shares its layers instead of copying them. A refresh
-/// writes each patched layer as a fresh one, every column allocated at its
-/// exact length, and swaps its `Arc` in; the old layer is freed when its
-/// last holder drops it.
+/// [`WalkIndex`] shares its layers (and its aggregate pair) instead of
+/// copying them. A refresh writes each patched layer as a fresh one, every
+/// column allocated at its exact length, and swaps its `Arc` in; the old
+/// layer is freed when its last holder drops it.
 #[derive(Debug, PartialEq, Eq)]
 struct Layer {
     offsets: Column<u32>,
@@ -497,15 +497,22 @@ pub struct WalkIndex {
     /// layer indices and the shard's layers stay bitwise identical to the
     /// monolith's.
     layer_base: usize,
-    /// Per-node inverted-posting count across all layers
-    /// (`Σ_i |I[i][v]|`), precomputed at construction — the `S = ∅`
-    /// closed-form gain initializers read these instead of re-streaming
-    /// every list. Mapped straight from an RWDIDX4 file on a zero-copy
-    /// open; each non-empty refresh writes it afresh as an owned column.
-    posting_counts: Column<u64>,
-    /// Per-node sum of posting hop weights across all layers
-    /// (`Σ_i Σ_{(src,w) ∈ I[i][v]} w`).
-    posting_hop_sums: Column<u64>,
+    /// Shared with every clone of the index like the layers; each
+    /// non-empty refresh swaps in a fresh pair.
+    aggregates: Arc<Aggregates>,
+}
+
+/// The per-node posting aggregates across all layers, precomputed at
+/// construction — the `S = ∅` closed-form gain initializers read these
+/// instead of re-streaming every list. Mapped straight from an RWDIDX4
+/// file on a zero-copy open; a refresh writes both afresh as owned
+/// columns.
+#[derive(Debug, PartialEq, Eq)]
+struct Aggregates {
+    /// Inverted-posting count per node (`Σ_i |I[i][v]|`).
+    counts: Column<u64>,
+    /// Posting hop-weight sum per node (`Σ_i Σ_{(src,w) ∈ I[i][v]} w`).
+    hop_sums: Column<u64>,
 }
 
 /// Node chunks smaller than this are not worth a task of their own.
@@ -1007,15 +1014,17 @@ impl WalkIndex {
         threads: usize,
     ) -> WalkIndex {
         let layers: Vec<Arc<Layer>> = layers.into_iter().map(Arc::new).collect();
-        let (posting_counts, posting_hop_sums) = Self::compute_aggregates(n, &layers, threads);
+        let (counts, hop_sums) = Self::compute_aggregates(n, &layers, threads);
         WalkIndex {
             n,
             l,
             layers,
             seed,
             layer_base,
-            posting_counts: posting_counts.into(),
-            posting_hop_sums: posting_hop_sums.into(),
+            aggregates: Arc::new(Aggregates {
+                counts: counts.into(),
+                hop_sums: hop_sums.into(),
+            }),
         }
     }
 
@@ -1216,9 +1225,10 @@ impl WalkIndex {
         // canonical order a single-threaded refresh emits.
         let mut delta = PostingDelta::default();
         // The aggregates are written afresh (old value plus the staged
-        // deltas), so an owned or mapped column is never edited in place.
-        let mut counts = self.posting_counts.to_vec();
-        let mut hop_sums = self.posting_hop_sums.to_vec();
+        // deltas), so an owned or mapped column is never edited in place
+        // and a clone holding the old pair keeps it.
+        let mut counts = self.aggregates.counts.to_vec();
+        let mut hop_sums = self.aggregates.hop_sums.to_vec();
         for (p, deltas, dcount, dhops) in partials {
             stats.groups_resampled += p.groups_resampled;
             stats.postings_removed += p.postings_removed;
@@ -1233,8 +1243,10 @@ impl WalkIndex {
                 *slot = (*slot as i64 + d) as u64;
             }
         }
-        self.posting_counts = counts.into();
-        self.posting_hop_sums = hop_sums.into();
+        self.aggregates = Arc::new(Aggregates {
+            counts: counts.into(),
+            hop_sums: hop_sums.into(),
+        });
         timer.stop();
         crate::obs::metrics()
             .groups_resampled
@@ -1363,14 +1375,14 @@ impl WalkIndex {
     /// candidate's initial gain in closed form without touching a list.
     #[inline]
     pub fn posting_count(&self, v: NodeId) -> u64 {
-        self.posting_counts[v.index()]
+        self.aggregates.counts[v.index()]
     }
 
     /// `Σ_i Σ_{(src,w) ∈ I[i][v]} w` — the total hop weight of `v`'s
     /// inverted postings across all layers, precomputed at construction.
     #[inline]
     pub fn posting_hop_sum(&self, v: NodeId) -> u64 {
-        self.posting_hop_sums[v.index()]
+        self.aggregates.hop_sums[v.index()]
     }
 
     /// Total bytes of index data: per layer, the inverted SoA posting
@@ -1390,8 +1402,8 @@ impl WalkIndex {
     /// layer moves that layer's share here.
     pub fn heap_bytes(&self) -> usize {
         self.layers.iter().map(|la| la.heap_bytes()).sum::<usize>()
-            + self.posting_counts.heap_bytes()
-            + self.posting_hop_sums.heap_bytes()
+            + self.aggregates.counts.heap_bytes()
+            + self.aggregates.hop_sums.heap_bytes()
     }
 
     /// Bytes of index data borrowed zero-copy from a mapped file (paged in
@@ -1402,8 +1414,8 @@ impl WalkIndex {
             .iter()
             .map(|la| la.mapped_bytes())
             .sum::<usize>()
-            + self.posting_counts.mapped_bytes()
-            + self.posting_hop_sums.mapped_bytes()
+            + self.aggregates.counts.mapped_bytes()
+            + self.aggregates.hop_sums.mapped_bytes()
     }
 
     /// How many of this index's layers still borrow their columns from a
@@ -1548,8 +1560,8 @@ impl WalkIndex {
             write_section(&mut w, &mut crc, &layer.fwd_ids)?;
             write_section(&mut w, &mut crc, &layer.fwd_weights)?;
         }
-        write_section(&mut w, &mut crc, &self.posting_counts)?;
-        write_section(&mut w, &mut crc, &self.posting_hop_sums)?;
+        write_section(&mut w, &mut crc, &self.aggregates.counts)?;
+        write_section(&mut w, &mut crc, &self.aggregates.hop_sums)?;
         w.write_all(&crc.finish().to_le_bytes())?;
         w.flush()
     }
@@ -1725,8 +1737,10 @@ impl WalkIndex {
             layers,
             seed: layout.seed,
             layer_base: layout.layer_base,
-            posting_counts: Column::mapped(region.clone(), layout.counts, n)?,
-            posting_hop_sums: Column::mapped(region.clone(), layout.hop_sums, n)?,
+            aggregates: Arc::new(Aggregates {
+                counts: Column::mapped(region.clone(), layout.counts, n)?,
+                hop_sums: Column::mapped(region.clone(), layout.hop_sums, n)?,
+            }),
         })
     }
 }

@@ -12,9 +12,14 @@
 //! (`CorruptJournal`) rather than silently resurrect a wrong state.
 //!
 //! Why exactness holds: the engine state after any batch prefix is a pure
-//! function of `(base graph, batches, config)`, the journal stores the
-//! canonicalized batches verbatim, and replay runs the normal apply path
-//! — so surviving-prefix replay *is* the surviving-prefix engine.
+//! function of `(base graph, batches, config)`, and the journal stores the
+//! canonicalized batches verbatim. Replay stages the surviving records in
+//! order and commits them once — one refresh per shard against the last
+//! graph and the union of the records' touched sets, one cold maintainer
+//! pass — so surviving-prefix replay *is* the surviving-prefix engine.
+//! Traces run up to 8 batches, so a kill point replays a coalesced suffix
+//! of up to 8 records, deletions of edges an earlier record inserted
+//! included.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +55,7 @@ fn churn_instance() -> impl PropStrategy<Value = (CsrGraph, Vec<EdgeBatch>, u32,
                 proptest::collection::vec((0..n as u32, 0..n as u32), n / 2..=max_edges),
                 proptest::collection::vec(
                     proptest::collection::vec((0u64..u64::MAX, 0..3u8), 1..=5),
-                    1..=3,
+                    1..=8,
                 ),
                 2u32..=6,   // l
                 1usize..=5, // r — shard counts above r are skipped per case

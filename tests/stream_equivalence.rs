@@ -11,8 +11,9 @@
 //! the touched set are re-walked.
 //!
 //! Refreshes also run while a clone of the index is held (the serving
-//! layer's pinned epoch): clones share the walk layers, so the refresh must
-//! leave a pinned layer's bits alone and recycle only layers it holds alone.
+//! layer's pinned epoch): clones share the walk layers and the aggregate
+//! pair, so the refresh must write fresh ones and leave the pinned bits
+//! alone.
 
 use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
