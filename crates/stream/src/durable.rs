@@ -76,8 +76,10 @@ pub enum OpenMode {
     /// after a header walk and one CRC pass, no per-posting deserialize.
     /// Hosts without the mapped path (non-unix or big-endian) fall back to
     /// [`OpenMode::Deserialize`]. The journal replay's one refresh then
-    /// writes exactly the layers the suffix touches to the heap; recovered
-    /// state stays bitwise equal to the deserializing open.
+    /// writes only the rows the suffix changes, into heap overlays over the
+    /// mapped layer bases (a view past the fold share is folded onto the
+    /// heap instead); recovered state stays bitwise equal to the
+    /// deserializing open.
     Mapped,
     /// Parse every shard index into heap-owned columns
     /// ([`WalkIndex::load`]); higher open cost, no pinned file mappings.
@@ -108,8 +110,9 @@ pub struct RecoveryReport {
     pub heap_bytes: usize,
     /// Still-mapped (zero-copy) walk-index column bytes after recovery —
     /// nonzero only for [`OpenMode::Mapped`] opens on hosts with the
-    /// mapped path, and shrunk by whatever layers the journal replay
-    /// promoted.
+    /// mapped path. A replay keeps the layer bases mapped under its
+    /// overlays; it moves the aggregate pair, and any view it folds, to the
+    /// heap.
     pub mapped_bytes: usize,
 }
 
@@ -441,8 +444,8 @@ impl StreamEngine {
         {
             crate::obs::durable_metrics().snapshot_failures.inc();
         }
-        // Commits may have promoted mapped layers to the heap; keep the
-        // resident-vs-mapped gauges truthful.
+        // Commits write overlays and may fold mapped bases onto the heap;
+        // keep the resident-vs-mapped gauges truthful.
         publish_footprint(self);
     }
 }

@@ -135,9 +135,10 @@ pub struct ShardBatchStats {
     pub layers: LayerRange,
     /// Walk groups resampled / postings rewritten inside that range.
     pub refresh: RefreshStats,
-    /// Wall time of the shard's commit: the index refresh and — when a
-    /// snapshot pins the epoch — the index clone before it, which copies
-    /// pointers only (the layers and the aggregate pair are shared).
+    /// Wall time of the shard's commit: the index refresh — its re-walks,
+    /// the overlays of changed rows, and any fold — and, when a snapshot
+    /// pins the epoch, the index clone before it, which copies pointers
+    /// only (the layers and the aggregate pair are shared).
     pub refresh_ms: f64,
 }
 
@@ -348,9 +349,10 @@ pub(crate) fn validate(cfg: &StreamConfig, n: usize, shards: usize) -> Result<()
 /// commit mutates a shard in place when nothing else holds it (the steady
 /// state) or clones it first when something does (`Arc::make_mut`). The
 /// clone copies pointers only — the walk layers and the per-node aggregate
-/// pair are themselves shared `Arc`s — and the refresh replaces each one it
-/// rewrites with a fresh one, so a pinned reader never observes a
-/// mid-refresh index.
+/// pair are themselves shared `Arc`s — and the refresh replaces each layer
+/// it changes with a fresh one (the layer's bases, shared, under a fresh
+/// overlay of the changed rows, or a fold), so a pinned reader never
+/// observes a mid-refresh index.
 #[derive(Debug)]
 pub struct StreamEngine {
     cfg: StreamConfig,

@@ -173,34 +173,189 @@ impl ExactSizeIterator for PostingsIter<'_> {}
 /// `(owner, source, hop)` triple produced while walking, before CSR packing.
 type Triple = (u32, u32, u16);
 
-/// One walk layer: the inverted lists `I[i][·]` for a fixed walk index `i`,
-/// CSR-packed by owner node in struct-of-arrays form, plus the **forward
-/// view** — the transpose CSR keyed by *source*: `fwd_*[src]` lists the
-/// nodes walk `i` from `src` first-visits and at which hop. The forward
-/// columns are always derived from the inverted columns by a two-pass
-/// stable radix transposition (bucket by hop, then counting-sort by
-/// source), so within one forward list the visited nodes appear in
-/// **ascending hop order** (ties by ascending id) — walk-visit order, which
-/// lets incremental-gain repairs stop at the first hop that can no longer
-/// matter. The order is canonical: every construction path, including
-/// `load`, produces it.
-/// Each column is a [`Column`] — heap-owned after a build or refresh,
-/// zero-copy mapped after [`WalkIndex::open_mapped`]. Equality compares
-/// values, so a mapped layer equals the owned layer it was saved from.
-///
-/// A layer is written once and lives behind an [`Arc`], so cloning a
-/// [`WalkIndex`] shares its layers (and its aggregate pair) instead of
-/// copying them. A refresh writes each patched layer as a fresh one, every
-/// column allocated at its exact length, and swaps its `Arc` in; the old
-/// layer is freed when its last holder drops it.
-#[derive(Debug, PartialEq, Eq)]
-struct Layer {
+/// Fold crossover: a refresh that would leave a view's overlay holding more
+/// than this share of the view's postings folds the view into a fresh base
+/// instead (the same shape as the seed maintainer's warm-start crossover).
+/// Below it a commit writes only the rows it changes; above it reads and
+/// re-writes of the overlay would cost what a fresh base costs.
+const FOLD_SHARE: f64 = 0.25;
+
+/// One CSR table in struct-of-arrays form: row `k` is
+/// `ids/weights[offsets[k]..offsets[k + 1]]`. Each column is a [`Column`] —
+/// heap-owned after a build or fold, zero-copy mapped after
+/// [`WalkIndex::open_mapped`] — and is never mutated once written.
+#[derive(Debug)]
+struct Csr {
     offsets: Column<u32>,
     ids: Column<u32>,
     weights: Column<u16>,
-    fwd_offsets: Column<u32>,
-    fwd_ids: Column<u32>,
-    fwd_weights: Column<u16>,
+}
+
+impl Csr {
+    fn owned(offsets: Vec<u32>, ids: Vec<u32>, weights: Vec<u16>) -> Csr {
+        Csr {
+            offsets: offsets.into(),
+            ids: ids.into(),
+            weights: weights.into(),
+        }
+    }
+
+    #[inline]
+    fn row(&self, k: usize) -> PostingsRef<'_> {
+        let lo = self.offsets[k] as usize;
+        let hi = self.offsets[k + 1] as usize;
+        PostingsRef {
+            ids: &self.ids[lo..hi],
+            weights: &self.weights[lo..hi],
+        }
+    }
+
+    fn is_mapped(&self) -> bool {
+        self.offsets.is_mapped() || self.ids.is_mapped() || self.weights.is_mapped()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.offsets.heap_bytes() + self.ids.heap_bytes() + self.weights.heap_bytes()
+    }
+
+    fn mapped_bytes(&self) -> usize {
+        self.offsets.mapped_bytes() + self.ids.mapped_bytes() + self.weights.mapped_bytes()
+    }
+}
+
+/// The replacement rows of one view. Bit `v` of `bits` marks row `v` as
+/// replaced, and the replaced rows are packed in ascending row order in
+/// `rows`, so the membership test and the slot lookup are `O(1)`: row `v`
+/// is `rows.row(rank[v / 64] + popcount(bits[v / 64] below bit v % 64))`.
+#[derive(Debug)]
+struct Overlay {
+    bits: Vec<u64>,
+    /// `rank[w]` = set bits in `bits[..w]`.
+    rank: Vec<u32>,
+    rows: Csr,
+}
+
+impl Overlay {
+    fn new(bits: Vec<u64>, rows: Csr) -> Overlay {
+        let mut rank = Vec::with_capacity(bits.len());
+        let mut below = 0u32;
+        for &word in &bits {
+            rank.push(below);
+            below += word.count_ones();
+        }
+        Overlay { bits, rank, rows }
+    }
+
+    /// The slot of row `v` in `rows`, when the overlay replaces it.
+    #[inline]
+    fn slot(&self, v: usize) -> Option<usize> {
+        let word = self.bits[v / 64];
+        let bit = 1u64 << (v % 64);
+        (word & bit != 0)
+            .then(|| self.rank[v / 64] as usize + (word & (bit - 1)).count_ones() as usize)
+    }
+
+    /// The replaced rows, ascending (their slots are `0, 1, 2, …`).
+    fn replaced(&self) -> impl Iterator<Item = u32> + '_ {
+        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    w as u32 * 64 + b
+                })
+            })
+        })
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.bits.capacity() * 8 + self.rank.capacity() * 4 + self.rows.heap_bytes()
+    }
+}
+
+/// One CSR view of a layer (inverted or forward): an immutable base, shared
+/// by `Arc` with every epoch that has not folded it, under an optional
+/// immutable overlay of replacement rows. Row `v` is read from the overlay
+/// when it replaces `v` and from the base otherwise, as one contiguous
+/// slice either way. A mapped base stays mapped under its overlay; only a
+/// fold writes a new (heap) base.
+#[derive(Debug)]
+struct View {
+    base: Arc<Csr>,
+    overlay: Option<Overlay>,
+    /// Postings across the view's logical rows.
+    len: usize,
+}
+
+impl View {
+    fn new(base: Csr) -> View {
+        View {
+            len: base.ids.len(),
+            base: Arc::new(base),
+            overlay: None,
+        }
+    }
+
+    /// Row count (`n`).
+    fn rows(&self) -> usize {
+        self.base.offsets.len() - 1
+    }
+
+    /// Logical row `v`: the overlay's replacement when there is one, the
+    /// base row otherwise.
+    #[inline]
+    fn row(&self, v: usize) -> PostingsRef<'_> {
+        if let Some(o) = &self.overlay {
+            if let Some(k) = o.slot(v) {
+                return o.rows.row(k);
+            }
+        }
+        self.base.row(v)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.base.heap_bytes() + self.overlay.as_ref().map_or(0, Overlay::heap_bytes)
+    }
+}
+
+/// Equality of logical rows: a view equals another exactly when every row
+/// reads the same, whatever mix of base and overlay serves it.
+impl PartialEq for View {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.rows() == other.rows()
+            && (0..self.rows()).all(|v| self.row(v) == other.row(v))
+    }
+}
+
+impl Eq for View {}
+
+/// One walk layer: the inverted lists `I[i][·]` for a fixed walk index `i`,
+/// CSR-packed by owner node in struct-of-arrays form, plus the **forward
+/// view** — the transpose CSR keyed by *source*: forward row `src` lists
+/// the nodes walk `i` from `src` first-visits and at which hop. A built or
+/// loaded layer's forward view is derived from its inverted view by a
+/// two-pass stable radix transposition (bucket by hop, then counting-sort
+/// by source), so within one forward list the visited nodes appear in
+/// **ascending hop order** (ties by ascending id) — walk-visit order, which
+/// lets incremental-gain repairs stop at the first hop that can no longer
+/// matter. The order is canonical: every construction path, including
+/// `load`, produces it, and a refresh preserves it row by row.
+/// Equality compares logical rows, so a mapped layer equals the owned layer
+/// it was saved from, and an overlaid layer equals its cold rebuild.
+///
+/// A layer is written once and lives behind an [`Arc`], so cloning a
+/// [`WalkIndex`] shares its layers (and its aggregate pair) instead of
+/// copying them. A refresh that changes a layer writes a fresh one: each
+/// view keeps its base and gets a fresh overlay holding the rows the batch
+/// changed plus the old overlay's surviving rows, or — past
+/// [`FOLD_SHARE`] — is folded into a fresh base. The old layer is freed
+/// when its last holder drops it.
+#[derive(Debug, PartialEq, Eq)]
+struct Layer {
+    inv: View,
+    fwd: View,
 }
 
 impl Layer {
@@ -214,44 +369,26 @@ impl Layer {
         fwd_weights: Vec<u16>,
     ) -> Layer {
         Layer {
-            offsets: offsets.into(),
-            ids: ids.into(),
-            weights: weights.into(),
-            fwd_offsets: fwd_offsets.into(),
-            fwd_ids: fwd_ids.into(),
-            fwd_weights: fwd_weights.into(),
+            inv: View::new(Csr::owned(offsets, ids, weights)),
+            fwd: View::new(Csr::owned(fwd_offsets, fwd_ids, fwd_weights)),
         }
     }
 
-    /// Whether any column still borrows from a mapped file.
+    /// Whether either view's base still borrows from a mapped file.
     fn is_mapped(&self) -> bool {
-        self.offsets.is_mapped()
-            || self.ids.is_mapped()
-            || self.weights.is_mapped()
-            || self.fwd_offsets.is_mapped()
-            || self.fwd_ids.is_mapped()
-            || self.fwd_weights.is_mapped()
+        self.inv.base.is_mapped() || self.fwd.base.is_mapped()
     }
 
-    /// Heap bytes owned by this layer's columns.
+    /// Heap bytes owned by this layer's bases and overlays.
     fn heap_bytes(&self) -> usize {
-        self.offsets.heap_bytes()
-            + self.ids.heap_bytes()
-            + self.weights.heap_bytes()
-            + self.fwd_offsets.heap_bytes()
-            + self.fwd_ids.heap_bytes()
-            + self.fwd_weights.heap_bytes()
+        self.inv.heap_bytes() + self.fwd.heap_bytes()
     }
 
     /// Bytes this layer borrows from a mapped file.
     fn mapped_bytes(&self) -> usize {
-        self.offsets.mapped_bytes()
-            + self.ids.mapped_bytes()
-            + self.weights.mapped_bytes()
-            + self.fwd_offsets.mapped_bytes()
-            + self.fwd_ids.mapped_bytes()
-            + self.fwd_weights.mapped_bytes()
+        self.inv.base.mapped_bytes() + self.fwd.base.mapped_bytes()
     }
+
     /// Packs the triples of one layer — supplied as consecutive node-chunk
     /// outputs, in ascending node order — into SoA CSR columns. Counting
     /// sort by owner keeps construction O(n + entries) and preserves the
@@ -348,22 +485,12 @@ impl Layer {
 
     #[inline]
     fn postings(&self, v: NodeId) -> PostingsRef<'_> {
-        let lo = self.offsets[v.index()] as usize;
-        let hi = self.offsets[v.index() + 1] as usize;
-        PostingsRef {
-            ids: &self.ids[lo..hi],
-            weights: &self.weights[lo..hi],
-        }
+        self.inv.row(v.index())
     }
 
     #[inline]
     fn forward(&self, src: NodeId) -> PostingsRef<'_> {
-        let lo = self.fwd_offsets[src.index()] as usize;
-        let hi = self.fwd_offsets[src.index() + 1] as usize;
-        PostingsRef {
-            ids: &self.fwd_ids[lo..hi],
-            weights: &self.fwd_weights[lo..hi],
-        }
+        self.fwd.row(src.index())
     }
 }
 
@@ -451,7 +578,7 @@ impl LayerRange {
 
 /// Per-batch accounting of an incremental [`WalkIndex::refresh`]: how many
 /// `(src, layer)` walk groups were actually re-walked and how many postings
-/// the layer surgery rewrote. The resampled-group count is the
+/// they dropped and produced. The resampled-group count is the
 /// output-sensitivity measure of the evolving-graph pipeline — it scales
 /// with the touched set (via the inverted lists of the touched nodes), not
 /// with `n`.
@@ -488,7 +615,7 @@ pub struct WalkIndex {
     n: usize,
     l: u32,
     /// Shared with every clone of the index (a pinned epoch); a refresh
-    /// swaps in fresh `Arc`s only for the layers it patches.
+    /// swaps in fresh `Arc`s only for the layers whose rows it changes.
     layers: Vec<Arc<Layer>>,
     seed: u64,
     /// Absolute index of `layers[0]` in the full `R`-layer index. `0` for a
@@ -573,26 +700,22 @@ fn walk_one<G: WalkGraph>(
 }
 
 /// Per-worker scratch for incremental layer patching: stamped affected-set
-/// marks (reset-free across layers) and the worker's staged per-node
-/// aggregate deltas. It holds no column buffers: each patched layer's
-/// columns are allocated fresh, at their exact final length.
+/// marks (reset-free across layers), the worker's staged per-node
+/// aggregate deltas, and reused buffers for the net edits re-sorted into
+/// inverted-row order. It holds no column buffers: each overlay or folded
+/// base is allocated fresh, at its exact final length.
 struct PatchScratch {
     visit: VisitScratch,
     /// `affected[src] == stamp` ⟺ src's walk group resamples this layer.
     affected: Vec<u32>,
-    /// `owner_stamp[v] == stamp` ⟺ `v`'s inverted row loses or gains a
-    /// posting this layer (and must be re-merged instead of spliced), i.e.
-    /// `v` is already in `owners`.
-    owner_stamp: Vec<u32>,
-    /// The owners stamped this layer, ascending after step 3 of
-    /// [`patch_layer`]; the rows between them are spliced in bulk.
-    owners: Vec<u32>,
     stamp: u32,
     /// Σ over this worker's layers of posting-count changes per node.
     agg_dcount: Vec<i64>,
     /// Σ over this worker's layers of hop-sum changes per node.
     agg_dhops: Vec<i64>,
-    /// Reused staging for the fresh postings re-sorted by `(owner, src)`.
+    /// The layer's net removals re-sorted by `(owner, src)`.
+    drops: Vec<Triple>,
+    /// The layer's net additions re-sorted by `(owner, src)`.
     adds: Vec<Triple>,
 }
 
@@ -601,77 +724,184 @@ impl PatchScratch {
         PatchScratch {
             visit: VisitScratch::new(n),
             affected: vec![u32::MAX; n],
-            owner_stamp: vec![u32::MAX; n],
-            owners: Vec::new(),
             stamp: 0,
             agg_dcount: vec![0; n],
             agg_dhops: vec![0; n],
+            drops: Vec::new(),
             adds: Vec::new(),
         }
     }
 
-    /// Advances to a fresh stamp for both mark arrays (same wrap policy as
+    /// Advances to a fresh affected-set stamp (same wrap policy as
     /// [`VisitScratch`]).
     fn next_stamp(&mut self) -> u32 {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == u32::MAX {
             self.affected.fill(u32::MAX);
-            self.owner_stamp.fill(u32::MAX);
             self.stamp = 1;
         }
         self.stamp
     }
 }
 
-/// Appends CSR rows `rows` of the view `(offsets, ids, weights)` verbatim:
-/// one bulk copy per posting column and one wrapping add that rebases the
-/// run's offsets onto the output's current length. The rebased offsets are
-/// exact because every output offset fits in `u32` (checked by the caller).
+/// Appends base rows `rows` verbatim: one bulk copy per posting column and
+/// one wrapping add that rebases the run's offsets onto the output's
+/// current length. The rebased offsets are exact because every output
+/// offset fits in `u32` (checked by the caller).
 fn splice_rows(
-    old: (&[u32], &[u32], &[u16]),
+    base: &Csr,
     rows: std::ops::Range<usize>,
     offsets: &mut Vec<u32>,
     ids: &mut Vec<u32>,
     weights: &mut Vec<u16>,
 ) {
-    let (old_offsets, old_ids, old_weights) = old;
-    let lo = old_offsets[rows.start] as usize;
-    let hi = old_offsets[rows.end] as usize;
+    let lo = base.offsets[rows.start] as usize;
+    let hi = base.offsets[rows.end] as usize;
     let shift = (ids.len() as u32).wrapping_sub(lo as u32);
     offsets.extend(
-        old_offsets[rows.start + 1..=rows.end]
+        base.offsets[rows.start + 1..=rows.end]
             .iter()
             .map(|&o| o.wrapping_add(shift)),
     );
-    ids.extend_from_slice(&old_ids[lo..hi]);
-    weights.extend_from_slice(&old_weights[lo..hi]);
+    ids.extend_from_slice(&base.ids[lo..hi]);
+    weights.extend_from_slice(&base.weights[lo..hi]);
+}
+
+/// The next epoch of one view — the one ordered merge behind every view
+/// write. `changed` lists the rows this batch rewrites, ascending, each
+/// with its new length, and `emit(i, ids, weights)` appends the new
+/// postings of row `changed[i].0`.
+///
+/// The merge walks the next overlay's rows in ascending order: every
+/// changed row, and every row of the old overlay the batch leaves alone.
+/// Unless `force_fold`, the result keeps the old base (owned or mapped)
+/// under a fresh overlay of exactly those rows, when their postings stay
+/// within [`FOLD_SHARE`] of the view's. Otherwise the same merge also
+/// splices the base runs between those rows, and the view folds into a
+/// fresh base with no overlay. Either way every column is allocated at its
+/// exact final length, and the old view is only read.
+fn rewrite_view(
+    old: &View,
+    changed: &[(u32, u32)],
+    force_fold: bool,
+    mut emit: impl FnMut(usize, &mut Vec<u32>, &mut Vec<u16>),
+) -> View {
+    let n = old.rows();
+    // Each row of the next overlay picks its source: `Ok(i)` is
+    // `changed[i]`, `Err(k)` the old overlay's slot `k`.
+    let carried = old.overlay.as_ref().map_or(0, |o| o.rows.offsets.len() - 1);
+    let mut picks: Vec<(u32, Result<usize, usize>)> = Vec::with_capacity(changed.len() + carried);
+    let mut kept = old
+        .overlay
+        .iter()
+        .flat_map(|o| o.replaced().enumerate())
+        .peekable();
+    for (i, &(v, _)) in changed.iter().enumerate() {
+        while let Some((k, w)) = kept.next_if(|&(_, w)| w <= v) {
+            if w < v {
+                picks.push((w, Err(k)));
+            }
+        }
+        picks.push((v, Ok(i)));
+    }
+    picks.extend(kept.map(|(k, w)| (w, Err(k))));
+
+    let kept_row = |k: usize| {
+        old.overlay
+            .as_ref()
+            .expect("kept rows come from an overlay")
+            .rows
+            .row(k)
+    };
+    let overlay_len: usize = picks
+        .iter()
+        .map(|&(_, pick)| match pick {
+            Ok(i) => changed[i].1 as usize,
+            Err(k) => kept_row(k).len(),
+        })
+        .sum();
+    let len = changed.iter().fold(old.len, |len, &(v, l)| {
+        len + l as usize - old.row(v as usize).len()
+    });
+    assert!(
+        len <= u32::MAX as usize,
+        "layer posting count {len} overflows u32 CSR offsets"
+    );
+    let fold = force_fold || overlay_len as f64 > FOLD_SHARE * len as f64;
+
+    let (rows, postings) = if fold {
+        (n, len)
+    } else {
+        (picks.len(), overlay_len)
+    };
+    let mut offsets = Vec::with_capacity(rows + 1);
+    offsets.push(0u32);
+    let mut ids = Vec::with_capacity(postings);
+    let mut weights = Vec::with_capacity(postings);
+    let mut bits = vec![0u64; if fold { 0 } else { n.div_ceil(64) }];
+    let mut next = 0usize; // first base row not yet spliced (fold only)
+    for &(v, pick) in &picks {
+        let v = v as usize;
+        if fold {
+            splice_rows(&old.base, next..v, &mut offsets, &mut ids, &mut weights);
+            next = v + 1;
+        } else {
+            bits[v / 64] |= 1 << (v % 64);
+        }
+        match pick {
+            Ok(i) => {
+                emit(i, &mut ids, &mut weights);
+                debug_assert_eq!(
+                    ids.len() - *offsets.last().unwrap() as usize,
+                    changed[i].1 as usize
+                );
+            }
+            Err(k) => {
+                let row = kept_row(k);
+                ids.extend_from_slice(row.ids);
+                weights.extend_from_slice(row.weights);
+            }
+        }
+        offsets.push(ids.len() as u32);
+    }
+    if !fold {
+        return View {
+            base: old.base.clone(),
+            overlay: Some(Overlay::new(bits, Csr::owned(offsets, ids, weights))),
+            len,
+        };
+    }
+    splice_rows(&old.base, next..n, &mut offsets, &mut ids, &mut weights);
+    View::new(Csr::owned(offsets, ids, weights))
 }
 
 /// Patches one layer for the next graph epoch: detects the affected walk
 /// groups through the *old* inverted lists of the touched nodes, re-walks
-/// exactly those groups on the new graph, and writes both CSR views of the
-/// next epoch once — each maximal run of untouched rows is spliced in bulk
-/// ([`splice_rows`]), only rows with stale or fresh postings are re-merged.
-/// The canonical orders are preserved exactly (inverted rows: ascending
-/// source; forward rows: ascending hop = walk order), so the patched layer
-/// is bit-identical to the layer a from-scratch build on the new graph
-/// would produce.
-///
-/// The old layer is only read (through its `Arc`, which a pinned snapshot
-/// may share); the patched layer is written into six fresh columns, each
-/// allocated at its exact final length (`n + 1` offsets, `new_total`
-/// postings), and replaces the `Arc` in `layer`.
+/// exactly those groups on the new graph, and writes only the rows whose
+/// postings changed ([`rewrite_view`]). The canonical orders are preserved
+/// exactly (inverted rows: ascending source; forward rows: ascending hop =
+/// walk order), so the patched layer is bit-identical, row for row, to the
+/// layer a from-scratch build on the new graph would produce.
 ///
 /// When at least one group resampled, the layer's **net** edit script (see
 /// [`LayerDelta`]) is appended to `deltas`: each affected group's old and
 /// new forward rows are merged in hop order and verbatim reproductions
 /// cancel at the source, so the script holds only postings that actually
 /// differ — a resampled walk that never diverges contributes nothing, and
-/// downstream absorption is `O(net)` rather than `O(gross)`.
+/// downstream absorption is `O(net)` rather than `O(gross)`. The same
+/// script decides which rows are written: in the inverted view the owners
+/// it names, in the forward view the sources whose row is not a verbatim
+/// reproduction. Every other row is byte-identical and stays where it is.
+///
+/// The old layer is only read (through its `Arc`, which a pinned snapshot
+/// may share, and only through the row accessors). A layer whose script
+/// is empty is left as it is; otherwise each view is rewritten into a
+/// fresh overlay over its old base, or folded past [`FOLD_SHARE`], and the
+/// fresh layer replaces the `Arc` in `layer`. Returns the accounting and
+/// the number of views folded.
 #[allow(clippy::too_many_arguments)]
 fn patch_layer<G: WalkGraph>(
     layer: &mut Arc<Layer>,
-    n: usize,
     l: u32,
     seed: u64,
     layer_idx: usize,
@@ -679,7 +909,7 @@ fn patch_layer<G: WalkGraph>(
     g: &G,
     ws: &mut PatchScratch,
     deltas: &mut Vec<LayerDelta>,
-) -> RefreshStats {
+) -> (RefreshStats, usize) {
     let old: &Layer = layer;
     let mut out = RefreshStats::default();
     // --- 1. affected groups: touched sources ∪ sources visiting them ----
@@ -700,12 +930,12 @@ fn patch_layer<G: WalkGraph>(
     affected_srcs.sort_unstable();
     out.groups_resampled = affected_srcs.len();
     if affected_srcs.is_empty() {
-        return out;
+        return (out, 0);
     }
 
     // --- 2. re-walk affected groups with their original RNG streams -----
     // Ascending source order makes the triple stream canonical; per-source
-    // bounds let the forward patch splice each group back in directly.
+    // bounds delimit each group's new forward row.
     let mut new_triples: Vec<Triple> = Vec::with_capacity(affected_srcs.len() * 4);
     let mut new_src_bounds: Vec<u32> = Vec::with_capacity(affected_srcs.len() + 1);
     new_src_bounds.push(0);
@@ -723,68 +953,38 @@ fn patch_layer<G: WalkGraph>(
     }
     out.postings_added = new_triples.len();
 
-    // --- 3. per-owner deltas: stale rows, fresh rows, aggregate edits ---
-    // Owners needing a re-merge are exactly those losing a stale posting
-    // (they appear in an affected source's old forward list) or gaining a
-    // fresh one; every other row is spliced wholesale below.
-    ws.owners.clear();
-    for &src in &affected_srcs {
-        let lo = old.fwd_offsets[src as usize] as usize;
-        let hi = old.fwd_offsets[src as usize + 1] as usize;
-        out.postings_removed += hi - lo;
-        for k in lo..hi {
-            let owner = old.fwd_ids[k] as usize;
-            if ws.owner_stamp[owner] != stamp {
-                ws.owner_stamp[owner] = stamp;
-                ws.owners.push(owner as u32);
-            }
-            ws.agg_dcount[owner] -= 1;
-            ws.agg_dhops[owner] -= old.fwd_weights[k] as i64;
-        }
-    }
-    // The fresh postings re-sorted by `(owner, src)` — the inverted rows'
-    // canonical order. The sort is over the (small) add set only, so the
-    // patch stays proportional to the churn, not to `n`.
-    ws.adds.clear();
-    ws.adds.extend_from_slice(&new_triples);
-    ws.adds
-        .sort_unstable_by_key(|&(owner, src, _)| (owner, src));
-    for &(owner, _, hop) in &ws.adds {
-        if ws.owner_stamp[owner as usize] != stamp {
-            ws.owner_stamp[owner as usize] = stamp;
-            ws.owners.push(owner);
-        }
-        ws.agg_dcount[owner as usize] += 1;
-        ws.agg_dhops[owner as usize] += hop as i64;
-    }
-    ws.owners.sort_unstable();
-
-    // --- 3b. net edit script: verbatim reproductions cancel here --------
+    // --- 3. net edit script: verbatim reproductions cancel here --------
     // A resampled walk that diverges late (or never) re-emits most of its
-    // old forward row byte for byte; the gain engine only cares about the
-    // difference. Both rows are hop-ascending (walk order), so one ordered
-    // merge per group emits exactly the net edits — downstream absorption
-    // is O(net), and a fully reproduced group contributes nothing at all.
+    // old forward row byte for byte; neither the gain engine nor the views
+    // care about that part. Both rows are hop-ascending (walk order), so
+    // one ordered merge per group emits exactly the net edits, and a fully
+    // reproduced group contributes nothing at all.
     let mut removed: Vec<Triple> = Vec::new();
     let mut added: Vec<Triple> = Vec::new();
+    // Forward rows to rewrite (source, new length), with their groups.
+    let mut fwd_rows: Vec<(u32, u32)> = Vec::new();
+    let mut fwd_groups: Vec<usize> = Vec::new();
     for (gi, &src) in affected_srcs.iter().enumerate() {
-        let lo = old.fwd_offsets[src as usize] as usize;
-        let hi = old.fwd_offsets[src as usize + 1] as usize;
-        let tlo = new_src_bounds[gi] as usize;
-        let thi = new_src_bounds[gi + 1] as usize;
-        let same = hi - lo == thi - tlo
-            && (0..hi - lo).all(|k| {
-                let (owner, _, hop) = new_triples[tlo + k];
-                old.fwd_ids[lo + k] == owner && old.fwd_weights[lo + k] == hop
-            });
+        let row = old.forward(NodeId(src));
+        out.postings_removed += row.len();
+        let fresh = &new_triples[new_src_bounds[gi] as usize..new_src_bounds[gi + 1] as usize];
+        let same = row.len() == fresh.len()
+            && row
+                .ids
+                .iter()
+                .zip(row.weights)
+                .zip(fresh)
+                .all(|((&id, &hop), &(owner, _, h))| id == owner && hop == h);
         if same {
             continue;
         }
-        let (mut k, mut t) = (lo, tlo);
-        while k < hi || t < thi {
+        fwd_rows.push((src, fresh.len() as u32));
+        fwd_groups.push(gi);
+        let (mut k, mut t) = (0usize, 0usize);
+        while k < row.len() || t < fresh.len() {
             // Order within a group is strictly ascending hop on both sides.
-            let old_key = (k < hi).then(|| (old.fwd_weights[k], old.fwd_ids[k]));
-            let new_key = (t < thi).then(|| (new_triples[t].2, new_triples[t].0));
+            let old_key = (k < row.len()).then(|| (row.weights[k], row.ids[k]));
+            let new_key = (t < fresh.len()).then(|| (fresh[t].2, fresh[t].0));
             match (old_key, new_key) {
                 (Some(o), Some(w)) if o == w => {
                     k += 1;
@@ -795,7 +995,7 @@ fn patch_layer<G: WalkGraph>(
                     k += 1;
                 }
                 (Some(_), Some(_)) | (None, Some(_)) => {
-                    added.push(new_triples[t]);
+                    added.push(fresh[t]);
                     t += 1;
                 }
                 (Some(o), None) => {
@@ -806,104 +1006,104 @@ fn patch_layer<G: WalkGraph>(
             }
         }
     }
+    if fwd_rows.is_empty() {
+        // Every resampled walk came out verbatim: the layer is unchanged.
+        deltas.push(LayerDelta {
+            layer: layer_idx,
+            removed,
+            added,
+        });
+        return (out, 0);
+    }
 
-    // --- 4. inverted columns: untouched runs spliced, owners re-merged ---
-    let new_total = old.ids.len() + out.postings_added - out.postings_removed;
-    assert!(
-        new_total <= u32::MAX as usize,
-        "layer posting count {new_total} overflows u32 CSR offsets"
-    );
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u32);
-    let mut ids = Vec::with_capacity(new_total);
-    let mut weights = Vec::with_capacity(new_total);
-    let inv = (&old.offsets[..], &old.ids[..], &old.weights[..]);
-    let mut row = 0usize; // first old row not yet emitted
-    let mut ac = 0usize; // cursor into ws.adds (owner-ascending)
-    for &v in &ws.owners {
-        let v = v as usize;
-        splice_rows(inv, row..v, &mut offsets, &mut ids, &mut weights);
-        // Merge kept old entries (stale sources dropped) with this owner's
-        // adds, both ascending by source id. All adds belong to stamped
-        // owners, and owners are visited ascending, so the cursor is
-        // already positioned at `v`'s first add.
-        let mut ahi = ac;
-        while ahi < ws.adds.len() && ws.adds[ahi].0 as usize == v {
-            ahi += 1;
+    // --- 4. inverted rows: the owners the net script names --------------
+    // The net edits re-sorted by `(owner, src)` — the inverted rows'
+    // canonical order. The sorts cover the (small) net script only, so the
+    // patch stays proportional to the churn, not to `n`.
+    ws.drops.clear();
+    ws.drops.extend_from_slice(&removed);
+    ws.drops
+        .sort_unstable_by_key(|&(owner, src, _)| (owner, src));
+    ws.adds.clear();
+    ws.adds.extend_from_slice(&added);
+    ws.adds
+        .sort_unstable_by_key(|&(owner, src, _)| (owner, src));
+    for &(owner, _, hop) in &ws.drops {
+        ws.agg_dcount[owner as usize] -= 1;
+        ws.agg_dhops[owner as usize] -= hop as i64;
+    }
+    for &(owner, _, hop) in &ws.adds {
+        ws.agg_dcount[owner as usize] += 1;
+        ws.agg_dhops[owner as usize] += hop as i64;
+    }
+    let (drops, adds) = (&ws.drops, &ws.adds);
+    let mut inv_rows: Vec<(u32, u32)> = Vec::new();
+    let (mut d, mut a) = (0usize, 0usize);
+    while d < drops.len() || a < adds.len() {
+        let v = match (drops.get(d), adds.get(a)) {
+            (Some(x), Some(y)) => x.0.min(y.0),
+            (Some(x), None) | (None, Some(x)) => x.0,
+            (None, None) => unreachable!(),
+        };
+        let (d0, a0) = (d, a);
+        while d < drops.len() && drops[d].0 == v {
+            d += 1;
         }
-        for k in old.offsets[v] as usize..old.offsets[v + 1] as usize {
-            let src = old.ids[k];
-            if ws.affected[src as usize] == stamp {
+        while a < adds.len() && adds[a].0 == v {
+            a += 1;
+        }
+        let len = old.postings(NodeId(v)).len() + (a - a0) - (d - d0);
+        inv_rows.push((v, len as u32));
+    }
+    // Each rewritten owner row: its old row with the dropped sources left
+    // out and the added ones merged in, both ascending by source. Rows are
+    // emitted ascending, so both cursors only move forward.
+    let (mut d, mut a) = (0usize, 0usize);
+    let inv = rewrite_view(&old.inv, &inv_rows, false, |i, ids, weights| {
+        let v = inv_rows[i].0;
+        let row = old.inv.row(v as usize);
+        for (&src, &hop) in row.ids.iter().zip(row.weights) {
+            if d < drops.len() && drops[d].0 == v && drops[d].1 == src {
+                d += 1;
                 continue;
             }
-            while ac < ahi && ws.adds[ac].1 < src {
-                ids.push(ws.adds[ac].1);
-                weights.push(ws.adds[ac].2);
-                ac += 1;
+            while a < adds.len() && adds[a].0 == v && adds[a].1 < src {
+                ids.push(adds[a].1);
+                weights.push(adds[a].2);
+                a += 1;
             }
-            ids.push(src);
-            weights.push(old.weights[k]);
-        }
-        for &(_, src, hop) in &ws.adds[ac..ahi] {
             ids.push(src);
             weights.push(hop);
         }
-        ac = ahi;
-        offsets.push(ids.len() as u32);
-        row = v + 1;
-    }
-    splice_rows(inv, row..n, &mut offsets, &mut ids, &mut weights);
-
-    // --- 5. forward columns: affected rows replaced, runs spliced -------
-    let mut fwd_offsets = Vec::with_capacity(n + 1);
-    fwd_offsets.push(0u32);
-    let mut fwd_ids = Vec::with_capacity(new_total);
-    let mut fwd_weights = Vec::with_capacity(new_total);
-    let fwd = (&old.fwd_offsets[..], &old.fwd_ids[..], &old.fwd_weights[..]);
-    let mut row = 0usize;
-    for (gi, &src) in affected_srcs.iter().enumerate() {
-        let src = src as usize;
-        splice_rows(
-            fwd,
-            row..src,
-            &mut fwd_offsets,
-            &mut fwd_ids,
-            &mut fwd_weights,
-        );
-        let tlo = new_src_bounds[gi] as usize;
-        let thi = new_src_bounds[gi + 1] as usize;
-        for &(owner, _, hop) in &new_triples[tlo..thi] {
-            fwd_ids.push(owner);
-            fwd_weights.push(hop);
+        while a < adds.len() && adds[a].0 == v {
+            ids.push(adds[a].1);
+            weights.push(adds[a].2);
+            a += 1;
         }
-        fwd_offsets.push(fwd_ids.len() as u32);
-        row = src + 1;
-    }
-    splice_rows(
-        fwd,
-        row..n,
-        &mut fwd_offsets,
-        &mut fwd_ids,
-        &mut fwd_weights,
-    );
+    });
 
-    // Swap the fresh (always owned) layer in. The displaced one is freed
-    // here unless a snapshot still shares it; when it was mapped, exactly
-    // this layer leaves the file region and untouched layers stay mapped.
-    *layer = Arc::new(Layer::owned(
-        offsets,
-        ids,
-        weights,
-        fwd_offsets,
-        fwd_ids,
-        fwd_weights,
-    ));
+    // --- 5. forward rows: the sources whose walk changed -----------------
+    let fwd = rewrite_view(&old.fwd, &fwd_rows, false, |i, ids, weights| {
+        let gi = fwd_groups[i];
+        for &(owner, _, hop) in
+            &new_triples[new_src_bounds[gi] as usize..new_src_bounds[gi + 1] as usize]
+        {
+            ids.push(owner);
+            weights.push(hop);
+        }
+    });
+
+    // Swap the fresh layer in. The displaced one is freed here unless a
+    // snapshot still shares it; its bases live on in the fresh layer
+    // unless they folded.
+    let folds = usize::from(inv.overlay.is_none()) + usize::from(fwd.overlay.is_none());
+    *layer = Arc::new(Layer { inv, fwd });
     deltas.push(LayerDelta {
         layer: layer_idx,
         removed,
         added,
     });
-    out
+    (out, folds)
 }
 
 /// Walks nodes `[lo, hi)` of one layer, appending first-visit triples.
@@ -1033,7 +1233,7 @@ impl WalkIndex {
     /// [`WalkIndex::refresh`] path (all sums are integers, so the result is
     /// independent of the worker layout).
     fn compute_aggregates(n: usize, layers: &[Arc<Layer>], threads: usize) -> (Vec<u64>, Vec<u64>) {
-        let total: usize = layers.iter().map(|la| la.ids.len()).sum();
+        let total: usize = layers.iter().map(|la| la.inv.len).sum();
         let mut posting_counts = vec![0u64; n];
         let mut posting_hop_sums = vec![0u64; n];
         let chunk = parallel::part_len(n, n + total, threads);
@@ -1045,11 +1245,10 @@ impl WalkIndex {
             let lo = ci * chunk;
             for layer in layers {
                 for (slot, v) in (lo..lo + counts.len()).enumerate() {
-                    let a = layer.offsets[v] as usize;
-                    let b = layer.offsets[v + 1] as usize;
-                    counts[slot] += (b - a) as u64;
+                    let row = layer.inv.row(v);
+                    counts[slot] += row.len() as u64;
                     let mut s = 0u64;
-                    for &w in &layer.weights[a..b] {
+                    for &w in row.weights {
                         s += w as u64;
                     }
                     sums[slot] += s;
@@ -1133,16 +1332,15 @@ impl WalkIndex {
     /// [`WeightedCsrGraph::with_edits`](rwd_graph::weighted::WeightedCsrGraph::with_edits),
     /// which patches alias tables only for touched rows), re-walks exactly
     /// the `(src, layer)` groups the churn can have changed and replaces
-    /// each layer holding one with its patched successor (clones of the
+    /// each layer whose rows they change with its successor (clones of the
     /// index sharing the old layer keep it). `threads` is the worker count
     /// (`0` = all cores); the maintained index is **bit-identical** to
     /// [`WalkIndex::build`] on the new graph at any worker count.
     ///
     /// Returns the refresh's accounting and its edit script: per resampled
     /// `(src, layer)` group, the inverted postings dropped and produced
-    /// (see [`PostingDelta`]). The script is assembled from buffers the
-    /// layer surgery materializes anyway, so it costs
-    /// `O(postings rewritten)`.
+    /// (see [`PostingDelta`]). The same net script decides which rows the
+    /// refresh writes, so it costs `O(postings rewritten)`.
     ///
     /// Why resampling only touched groups is exact: a walk is a pure
     /// function of its counter-based `(seed, src, layer)` RNG stream and of
@@ -1165,9 +1363,14 @@ impl WalkIndex {
     /// the node universe.
     ///
     /// Layers fan out over workers; each layer is patched independently by
-    /// `patch_layer` (affected-group detection → selective re-walk →
-    /// bulk-spliced column rebuild), and each worker accumulates integer
-    /// deltas for the per-node aggregates that are applied after the join.
+    /// `patch_layer` (affected-group detection → selective re-walk → net
+    /// edit script → the changed rows of each view written into a fresh
+    /// overlay over the view's unchanged base), and each worker accumulates
+    /// integer deltas for the per-node aggregates that are applied after
+    /// the join. A view whose overlay would pass [`FOLD_SHARE`] of its
+    /// postings is folded into a fresh base instead; the
+    /// `rwd_walks_overlay_folds_total` counter counts those views, so a
+    /// slow fold commit can be told apart from an overlay commit.
     pub fn refresh<G: WalkGraph>(
         &mut self,
         g: &G,
@@ -1202,10 +1405,10 @@ impl WalkIndex {
             let mut ws = PatchScratch::new(n);
             let mut out = RefreshStats::default();
             let mut deltas = Vec::new();
+            let mut folds = 0;
             for (off, layer) in layers.iter_mut().enumerate() {
-                let part = patch_layer(
+                let (part, folded) = patch_layer(
                     layer,
-                    n,
                     l,
                     seed,
                     layer_base + ci * chunk + off,
@@ -1217,8 +1420,9 @@ impl WalkIndex {
                 out.groups_resampled += part.groups_resampled;
                 out.postings_removed += part.postings_removed;
                 out.postings_added += part.postings_added;
+                folds += folded;
             }
-            (out, deltas, ws.agg_dcount, ws.agg_dhops)
+            (out, deltas, folds, ws.agg_dcount, ws.agg_dhops)
         });
         // Chunks are gathered in layer order, so concatenating their edit
         // scripts keeps the delta ascending by absolute layer — the same
@@ -1229,7 +1433,9 @@ impl WalkIndex {
         // and a clone holding the old pair keeps it.
         let mut counts = self.aggregates.counts.to_vec();
         let mut hop_sums = self.aggregates.hop_sums.to_vec();
-        for (p, deltas, dcount, dhops) in partials {
+        let mut folds = 0;
+        for (p, deltas, folded, dcount, dhops) in partials {
+            folds += folded;
             stats.groups_resampled += p.groups_resampled;
             stats.postings_removed += p.postings_removed;
             stats.postings_added += p.postings_added;
@@ -1248,9 +1454,9 @@ impl WalkIndex {
             hop_sums: hop_sums.into(),
         });
         timer.stop();
-        crate::obs::metrics()
-            .groups_resampled
-            .add(stats.groups_resampled as u64);
+        let metrics = crate::obs::metrics();
+        metrics.groups_resampled.add(stats.groups_resampled as u64);
+        metrics.overlay_folds.add(folds as u64);
         (stats, delta)
     }
 
@@ -1366,7 +1572,7 @@ impl WalkIndex {
     /// Total number of stored postings (≤ nRL), counting each walk visit
     /// once (the forward view mirrors the same entries and is not counted).
     pub fn total_postings(&self) -> usize {
-        self.layers.iter().map(|l| l.ids.len()).sum()
+        self.layers.iter().map(|l| l.inv.len).sum()
     }
 
     /// `Σ_i |I[i][v]|` — how many inverted postings `v` owns across all
@@ -1388,18 +1594,22 @@ impl WalkIndex {
     /// Total bytes of index data: per layer, the inverted SoA posting
     /// columns (4-byte ids + 2-byte hop weights) **and** the forward-view
     /// columns of the same shape — 12 bytes per posting in total — plus
-    /// one 4-byte CSR offset per node per view and the per-node aggregate
-    /// tables. Always equals [`WalkIndex::heap_bytes`] `+`
-    /// [`WalkIndex::mapped_bytes`]; for a fully owned index it is all
-    /// heap, for a freshly mapped one almost all file-backed.
+    /// one 4-byte CSR offset per node per view, each view's overlay of
+    /// replacement rows (its bitset and rank, 12 bytes per 64 nodes, plus
+    /// its own offsets and postings; base rows it shadows still count),
+    /// and the per-node aggregate tables. Always equals
+    /// [`WalkIndex::heap_bytes`] `+` [`WalkIndex::mapped_bytes`]; for a
+    /// fully owned index it is all heap, for a freshly mapped one almost
+    /// all file-backed.
     pub fn memory_bytes(&self) -> usize {
         self.heap_bytes() + self.mapped_bytes()
     }
 
     /// Bytes of index data owned on the heap (the resident-set cost the
     /// process pays unconditionally), counted as each column's allocation.
-    /// A freshly mapped index owns nothing; every refresh that touches a
-    /// layer moves that layer's share here.
+    /// A freshly mapped index owns nothing. A refresh adds the overlays it
+    /// writes (bitset, rank and replacement rows) and the aggregate pair;
+    /// only a fold moves a view's base here.
     pub fn heap_bytes(&self) -> usize {
         self.layers.iter().map(|la| la.heap_bytes()).sum::<usize>()
             + self.aggregates.counts.heap_bytes()
@@ -1418,8 +1628,9 @@ impl WalkIndex {
             + self.aggregates.hop_sums.mapped_bytes()
     }
 
-    /// How many of this index's layers still borrow their columns from a
-    /// mapped file (a refresh rewrites every layer it patches on the heap).
+    /// How many of this index's layers still borrow a view's base from a
+    /// mapped file. A refresh writes its changed rows into heap overlays
+    /// and leaves the bases mapped; only a fold moves a base to the heap.
     pub fn mapped_layers(&self) -> usize {
         self.layers.iter().filter(|la| la.is_mapped()).count()
     }
@@ -1529,7 +1740,10 @@ impl WalkIndex {
     /// every host. Storing both CSR views and the aggregates lets
     /// [`WalkIndex::open_mapped`] serve the file without computing
     /// anything; a layer-range shard records its absolute layer base, so a
-    /// reopened shard refreshes with the right RNG streams.
+    /// reopened shard refreshes with the right RNG streams. A view under an
+    /// overlay is written as its fold: it is folded into a temporary, one
+    /// view at a time, so the file is byte for byte the one a cold build
+    /// of the same rows writes, and the live index keeps its overlays.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         use std::io::Write;
         let file = std::fs::File::create(path)?;
@@ -1548,17 +1762,23 @@ impl WalkIndex {
             header.extend_from_slice(&v.to_le_bytes());
         }
         for layer in &self.layers {
-            header.extend_from_slice(&(layer.ids.len() as u64).to_le_bytes());
+            header.extend_from_slice(&(layer.inv.len as u64).to_le_bytes());
         }
         crc.update(&header);
         w.write_all(&header)?;
         for layer in &self.layers {
-            write_section(&mut w, &mut crc, &layer.offsets)?;
-            write_section(&mut w, &mut crc, &layer.ids)?;
-            write_section(&mut w, &mut crc, &layer.weights)?;
-            write_section(&mut w, &mut crc, &layer.fwd_offsets)?;
-            write_section(&mut w, &mut crc, &layer.fwd_ids)?;
-            write_section(&mut w, &mut crc, &layer.fwd_weights)?;
+            for view in [&layer.inv, &layer.fwd] {
+                // An overlaid view is folded into a temporary first, so the
+                // file holds exactly the folded view's columns.
+                let folded = view
+                    .overlay
+                    .is_some()
+                    .then(|| rewrite_view(view, &[], true, |_, _, _| {}));
+                let csr = &folded.as_ref().unwrap_or(view).base;
+                write_section(&mut w, &mut crc, &csr.offsets)?;
+                write_section(&mut w, &mut crc, &csr.ids)?;
+                write_section(&mut w, &mut crc, &csr.weights)?;
+            }
         }
         write_section(&mut w, &mut crc, &self.aggregates.counts)?;
         write_section(&mut w, &mut crc, &self.aggregates.hop_sums)?;
@@ -1675,8 +1895,9 @@ impl WalkIndex {
     /// to postings. Pages fault in on first touch and remain evictable, so
     /// a 100M-posting index answers its first point query at page-cache
     /// speed. The opened index is **bitwise equal** (by value) to
-    /// [`WalkIndex::load`] of the same file; a refresh writes each layer
-    /// it patches afresh on the heap, and untouched layers stay mapped.
+    /// [`WalkIndex::load`] of the same file. A refresh writes only the rows
+    /// it changes, into heap overlays over the mapped bases; a base leaves
+    /// the map only when a fold rewrites its view.
     ///
     /// Requires a little-endian unix host (the on-disk columns are the LE
     /// in-memory image); elsewhere use [`WalkIndex::load`].
@@ -1721,12 +1942,16 @@ impl WalkIndex {
             let fwd_offsets: Column<u32> = Column::mapped(region.clone(), spec.fwd_offsets, n + 1)?;
             validate_mapped_offsets(&fwd_offsets, spec.entries)?;
             layers.push(Arc::new(Layer {
-                offsets,
-                ids: Column::mapped(region.clone(), spec.ids, spec.entries)?,
-                weights: Column::mapped(region.clone(), spec.weights, spec.entries)?,
-                fwd_offsets,
-                fwd_ids: Column::mapped(region.clone(), spec.fwd_ids, spec.entries)?,
-                fwd_weights: Column::mapped(region.clone(), spec.fwd_weights, spec.entries)?,
+                inv: View::new(Csr {
+                    offsets,
+                    ids: Column::mapped(region.clone(), spec.ids, spec.entries)?,
+                    weights: Column::mapped(region.clone(), spec.weights, spec.entries)?,
+                }),
+                fwd: View::new(Csr {
+                    offsets: fwd_offsets,
+                    ids: Column::mapped(region.clone(), spec.fwd_ids, spec.entries)?,
+                    weights: Column::mapped(region.clone(), spec.fwd_weights, spec.entries)?,
+                }),
             }));
         }
         // The stored aggregates are exactly what assemble() would compute
@@ -2845,5 +3070,337 @@ mod tests {
             1,
             &[vec![NodeId(1), NodeId(0)], vec![NodeId(1), NodeId(0)]],
         );
+    }
+
+    // --- overlays: write-once rows over immutable bases ------------------
+
+    /// A graph the overlay suite can churn one edge at a time.
+    trait Flip: WalkGraph + Sized {
+        /// The graph with edge `(u, v)` deleted when present or inserted
+        /// (weight 1.5 where edges carry one) when absent, and its touched
+        /// endpoints.
+        fn flip(&self, u: u32, v: u32) -> (Self, Vec<NodeId>);
+    }
+
+    impl Flip for rwd_graph::CsrGraph {
+        fn flip(&self, u: u32, v: u32) -> (Self, Vec<NodeId>) {
+            if self.has_edge(NodeId(u), NodeId(v)) {
+                self.with_edits(&[], &[(u, v)])
+            } else {
+                self.with_edits(&[(u, v)], &[])
+            }
+            .unwrap()
+        }
+    }
+
+    impl Flip for rwd_graph::weighted::WeightedCsrGraph {
+        fn flip(&self, u: u32, v: u32) -> (Self, Vec<NodeId>) {
+            if self.has_edge(NodeId(u), NodeId(v)) {
+                self.with_edits(&[], &[(u, v)])
+            } else {
+                self.with_edits(&[(u, v, 1.5)], &[])
+            }
+            .unwrap()
+        }
+    }
+
+    fn mapped_path_available() -> bool {
+        cfg!(unix) && cfg!(target_endian = "little")
+    }
+
+    /// The overlay suite's graph: a BA graph whose minimum-degree nodes
+    /// give one-edge flips that change a few rows of every layer.
+    fn overlay_graph() -> rwd_graph::CsrGraph {
+        rwd_graph::generators::barabasi_albert(400, 3, 21).unwrap()
+    }
+
+    /// `steps` flips, each between two of `g`'s minimum-degree nodes.
+    fn low_degree_flips(g: &rwd_graph::CsrGraph, steps: usize) -> Vec<(u32, u32)> {
+        let low: Vec<u32> = (0..g.n() as u32)
+            .filter(|&u| g.degree(NodeId(u)) == 3)
+            .collect();
+        (0..steps)
+            .map(|i| (low[(2 * i) % low.len()], low[(2 * i + 7) % low.len()]))
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect()
+    }
+
+    /// The chain's graphs: each one flip away from the last, with the
+    /// touched endpoints.
+    fn flip_chain<G: Flip>(g0: &G, flips: &[(u32, u32)]) -> Vec<(G, NodeSet)> {
+        let mut chain: Vec<(G, NodeSet)> = Vec::new();
+        for &(u, v) in flips {
+            let (next, touched) = chain.last().map_or(g0, |(g, _)| g).flip(u, v);
+            chain.push((next, NodeSet::from_nodes(g0.n(), touched)));
+        }
+        chain
+    }
+
+    /// Each view's base pointer, layer by layer: a fold is a changed one.
+    fn base_ptrs(idx: &WalkIndex) -> Vec<*const Csr> {
+        idx.layers
+            .iter()
+            .flat_map(|la| [Arc::as_ptr(&la.inv.base), Arc::as_ptr(&la.fwd.base)])
+            .collect()
+    }
+
+    fn has_overlay(idx: &WalkIndex) -> bool {
+        idx.layers
+            .iter()
+            .any(|la| la.inv.overlay.is_some() || la.fwd.overlay.is_some())
+    }
+
+    /// `idx` answers exactly as `cold` on every read path.
+    fn assert_same_answers(idx: &WalkIndex, cold: &WalkIndex, ctx: &str) {
+        assert!(idx == cold, "{ctx}: index != cold build");
+        let n = cold.n();
+        assert_eq!(idx.total_postings(), cold.total_postings(), "{ctx}");
+        for v in (0..n).map(NodeId::new) {
+            for layer in 0..cold.r() {
+                assert_eq!(
+                    idx.postings(layer, v),
+                    cold.postings(layer, v),
+                    "{ctx}: postings"
+                );
+                assert_eq!(
+                    idx.forward(layer, v),
+                    cold.forward(layer, v),
+                    "{ctx}: forward"
+                );
+            }
+            assert_eq!(idx.posting_count(v), cold.posting_count(v), "{ctx}: count");
+            assert_eq!(
+                idx.posting_hop_sum(v),
+                cold.posting_hop_sum(v),
+                "{ctx}: hop sum"
+            );
+        }
+        let sets = [
+            NodeSet::from_nodes(n, [NodeId(0)]),
+            NodeSet::from_nodes(n, (0..n).step_by(37).map(NodeId::new)),
+        ];
+        for set in &sets {
+            for u in (0..n).map(NodeId::new) {
+                assert_eq!(
+                    idx.point_contribution(u, set),
+                    cold.point_contribution(u, set),
+                    "{ctx}: point contribution"
+                );
+            }
+            assert_eq!(
+                idx.covered_layer_counts(set),
+                cold.covered_layer_counts(set),
+                "{ctx}"
+            );
+            assert_eq!(
+                idx.top_m_uncovered(10, set),
+                cold.top_m_uncovered(10, set),
+                "{ctx}"
+            );
+            assert_eq!(
+                idx.estimate_hit_times(set),
+                cold.estimate_hit_times(set),
+                "{ctx}"
+            );
+            assert_eq!(
+                idx.estimate_hit_probs(set),
+                cold.estimate_hit_probs(set),
+                "{ctx}"
+            );
+        }
+    }
+
+    /// Runs the overlay grid over one graph kind: from a built and a
+    /// mapped start, pinned and unpinned, on 1 and 2 threads, refreshes
+    /// along the flip chain. After every step the index must answer as a
+    /// cold build on every read path, `save` must write the cold build's
+    /// RWDIDX4 bytes, and `load` / `open_mapped` of that file must equal
+    /// it. Every chain must both hold an overlay and fold at least twice,
+    /// and the fold counter must rise by at least the folds seen.
+    fn overlay_grid<G: Flip + Sync>(g0: &G, flips: &[(u32, u32)], what: &str) {
+        let (l, r, seed) = (5u32, 4usize, 77u64);
+        let dir = std::env::temp_dir().join(format!("rwd_overlay_{what}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("idx.rwdidx");
+        let chain = flip_chain(g0, flips);
+        let colds: Vec<(WalkIndex, Vec<u8>)> = chain
+            .iter()
+            .map(|(g, _)| {
+                let cold = WalkIndex::build_with_threads(g, l, r, seed, 1);
+                cold.save(&path).unwrap();
+                (cold, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        let built = WalkIndex::build_with_threads(g0, l, r, seed, 1);
+        let start_path = dir.join("start.rwdidx");
+        built.save(&start_path).unwrap();
+        let mut starts = vec![("built", built)];
+        if mapped_path_available() {
+            starts.push(("mapped", WalkIndex::open_mapped(&start_path).unwrap()));
+        }
+
+        let counter_before = crate::obs::metrics().overlay_folds.get();
+        let mut folds_seen = 0;
+        for (start_name, start) in &starts {
+            for pinned in [false, true] {
+                for threads in [1, 2] {
+                    let chain_ctx =
+                        format!("{what}, {start_name} start, pinned {pinned}, {threads} threads");
+                    let mut idx = start.clone();
+                    let mut pins = Vec::new();
+                    let (mut overlaid, mut folds) = (false, 0);
+                    for (step, ((g, touched), (cold, bytes))) in
+                        chain.iter().zip(&colds).enumerate()
+                    {
+                        let ctx = format!("{chain_ctx}, step {step}");
+                        let before = base_ptrs(&idx);
+                        if pinned {
+                            pins.push(idx.clone());
+                        }
+                        idx.refresh(g, touched, threads);
+                        folds += base_ptrs(&idx)
+                            .iter()
+                            .zip(&before)
+                            .filter(|(a, b)| a != b)
+                            .count();
+                        overlaid |= has_overlay(&idx);
+                        assert_same_answers(&idx, cold, &ctx);
+                        idx.save(&path).unwrap();
+                        assert!(
+                            std::fs::read(&path).unwrap() == *bytes,
+                            "{ctx}: saved bytes"
+                        );
+                        assert!(WalkIndex::load(&path).unwrap() == *cold, "{ctx}: load");
+                        if mapped_path_available() {
+                            assert!(
+                                WalkIndex::open_mapped(&path).unwrap() == *cold,
+                                "{ctx}: mapped"
+                            );
+                        }
+                    }
+                    for (pin, (cold, _)) in pins.iter().skip(1).zip(&colds) {
+                        assert!(pin == cold, "{chain_ctx}: a pinned epoch changed");
+                    }
+                    assert!(overlaid, "{chain_ctx}: no step left an overlay");
+                    assert!(folds >= 2, "{chain_ctx}: only {folds} views folded");
+                    folds_seen += folds;
+                }
+            }
+        }
+        let counter = crate::obs::metrics().overlay_folds.get() - counter_before;
+        assert!(
+            counter >= folds_seen as u64,
+            "fold counter rose by {counter}, {folds_seen} folds seen"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn overlay_chains_equal_cold_builds_on_every_read_path_and_in_saved_bytes() {
+        let g0 = overlay_graph();
+        let flips = low_degree_flips(&g0, 12);
+        overlay_grid(&g0, &flips, "unweighted");
+        let w0 = rwd_graph::weighted::weighted_twin(&g0, 3).unwrap();
+        overlay_grid(&w0, &flips, "weighted");
+    }
+
+    #[test]
+    fn overlay_reads_are_o1_slot_lookups_over_the_bitset() {
+        // Rows 0, 63, 64 and 130 replaced over a 131-row view: each slot is
+        // the replaced rows below it, and every other row reads the base.
+        let mut bits = vec![0u64; 3];
+        for v in [0usize, 63, 64, 130] {
+            bits[v / 64] |= 1 << (v % 64);
+        }
+        let o = Overlay::new(
+            bits,
+            Csr::owned(vec![0, 1, 1, 3, 4], vec![9, 7, 8, 5], vec![1, 1, 2, 3]),
+        );
+        assert_eq!(o.rank, vec![0, 2, 3]);
+        assert_eq!(o.replaced().collect::<Vec<_>>(), vec![0, 63, 64, 130]);
+        for (slot, v) in [0usize, 63, 64, 130].into_iter().enumerate() {
+            assert_eq!(o.slot(v), Some(slot));
+        }
+        assert_eq!(o.slot(1), None);
+        assert_eq!(o.slot(129), None);
+        let view = View {
+            base: Arc::new(Csr::owned(vec![0; 132], Vec::new(), Vec::new())),
+            overlay: Some(o),
+            len: 4,
+        };
+        assert_eq!(view.row(64).ids(), &[7, 8]);
+        assert_eq!(view.row(63).ids(), &[] as &[u32]);
+        assert!(view.row(5).is_empty());
+    }
+
+    /// `heap_bytes() + mapped_bytes()` is the exact size of the columns:
+    /// per view, a base of `4(n + 1)` offset bytes and 6 bytes per base
+    /// posting (a 4-byte id and a 2-byte hop), plus, under an overlay, its
+    /// bitset and rank (12 bytes per 64 rows), `4(rows + 1)` offset bytes
+    /// and 6 bytes per replacement posting; plus 16 bytes per node of
+    /// aggregates. A refresh allocates every column it writes at its exact
+    /// length, so the identity holds along a refresh chain from a built, a
+    /// loaded or a mapped-open index, whether or not a clone pins each
+    /// previous epoch the way a serving snapshot does.
+    #[test]
+    fn heap_accounting_is_exact_along_refresh_chains() {
+        let g0 = overlay_graph();
+        let n = g0.n();
+        let (l, r, seed) = (5, 6, 17);
+        let built = WalkIndex::build(&g0, l, r, seed);
+        let dir = std::env::temp_dir().join(format!("rwd_index_accounting_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mono.rwdidx");
+        built.save(&path).unwrap();
+        let mut starts = vec![
+            ("built", built.clone()),
+            ("loaded", WalkIndex::load(&path).unwrap()),
+        ];
+        if mapped_path_available() {
+            starts.push(("mapped", WalkIndex::open_mapped(&path).unwrap()));
+        }
+        let view_bytes = |view: &View| {
+            let base = 4 * (n + 1) + 6 * view.base.ids.len();
+            base + view.overlay.as_ref().map_or(0, |o| {
+                let rows = o.replaced().count();
+                let postings: usize = (0..rows).map(|k| o.rows.row(k).len()).sum();
+                12 * n.div_ceil(64) + 4 * (rows + 1) + 6 * postings
+            })
+        };
+        let exact = |idx: &WalkIndex| {
+            idx.layers
+                .iter()
+                .map(|la| view_bytes(&la.inv) + view_bytes(&la.fwd))
+                .sum::<usize>()
+                + 16 * n
+        };
+
+        let chain = flip_chain(&g0, &low_degree_flips(&g0, 8));
+        let rebuilt = WalkIndex::build(&chain.last().unwrap().0, l, r, seed);
+        for (what, start) in &starts {
+            assert_eq!(start.heap_bytes() + start.mapped_bytes(), exact(start));
+            for pinned in [false, true] {
+                for threads in [1, 2] {
+                    let mut idx = start.clone();
+                    let mut pins = Vec::new();
+                    let mut overlaid = false;
+                    for (step, (g, touched)) in chain.iter().enumerate() {
+                        if pinned {
+                            pins.push(idx.clone());
+                        }
+                        idx.refresh(g, touched, threads);
+                        overlaid |= has_overlay(&idx);
+                        assert_eq!(
+                            idx.heap_bytes() + idx.mapped_bytes(),
+                            exact(&idx),
+                            "{what} index, pinned {pinned}, {threads} threads, refresh {step}"
+                        );
+                    }
+                    assert!(overlaid, "{what} refresh chain never held an overlay");
+                    assert!(idx == rebuilt, "{what} refresh chain drifted");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

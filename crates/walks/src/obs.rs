@@ -11,6 +11,8 @@ pub(crate) struct WalkMetrics {
     pub refresh_ns: Histogram,
     /// Walk groups re-sampled across every refresh in the process.
     pub groups_resampled: Counter,
+    /// Layer views folded into a fresh base across every refresh.
+    pub overlay_folds: Counter,
     /// Heap-owned posting-column bytes across the process's indexes.
     pub storage_heap_bytes: Gauge,
     /// Mapped (zero-copy, page-cache-backed) posting-column bytes.
@@ -29,6 +31,10 @@ pub(crate) fn metrics() -> &'static WalkMetrics {
             groups_resampled: reg.counter(
                 "rwd_walks_groups_resampled_total",
                 "Walk (src, layer) groups re-sampled across all refreshes",
+            ),
+            overlay_folds: reg.counter(
+                "rwd_walks_overlay_folds_total",
+                "Walk-index layer views whose overlay passed the fold share and were folded into a fresh base",
             ),
             storage_heap_bytes: reg.gauge(
                 "rwd_storage_heap_bytes",

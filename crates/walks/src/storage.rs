@@ -1,20 +1,20 @@
 //! Column storage: every posting column is either heap-owned or borrowed
 //! zero-copy from a memory-mapped index file.
 //!
-//! [`Column<T>`] is the store behind each [`Layer`] column
-//! (`offsets`/`ids`/`weights` and the forward triplet) and the per-node
-//! aggregate tables. An `Owned` column is a plain `Vec<T>`; a `Mapped`
+//! [`Column<T>`] is the store behind each [`Layer`] column (the
+//! `offsets`/`ids`/`weights` triplet of each view's base and overlay) and
+//! the per-node aggregate tables. An `Owned` column is a plain `Vec<T>`; a `Mapped`
 //! column is an aligned window into an [`MmapRegion`] reinterpreted in
 //! place as `[T]` — no parse, no copy, pages fault in on first touch.
 //! Both deref to `&[T]`, so every consumer (postings views, point
 //! queries, gain engines, `save`) reads the same slice type and cannot
 //! observe which store backs it.
 //!
-//! A column is written once and never mutated. A refresh writes each
-//! layer it patches as fresh owned columns and leaves the old layer,
-//! owned or mapped, to whoever still holds it, so a mapped index moves to
-//! the heap exactly at layer grain — and a refreshed mapped index is
-//! bitwise equal to a refreshed owned one (see
+//! A column is written once and never mutated. A refresh writes the rows
+//! it changes into fresh owned overlay columns over the old base, owned or
+//! mapped, and leaves the old layer to whoever still holds it; a mapped
+//! base stays mapped until a fold rewrites its view on the heap — and a
+//! refreshed mapped index is bitwise equal to a refreshed owned one (see
 //! `tests/storage_equivalence.rs`).
 //!
 //! The mmap itself is a minimal std-only `mmap(2)`/`munmap(2)` FFI

@@ -4,9 +4,9 @@
 //! of this codebase tells: **bit-identity**. A `WalkIndex` served from an
 //! `mmap`ed RWDIDX4 file must be indistinguishable — on every read path
 //! the stack exposes — from the owned index that wrote it, and the first
-//! refresh that promotes its layers to the heap must land on exactly the
-//! bits an owned-from-the-start refresh produces, at every shard count
-//! and thread count.
+//! refresh, which writes overlays over its mapped bases, must land on
+//! exactly the bits an owned-from-the-start refresh produces, at every
+//! shard count and thread count.
 //!
 //! The walks crate pins format-level round trips and rejection
 //! (`crates/walks/tests/storage.rs`); this suite pins the *consumers*:
@@ -148,28 +148,36 @@ fn tile(r: usize, shards: usize) -> Vec<LayerRange> {
         .collect()
 }
 
-/// Promote-on-refresh ≡ owned-refresh across the shard × thread grid: each
-/// shard is saved to its own file and reopened zero-copy, as durable
-/// snapshots store and recover shards, then refreshes against the churned
-/// graph (promoting every mapped layer) and must land bit-exactly on the
-/// owned shard's refresh — which itself equals a from-scratch build on the
-/// new graph.
+/// Overlay-over-map refresh ≡ owned refresh across the shard × thread
+/// grid: each shard is saved to its own file and reopened zero-copy, as
+/// durable snapshots store and recover shards, then refreshes against the
+/// churned graph. Its layer bases stay mapped, the heap holds only the
+/// overlays and aggregates the refresh wrote, and it must land bit-exactly
+/// on the owned shard's refresh — which itself equals a from-scratch build
+/// on the new graph.
 #[test]
-fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
+fn overlay_refresh_keeps_mapped_bases_and_matches_owned_refresh_across_shards_and_threads() {
     if !mapped_path_available() {
         return;
     }
     let (l, r, seed) = (5u32, 8usize, 23u64);
-    let g0 = rwd::graph::generators::barabasi_albert(80, 3, 17).unwrap();
+    // Large enough that the churn below changes a few rows of each layer,
+    // well under the fold share (on an 80-node graph it folds some views).
+    let g0 = rwd::graph::generators::barabasi_albert(1000, 3, 17).unwrap();
     let dir = tmp_dir("grid");
 
-    // Churn: drop one live edge, add two absent ones.
+    // Churn between low-degree nodes: drop the live edge with the smallest
+    // endpoint degrees, add two absent ones between degree-3 nodes.
+    let deg = |u: u32| g0.degree(NodeId(u));
     let mut edges: Vec<(u32, u32)> = g0.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
-    let dropped = edges.swap_remove(edges.len() / 2);
+    let at = (0..edges.len())
+        .min_by_key(|&i| deg(edges[i].0) + deg(edges[i].1))
+        .unwrap();
+    let dropped = edges.swap_remove(at);
     let mut added = Vec::new();
     'outer: for u in 0..g0.n() as u32 {
         for v in (u + 1)..g0.n() as u32 {
-            if !g0.has_edge(NodeId(u), NodeId(v)) && (u, v) != dropped {
+            if deg(u) == 3 && deg(v) == 3 && !g0.has_edge(NodeId(u), NodeId(v)) {
                 edges.push((u, v));
                 added.push((u, v));
                 if added.len() == 2 {
@@ -198,15 +206,24 @@ fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
 
                 let mut mapped = WalkIndex::open_mapped(&path).unwrap();
                 assert_eq!(mapped.mapped_layers(), range.len());
+                let mapped_before = mapped.mapped_bytes();
                 mapped.refresh(&g1, &touched, threads);
                 assert_eq!(
                     mapped, owned,
-                    "promoted refresh drifted at shards={shards} threads={threads} {range:?}"
+                    "overlaid refresh drifted at shards={shards} threads={threads} {range:?}"
                 );
                 assert_eq!(
                     mapped.mapped_layers(),
-                    0,
-                    "touched endpoints resample a group in every layer"
+                    range.len(),
+                    "layer bases stay mapped under their overlays"
+                );
+                // The aggregate pair is the only column a refresh writes
+                // whole; every layer base keeps its mapped bytes.
+                assert_eq!(mapped.mapped_bytes(), mapped_before - 16 * g0.n());
+                assert_eq!(
+                    mapped.heap_bytes() + mapped.mapped_bytes(),
+                    owned.heap_bytes(),
+                    "the heap holds only what the owned refresh wrote beside its bases"
                 );
                 assert_eq!(
                     mapped,
