@@ -519,7 +519,11 @@ fn find_numbered(dir: &Path, prefix: &str) -> Result<Vec<(u64, PathBuf)>> {
 /// Serializes the full engine state into `snap_dir`: `graph.bin`, one
 /// walk-index file per shard, then `manifest.bin` last (commit point).
 /// Every file ends in a CRC-32 trailer and is fsync'd before the manifest
-/// lands.
+/// lands, and then the directory is fsync'd so its entries are durable.
+/// A failure to open or fsync the directory fails the snapshot, except
+/// `InvalidInput` and `Unsupported`: a filesystem that cannot fsync a
+/// directory handle says so with one of those, and there the directory
+/// sync stays best-effort.
 pub(crate) fn save_snapshot(engine: &StreamEngine, snap_dir: &Path) -> Result<()> {
     let metrics = crate::obs::durable_metrics();
     let timer = metrics.snapshot_write_ns.time();
@@ -600,10 +604,11 @@ pub(crate) fn save_snapshot(engine: &StreamEngine, snap_dir: &Path) -> Result<()
         m.extend_from_slice(&(rg.end() as u64).to_le_bytes());
     }
     write_with_crc(&snap_dir.join("manifest.bin"), m)?;
-    // Make the directory entries themselves durable (best-effort — not
-    // every filesystem lets you fsync a directory handle).
-    if let Ok(d) = File::open(snap_dir) {
-        d.sync_all().ok();
+    // Make the directory entries themselves durable.
+    use std::io::ErrorKind::{InvalidInput, Unsupported};
+    match File::open(snap_dir).and_then(|d| d.sync_all()) {
+        Err(e) if matches!(e.kind(), InvalidInput | Unsupported) => {}
+        synced => dio("snapshot dir sync", synced)?,
     }
     timer.stop();
     metrics.snapshots_written.inc();

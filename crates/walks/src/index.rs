@@ -223,6 +223,19 @@ impl Csr {
     }
 }
 
+/// A dropped table hands its mapped pages back ([`Column::release_pages`]).
+/// A mapped base is dropped when its view folds and no pinned epoch still
+/// holds it, or with its index; without this its pages stay resident for
+/// as long as any other column of the same file is mapped. A table's
+/// columns are never cloned, so no live reader shares the released pages.
+impl Drop for Csr {
+    fn drop(&mut self) {
+        self.offsets.release_pages();
+        self.ids.release_pages();
+        self.weights.release_pages();
+    }
+}
+
 /// The replacement rows of one view. Bit `v` of `bits` marks row `v` as
 /// replaced, and the replaced rows are packed in ascending row order in
 /// `rows`, so the membership test and the slot lookup are `O(1)`: row `v`
@@ -1367,7 +1380,7 @@ impl WalkIndex {
     /// edit script → the changed rows of each view written into a fresh
     /// overlay over the view's unchanged base), and each worker accumulates
     /// integer deltas for the per-node aggregates that are applied after
-    /// the join. A view whose overlay would pass [`FOLD_SHARE`] of its
+    /// the join. A view whose overlay would pass `FOLD_SHARE` (0.25) of its
     /// postings is folded into a fresh base instead; the
     /// `rwd_walks_overlay_folds_total` counter counts those views, so a
     /// slow fold commit can be told apart from an overlay commit.
@@ -1922,8 +1935,11 @@ impl WalkIndex {
             Ok(())
         })?;
         // The one-and-only content scan: a chunked CRC sweep across all
-        // cores, folded exactly with crc32_combine — the checksum is the
-        // only O(file) work on this path, so it is the open time. After
+        // cores, folded exactly with crc32_combine. It reads every byte
+        // through the mapping, so it also faults the whole file in before
+        // the first answer, and later reads find their pages resident. The
+        // carry-less-multiply kernel hashes about as fast as pages fault
+        // in, so the faults, not the hash, are most of the open time. After
         // this, bulk payloads are trusted; only the structural offsets
         // columns (which bound every later slice) are validated further.
         let content = layout.content_len as usize;
@@ -3400,6 +3416,63 @@ mod tests {
                     assert!(idx == rebuilt, "{what} refresh chain drifted");
                 }
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A mapped base that folds away is dropped with its last holder, and
+    /// the dropped table hands its pages back while the views still mapped
+    /// keep reading the same file mapping. Refreshed until views fold,
+    /// unpinned and pinned (each pin kept for two more epochs), the index
+    /// must equal its cold build after every step, and so must every pin.
+    #[test]
+    fn released_mapped_bases_leave_the_index_equal_to_its_cold_build() {
+        if !mapped_path_available() {
+            return;
+        }
+        let g0 = overlay_graph();
+        // L = 10 makes every id column several pages long, so a dropped
+        // base has whole pages to release.
+        let (l, r, seed) = (10u32, 4usize, 77u64);
+        let chain = flip_chain(&g0, &low_degree_flips(&g0, 12));
+        let dir = std::env::temp_dir().join(format!("rwd_index_release_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("start.rwdidx");
+        let built = WalkIndex::build_with_threads(&g0, l, r, seed, 1);
+        built.save(&path).unwrap();
+        let mut colds = vec![built];
+        colds.extend(
+            chain
+                .iter()
+                .map(|(g, _)| WalkIndex::build_with_threads(g, l, r, seed, 1)),
+        );
+        for pinned in [false, true] {
+            let mut idx = WalkIndex::open_mapped(&path).unwrap();
+            let opened: Vec<_> = idx
+                .layers
+                .iter()
+                .flat_map(|la| [Arc::downgrade(&la.inv.base), Arc::downgrade(&la.fwd.base)])
+                .collect();
+            let mut pins = std::collections::VecDeque::new();
+            for (step, (g, touched)) in chain.iter().enumerate() {
+                if pinned {
+                    pins.push_back((step, idx.clone()));
+                }
+                idx.refresh(g, touched, 1);
+                assert!(idx == colds[step + 1], "pinned {pinned}, step {step}");
+                if pins.len() > 2 {
+                    let (epoch, pin) = pins.pop_front().unwrap();
+                    assert!(pin == colds[epoch], "pinned epoch {epoch} changed");
+                }
+            }
+            for (epoch, pin) in &pins {
+                assert!(*pin == colds[*epoch], "pinned epoch {epoch} changed");
+            }
+            let released = opened.iter().filter(|b| b.strong_count() == 0).count();
+            assert!(
+                released >= 2,
+                "pinned {pinned}: only {released} mapped bases were dropped"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -17,8 +17,8 @@
 //! refreshed mapped index is bitwise equal to a refreshed owned one (see
 //! `tests/storage_equivalence.rs`).
 //!
-//! The mmap itself is a minimal std-only `mmap(2)`/`munmap(2)` FFI
-//! wrapper (`PROT_READ`, `MAP_PRIVATE`) — no crates. The on-disk format
+//! The mmap itself is a minimal std-only `mmap(2)`/`munmap(2)`/`madvise(2)`
+//! FFI wrapper (`PROT_READ`, `MAP_PRIVATE`) — no crates. The on-disk format
 //! is little-endian on every host: `save` writes a little-endian host's
 //! columns as they lie in memory and byte-swaps them elsewhere (see
 //! [`Pod::to_le`]). Zero-copy reinterpretation therefore requires a
@@ -126,6 +126,7 @@ mod sys {
 
     const PROT_READ: i32 = 0x1;
     const MAP_PRIVATE: i32 = 0x2;
+    const MADV_DONTNEED: i32 = 4;
 
     extern "C" {
         fn mmap(
@@ -137,6 +138,8 @@ mod sys {
             offset: i64,
         ) -> *mut core::ffi::c_void;
         fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
+        fn madvise(addr: *mut core::ffi::c_void, len: usize, advice: i32) -> i32;
+        fn getpagesize() -> i32;
     }
 
     pub(super) fn map(file: &File) -> io::Result<MmapRegion> {
@@ -178,6 +181,21 @@ mod sys {
     pub(super) unsafe fn unmap(ptr: *const u8, len: usize) {
         munmap(ptr as *mut core::ffi::c_void, len);
     }
+
+    /// Drops the resident pages of the whole pages inside `[start, end)`.
+    ///
+    /// # Safety
+    ///
+    /// `[start, end)` must lie inside a live mapping made by `map`: a
+    /// `PROT_READ`, `MAP_PRIVATE` file mapping that is never written, so
+    /// dropping its pages only makes a later touch re-read the file.
+    pub(super) unsafe fn release(start: usize, end: usize) {
+        let page = getpagesize() as usize;
+        let (lo, hi) = (start.next_multiple_of(page), end / page * page);
+        if lo < hi {
+            madvise(lo as *mut core::ffi::c_void, hi - lo, MADV_DONTNEED);
+        }
+    }
 }
 
 #[cfg(not(unix))]
@@ -194,6 +212,8 @@ mod sys {
     }
 
     pub(super) unsafe fn unmap(_ptr: *const u8, _len: usize) {}
+
+    pub(super) unsafe fn release(_start: usize, _end: usize) {}
 }
 
 /// One posting column: an owned vector or a zero-copy window into a
@@ -295,6 +315,27 @@ impl<T: Pod> Column<T> {
         match &self.repr {
             Repr::Owned(_) => 0,
             Repr::Mapped { len, .. } => len * std::mem::size_of::<T>(),
+        }
+    }
+
+    /// Hands a mapped window's resident pages back: the whole pages inside
+    /// the window are `madvise(MADV_DONTNEED)`ed, so they stop counting
+    /// toward the process's RSS. The mapping is read-only and backed by
+    /// the file, so a later touch re-reads the same bytes and the values
+    /// never change. Pages the window shares with a neighbouring column
+    /// are left alone. A no-op on an owned column and off unix.
+    pub(crate) fn release_pages(&self) {
+        if let Repr::Mapped {
+            region,
+            offset,
+            len,
+            ..
+        } = &self.repr
+        {
+            let start = region.ptr as usize + offset;
+            // SAFETY: construction checked that the window lies inside the
+            // region, which the Arc keeps mapped.
+            unsafe { sys::release(start, start + len * std::mem::size_of::<T>()) }
         }
     }
 }
@@ -416,6 +457,31 @@ mod tests {
         // Misaligned element pointer is rejected (offset 2 within u32s).
         assert!(Column::<u32>::mapped(region.clone(), 2, 1).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn released_mapped_column_still_reads_the_file() {
+        let dir = std::env::temp_dir().join(format!("rwd-storage-rel-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("col.bin");
+        // Several pages, so the window has a whole-page interior to drop.
+        let vals: Vec<u64> = (0..40_000u64).map(|i| (i * i) ^ 0x5A5A).collect();
+        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        let region = Arc::new(MmapRegion::map(&File::open(&path).unwrap()).unwrap());
+        let col: Column<u64> = Column::mapped(region.clone(), 8, vals.len() - 1).unwrap();
+        let neighbour: Column<u64> = Column::mapped(region, 0, 1).unwrap();
+        assert_eq!(col.as_slice(), &vals[1..]);
+        col.release_pages();
+        col.release_pages();
+        assert_eq!(col.as_slice(), &vals[1..]);
+        assert_eq!(neighbour[0], vals[0]);
+        // An owned column has nothing to release.
+        let owned = Column::owned(vals.clone());
+        owned.release_pages();
+        assert_eq!(&owned[..], &vals[..]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[cfg(unix)]
