@@ -301,16 +301,16 @@ impl StreamEngine {
         if snaps.is_empty() {
             return Err(StreamError::NoSnapshot(dir));
         }
-        // Newest loadable snapshot wins; a torn or rotted one falls back
-        // to its predecessor (compaction keeps at most a crash-window's
-        // worth of extras around).
+        // Newest loadable snapshot wins; a torn, rotted or misnamed one
+        // falls back to its predecessor (compaction keeps at most a
+        // crash-window's worth of extras around).
         let load_start = Instant::now();
         let mut last_err = None;
         let mut loaded = None;
-        for (epoch, path) in snaps.iter().rev() {
-            match load_snapshot(path, mode) {
+        for &(epoch, ref path) in snaps.iter().rev() {
+            match load_snapshot(path, epoch, mode) {
                 Ok(engine) => {
-                    loaded = Some((*epoch, engine));
+                    loaded = Some((epoch, engine));
                     break;
                 }
                 Err(e) => last_err = Some(e),
@@ -652,10 +652,13 @@ fn read_with_crc(path: &Path, magic: &[u8; 8], what: &str) -> Result<Vec<u8>> {
     Ok(content[8..].to_vec())
 }
 
-/// Loads one snapshot directory back into a [`StreamEngine`] at the
-/// snapshot's epoch. Every cross-field inconsistency is a named
-/// [`StreamError::CorruptSnapshot`].
-pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEngine> {
+/// Loads one snapshot directory, named for `epoch`, back into a
+/// [`StreamEngine`] at that epoch. Every cross-field inconsistency is a
+/// named [`StreamError::CorruptSnapshot`], including a manifest that
+/// records another epoch than the directory's name: the journal replay
+/// starts past the name, so serving such a snapshot would skip or repeat
+/// history.
+pub(crate) fn load_snapshot(snap_dir: &Path, epoch: u64, mode: OpenMode) -> Result<StreamEngine> {
     let corrupt = |msg: String| StreamError::CorruptSnapshot(msg);
     let m = read_with_crc(&snap_dir.join("manifest.bin"), MANIFEST_MAGIC, "manifest")?;
     let fixed = 8 * 6 + 1 + 8 + 1 + 8 + 8;
@@ -667,7 +670,13 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
         )));
     }
     let u64_at = |at: usize| u64::from_le_bytes(m[at..at + 8].try_into().unwrap());
-    let epoch = u64_at(0);
+    if u64_at(0) != epoch {
+        return Err(corrupt(format!(
+            "manifest in {} records epoch {} but the directory names epoch {epoch}",
+            snap_dir.display(),
+            u64_at(0)
+        )));
+    }
     let l = u32::try_from(u64_at(8)).map_err(|_| {
         corrupt(format!(
             "manifest in {} records walk length {} beyond u32",
@@ -1537,6 +1546,73 @@ mod tests {
         write_with_crc(&manifest, [&MANIFEST_MAGIC[..], &good].concat()).unwrap();
         write_with_crc(&graph_file, [&GRAPH_MAGIC[..], &good_graph].concat()).unwrap();
         assert!(open(&dir, DurabilityConfig::default()).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes three batches with a snapshot every two, so the directory
+    /// holds `snap-2/` and a journal whose one record publishes epoch 3,
+    /// then puts `snap-2/`'s files under `snap-3/` as well (`copy`) or
+    /// instead (a rename). Returns the live image.
+    fn misnamed_snapshot(dir: &Path, copy: bool) -> Image {
+        let g0 = erdos_renyi_gnp(50, 0.08, 23).unwrap();
+        let engine = StreamEngine::new(g0.clone(), cfg()).unwrap();
+        let dcfg = DurabilityConfig { snapshot_every: 2 };
+        let mut durable = engine.create_durable(dir, dcfg).unwrap();
+        for b in churn_batches(&g0, 3) {
+            durable.apply(&b).unwrap();
+        }
+        let live = image(&durable);
+        drop(durable);
+        let (from, to) = (dir.join("snap-2"), dir.join("snap-3"));
+        if copy {
+            std::fs::create_dir(&to).unwrap();
+            for entry in std::fs::read_dir(&from).unwrap() {
+                let entry = entry.unwrap();
+                std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+            }
+        } else {
+            std::fs::rename(&from, &to).unwrap();
+        }
+        live
+    }
+
+    /// A snapshot whose manifest records another epoch than its directory
+    /// name is refused, and the open falls back to its predecessor.
+    #[test]
+    fn a_snapshot_copied_under_a_newer_epoch_falls_back_to_the_real_one() {
+        let dir = tmp_dir("misnamed_copy");
+        let live = misnamed_snapshot(&dir, true);
+        let (recovered, report) = open(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!(
+            (
+                report.snapshot_epoch,
+                report.epochs_replayed,
+                report.recovered_epoch
+            ),
+            (2, 1, 3)
+        );
+        assert_engine_matches(&recovered, &live);
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// With no predecessor to fall back to, the misnamed snapshot refuses
+    /// the open by name and the journal is left as it was.
+    #[test]
+    fn a_snapshot_renamed_to_a_newer_epoch_refuses_the_open_by_name() {
+        let dir = tmp_dir("misnamed_rename");
+        misnamed_snapshot(&dir, false);
+        let journal = dir.join("journal-2.wal");
+        let before = std::fs::read(&journal).unwrap();
+        let Err(err) = open(&dir, DurabilityConfig::default()) else {
+            panic!("the misnamed snapshot was served");
+        };
+        assert!(
+            matches!(&err, StreamError::CorruptSnapshot(m)
+                if m.contains("records epoch 2 but the directory names epoch 3")),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&journal).unwrap(), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -329,7 +329,16 @@ pub fn scan(path: impl AsRef<Path>) -> crate::Result<JournalScan> {
                 path.display()
             ))
         })?;
-        let expected = base_epoch + records.len() as u64 + 1;
+        let expected = base_epoch
+            .checked_add(records.len() as u64 + 1)
+            .ok_or_else(|| {
+                crate::StreamError::CorruptJournal(format!(
+                    "record at byte {offset} of {} follows base epoch {base_epoch} by {} \
+                     records, past the last epoch",
+                    path.display(),
+                    records.len() + 1
+                ))
+            })?;
         if record.epoch != expected {
             return Err(crate::StreamError::CorruptJournal(format!(
                 "record at byte {offset} of {} publishes epoch {} where {expected} was \
@@ -533,6 +542,27 @@ mod tests {
             matches!(&err, StreamError::CorruptJournal(m) if m.contains("contiguous")),
             "{err}"
         );
+    }
+
+    /// A base epoch crafted near `u64::MAX` leaves no epoch for a record
+    /// past the counter's end: the scan names the base, never overflows.
+    #[test]
+    fn records_past_the_last_epoch_are_rejected_by_name() {
+        for (name, base, epochs) in [
+            ("max_base.wal", u64::MAX, &[0][..]),
+            ("max_base_minus_one.wal", u64::MAX - 1, &[u64::MAX, 0][..]),
+        ] {
+            let path = tmp(name);
+            let mut j = BatchJournal::create(&path, base).unwrap();
+            for &epoch in epochs {
+                j.append(epoch, 1, &[(0, 1, 1.0)], &[]).unwrap();
+            }
+            let err = scan(&path).unwrap_err();
+            assert!(
+                matches!(&err, StreamError::CorruptJournal(m) if m.contains(&format!("base epoch {base} "))),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

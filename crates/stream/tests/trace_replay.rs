@@ -5,7 +5,7 @@
 
 use rwd_core::greedy::approx::GainRule;
 use rwd_datasets::{temporal_trace, TemporalTraceSpec, TraceModel};
-use rwd_stream::{StreamConfig, StreamEngine};
+use rwd_stream::{SeedMaintainer, StreamConfig, StreamEngine};
 use rwd_walks::WalkIndex;
 
 fn spec() -> TemporalTraceSpec {
@@ -71,5 +71,50 @@ fn weighted_replay_with_twin_base_stays_exact() {
     assert!(
         *engine.shard_indexes()[0] == fresh,
         "weighted replay drifted"
+    );
+}
+
+/// The warm path over a multi-batch trace: on a hub-dominated graph with
+/// two edits per batch, every batch repairs warm, at least half of all
+/// greedy rounds replay from their logs, and each batch's objective is
+/// bitwise that of a cold pass over the same shards.
+#[test]
+fn low_churn_trace_stays_warm_and_bitwise_cold() {
+    let trace = temporal_trace(&TemporalTraceSpec {
+        model: TraceModel::BarabasiAlbert { mdeg: 12 },
+        nodes: 4_000,
+        batches: 12,
+        batch_edits: 2,
+        delete_fraction: 0.5,
+        seed: 0x2013,
+    })
+    .unwrap();
+    let cfg = StreamConfig {
+        l: 8,
+        r: 16,
+        k: 10,
+        seed: 7,
+        rule: GainRule::HittingTime,
+        threads: 0,
+    };
+    let mut engine = StreamEngine::new(trace.base.clone(), cfg).unwrap();
+    let mut replayed = 0;
+    for batch in &trace.batches {
+        let report = engine.apply(batch).unwrap();
+        assert!(report.maintain.warm, "epoch {} went cold", report.epoch);
+        replayed += report.maintain.replayed_rounds;
+        let cold = SeedMaintainer::new(cfg.rule, cfg.k, cfg.threads)
+            .maintain(&engine.shard_indexes(), None);
+        assert_eq!(
+            report.maintain.objective.to_bits(),
+            cold.objective.to_bits(),
+            "epoch {} drifted from a cold pass",
+            report.epoch
+        );
+    }
+    let rounds = trace.batches.len() * cfg.k;
+    assert!(
+        replayed * 2 >= rounds,
+        "only {replayed} of {rounds} rounds replayed"
     );
 }
