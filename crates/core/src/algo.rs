@@ -120,8 +120,8 @@ impl SamplingGreedy {
 ///   commit changed, no resweeps at all.
 ///
 /// Selections are identical under every strategy (the index is fixed, so
-/// gains are deterministic); the ablation bench and the perf binary
-/// quantify the speed differences.
+/// gains are deterministic); the perf gate tests
+/// (`crates/bench/tests/gates.rs`) time `Delta` against `Celf`.
 #[derive(Clone, Copy, Debug)]
 pub struct ApproxGreedy {
     rule: GainRule,
@@ -200,9 +200,9 @@ pub fn select_from_index(
 
 /// [`Strategy::Delta`] greedy with per-round output-sensitivity stats: the
 /// second return value is, for each round, the number of postings the
-/// delta repair actually streamed (the perf harness records it next to the
-/// CELF evaluation counts; after round 1 it is typically far below one
-/// full index sweep).
+/// delta repair actually streamed (the delta-vs-CELF perf gate checks it
+/// against one full index sweep; after round 1 it is typically far
+/// below).
 pub fn delta_greedy_with_stats(
     idx: &WalkIndex,
     rule: GainRule,

@@ -178,9 +178,9 @@ impl<A: Objective, B: Objective> Combined<A, B> {
     }
 }
 
-/// The normalized `λ`-blend of exact `F1` and `F2` used in the examples and
-/// the ablation bench: `λ·F1/(nL) + (1−λ)·F2/n`, so both terms live in
-/// `[0, 1]` and `λ` interpolates meaningfully.
+/// The normalized `λ`-blend of exact `F1` and `F2`:
+/// `λ·F1/(nL) + (1−λ)·F2/n`, so both terms live in `[0, 1]` and `λ`
+/// interpolates meaningfully.
 pub fn combined_f1_f2_exact(
     graph: &CsrGraph,
     l: u32,

@@ -16,7 +16,7 @@
 //! ([`rwd_graph::generators::power_law_cl`]) with the same `(n, m)` and a
 //! heavy-tailed degree profile. Every quantity the paper measures (hitting
 //! times, coverage, greedy rankings) is driven by scale and degree
-//! distribution, which the stand-ins match; see DESIGN.md §2.
+//! distribution, which the stand-ins match.
 //!
 //! If the genuine SNAP edge lists are available locally, set
 //! `RWD_DATA_DIR=/path/to/snap` and [`Dataset::load`] will parse the real
@@ -29,8 +29,8 @@
 //! The [`temporal`] module generates deterministic **edge-churn traces**
 //! (timestamped insert/delete batches over a BA or Erdős–Rényi base graph)
 //! for the evolving-graph subsystem — the shared workload of the
-//! `rwdom stream` CLI, the perf harness's `stream` block, and the
-//! incremental-vs-rebuild equivalence tests.
+//! `rwdom stream` CLI, the perf gate tests, and the incremental-vs-rebuild
+//! equivalence tests.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

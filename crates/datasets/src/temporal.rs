@@ -8,7 +8,7 @@
 //! deletion names a live edge, every insertion a currently absent pair, no
 //! pair is edited twice within a batch) and a pure function of its spec —
 //! the same spec always produces byte-identical batches, which is what
-//! lets the CLI, the perf harness and the equivalence tests share one
+//! lets the CLI, the perf gate tests and the equivalence tests share one
 //! workload definition.
 //!
 //! Insertion weights are mixed deterministically from `(seed, u, v)` into

@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// `NodeId` is a `u32` newtype: every graph in this workspace relabels its
 /// vertices into a dense range so that per-node state can live in flat
-/// vectors instead of hash maps (see the perf notes in `DESIGN.md`). A `u32`
+/// vectors instead of hash maps. A `u32`
 /// supports graphs up to ~4.3 billion nodes, far beyond anything the paper
 /// evaluates, while halving index memory versus `usize` on 64-bit targets.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

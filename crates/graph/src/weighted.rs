@@ -12,10 +12,9 @@ use crate::error::GraphError;
 use crate::node::NodeId;
 use crate::Result;
 
-/// An immutable weighted graph in CSR form with two samplers per node: a
+/// An immutable weighted graph in CSR form with one sampler per node: a
 /// Walker/Vose **alias table** for O(1) neighbor draws (the random-walk hot
-/// path) and cumulative weights for O(log d) binary-search draws (kept as a
-/// cross-check oracle and for incremental use cases).
+/// path).
 ///
 /// Undirected: each edge `{u, v, w}` is stored as both arcs with weight `w`.
 /// The topology (offsets, sorted targets, edge count) is an undirected
@@ -25,9 +24,6 @@ use crate::Result;
 pub struct WeightedCsrGraph {
     topo: CsrGraph,
     weights: Vec<f64>,
-    /// `cumulative[row(u)]` is the inclusive prefix sum of `weights` within
-    /// `u`'s row; its last entry equals `strength(u)`.
-    cumulative: Vec<f64>,
     /// Alias-table acceptance probabilities, aligned with the targets:
     /// bucket `i` of node `u` keeps its own neighbor with probability
     /// `alias_prob[row(u).start + i]`, else falls through to `alias[..]`.
@@ -130,7 +126,6 @@ impl WeightedCsrGraph {
         WeightedCsrGraph {
             topo,
             weights: Vec::with_capacity(slots),
-            cumulative: Vec::with_capacity(slots),
             alias_prob: Vec::with_capacity(slots),
             alias: Vec::with_capacity(slots),
         }
@@ -162,15 +157,13 @@ impl WeightedCsrGraph {
         self.topo.degree(u)
     }
 
-    /// Total incident weight of `u` (the random-walk normalizer).
+    /// Total incident weight of `u` (the random-walk normalizer): the row's
+    /// weights summed left to right.
     #[inline]
     pub fn strength(&self, u: NodeId) -> f64 {
-        let row = self.row(u);
-        if row.is_empty() {
-            0.0
-        } else {
-            self.cumulative[row.end - 1]
-        }
+        self.weights[self.row(u)]
+            .iter()
+            .fold(0.0, |acc, &w| acc + w)
     }
 
     /// Neighbor/weight pairs of `u`.
@@ -184,31 +177,12 @@ impl WeightedCsrGraph {
     }
 
     /// Samples a neighbor of `u` with probability proportional to edge
-    /// weight, given a uniform draw `x ∈ [0, 1)`, by binary search over the
-    /// cumulative weights — O(log d). Returns `None` for isolated nodes.
-    ///
-    /// The random-walk hot path uses [`WeightedCsrGraph::pick_neighbor_alias`]
-    /// instead; this form is kept as the independent oracle the property
-    /// tests compare the alias table against.
-    pub fn pick_neighbor(&self, u: NodeId, x: f64) -> Option<NodeId> {
-        let row = self.row(u);
-        if row.is_empty() {
-            return None;
-        }
-        let total = self.cumulative[row.end - 1];
-        let needle = x * total;
-        let range = &self.cumulative[row];
-        let idx = range.partition_point(|&c| c <= needle).min(range.len() - 1);
-        Some(self.topo.neighbors(u)[idx])
-    }
-
-    /// Samples a neighbor of `u` with probability proportional to edge
     /// weight in **O(1)** via the precomputed Walker/Vose alias table, given
     /// a uniform draw `x ∈ [0, 1)`. Returns `None` for isolated nodes.
     ///
     /// The single draw is split into a bucket index (high part) and an
-    /// acceptance fraction (low part), so one `f64` drives both decisions —
-    /// the same draw count per step as the binary-search sampler.
+    /// acceptance fraction (low part), so one `f64` drives both decisions:
+    /// one draw per step.
     #[inline]
     pub fn pick_neighbor_alias(&self, u: NodeId, x: f64) -> Option<NodeId> {
         let Range { start: lo, end: hi } = self.row(u);
@@ -247,8 +221,8 @@ impl WeightedCsrGraph {
     ///
     /// Weights must be positive and finite; the topology edit and the rest
     /// of its validation are [`CsrGraph::with_edits`]'s. Samplers are
-    /// patched, not rebuilt: untouched rows' weight, prefix-sum and alias
-    /// columns are copied verbatim (alias fallback slots are row-relative,
+    /// patched, not rebuilt: untouched rows' weight and alias columns are
+    /// copied verbatim (alias fallback slots are row-relative,
     /// so they stay valid when offsets shift), and only touched rows are
     /// rebuilt. The result is bit-identical to
     /// [`WeightedCsrGraph::from_weighted_edges`] on the final edge list —
@@ -303,23 +277,18 @@ impl WeightedCsrGraph {
         Ok((g, touched))
     }
 
-    /// Appends one row's weights and rebuilds its samplers (prefix sums
-    /// and alias table). The constructor and [`WeightedCsrGraph::with_edits`]
+    /// Appends one row's weights and rebuilds its alias table. The
+    /// constructor and [`WeightedCsrGraph::with_edits`]
     /// write every row they build through here, so a patched row is
     /// bitwise the row a from-scratch build produces.
     fn push_row(&mut self, row: impl IntoIterator<Item = f64>, scaled: &mut Vec<f64>) {
         let lo = self.weights.len();
         self.weights.extend(row);
-        let mut acc = 0.0;
-        for &w in &self.weights[lo..] {
-            acc += w;
-            self.cumulative.push(acc);
-        }
         let d = self.weights.len() - lo;
         self.alias_prob.resize(lo + d, 1.0);
         self.alias.resize(lo + d, 0);
         if d > 0 {
-            let total = self.cumulative[lo + d - 1];
+            let total = self.weights[lo..].iter().fold(0.0, |acc, &w| acc + w);
             scaled.clear();
             scaled.extend(self.weights[lo..].iter().map(|&w| w * d as f64 / total));
             fill_alias_table(scaled, &mut self.alias_prob[lo..], &mut self.alias[lo..]);
@@ -329,8 +298,6 @@ impl WeightedCsrGraph {
     /// Appends the columns of `from`'s slots `range` verbatim.
     fn copy_rows(&mut self, from: &WeightedCsrGraph, range: Range<usize>) {
         self.weights.extend_from_slice(&from.weights[range.clone()]);
-        self.cumulative
-            .extend_from_slice(&from.cumulative[range.clone()]);
         self.alias_prob
             .extend_from_slice(&from.alias_prob[range.clone()]);
         self.alias.extend_from_slice(&from.alias[range]);
@@ -369,6 +336,23 @@ mod tests {
         WeightedCsrGraph::from_weighted_edges(3, &[(0, 1, 1.0), (0, 2, 3.0)]).unwrap()
     }
 
+    /// The O(log d) oracle the alias table is checked against: a neighbor
+    /// of `u` drawn with probability proportional to its weight, given a
+    /// uniform `x ∈ [0, 1)`, by binary search over the row's prefix sums.
+    fn pick_neighbor(g: &WeightedCsrGraph, u: NodeId, x: f64) -> Option<NodeId> {
+        let mut acc = 0.0;
+        let prefix: Vec<(NodeId, f64)> = g
+            .neighbors(u)
+            .map(|(v, w)| {
+                acc += w;
+                (v, acc)
+            })
+            .collect();
+        let needle = x * prefix.last()?.1;
+        let idx = prefix.partition_point(|&(_, c)| c <= needle);
+        Some(prefix[idx.min(prefix.len() - 1)].0)
+    }
+
     #[test]
     fn strength_and_degree() {
         let g = wg();
@@ -384,16 +368,16 @@ mod tests {
     fn pick_neighbor_respects_weights() {
         let g = wg();
         // Node 0 neighbors: 1 (w=1), 2 (w=3); cumulative [1, 4].
-        assert_eq!(g.pick_neighbor(NodeId(0), 0.0), Some(NodeId(1)));
-        assert_eq!(g.pick_neighbor(NodeId(0), 0.24), Some(NodeId(1)));
-        assert_eq!(g.pick_neighbor(NodeId(0), 0.26), Some(NodeId(2)));
-        assert_eq!(g.pick_neighbor(NodeId(0), 0.999), Some(NodeId(2)));
+        assert_eq!(pick_neighbor(&g, NodeId(0), 0.0), Some(NodeId(1)));
+        assert_eq!(pick_neighbor(&g, NodeId(0), 0.24), Some(NodeId(1)));
+        assert_eq!(pick_neighbor(&g, NodeId(0), 0.26), Some(NodeId(2)));
+        assert_eq!(pick_neighbor(&g, NodeId(0), 0.999), Some(NodeId(2)));
     }
 
     #[test]
     fn isolated_node_has_no_neighbor() {
         let g = WeightedCsrGraph::from_weighted_edges(2, &[]).unwrap();
-        assert_eq!(g.pick_neighbor(NodeId(0), 0.5), None);
+        assert_eq!(pick_neighbor(&g, NodeId(0), 0.5), None);
         assert_eq!(g.pick_neighbor_alias(NodeId(0), 0.5), None);
         assert_eq!(g.strength(NodeId(0)), 0.0);
     }
@@ -484,10 +468,6 @@ mod tests {
         assert_eq!(
             a.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
             b.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            a.cumulative.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-            b.cumulative.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
         );
         assert_eq!(
             a.alias_prob.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),

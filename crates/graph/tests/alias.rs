@@ -15,6 +15,23 @@ use proptest::TestRng;
 use rwd_graph::weighted::WeightedCsrGraph;
 use rwd_graph::NodeId;
 
+/// The O(log d) oracle: a neighbor of `u` drawn with probability
+/// proportional to its weight, given a uniform `x ∈ [0, 1)`, by binary
+/// search over the row's prefix sums.
+fn pick_neighbor(g: &WeightedCsrGraph, u: NodeId, x: f64) -> Option<NodeId> {
+    let mut acc = 0.0;
+    let prefix: Vec<(NodeId, f64)> = g
+        .neighbors(u)
+        .map(|(v, w)| {
+            acc += w;
+            (v, acc)
+        })
+        .collect();
+    let needle = x * prefix.last()?.1;
+    let idx = prefix.partition_point(|&(_, c)| c <= needle);
+    Some(prefix[idx.min(prefix.len() - 1)].0)
+}
+
 /// Uniform f64 in [0, 1) from the proptest shim's deterministic RNG.
 fn unit_f64(rng: &mut TestRng) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -71,7 +88,7 @@ proptest! {
             // Same uniform draw drives both samplers: any systematic
             // distribution difference shows up directly in the counts.
             let a = g.pick_neighbor_alias(hub, x).unwrap();
-            let b = g.pick_neighbor(hub, x).unwrap();
+            let b = pick_neighbor(&g, hub, x).unwrap();
             alias_counts[a.index() - 1] += 1;
             bsearch_counts[b.index() - 1] += 1;
         }

@@ -391,7 +391,7 @@ mod tests {
             let b = plain.apply(&batch).unwrap();
             assert_eq!(a.epoch, b.epoch);
         }
-        assert!(dir.join("snap-2/manifest.bin").exists());
+        assert!(dir.join("snap-2/state.bin").exists());
 
         // Recover into a fresh engine: its snapshot must be bit-identical
         // to the live one it shadows.

@@ -11,13 +11,18 @@
 //!   validation and **before** any shard commits, so the journal is always
 //!   a durable prefix of the engine's committed history — a crash loses a
 //!   batch entirely or not at all, never half of one.
-//! * `snap-<E>/` — a full engine snapshot at epoch `E`: `graph.bin` (the
-//!   canonical edge list, whose from-scratch rebuild is proven bitwise
-//!   identical to the live CSR by the graph crate's own tests), one
-//!   RWDIDX4 file per shard (reusing [`WalkIndex::save`], CRC-trailed),
-//!   and `manifest.bin` written **last** — a snapshot without a valid
-//!   manifest never existed. After a snapshot the journal rotates to the
-//!   new base and older artifacts are compacted away.
+//! * `snap-<E>/` — a full engine snapshot at epoch `E`: one RWDIDX4 file
+//!   per shard ([`WalkIndex::save`]), then `state.bin` written **last**,
+//!   once the shard files are fsync'd — a snapshot without a valid state
+//!   file never existed. `state.bin` is a second schema on RWDIDX4's
+//!   section codec ([`rwd_walks::storage`]): the epoch, engine config,
+//!   graph kind, `n`, shard and edge counts as header fields, then the
+//!   shard ranges and the canonical edge list (sources, targets and, when
+//!   weighted, weight bits), whose rebuild the graph crate's tests prove
+//!   bitwise equal to the live CSR. An open reads it with one read. After
+//!   a snapshot the journal rotates to the new base and older artifacts
+//!   are compacted away. A `snap-<E>/` in the retired layout
+//!   (`manifest.bin` and `graph.bin`) is refused by name.
 //!
 //! An engine holds an exclusive `flock` on `<dir>/LOCK` for as long as it
 //! lives, so one data directory has at most one live engine: a second
@@ -46,8 +51,8 @@ use std::time::Instant;
 
 use rwd_core::greedy::approx::GainRule;
 use rwd_graph::weighted::WeightedCsrGraph;
-use rwd_graph::{GraphBuilder, GraphKind, NodeId};
-use rwd_walks::crc::crc32;
+use rwd_graph::{GraphBuilder, GraphKind};
+use rwd_walks::storage::{self, Schema, SectionWriter};
 use rwd_walks::{LayerRange, WalkIndex};
 
 use crate::batch::DedupedEdits;
@@ -55,8 +60,24 @@ use crate::engine::{self, EpochGraph, StagedRun, StreamConfig, StreamEngine};
 use crate::journal::{self, BatchJournal};
 use crate::{Result, StreamError};
 
-const MANIFEST_MAGIC: &[u8; 8] = b"RWDSNP1\0";
-const GRAPH_MAGIC: &[u8; 8] = b"RWDGRF1\0";
+/// A snapshot's `state.bin` on the section codec: twelve `u64` fields
+/// (epoch, `l`, `r`, `k`, seed, threads, gain-rule tag, λ bits, graph kind,
+/// `n`, shard count, edge count) and no table, then the shard ranges as
+/// `(start, end)` pairs, the edge sources, the edge targets and, for a
+/// weighted graph, the weight bits.
+const STATE: Schema = Schema {
+    noun: "snapshot state file",
+    magic: b"RWDSNP2\0",
+    retired: &[],
+    retired_hint: "",
+    fields: 12,
+    table_len: None,
+};
+
+/// `state.bin`'s graph-kind field.
+const UNDIRECTED: u64 = 0;
+const DIRECTED: u64 = 1;
+const WEIGHTED: u64 = 2;
 
 /// Durability policy of a durable [`StreamEngine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -99,8 +120,8 @@ pub struct RecoveryReport {
     /// Why the journal tail was truncated, when it was (`None` = the
     /// journal ended cleanly on a record boundary).
     pub torn_tail: Option<String>,
-    /// Wall time of the snapshot load: manifest, shard index open and
-    /// graph rebuild.
+    /// Wall time of the snapshot load: the one read of `state.bin`, the
+    /// shard index opens and the graph rebuild from its edge list.
     pub snapshot_load_ms: f64,
     /// Wall time of everything after the load: the journal scan, staging
     /// the suffix, its one refresh per shard, and the open's one
@@ -160,16 +181,19 @@ impl Durable {
             "journal rotate",
             BatchJournal::create(self.dir.join(format!("journal-{epoch}.wal")), epoch),
         )?;
+        write_step(None)?;
         // Compaction. Best-effort: leftovers are harmless (recovery picks
         // the newest loadable snapshot and the newest journal base).
         for (e, p) in find_numbered(&self.dir, "snap-")? {
             if e < epoch {
                 std::fs::remove_dir_all(&p).ok();
+                write_step(None)?;
             }
         }
         for (e, p) in find_numbered(&self.dir, "journal-")? {
             if e < epoch {
                 std::fs::remove_file(&p).ok();
+                write_step(None)?;
             }
         }
         self.since_snapshot = 0;
@@ -412,7 +436,7 @@ impl StreamEngine {
 
     /// Takes a snapshot at the current epoch, rotates the journal to the
     /// new base, and compacts: older snapshots and journal files are
-    /// deleted once the new manifest is durable. Returns the snapshot
+    /// deleted once the new state file is durable. Returns the snapshot
     /// epoch. At the epoch of the snapshot the engine created, loaded or
     /// last wrote, it writes nothing: that snapshot already holds this
     /// state, and rewriting it in place would truncate the files a mapped
@@ -516,247 +540,267 @@ fn find_numbered(dir: &Path, prefix: &str) -> Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Serializes the full engine state into `snap_dir`: `graph.bin`, one
-/// walk-index file per shard, then `manifest.bin` last (commit point).
-/// Every file ends in a CRC-32 trailer and is fsync'd before the manifest
-/// lands, and then the directory is fsync'd so its entries are durable.
-/// A failure to open or fsync the directory fails the snapshot, except
-/// `InvalidInput` and `Unsupported`: a filesystem that cannot fsync a
-/// directory handle says so with one of those, and there the directory
-/// sync stays best-effort.
+/// Serializes the full engine state into `snap_dir`: one walk-index file
+/// per shard, then `state.bin` last (the commit point). Every file ends in
+/// a CRC-32 trailer and the shard files are fsync'd before the state file
+/// is written; it is fsync'd in turn, and then the directory, so its
+/// entries are durable. A failure to open or fsync the directory fails the
+/// snapshot, except `InvalidInput` and `Unsupported`: a filesystem that
+/// cannot fsync a directory handle says so with one of those, and there
+/// the directory sync stays best-effort.
 pub(crate) fn save_snapshot(engine: &StreamEngine, snap_dir: &Path) -> Result<()> {
     let metrics = crate::obs::durable_metrics();
     let timer = metrics.snapshot_write_ns.time();
     dio("snapshot dir create", std::fs::create_dir_all(snap_dir))?;
-    let graph = engine.graph_shared();
-
-    // Graph: the canonical edge list. Rebuilding a CSR from it is bitwise
-    // identical to the live graph (the graph crate's with_edits tests pin
-    // exactly this equality for both the unweighted and weighted layouts).
-    let mut graph_bytes = Vec::new();
-    graph_bytes.extend_from_slice(GRAPH_MAGIC);
-    match &graph {
-        EpochGraph::Unweighted(g) => {
-            graph_bytes.push(0u8);
-            graph_bytes.push(match g.kind() {
-                GraphKind::Undirected => 0u8,
-                GraphKind::Directed => 1u8,
-            });
-            graph_bytes.extend_from_slice(&(g.n() as u64).to_le_bytes());
-            graph_bytes.extend_from_slice(&(g.m() as u64).to_le_bytes());
-            for (u, v) in g.edges() {
-                graph_bytes.extend_from_slice(&u.raw().to_le_bytes());
-                graph_bytes.extend_from_slice(&v.raw().to_le_bytes());
-            }
-        }
-        EpochGraph::Weighted(g) => {
-            graph_bytes.push(1u8);
-            graph_bytes.push(0u8); // weighted graphs are always undirected
-            graph_bytes.extend_from_slice(&(g.n() as u64).to_le_bytes());
-            graph_bytes.extend_from_slice(&(g.m() as u64).to_le_bytes());
-            for u in 0..g.n() as u32 {
-                for (v, w) in g.neighbors(NodeId(u)) {
-                    if v.raw() >= u {
-                        graph_bytes.extend_from_slice(&u.to_le_bytes());
-                        graph_bytes.extend_from_slice(&v.raw().to_le_bytes());
-                        graph_bytes.extend_from_slice(&w.to_bits().to_le_bytes());
-                    }
-                }
-            }
-        }
-    }
-    write_with_crc(&snap_dir.join("graph.bin"), graph_bytes)?;
 
     // Per-shard walk indexes, one zero-copy-openable RWDIDX4 file each.
     for (i, idx) in engine.shard_indexes().iter().enumerate() {
         let path = snap_dir.join(format!("shard-{i}.rwdidx"));
         dio("shard index save", idx.save(&path))?;
+        write_step(Some(&path))?;
         dio(
             "shard index sync",
             File::open(&path).and_then(|f| f.sync_all()),
         )?;
+        write_step(None)?;
     }
 
-    // Manifest last: a snapshot is valid iff its manifest parses, so a
-    // crash mid-snapshot leaves an ignorable directory, never a lie.
-    let cfg = engine.config();
-    let mut m = Vec::new();
-    m.extend_from_slice(MANIFEST_MAGIC);
-    m.extend_from_slice(&engine.epoch().to_le_bytes());
-    m.extend_from_slice(&(cfg.l as u64).to_le_bytes());
-    m.extend_from_slice(&(cfg.r as u64).to_le_bytes());
-    m.extend_from_slice(&(cfg.k as u64).to_le_bytes());
-    m.extend_from_slice(&cfg.seed.to_le_bytes());
-    m.extend_from_slice(&(cfg.threads as u64).to_le_bytes());
-    let (rule_tag, lambda) = match cfg.rule {
-        GainRule::HittingTime => (0u8, 0f64),
-        GainRule::Coverage => (1u8, 0f64),
-        GainRule::Combined { lambda } => (2u8, lambda),
-    };
-    m.push(rule_tag);
-    m.extend_from_slice(&lambda.to_bits().to_le_bytes());
-    m.push(u8::from(matches!(graph, EpochGraph::Weighted(_))));
-    m.extend_from_slice(&(graph.n() as u64).to_le_bytes());
-    let ranges = engine.shard_ranges();
-    m.extend_from_slice(&(ranges.len() as u64).to_le_bytes());
-    for rg in &ranges {
-        m.extend_from_slice(&(rg.start() as u64).to_le_bytes());
-        m.extend_from_slice(&(rg.end() as u64).to_le_bytes());
-    }
-    write_with_crc(&snap_dir.join("manifest.bin"), m)?;
+    // The state file last: a snapshot is valid iff its state file loads,
+    // so a crash mid-snapshot leaves an ignorable directory, never a lie.
+    let path = snap_dir.join("state.bin");
+    dio("state file write", write_state(engine, &path))?;
+    write_step(Some(&path))?;
+    dio(
+        "state file sync",
+        File::open(&path).and_then(|f| f.sync_all()),
+    )?;
+    write_step(None)?;
     // Make the directory entries themselves durable.
     use std::io::ErrorKind::{InvalidInput, Unsupported};
     match File::open(snap_dir).and_then(|d| d.sync_all()) {
         Err(e) if matches!(e.kind(), InvalidInput | Unsupported) => {}
         synced => dio("snapshot dir sync", synced)?,
     }
+    write_step(None)?;
     timer.stop();
     metrics.snapshots_written.inc();
     Ok(())
 }
 
-fn write_with_crc(path: &Path, mut bytes: Vec<u8>) -> Result<()> {
-    let sum = crc32(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    dio("snapshot file write", std::fs::write(path, &bytes))?;
-    dio(
-        "snapshot file sync",
-        File::open(path).and_then(|f| f.sync_all()),
-    )
-}
-
-/// Reads a CRC-trailed snapshot file, verifying magic and checksum.
-fn read_with_crc(path: &Path, magic: &[u8; 8], what: &str) -> Result<Vec<u8>> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            return Err(StreamError::CorruptSnapshot(format!(
-                "{what} {} unreadable: {e}",
-                path.display()
-            )))
+/// Writes `state.bin` ([`STATE`]): the engine's epoch, config and shard
+/// ranges, and its graph as the canonical edge list. Rebuilding a CSR
+/// from that list is bitwise identical to the live graph (the graph
+/// crate's `with_edits` tests pin exactly this equality for both the
+/// unweighted and weighted layouts).
+fn write_state(engine: &StreamEngine, path: &Path) -> std::io::Result<()> {
+    let cfg = engine.config();
+    let (rule, lambda) = match cfg.rule {
+        GainRule::HittingTime => (0, 0f64),
+        GainRule::Coverage => (1, 0f64),
+        GainRule::Combined { lambda } => (2, lambda),
+    };
+    let graph = engine.graph_shared();
+    let (mut sources, mut targets, mut weights) = (Vec::new(), Vec::new(), Vec::new());
+    let kind = match &graph {
+        EpochGraph::Unweighted(g) => {
+            (sources, targets) = g.edges().map(|(u, v)| (u.raw(), v.raw())).unzip();
+            match g.kind() {
+                GraphKind::Undirected => UNDIRECTED,
+                GraphKind::Directed => DIRECTED,
+            }
+        }
+        EpochGraph::Weighted(g) => {
+            for u in g.nodes() {
+                for (v, w) in g.neighbors(u).filter(|&(v, _)| v.raw() >= u.raw()) {
+                    sources.push(u.raw());
+                    targets.push(v.raw());
+                    weights.push(w.to_bits());
+                }
+            }
+            WEIGHTED
         }
     };
-    if bytes.len() < 12 || &bytes[..8] != magic {
-        return Err(StreamError::CorruptSnapshot(format!(
-            "{what} {} has a bad or truncated header",
-            path.display()
-        )));
+    let ranges: Vec<u64> = engine
+        .shard_ranges()
+        .iter()
+        .flat_map(|rg| [rg.start() as u64, rg.end() as u64])
+        .collect();
+    let fields = [
+        engine.epoch(),
+        cfg.l as u64,
+        cfg.r as u64,
+        cfg.k as u64,
+        cfg.seed,
+        cfg.threads as u64,
+        rule,
+        lambda.to_bits(),
+        kind,
+        graph.n() as u64,
+        ranges.len() as u64 / 2,
+        sources.len() as u64,
+    ];
+    let file = std::io::BufWriter::new(File::create(path)?);
+    let mut w = SectionWriter::new(file, &STATE, &fields, &[])?;
+    w.section(&ranges)?;
+    w.section(&sources)?;
+    w.section(&targets)?;
+    w.section(&weights)?;
+    w.finish()
+}
+
+/// Ends one snapshot write step: a file written (the path in flight) or
+/// fsync'd, the directory fsync, the journal rotation, or one compaction
+/// delete. A test build can stop a snapshot here, as a crash would
+/// ([`fail_point`]).
+#[cfg(not(test))]
+fn write_step(_: Option<&Path>) -> Result<()> {
+    Ok(())
+}
+#[cfg(test)]
+use fail_point::hit as write_step;
+
+#[cfg(test)]
+pub(crate) mod fail_point {
+    //! A test build's crash injector for snapshots. Armed with step `i`
+    //! (from 1), the `i`-th [`write_step`](super::write_step) on this
+    //! thread fails the snapshot with the `"injected crash"` durability
+    //! error, optionally after tearing the file that step wrote to half
+    //! its length.
+
+    use std::cell::Cell;
+    use std::path::Path;
+
+    use crate::{Result, StreamError};
+
+    thread_local! {
+        /// Write steps left until the crash (the crash step included), and
+        /// whether it tears the file in flight.
+        static ARMED: Cell<Option<(usize, bool)>> = const { Cell::new(None) };
     }
-    let (content, trailer) = bytes.split_at(bytes.len() - 4);
-    if crc32(content) != u32::from_le_bytes(trailer.try_into().unwrap()) {
-        return Err(StreamError::CorruptSnapshot(format!(
-            "{what} {} fails its content checksum",
-            path.display()
-        )));
+
+    /// Crashes the snapshot after its `step`-th write step.
+    pub(crate) fn arm(step: usize, torn: bool) {
+        ARMED.set(Some((step, torn)));
     }
-    Ok(content[8..].to_vec())
+
+    /// Disarms, and says whether the armed step was never reached.
+    pub(crate) fn disarm() -> bool {
+        ARMED.take().is_some()
+    }
+
+    pub(crate) fn hit(in_flight: Option<&Path>) -> Result<()> {
+        match ARMED.get() {
+            None => Ok(()),
+            Some((left, torn)) if left > 1 => {
+                ARMED.set(Some((left - 1, torn)));
+                Ok(())
+            }
+            Some((_, torn)) => {
+                ARMED.set(None);
+                if let (true, Some(path)) = (torn, in_flight) {
+                    let file = std::fs::OpenOptions::new().write(true).open(path);
+                    file.and_then(|f| f.set_len(f.metadata()?.len() / 2))
+                        .expect("tear the file in flight");
+                }
+                Err(StreamError::Durability {
+                    context: "injected crash".into(),
+                    source: std::io::Error::other("snapshot stopped at its armed write step"),
+                })
+            }
+        }
+    }
 }
 
 /// Loads one snapshot directory, named for `epoch`, back into a
-/// [`StreamEngine`] at that epoch. Every cross-field inconsistency is a
-/// named [`StreamError::CorruptSnapshot`], including a manifest that
-/// records another epoch than the directory's name: the journal replay
-/// starts past the name, so serving such a snapshot would skip or repeat
-/// history.
+/// [`StreamEngine`] at that epoch, from one read of its `state.bin`. Every
+/// cross-field inconsistency is a named [`StreamError::CorruptSnapshot`],
+/// including a state file that records another epoch than the directory's
+/// name: the journal replay starts past the name, so serving such a
+/// snapshot would skip or repeat history.
 pub(crate) fn load_snapshot(snap_dir: &Path, epoch: u64, mode: OpenMode) -> Result<StreamEngine> {
     let corrupt = |msg: String| StreamError::CorruptSnapshot(msg);
-    let m = read_with_crc(&snap_dir.join("manifest.bin"), MANIFEST_MAGIC, "manifest")?;
-    let fixed = 8 * 6 + 1 + 8 + 1 + 8 + 8;
-    if m.len() < fixed {
-        return Err(corrupt(format!(
-            "manifest in {} is too short ({} bytes)",
-            snap_dir.display(),
-            m.len()
+    let path = snap_dir.join("state.bin");
+    let at = path.display();
+    let bad = |what: String| corrupt(format!("state file {at} {what}"));
+    let bytes = match std::fs::read(&path) {
+        Ok(b) => b,
+        Err(e)
+            if e.kind() == std::io::ErrorKind::NotFound
+                && snap_dir.join("manifest.bin").exists() =>
+        {
+            return Err(corrupt(format!(
+                "{} holds the retired manifest.bin and graph.bin layout and no state.bin; \
+                 this build reads only state.bin — recover the directory with the build \
+                 that wrote it and take a new snapshot",
+                snap_dir.display()
+            )))
+        }
+        Err(e) => return Err(bad(format!("unreadable: {e}"))),
+    };
+    let unreadable = |e: std::io::Error| bad(format!("failed to load: {e}"));
+    let mut h = storage::read_header(&STATE, bytes.len() as u64, storage::read_bytes(&bytes))
+        .map_err(unreadable)?;
+    storage::check_trailer(&STATE, &bytes, 1).map_err(unreadable)?;
+    let [recorded, l, r, k, seed, threads, rule, lambda, kind, n, shard_count, m] =
+        <[u64; 12]>::try_from(&h.fields[..]).expect("the state schema has 12 fields");
+    if recorded != epoch {
+        return Err(bad(format!(
+            "records epoch {recorded} but the directory names epoch {epoch}"
         )));
     }
-    let u64_at = |at: usize| u64::from_le_bytes(m[at..at + 8].try_into().unwrap());
-    if u64_at(0) != epoch {
-        return Err(corrupt(format!(
-            "manifest in {} records epoch {} but the directory names epoch {epoch}",
-            snap_dir.display(),
-            u64_at(0)
-        )));
-    }
-    let l = u32::try_from(u64_at(8)).map_err(|_| {
-        corrupt(format!(
-            "manifest in {} records walk length {} beyond u32",
-            snap_dir.display(),
-            u64_at(8)
-        ))
-    })?;
+    let l = u32::try_from(l).map_err(|_| bad(format!("records walk length {l} beyond u32")))?;
     let cfg = StreamConfig {
         l,
-        r: u64_at(16) as usize,
-        k: u64_at(24) as usize,
-        seed: u64_at(32),
-        threads: u64_at(40) as usize,
-        rule: match m[48] {
+        r: r as usize,
+        k: k as usize,
+        seed,
+        threads: threads as usize,
+        rule: match rule {
             0 => GainRule::HittingTime,
             1 => GainRule::Coverage,
             2 => GainRule::Combined {
-                lambda: f64::from_bits(u64_at(49)),
+                lambda: f64::from_bits(lambda),
             },
-            tag => {
-                return Err(corrupt(format!(
-                    "manifest in {} names unknown gain rule tag {tag}",
-                    snap_dir.display()
-                )))
-            }
+            tag => return Err(bad(format!("names unknown gain rule tag {tag}"))),
         },
     };
-    let weighted = m[57] != 0;
-    let n = u64_at(58) as usize;
-    let shard_count = u64_at(66) as usize;
-    // The cold start's validation, before anything is sized from these
-    // fields: a manifest the engine could not have been built from is
-    // corruption, not a configuration to run.
-    engine::validate(&cfg, n, shard_count).map_err(|e| {
-        corrupt(format!(
-            "manifest in {} fails engine validation: {e}",
-            snap_dir.display()
-        ))
-    })?;
-    if shard_count
-        .checked_mul(16)
-        .and_then(|t| t.checked_add(fixed))
-        != Some(m.len())
-    {
-        return Err(corrupt(format!(
-            "manifest in {} sizes {} bytes, which do not hold exactly {shard_count} shard ranges",
-            snap_dir.display(),
-            m.len()
-        )));
+    if kind > WEIGHTED {
+        return Err(bad(format!("names unknown graph kind {kind}")));
     }
+    let (n, shard_count) = (n as usize, shard_count as usize);
+    // The cold start's validation, before anything is sized from these
+    // fields: a state the engine could not have been built from is
+    // corruption, not a configuration to run.
+    engine::validate(&cfg, n, shard_count)
+        .map_err(|e| bad(format!("fails engine validation: {e}")))?;
+    let ranges_at = h
+        .section::<u64>((shard_count as u64).saturating_mul(2))
+        .map_err(|e| bad(format!("does not hold its {shard_count} shard ranges: {e}")))?;
     // The ranges must tile [0, r) in order — the layout every shard-indexed
     // consumer (seed maintenance, point-query gather) merges by.
     let mut ranges = Vec::with_capacity(shard_count);
-    for i in 0..shard_count {
-        let start = u64_at(fixed + i * 16) as usize;
-        let end = u64_at(fixed + i * 16 + 8) as usize;
+    let mut bounds = storage::le_values::<u64>(&bytes[ranges_at..ranges_at + 16 * shard_count])
+        .map(|b| b as usize);
+    while let (Some(start), Some(end)) = (bounds.next(), bounds.next()) {
         let next = ranges.last().map_or(0, LayerRange::end);
         if start != next || end <= start || end > cfg.r {
-            return Err(corrupt(format!(
-                "manifest in {} holds shard range [{start}, {end}) where the tiling of \
+            return Err(bad(format!(
+                "holds shard range [{start}, {end}) where the tiling of \
                  [0, {}) continues at layer {next}",
-                snap_dir.display(),
                 cfg.r
             )));
         }
         ranges.push(LayerRange::new(start, end));
     }
     if ranges.last().map(LayerRange::end) != Some(cfg.r) {
-        return Err(corrupt(format!(
-            "manifest in {} tiles fewer than its {} layers",
-            snap_dir.display(),
-            cfg.r
-        )));
+        return Err(bad(format!("tiles fewer than its {} layers", cfg.r)));
     }
 
-    // Per-shard indexes, cross-checked against the manifest's tiling.
+    // Per-shard indexes, cross-checked against the state file's tiling.
     // They open before the graph is built: each shard file's own layout
-    // bounds `n` by the file's length, so a lying manifest `n` is refused
-    // here instead of sizing the graph build. Mapped mode zero-copies the
-    // shard files; hosts without the mapped path deserialize.
+    // bounds `n` by the file's length, so a lying `n` is refused here
+    // instead of sizing the graph build. Mapped mode zero-copies the shard
+    // files; hosts without the mapped path deserialize.
     let use_map = mode == OpenMode::Mapped && cfg!(unix) && cfg!(target_endian = "little");
     let mut shards = Vec::with_capacity(shard_count);
     for (i, &rg) in ranges.iter().enumerate() {
@@ -764,7 +808,7 @@ pub(crate) fn load_snapshot(snap_dir: &Path, epoch: u64, mode: OpenMode) -> Resu
         let idx = if use_map {
             WalkIndex::open_mapped(&path)
         } else {
-            WalkIndex::load_with_threads(&path, cfg.threads)
+            WalkIndex::load_with_stats(&path, cfg.threads).map(|(idx, _)| idx)
         }
         .map_err(|e| {
             corrupt(format!(
@@ -779,7 +823,7 @@ pub(crate) fn load_snapshot(snap_dir: &Path, epoch: u64, mode: OpenMode) -> Resu
             || idx.r() != rg.len()
         {
             return Err(corrupt(format!(
-                "shard index {} disagrees with the manifest (n {} vs {n}, l {} vs {}, \
+                "shard index {} disagrees with the state file (n {} vs {n}, l {} vs {}, \
                  seed {} vs {}, layers [{}, {}) vs [{}, {}))",
                 path.display(),
                 idx.n(),
@@ -797,98 +841,47 @@ pub(crate) fn load_snapshot(snap_dir: &Path, epoch: u64, mode: OpenMode) -> Resu
     }
 
     // Graph rebuild from the canonical edge list.
-    let g = read_with_crc(&snap_dir.join("graph.bin"), GRAPH_MAGIC, "graph")?;
-    if g.len() < 18 {
-        return Err(corrupt(format!(
-            "graph file in {} is too short",
-            snap_dir.display()
-        )));
-    }
-    let g_weighted = g[0] != 0;
-    let g_kind = g[1];
-    let g_n = u64::from_le_bytes(g[2..10].try_into().unwrap()) as usize;
-    let g_m = u64::from_le_bytes(g[10..18].try_into().unwrap()) as usize;
-    if g_weighted != weighted || g_n != n {
-        return Err(corrupt(format!(
-            "graph file in {} disagrees with the manifest (weighted {g_weighted} vs \
-             {weighted}, n {g_n} vs {n})",
-            snap_dir.display()
-        )));
-    }
-    let body = &g[18..];
-    let graph = if weighted {
-        if g_m.checked_mul(16) != Some(body.len()) {
-            return Err(corrupt(format!(
-                "graph file in {} holds {} edge bytes, not the 16 per edge its {g_m} \
-                 weighted edges need",
-                snap_dir.display(),
-                body.len()
-            )));
-        }
-        let edges: Vec<(u32, u32, f64)> = body
-            .chunks_exact(16)
-            .map(|c| {
-                (
-                    u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                    u32::from_le_bytes(c[4..8].try_into().unwrap()),
-                    f64::from_bits(u64::from_le_bytes(c[8..16].try_into().unwrap())),
-                )
-            })
+    let no_edges = |e: std::io::Error| bad(format!("does not hold the {m} edges it records: {e}"));
+    let src = h.section::<u32>(m).map_err(no_edges)?;
+    let dst = h.section::<u32>(m).map_err(no_edges)?;
+    let wts = h
+        .section::<u64>(if kind == WEIGHTED { m } else { 0 })
+        .map_err(no_edges)?;
+    h.content_len().map_err(unreadable)?;
+    let m = m as usize;
+    let edges = storage::le_values::<u32>(&bytes[src..src + 4 * m])
+        .zip(storage::le_values::<u32>(&bytes[dst..dst + 4 * m]));
+    let rebuild = |e: rwd_graph::GraphError| bad(format!("fails to rebuild its graph: {e}"));
+    let not_canonical = |rebuilt: usize| {
+        bad(format!(
+            "rebuilt to {rebuilt} edges, not the recorded {m} (the edge \
+             list was not canonical)"
+        ))
+    };
+    let graph = if kind == WEIGHTED {
+        let weighted: Vec<(u32, u32, f64)> = edges
+            .zip(storage::le_values::<u64>(&bytes[wts..wts + 8 * m]))
+            .map(|((u, v), w)| (u, v, f64::from_bits(w)))
             .collect();
-        let wg = WeightedCsrGraph::from_weighted_edges(n, &edges).map_err(|e| {
-            corrupt(format!(
-                "graph file in {} fails to rebuild: {e}",
-                snap_dir.display()
-            ))
-        })?;
-        if wg.m() != g_m {
-            return Err(corrupt(format!(
-                "graph file in {} rebuilt to {} weighted edges, not the recorded {g_m} \
-                 (the edge list was not canonical)",
-                snap_dir.display(),
-                wg.m()
-            )));
+        let wg = WeightedCsrGraph::from_weighted_edges(n, &weighted).map_err(rebuild)?;
+        if wg.m() != m {
+            return Err(not_canonical(wg.m()));
         }
         EpochGraph::Weighted(Arc::new(wg))
     } else {
-        if g_m.checked_mul(8) != Some(body.len()) {
-            return Err(corrupt(format!(
-                "graph file in {} holds {} edge bytes, not the 8 per edge its {g_m} edges need",
-                snap_dir.display(),
-                body.len()
-            )));
-        }
-        let mut b = match g_kind {
-            0 => GraphBuilder::undirected(),
-            1 => GraphBuilder::directed(),
-            k => {
-                return Err(corrupt(format!(
-                    "graph file in {} names unknown graph kind {k}",
-                    snap_dir.display()
-                )))
-            }
+        let mut b = if kind == DIRECTED {
+            GraphBuilder::directed()
+        } else {
+            GraphBuilder::undirected()
         }
         .with_nodes(n)
-        .with_edge_capacity(g_m);
-        for c in body.chunks_exact(8) {
-            b.add_edge(
-                u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                u32::from_le_bytes(c[4..8].try_into().unwrap()),
-            );
+        .with_edge_capacity(m);
+        for (u, v) in edges {
+            b.add_edge(u, v);
         }
-        let cg = b.build().map_err(|e| {
-            corrupt(format!(
-                "graph file in {} fails to rebuild: {e}",
-                snap_dir.display()
-            ))
-        })?;
-        if cg.m() != g_m {
-            return Err(corrupt(format!(
-                "graph file in {} rebuilt to {} edges, not the recorded {g_m} (the edge \
-                 list was not canonical)",
-                snap_dir.display(),
-                cg.m()
-            )));
+        let cg = b.build().map_err(rebuild)?;
+        if cg.m() != m {
+            return Err(not_canonical(cg.m()));
         }
         EpochGraph::Unweighted(Arc::new(cg))
     };
@@ -901,6 +894,7 @@ mod tests {
     use super::*;
     use crate::EdgeBatch;
     use rwd_graph::generators::erdos_renyi_gnp;
+    use rwd_graph::NodeId;
 
     fn cfg() -> StreamConfig {
         StreamConfig {
@@ -1052,7 +1046,7 @@ mod tests {
         // Unblocked, the next batch retries the overdue snapshot.
         std::fs::remove_file(&blocker).unwrap();
         durable.apply(&batches[1]).unwrap();
-        assert!(dir.join("snap-2/manifest.bin").exists());
+        assert!(dir.join("snap-2/state.bin").exists());
 
         let live = image(&durable);
         drop(durable);
@@ -1378,6 +1372,42 @@ mod tests {
                 "{mode:?}: {err}"
             );
         }
+        bytes[..8].copy_from_slice(b"RWDIDX4\0");
+        std::fs::write(&shard, &bytes).unwrap();
+
+        // A bit-rotted state file is rejected by name: its seed field is
+        // structurally free, so only the CRC trailer can notice.
+        let state = dir.join("snap-0").join("state.bin");
+        let good_state = std::fs::read(&state).unwrap();
+        let mut rot = good_state.clone();
+        rot[8 + 4 * 8] ^= 0x08;
+        std::fs::write(&state, &rot).unwrap();
+        for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
+            let err = StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), mode)
+                .unwrap_err();
+            assert!(
+                matches!(&err, StreamError::CorruptSnapshot(m) if m.contains("content checksum mismatch")),
+                "{mode:?}: {err}"
+            );
+        }
+
+        // A snapshot in the retired layout — manifest.bin and graph.bin,
+        // no state.bin — is refused by name, never parsed.
+        std::fs::remove_file(&state).unwrap();
+        std::fs::write(dir.join("snap-0/manifest.bin"), b"RWDSNP1\0").unwrap();
+        std::fs::write(dir.join("snap-0/graph.bin"), b"RWDGRF1\0").unwrap();
+        for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
+            let err = StreamEngine::open_durable_with(&dir, DurabilityConfig::default(), mode)
+                .unwrap_err();
+            assert!(
+                matches!(&err, StreamError::CorruptSnapshot(m) if m.contains("retired manifest.bin")),
+                "{mode:?}: {err}"
+            );
+        }
+        std::fs::remove_file(dir.join("snap-0/manifest.bin")).unwrap();
+        std::fs::remove_file(dir.join("snap-0/graph.bin")).unwrap();
+        std::fs::write(&state, &good_state).unwrap();
+        assert!(open(&dir, DurabilityConfig::default()).is_ok());
 
         // create_durable() refuses to clobber an existing data dir.
         let g0 = erdos_renyi_gnp(30, 0.12, 2).unwrap();
@@ -1392,17 +1422,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A manifest or graph file whose CRC is valid but which describes an
-    /// engine the cold start would refuse is named corruption on both open
-    /// paths: never a panic, an allocation sized by a lying field, or a
-    /// silent truncation.
+    /// A decoded `state.bin`: its header fields and the values of its
+    /// sections, written back through the codec by [`put_state`].
+    #[derive(Clone)]
+    struct State {
+        fields: Vec<u64>,
+        ranges: Vec<u64>,
+        sources: Vec<u32>,
+        targets: Vec<u32>,
+        weights: Vec<u64>,
+    }
+
+    /// `state.bin`'s header fields by position.
+    const L: usize = 1;
+    const R: usize = 2;
+    const K: usize = 3;
+    const RULE: usize = 6;
+    const LAMBDA: usize = 7;
+    const KIND: usize = 8;
+    const N: usize = 9;
+    const SHARDS: usize = 10;
+    const EDGES: usize = 11;
+
+    fn get_state(path: &Path) -> State {
+        fn values<T: storage::Pod>(h: &mut storage::Header, bytes: &[u8], count: u64) -> Vec<T> {
+            let at = h.section::<T>(count).unwrap();
+            let len = count as usize * std::mem::size_of::<T>();
+            storage::le_values(&bytes[at..at + len]).collect()
+        }
+        let bytes = std::fs::read(path).unwrap();
+        let read = storage::read_bytes(&bytes);
+        let mut h = storage::read_header(&STATE, bytes.len() as u64, read).unwrap();
+        let (shards, m) = (h.fields[SHARDS], h.fields[EDGES]);
+        let weighted = h.fields[KIND] == WEIGHTED;
+        State {
+            ranges: values(&mut h, &bytes, 2 * shards),
+            sources: values(&mut h, &bytes, m),
+            targets: values(&mut h, &bytes, m),
+            weights: values(&mut h, &bytes, if weighted { m } else { 0 }),
+            fields: h.fields,
+        }
+    }
+
+    /// Writes `state` as a CRC-valid state file, whatever its fields say.
+    fn put_state(path: &Path, state: &State) {
+        let file = File::create(path).unwrap();
+        let mut w = SectionWriter::new(file, &STATE, &state.fields, &[]).unwrap();
+        w.section(&state.ranges).unwrap();
+        w.section(&state.sources).unwrap();
+        w.section(&state.targets).unwrap();
+        w.section(&state.weights).unwrap();
+        w.finish().unwrap();
+    }
+
+    /// A state file whose CRC is valid but which describes an engine the
+    /// cold start would refuse is named corruption on both open paths:
+    /// never a panic, an allocation sized by a lying field, or a silent
+    /// truncation.
     #[test]
     fn invalid_manifests_are_named_corruption_in_both_open_modes() {
-        // Overwrites the little-endian `u64` at `at` (offsets past the
-        // magic, as `save_snapshot` lays the manifest out).
-        fn put(m: &mut [u8], at: usize, v: u64) {
-            m[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        }
         let dir = tmp_dir("bad_manifests");
         let g0 = erdos_renyi_gnp(30, 0.12, 6).unwrap();
         let c = StreamConfig { r: 6, ..cfg() };
@@ -1413,107 +1491,90 @@ mod tests {
                 .unwrap(),
         );
         let snap = dir.join("snap-0");
-        let manifest = snap.join("manifest.bin");
-        let good = read_with_crc(&manifest, MANIFEST_MAGIC, "manifest").unwrap();
+        let state_file = snap.join("state.bin");
+        let good = get_state(&state_file);
+        // The codec writes the decoded state back byte for byte.
+        let written = std::fs::read(&state_file).unwrap();
+        put_state(&state_file, &good);
+        assert_eq!(std::fs::read(&state_file).unwrap(), written);
         let shard_file = |i: usize| snap.join(format!("shard-{i}.rwdidx"));
         let good_shards: Vec<Vec<u8>> = (0..2)
             .map(|i| std::fs::read(shard_file(i)).unwrap())
             .collect();
 
-        let graph_file = snap.join("graph.bin");
-        let good_graph = read_with_crc(&graph_file, GRAPH_MAGIC, "graph").unwrap();
-        // graph.bin past its magic: weighted flag, kind, `n` at 2, the
-        // edge count at 10, then `record`-byte edge records from 18. The
-        // count is rewritten as `excess` plus the records the body holds.
-        fn lie_count(g: &mut [u8], record: usize, excess: u64) {
-            let edges = ((g.len() - 18) / record) as u64;
-            put(g, 10, excess + edges);
-        }
-
-        // (case, manifest and graph.bin patch, expected error text)
-        type Case = (&'static str, fn(&mut Vec<u8>, &mut Vec<u8>), &'static str);
+        // (case, state patch, expected error text)
+        type Case = (&'static str, fn(&mut State), &'static str);
         let cases: [Case; 10] = [
             (
                 "k = n + 1",
-                |m, _| put(m, 24, 31),
+                |s| s.fields[K] = 31,
                 "k = 31 outside [1, n = 30]",
             ),
-            ("k = 0", |m, _| put(m, 24, 0), "k = 0 outside"),
+            ("k = 0", |s| s.fields[K] = 0, "k = 0 outside"),
             (
                 "lambda = 2",
-                |m, _| {
-                    m[48] = 2;
-                    put(m, 49, 2f64.to_bits());
+                |s| {
+                    s.fields[RULE] = 2;
+                    s.fields[LAMBDA] = 2f64.to_bits();
                 },
                 "lambda = 2 outside [0, 1]",
             ),
             (
                 "2^60 shards, no range entries",
-                |m, _| {
-                    put(m, 66, 1 << 60);
-                    m.truncate(74);
+                |s| {
+                    s.fields[SHARDS] = 1 << 60;
+                    s.ranges.clear();
                 },
                 "invalid shard count",
             ),
             (
                 "2^60 shards over 2^61 layers, no range entries",
-                |m, _| {
-                    put(m, 16, 1 << 61);
-                    put(m, 66, 1 << 60);
-                    m.truncate(74);
+                |s| {
+                    s.fields[R] = 1 << 61;
+                    s.fields[SHARDS] = 1 << 60;
+                    s.ranges.clear();
                 },
                 "shard ranges",
             ),
             (
                 "l = 2^32 + 4",
-                |m, _| put(m, 8, (1 << 32) + 4),
+                |s| s.fields[L] = (1 << 32) + 4,
                 "walk length 4294967300 beyond u32",
             ),
             (
                 "ranges [0, 2), [4, 6)",
-                |m, _| {
-                    put(m, 82, 2);
-                    put(m, 90, 4);
-                },
+                |s| s.ranges = vec![0, 2, 4, 6],
                 "continues at layer 2",
             ),
             (
-                "graph.bin counts 2^61 + body/8 edges",
-                |_, g| lie_count(g, 8, 1 << 61),
-                "not the 8 per edge",
+                "counts 2^61 + m edges",
+                |s| s.fields[EDGES] += 1 << 61,
+                "edges it records",
             ),
             (
-                "weighted graph.bin counts 2^60 + body/16 edges",
-                |m, g| {
-                    m[57] = 1;
-                    g[0] = 1;
-                    let body: Vec<u8> = g[18..]
-                        .chunks_exact(8)
-                        .flat_map(|e| [e, &1f64.to_bits().to_le_bytes()].concat())
-                        .collect();
-                    g.truncate(18);
-                    g.extend_from_slice(&body);
-                    lie_count(g, 16, 1 << 60);
+                "weighted, counts 2^60 + m edges",
+                |s| {
+                    s.fields[KIND] = WEIGHTED;
+                    s.weights = vec![1f64.to_bits(); s.sources.len()];
+                    s.fields[EDGES] += 1 << 60;
                 },
-                "not the 16 per edge",
+                "edges it records",
             ),
             (
-                "manifest and graph.bin claim n = 31",
-                |m, g| {
+                "claims n = 31",
+                |s| {
                     // The shard files bound n before the graph is
-                    // decoded, so its lying count is never reached.
-                    put(m, 58, 31);
-                    put(g, 2, 31);
-                    lie_count(g, 8, 1 << 61);
+                    // decoded, so its lying edge count is never reached.
+                    s.fields[N] = 31;
+                    s.fields[EDGES] += 1 << 61;
                 },
                 "(n 30 vs 31,",
             ),
         ];
         for (what, patch, want) in cases {
-            let (mut m, mut g) = (good.clone(), good_graph.clone());
-            patch(&mut m, &mut g);
-            write_with_crc(&manifest, [&MANIFEST_MAGIC[..], &m].concat()).unwrap();
-            write_with_crc(&graph_file, [&GRAPH_MAGIC[..], &g].concat()).unwrap();
+            let mut state = good.clone();
+            patch(&mut state);
+            put_state(&state_file, &state);
             if what.starts_with("ranges") {
                 // Shard files that match the gapped ranges, so only the
                 // tiling itself is wrong.
@@ -1542,9 +1603,8 @@ mod tests {
             }
         }
 
-        // The untouched manifest and graph still open.
-        write_with_crc(&manifest, [&MANIFEST_MAGIC[..], &good].concat()).unwrap();
-        write_with_crc(&graph_file, [&GRAPH_MAGIC[..], &good_graph].concat()).unwrap();
+        // The untouched state file still opens.
+        put_state(&state_file, &good);
         assert!(open(&dir, DurabilityConfig::default()).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1614,6 +1674,89 @@ mod tests {
         );
         assert_eq!(std::fs::read(&journal).unwrap(), before);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The crash suite: a snapshot stopped after each of its write steps in
+    /// turn — each shard file written and fsync'd, `state.bin` written and
+    /// fsync'd, the directory fsync, the journal rotation and each
+    /// compaction delete — with the file in flight whole or torn at half
+    /// its length, and the engine dropped at once. Both open modes must
+    /// land bitwise on the live state, and the next batch and snapshot must
+    /// land and compact, on an unweighted and a weighted 2-shard engine.
+    #[test]
+    fn a_crash_at_every_snapshot_write_step_recovers_the_live_state() {
+        let g0 = erdos_renyi_gnp(40, 0.1, 29).unwrap();
+        let batches = churn_batches(&g0, 4);
+        let epochs = |dir: &Path, prefix: &str| -> Vec<u64> {
+            find_numbered(dir, prefix)
+                .unwrap()
+                .into_iter()
+                .map(|(e, _)| e)
+                .collect()
+        };
+        for weighted in [false, true] {
+            for torn in [false, true] {
+                let mut steps = 0;
+                for step in 1.. {
+                    let dir = tmp_dir(&format!("crash_{weighted}_{torn}_{step}"));
+                    let engine = if weighted {
+                        let w0 = rwd_graph::weighted::weighted_twin(&g0, 3).unwrap();
+                        StreamEngine::with_shards_weighted(w0, cfg(), 2)
+                    } else {
+                        StreamEngine::with_shards(g0.clone(), cfg(), 2)
+                    };
+                    let mut durable = engine
+                        .unwrap()
+                        .create_durable(&dir, DurabilityConfig::default())
+                        .unwrap();
+                    for b in &batches[..3] {
+                        durable.apply(b).unwrap();
+                    }
+                    let live = image(&durable);
+                    fail_point::arm(step, torn);
+                    let taken = durable.snapshot_now();
+                    drop(durable);
+                    let case = format!("weighted {weighted}, torn {torn}, step {step}");
+                    if fail_point::disarm() {
+                        // Armed past the last step: the snapshot completed.
+                        assert!(matches!(taken, Ok(3)), "{case}");
+                        std::fs::remove_dir_all(&dir).ok();
+                        break;
+                    }
+                    steps = step;
+                    assert!(
+                        matches!(&taken, Err(StreamError::Durability { context, .. }) if context == "injected crash"),
+                        "{case}: {taken:?}"
+                    );
+                    for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
+                        let (recovered, report) = StreamEngine::open_durable_with(
+                            &dir,
+                            DurabilityConfig::default(),
+                            mode,
+                        )
+                        .unwrap_or_else(|e| panic!("{case} ({mode:?}): {e}"));
+                        assert_eq!(report.recovered_epoch, 3, "{case}");
+                        assert_engine_matches(&recovered, &live);
+                    }
+                    let (mut recovered, _) = open(&dir, DurabilityConfig::default()).unwrap();
+                    recovered.apply(&batches[3]).unwrap();
+                    assert!(matches!(recovered.snapshot_now(), Ok(4)), "{case}");
+                    assert_eq!(epochs(&dir, "snap-"), vec![4], "{case}");
+                    assert_eq!(epochs(&dir, "journal-"), vec![4], "{case}");
+                    let after = image(&recovered);
+                    drop(recovered);
+                    let (reopened, report) = open(&dir, DurabilityConfig::default()).unwrap();
+                    assert_eq!(report.epochs_replayed, 0, "{case}");
+                    assert_engine_matches(&reopened, &after);
+                    drop(reopened);
+                    std::fs::remove_dir_all(&dir).ok();
+                }
+                // 2 shards × (write, fsync), the state file's write and
+                // fsync, the directory fsync, the journal rotation, and the
+                // deletes of snap-0 and journal-0.
+                assert_eq!(steps, 10, "weighted {weighted}, torn {torn}");
+            }
+        }
     }
 
     #[test]

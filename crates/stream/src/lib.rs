@@ -92,8 +92,11 @@ pub enum StreamError {
     /// mid-journal corruption means committed history is unreadable and is
     /// rejected by name.
     CorruptJournal(String),
-    /// A snapshot in the data directory failed validation (bad magic,
-    /// checksum mismatch, missing shard file, manifest inconsistency).
+    /// A snapshot in the data directory failed validation: a missing,
+    /// unreadable or retired-layout `state.bin`, a bad magic, a checksum or
+    /// size mismatch, a field the engine could not have been built from, a
+    /// shard file that fails to load or disagrees with the state file, or
+    /// an edge list that does not rebuild canonically.
     CorruptSnapshot(String),
     /// The data directory holds no loadable snapshot to recover from.
     NoSnapshot(std::path::PathBuf),

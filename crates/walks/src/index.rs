@@ -32,10 +32,11 @@
 //!
 //! On disk an index is one RWDIDX4 file ([`WalkIndex::save`]): both CSR
 //! views and the per-node aggregates in 8-byte-aligned little-endian
-//! sections under a CRC-32 trailer. One header reader serves the three
-//! decoders — the validating [`WalkIndex::load`], the zero-copy
-//! [`WalkIndex::open_mapped`] and [`inspect_index_file`] — and refuses the
-//! retired `RWDIDX1`/`RWDIDX2`/`RWDIDX3` layouts by name.
+//! sections under a CRC-32 trailer, one schema on the [`storage`] section
+//! codec. One header reader serves the three decoders — the validating
+//! [`WalkIndex::load`], the zero-copy [`WalkIndex::open_mapped`] and
+//! [`inspect_index_file`] — and refuses the retired
+//! `RWDIDX1`/`RWDIDX2`/`RWDIDX3` layouts by name.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -46,7 +47,7 @@ use crate::delta::{LayerDelta, PostingDelta};
 use crate::nodeset::NodeSet;
 use crate::parallel::{self, resolve_threads};
 use crate::rng::WalkRng;
-use crate::storage::{le_bytes, Column, MmapRegion, Pod};
+use crate::storage::{self, Column, MmapRegion, Schema, SectionWriter};
 use crate::walker::WalkGraph;
 
 /// One inverted-list entry: the walk from `id` first reaches the list's
@@ -221,15 +222,9 @@ impl Csr {
     fn mapped_bytes(&self) -> usize {
         self.offsets.mapped_bytes() + self.ids.mapped_bytes() + self.weights.mapped_bytes()
     }
-}
 
-/// A dropped table hands its mapped pages back ([`Column::release_pages`]).
-/// A mapped base is dropped when its view folds and no pinned epoch still
-/// holds it, or with its index; without this its pages stay resident for
-/// as long as any other column of the same file is mapped. A table's
-/// columns are never cloned, so no live reader shares the released pages.
-impl Drop for Csr {
-    fn drop(&mut self) {
+    /// Hands a mapped table's pages back ([`Column::release_pages`]).
+    fn release_pages(&self) {
         self.offsets.release_pages();
         self.ids.release_pages();
         self.weights.release_pages();
@@ -1108,8 +1103,15 @@ fn patch_layer<G: WalkGraph>(
 
     // Swap the fresh layer in. The displaced one is freed here unless a
     // snapshot still shares it; its bases live on in the fresh layer
-    // unless they folded.
-    let folds = usize::from(inv.overlay.is_none()) + usize::from(fwd.overlay.is_none());
+    // unless they folded. A folded mapped base hands its pages back now
+    // (a pinned epoch that still reads it faults the same bytes back in).
+    let mut folds = 0;
+    for (fresh, was) in [(&inv, &old.inv), (&fwd, &old.fwd)] {
+        if fresh.overlay.is_none() {
+            was.base.release_pages();
+            folds += 1;
+        }
+    }
     *layer = Arc::new(Layer { inv, fwd });
     deltas.push(LayerDelta {
         layer: layer_idx,
@@ -1742,15 +1744,12 @@ impl WalkIndex {
     /// reads. A paper-scale index builds in seconds but is reused across
     /// many `k`/`λ` sweeps — saving it makes experiment suites restartable.
     ///
-    /// Layout: magic, a fixed header (`n`, `L`, layer count, seed, layer
-    /// base, declared section alignment), a per-layer entry-count table,
-    /// then per layer the six column sections (each zero-padded to the
-    /// declared 8-byte alignment), the two per-node aggregate sections, and
-    /// a 4-byte CRC-32 trailer over every preceding byte, so bit rot
-    /// anywhere in the file is detected at open. Each section is the
-    /// little-endian image of its column — a little-endian host writes its
-    /// memory as is, any other host byte-swaps — so the file is the same on
-    /// every host. Storing both CSR views and the aggregates lets
+    /// Layout, on the [`storage`] section codec: a fixed header (`n`, `L`,
+    /// layer count, seed, layer base, declared section alignment), a
+    /// per-layer entry-count table, then per layer the six column sections
+    /// and the two per-node aggregate sections, each the little-endian
+    /// image of its column padded to 8 bytes, under a CRC-32 trailer — the
+    /// same file on every host, and bit rot anywhere is detected at open. Storing both CSR views and the aggregates lets
     /// [`WalkIndex::open_mapped`] serve the file without computing
     /// anything; a layer-range shard records its absolute layer base, so a
     /// reopened shard refreshes with the right RNG streams. A view under an
@@ -1758,27 +1757,17 @@ impl WalkIndex {
     /// view at a time, so the file is byte for byte the one a cold build
     /// of the same rows writes, and the live index keeps its overlays.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::Write;
-        let file = std::fs::File::create(path)?;
-        let mut w = std::io::BufWriter::new(file);
-        let mut crc = crate::crc::Crc32::new();
-        let mut header = Vec::with_capacity(V4_FIXED_HEADER + self.layers.len() * 8);
-        header.extend_from_slice(MAGIC_V4);
-        for v in [
+        let file = std::io::BufWriter::new(std::fs::File::create(path)?);
+        let fields = [
             self.n as u64,
             self.l as u64,
             self.layers.len() as u64,
             self.seed,
             self.layer_base as u64,
             V4_ALIGN,
-        ] {
-            header.extend_from_slice(&v.to_le_bytes());
-        }
-        for layer in &self.layers {
-            header.extend_from_slice(&(layer.inv.len as u64).to_le_bytes());
-        }
-        crc.update(&header);
-        w.write_all(&header)?;
+        ];
+        let entries: Vec<u64> = self.layers.iter().map(|la| la.inv.len as u64).collect();
+        let mut w = SectionWriter::new(file, &RWDIDX4, &fields, &entries)?;
         for layer in &self.layers {
             for view in [&layer.inv, &layer.fwd] {
                 // An overlaid view is folded into a temporary first, so the
@@ -1788,15 +1777,14 @@ impl WalkIndex {
                     .is_some()
                     .then(|| rewrite_view(view, &[], true, |_, _, _| {}));
                 let csr = &folded.as_ref().unwrap_or(view).base;
-                write_section(&mut w, &mut crc, &csr.offsets)?;
-                write_section(&mut w, &mut crc, &csr.ids)?;
-                write_section(&mut w, &mut crc, &csr.weights)?;
+                w.section(&csr.offsets)?;
+                w.section(&csr.ids)?;
+                w.section(&csr.weights)?;
             }
         }
-        write_section(&mut w, &mut crc, &self.aggregates.counts)?;
-        write_section(&mut w, &mut crc, &self.aggregates.hop_sums)?;
-        w.write_all(&crc.finish().to_le_bytes())?;
-        w.flush()
+        w.section(&self.aggregates.counts)?;
+        w.section(&self.aggregates.hop_sums)?;
+        w.finish()
     }
 
     /// Loads an index written by [`WalkIndex::save`], deserializing every
@@ -1814,19 +1802,10 @@ impl WalkIndex {
     }
 
     /// [`WalkIndex::load`] with an explicit worker budget for the parallel
-    /// layer parse and aggregate sweep: `0` means "all cores", anything
-    /// else is taken literally. The loaded index is bit-identical either
-    /// way — callers that pin an engine to a thread budget (benchmarks,
-    /// per-engine quotas) use this so recovery honours the same budget.
-    pub fn load_with_threads(
-        path: impl AsRef<std::path::Path>,
-        threads: usize,
-    ) -> std::io::Result<WalkIndex> {
-        Self::load_with_stats(path, threads).map(|(idx, _)| idx)
-    }
-
-    /// [`WalkIndex::load_with_threads`] that additionally reports the
-    /// load's transient-memory accounting (see [`LoadStats`]) — the
+    /// layer parse and aggregate sweep (`0` means "all cores", anything
+    /// else is taken literally; the index is bit-identical either way, so
+    /// an engine pinned to a thread budget recovers within it), reporting
+    /// the load's transient-memory accounting (see [`LoadStats`]) — the
     /// evidence behind the bounded-peak claim: a deserializing open never
     /// holds the whole file *and* the parsed index at once.
     ///
@@ -1842,8 +1821,10 @@ impl WalkIndex {
         threads: usize,
     ) -> std::io::Result<(WalkIndex, LoadStats)> {
         let file = std::fs::File::open(path)?;
-        let layout = read_layout(file.metadata()?.len(), |buf, off| pread(&file, buf, off))?;
-        let crc_buf = verify_trailer(&file, layout.content_len)?;
+        let layout = read_layout(file.metadata()?.len(), |buf, off| {
+            storage::pread(&file, buf, off)
+        })?;
+        let crc_buf = storage::verify_trailer(&RWDIDX4, &file, layout.content_len)?;
         let (n, l) = (layout.n, layout.l);
         // Read each layer's inverted sections into one contiguous
         // [offsets | ids | weights] buffer and decode it.
@@ -1853,9 +1834,9 @@ impl WalkIndex {
             let wb = spec.entries * 2;
             buf.clear();
             buf.resize(ob + ib + wb, 0);
-            pread(&file, &mut buf[..ob], spec.offsets as u64)?;
-            pread(&file, &mut buf[ob..ob + ib], spec.ids as u64)?;
-            pread(&file, &mut buf[ob + ib..], spec.weights as u64)?;
+            storage::pread(&file, &mut buf[..ob], spec.offsets as u64)?;
+            storage::pread(&file, &mut buf[ob..ob + ib], spec.ids as u64)?;
+            storage::pread(&file, &mut buf[ob + ib..], spec.weights as u64)?;
             parse_layer_block(n, l, spec.entries, buf)
         };
         let specs = &layout.layers;
@@ -1925,15 +1906,7 @@ impl WalkIndex {
         let file = std::fs::File::open(path)?;
         let region = Arc::new(MmapRegion::map(&file)?);
         let bytes = region.as_bytes();
-        let layout = read_layout(bytes.len() as u64, |buf, off| {
-            let at = usize::try_from(off).map_err(|_| truncated())?;
-            let src = at
-                .checked_add(buf.len())
-                .and_then(|end| bytes.get(at..end))
-                .ok_or_else(truncated)?;
-            buf.copy_from_slice(src);
-            Ok(())
-        })?;
+        let layout = read_layout(bytes.len() as u64, storage::read_bytes(bytes))?;
         // The one-and-only content scan: a chunked CRC sweep across all
         // cores, folded exactly with crc32_combine. It reads every byte
         // through the mapping, so it also faults the whole file in before
@@ -1942,21 +1915,15 @@ impl WalkIndex {
         // in, so the faults, not the hash, are most of the open time. After
         // this, bulk payloads are trusted; only the structural offsets
         // columns (which bound every later slice) are validated further.
-        let content = layout.content_len as usize;
-        let trailer = u32::from_le_bytes(bytes[content..content + 4].try_into().unwrap());
         let cores = std::thread::available_parallelism().map_or(1, |t| t.get());
-        if trailer != crate::crc::crc32_parallel(&bytes[..content], cores) {
-            return Err(bad_file(
-                "corrupt walk-index file (content checksum mismatch)",
-            ));
-        }
+        storage::check_trailer(&RWDIDX4, bytes, cores)?;
         let n = layout.n;
         let mut layers = Vec::with_capacity(layout.layers.len());
         for spec in &layout.layers {
             let offsets: Column<u32> = Column::mapped(region.clone(), spec.offsets, n + 1)?;
-            validate_mapped_offsets(&offsets, spec.entries)?;
+            validate_offsets(&offsets, spec.entries)?;
             let fwd_offsets: Column<u32> = Column::mapped(region.clone(), spec.fwd_offsets, n + 1)?;
-            validate_mapped_offsets(&fwd_offsets, spec.entries)?;
+            validate_offsets(&fwd_offsets, spec.entries)?;
             layers.push(Arc::new(Layer {
                 inv: View::new(Csr {
                     offsets,
@@ -1986,18 +1953,23 @@ impl WalkIndex {
     }
 }
 
-const MAGIC_V4: &[u8; 8] = b"RWDIDX4\0";
-
 /// Section alignment RWDIDX4 declares in its header: every section start
 /// is a multiple of 8 within the file, and `mmap(2)` bases are
 /// page-aligned, so mapped element pointers inherit the alignment of the
 /// widest stored scalar (`u64`).
 const V4_ALIGN: u64 = 8;
 
-/// RWDIDX4 fixed header: magic + 6 `u64` fields (`n`, `l`, layer count,
-/// seed, layer base, section alignment). The per-layer entry table
-/// follows immediately.
-const V4_FIXED_HEADER: usize = 8 + 6 * 8;
+/// RWDIDX4 on the section codec: magic, 6 `u64` fields (`n`, `l`, layer
+/// count, seed, layer base, section alignment), the per-layer entry table,
+/// then per layer the six view sections and the two aggregate sections.
+const RWDIDX4: Schema = Schema {
+    noun: "walk-index file",
+    magic: b"RWDIDX4\0",
+    retired: &[b"RWDIDX1\0", b"RWDIDX2\0", b"RWDIDX3\0"],
+    retired_hint: "rebuild the index and save it again",
+    fields: 6,
+    table_len: Some(2),
+};
 
 /// Transient-memory accounting of one deserializing load
 /// ([`WalkIndex::load_with_stats`]).
@@ -2020,138 +1992,21 @@ pub struct LoadStats {
     pub transient_peak_bytes: usize,
 }
 
-fn bad_file(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-}
-
-fn truncated() -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::UnexpectedEof,
-        "walk-index file is truncated",
-    )
-}
-
-/// Positioned read (`pread(2)`): fills `buf` from absolute offset `off`
-/// without touching the shared cursor, so parse workers can read one open
-/// file concurrently.
-fn pread(file: &std::fs::File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, off)
-    }
-    #[cfg(not(unix))]
-    {
-        // No positioned-read API: clone the handle and seek. Clones share
-        // the cursor, so off-unix loads keep a single reader.
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = file.try_clone()?;
-        f.seek(SeekFrom::Start(off))?;
-        f.read_exact(buf)
-    }
-}
-
-/// Streams the checksummed content region in fixed chunks, compares the
-/// CRC-32 trailer, and returns the chunk-buffer size it used (for the
-/// transient accounting). The caller has already validated that
-/// `content_len + 4` bytes exist.
-fn verify_trailer(file: &std::fs::File, content_len: u64) -> std::io::Result<usize> {
-    const CRC_CHUNK: u64 = 64 << 10;
-    let cap = content_len.clamp(1, CRC_CHUNK) as usize;
-    let mut buf = vec![0u8; cap];
-    let mut crc = crate::crc::Crc32::new();
-    let mut pos = 0u64;
-    while pos < content_len {
-        let take = cap.min((content_len - pos) as usize);
-        pread(file, &mut buf[..take], pos)?;
-        crc.update(&buf[..take]);
-        pos += take as u64;
-    }
-    let mut t = [0u8; 4];
-    pread(file, &mut t, content_len)?;
-    if u32::from_le_bytes(t) != crc.finish() {
-        return Err(bad_file(
-            "corrupt walk-index file (content checksum mismatch)",
-        ));
-    }
-    Ok(cap)
-}
-
-/// The cross-field header validation: the counts constrain each other and
-/// the posting encoding, so values no builder can produce are rejected
-/// here instead of yielding a nonsense index.
-/// * posting ids are u32, so an index over more than `u32::MAX` nodes is
-///   unrepresentable (every id bound check would pass vacuously);
-/// * walks have `1 ≤ hop ≤ l ≤ u16::MAX` (the builder asserts it and hops
-///   are stored as u16), so `l = 0` admits no posting at all;
-/// * every constructor requires `r ≥ 1` — an index with zero layers would
-///   make each estimator divide by zero.
-fn check_header_fields(n64: u64, l64: u64, layer_count64: u64, base64: u64) -> std::io::Result<()> {
-    if n64 > u32::MAX as u64 {
-        return Err(bad_file(
-            "corrupt walk-index file (node count exceeds the u32 posting-id range)",
-        ));
-    }
-    if l64 == 0 || l64 > u16::MAX as u64 {
-        return Err(bad_file(
-            "corrupt walk-index file (walk length outside 1..=65535)",
-        ));
-    }
-    if layer_count64 == 0 {
-        return Err(bad_file("corrupt walk-index file (zero walk layers)"));
-    }
-    if base64.saturating_add(layer_count64) > u32::MAX as u64 {
-        return Err(bad_file(
-            "corrupt walk-index file (layer base outside the representable range)",
-        ));
-    }
-    Ok(())
-}
-
 /// Parses one layer's `[offsets | ids | weights]` inverted sections,
 /// read back to back into `block`, into a [`Layer`], validating structure
 /// as it decodes.
 fn parse_layer_block(n: usize, l: u32, entries: usize, block: &[u8]) -> std::io::Result<Layer> {
     let (off_bytes, rest) = block.split_at((n + 1) * 4);
     let (id_bytes, weight_bytes) = rest.split_at(entries * 4);
-    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut monotone = true;
-    let mut prev = 0u32;
-    for c in off_bytes.chunks_exact(4) {
-        let v = u32::from_le_bytes(c.try_into().unwrap());
-        monotone &= v >= prev;
-        prev = v;
-        offsets.push(v);
+    let offsets: Vec<u32> = storage::le_values(off_bytes).collect();
+    validate_offsets(&offsets, entries)?;
+    let ids: Vec<u32> = storage::le_values(id_bytes).collect();
+    if ids.iter().any(|&id| id as usize >= n) {
+        return Err(RWDIDX4.corrupt("posting id out of range"));
     }
-    if !monotone || offsets.first() != Some(&0) || *offsets.last().unwrap_or(&0) as usize != entries
-    {
-        return Err(bad_file(
-            "corrupt walk-index file (offset/posting mismatch)",
-        ));
-    }
-    let mut ids: Vec<u32> = Vec::with_capacity(entries);
-    let mut in_range = true;
-    for c in id_bytes.chunks_exact(4) {
-        let id = u32::from_le_bytes(c.try_into().unwrap());
-        in_range &= (id as usize) < n;
-        ids.push(id);
-    }
-    if !in_range {
-        return Err(bad_file(
-            "corrupt walk-index file (posting id out of range)",
-        ));
-    }
-    let mut weights: Vec<u16> = Vec::with_capacity(entries);
-    let mut hops_ok = true;
-    for c in weight_bytes.chunks_exact(2) {
-        let w = u16::from_le_bytes(c.try_into().unwrap());
-        hops_ok &= (w as u32).wrapping_sub(1) < l;
-        weights.push(w);
-    }
-    if !hops_ok {
-        return Err(bad_file(
-            "corrupt walk-index file (hop weight outside 1..=L)",
-        ));
+    let weights: Vec<u16> = storage::le_values(weight_bytes).collect();
+    if weights.iter().any(|&w| (w as u32).wrapping_sub(1) >= l) {
+        return Err(RWDIDX4.corrupt("hop weight outside 1..=L"));
     }
     Ok(Layer::from_inverted(n, offsets, ids, weights))
 }
@@ -2184,98 +2039,56 @@ struct V4Layout {
 /// The one reader of an index file's header, shared by
 /// [`WalkIndex::load`], [`WalkIndex::open_mapped`] and
 /// [`inspect_index_file`], so all three agree on the format byte for
-/// byte. It checks the magic (naming the retired layouts), reads the fixed
-/// header and the entry table through `read_at(buf, offset)` — a
-/// positioned read of the file or a copy out of its map — and walks the
-/// section structure. Every size is validated against the actual file
-/// length with checked arithmetic, so a crafted header yields
-/// `InvalidData`, never overflow or an absurd allocation, and the tiling
-/// must account for every content byte.
+/// byte: the section codec ([`storage::read_header`]) reads the magic,
+/// the fixed header and the entry table through `read_at(buf, offset)` — a
+/// positioned read of the file or a copy out of its map — and this checks
+/// the fields and walks the section structure. Every size is validated
+/// against the file length with checked arithmetic, and the tiling must
+/// account for every content byte.
 fn read_layout(
     file_len: u64,
     read_at: impl Fn(&mut [u8], u64) -> std::io::Result<()>,
 ) -> std::io::Result<V4Layout> {
-    let mut header = [0u8; V4_FIXED_HEADER];
-    if file_len < 8 {
-        return Err(bad_file("not a walk-index file (bad magic)"));
+    let mut h = storage::read_header(&RWDIDX4, file_len, read_at)?;
+    let [n64, l64, layer_count64, seed, base64, align] =
+        <[u64; 6]>::try_from(&h.fields[..]).expect("RWDIDX4 has 6 header fields");
+    // Values no builder can produce are refused, not loaded as nonsense:
+    // posting ids are u32, hops are `1 ≤ hop ≤ l ≤ u16::MAX`, and every
+    // constructor requires `r ≥ 1` (each estimator divides by it).
+    if n64 > u32::MAX as u64 {
+        return Err(RWDIDX4.corrupt("node count exceeds the u32 posting-id range"));
     }
-    read_at(&mut header[..8], 0)?;
-    match &header[..8] {
-        m if m == MAGIC_V4 => {}
-        b"RWDIDX1\0" | b"RWDIDX2\0" | b"RWDIDX3\0" => {
-            return Err(bad_file(&format!(
-                "walk-index file uses the retired {} layout; this build reads only \
-                 RWDIDX4 — rebuild the index and save it again",
-                String::from_utf8_lossy(&header[..7])
-            )));
-        }
-        _ => return Err(bad_file("not a walk-index file (bad magic)")),
+    if l64 == 0 || l64 > u16::MAX as u64 {
+        return Err(RWDIDX4.corrupt("walk length outside 1..=65535"));
     }
-    if file_len < V4_FIXED_HEADER as u64 {
-        return Err(truncated());
+    if layer_count64 == 0 {
+        return Err(RWDIDX4.corrupt("zero walk layers"));
     }
-    read_at(&mut header[8..], 8)?;
-    let f: Vec<u64> = le_u64s(&header[8..]).collect();
-    let (n64, l64, layer_count64, seed, base64, align) = (f[0], f[1], f[2], f[3], f[4], f[5]);
-    // Bound the entry-table allocation by the actual file size before
-    // trusting the header's layer count.
-    if layer_count64.saturating_mul(8) > file_len {
-        return Err(bad_file(
-            "corrupt walk-index file (header exceeds file size)",
-        ));
+    if base64.saturating_add(layer_count64) > u32::MAX as u64 {
+        return Err(RWDIDX4.corrupt("layer base outside the representable range"));
     }
-    check_header_fields(n64, l64, layer_count64, base64)?;
     if align != V4_ALIGN {
-        return Err(bad_file(
-            "corrupt walk-index file (unsupported section alignment; this build reads 8)",
-        ));
+        return Err(RWDIDX4.corrupt("unsupported section alignment; this build reads 8"));
     }
-    let mut table = vec![0u8; layer_count64 as usize * 8];
-    let mut cur = V4_FIXED_HEADER as u64 + table.len() as u64;
-    if file_len < cur {
-        return Err(truncated());
-    }
-    read_at(&mut table, V4_FIXED_HEADER as u64)?;
-    let pad8 = |x: u64| x.div_ceil(8) * 8;
-    let overflow = || bad_file("corrupt walk-index file (layer exceeds file size)");
-    let off_bytes = pad8((n64 + 1) * 4);
-    let mut layers = Vec::with_capacity(layer_count64 as usize);
-    for e in le_u64s(&table) {
+    let overflow = |_| RWDIDX4.corrupt("layer exceeds file size");
+    let table = std::mem::take(&mut h.table);
+    let mut layers = Vec::with_capacity(table.len());
+    for e in table {
         if e > u32::MAX as u64 {
-            return Err(bad_file(
-                "corrupt walk-index file (layer posting count overflows u32 offsets)",
-            ));
+            return Err(RWDIDX4.corrupt("layer posting count overflows u32 offsets"));
         }
-        let ids_bytes = pad8(e * 4);
-        let weight_bytes = pad8(e * 2);
-        let mut section = |len: u64| -> std::io::Result<usize> {
-            let at = cur;
-            cur = cur.checked_add(len).ok_or_else(overflow)?;
-            if cur > file_len {
-                return Err(overflow());
-            }
-            Ok(at as usize)
-        };
         layers.push(V4LayerSpec {
             entries: e as usize,
-            offsets: section(off_bytes)?,
-            ids: section(ids_bytes)?,
-            weights: section(weight_bytes)?,
-            fwd_offsets: section(off_bytes)?,
-            fwd_ids: section(ids_bytes)?,
-            fwd_weights: section(weight_bytes)?,
+            offsets: h.section::<u32>(n64 + 1).map_err(overflow)?,
+            ids: h.section::<u32>(e).map_err(overflow)?,
+            weights: h.section::<u16>(e).map_err(overflow)?,
+            fwd_offsets: h.section::<u32>(n64 + 1).map_err(overflow)?,
+            fwd_ids: h.section::<u32>(e).map_err(overflow)?,
+            fwd_weights: h.section::<u16>(e).map_err(overflow)?,
         });
     }
-    let agg_bytes = pad8(n64 * 8);
-    let counts = cur as usize;
-    cur = cur.checked_add(agg_bytes).ok_or_else(overflow)?;
-    let hop_sums = cur as usize;
-    cur = cur.checked_add(agg_bytes).ok_or_else(overflow)?;
-    if cur.checked_add(4) != Some(file_len) {
-        return Err(bad_file(
-            "corrupt walk-index file (size mismatch before checksum trailer)",
-        ));
-    }
+    let counts = h.section::<u64>(n64)?;
+    let hop_sums = h.section::<u64>(n64)?;
     Ok(V4Layout {
         n: n64 as usize,
         l: l64 as u32,
@@ -2284,24 +2097,17 @@ fn read_layout(
         layers,
         counts,
         hop_sums,
-        content_len: cur,
+        content_len: h.content_len()?,
     })
 }
 
-/// The little-endian `u64`s packed in `bytes` (a whole number of them).
-fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
-}
-
-/// Structural validation a mapped open performs on each CSR offsets
-/// column. The offsets bound every later postings slice, so they are
-/// checked eagerly (one pass over `n + 1` values per view); the bulk
-/// id/weight payloads are trusted under the CRC trailer — corruption that
-/// survives a CRC match can only produce wrong answers or a clean
-/// bounds-check panic, never out-of-bounds reads of the map.
-fn validate_mapped_offsets(offsets: &[u32], entries: usize) -> std::io::Result<()> {
+/// Structural validation of a CSR offsets column, which bounds every later
+/// postings slice: both opens check every offsets column they read. The
+/// mapped open checks them eagerly (one pass over `n + 1` values per view)
+/// and trusts the bulk id/weight payloads under the CRC trailer —
+/// corruption that survives a CRC match can only produce wrong answers or
+/// a clean bounds-check panic, never out-of-bounds reads of the map.
+fn validate_offsets(offsets: &[u32], entries: usize) -> std::io::Result<()> {
     let mut monotone = offsets.first() == Some(&0);
     let mut prev = 0u32;
     for &v in offsets {
@@ -2309,9 +2115,7 @@ fn validate_mapped_offsets(offsets: &[u32], entries: usize) -> std::io::Result<(
         prev = v;
     }
     if !monotone || offsets.last().map(|&e| e as usize) != Some(entries) {
-        return Err(bad_file(
-            "corrupt walk-index file (offset/posting mismatch)",
-        ));
+        return Err(RWDIDX4.corrupt("offset/posting mismatch"));
     }
     Ok(())
 }
@@ -2354,7 +2158,7 @@ pub struct IndexFileInfo {
 pub fn inspect_index_file(path: impl AsRef<std::path::Path>) -> std::io::Result<IndexFileInfo> {
     let file = std::fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    let layout = read_layout(file_len, |buf, off| pread(&file, buf, off))?;
+    let layout = read_layout(file_len, |buf, off| storage::pread(&file, buf, off))?;
     Ok(IndexFileInfo {
         version: 4,
         n: layout.n as u64,
@@ -2365,24 +2169,8 @@ pub fn inspect_index_file(path: impl AsRef<std::path::Path>) -> std::io::Result<
         total_postings: layout.layers.iter().map(|s| s.entries as u64).sum(),
         section_align: V4_ALIGN,
         file_bytes: file_len,
-        crc_ok: verify_trailer(&file, layout.content_len).is_ok(),
+        crc_ok: storage::verify_trailer(&RWDIDX4, &file, layout.content_len).is_ok(),
     })
-}
-
-/// Writes one RWDIDX4 section: the column's little-endian image,
-/// zero-padded to the declared 8-byte alignment, folded into the CRC.
-fn write_section<W: std::io::Write, T: Pod>(
-    w: &mut W,
-    crc: &mut crate::crc::Crc32,
-    col: &[T],
-) -> std::io::Result<()> {
-    let bytes = le_bytes(col);
-    let pad = &[0u8; 8][..(8 - bytes.len() % 8) % 8];
-    for part in [&bytes[..], pad] {
-        crc.update(part);
-        w.write_all(part)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2658,7 +2446,7 @@ mod tests {
     /// An RWDIDX4 magic, fixed header and entry table with the given
     /// fields (seed 7, layer base 0, the declared 8-byte alignment).
     fn v4_header(n: u64, l: u64, layers: u64, entries: &[u64]) -> Vec<u8> {
-        let mut bytes = MAGIC_V4.to_vec();
+        let mut bytes = RWDIDX4.magic.to_vec();
         for v in [n, l, layers, 7, 0, V4_ALIGN].iter().chain(entries) {
             bytes.extend_from_slice(&v.to_le_bytes());
         }

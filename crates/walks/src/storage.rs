@@ -30,6 +30,12 @@
 //! invariants (offset monotonicity) are validated once at open; bulk
 //! payloads are trusted under the file's CRC-32 trailer.
 //!
+//! One **section codec** ([`SectionWriter`], [`read_header`]) frames every
+//! durable file of pod columns: a magic, fixed `u64` header fields, a `u64`
+//! table, then 8-aligned little-endian sections tiled exactly up to a
+//! CRC-32 trailer. Each [`Schema`] is one layout on it: RWDIDX4 walk-index
+//! files, and the durable snapshot's state file.
+//!
 //! [`Layer`]: crate::index::WalkIndex
 
 use std::borrow::Cow;
@@ -39,6 +45,8 @@ use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Arc;
 
+use crate::crc::Crc32;
+
 /// Scalars a [`Column`] may store: plain old data with no padding and no
 /// invalid bit patterns, stored little-endian on disk. Sealed — the
 /// on-disk format only ever holds `u16`/`u32`/`u64` columns.
@@ -46,6 +54,10 @@ pub trait Pod: Copy + Send + Sync + Eq + std::fmt::Debug + sealed::Sealed + 'sta
     /// The value with its bytes in little-endian order (the identity on
     /// little-endian hosts).
     fn to_le(self) -> Self;
+
+    /// The value whose little-endian encoding is `bytes`, which hold
+    /// exactly `size_of::<Self>()` bytes.
+    fn from_le_slice(bytes: &[u8]) -> Self;
 }
 
 mod sealed {
@@ -60,6 +72,10 @@ macro_rules! impl_pod {
         impl Pod for $t {
             fn to_le(self) -> Self {
                 <$t>::to_le(self)
+            }
+
+            fn from_le_slice(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("one value's bytes"))
             }
         }
     )*};
@@ -389,6 +405,264 @@ fn raw_bytes<T: Pod>(s: &[T]) -> &[u8] {
     // SAFETY: T is Pod — no padding and every byte initialized — so the
     // slice's memory is `size_of_val(s)` readable bytes for its lifetime.
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, std::mem::size_of_val(s)) }
+}
+
+/// One file layout on the section codec: its magic, the retired magics it
+/// refuses by name, and the shape of its fixed header and table.
+#[derive(Debug)]
+pub struct Schema {
+    /// What the file is called in error messages (`"walk-index file"`).
+    pub noun: &'static str,
+    /// The magic every file of this layout starts with.
+    pub magic: &'static [u8; 8],
+    /// Magics of retired layouts, refused by name instead of parsed.
+    pub retired: &'static [&'static [u8; 8]],
+    /// What to do about a retired file; ends its refusal.
+    pub retired_hint: &'static str,
+    /// The number of fixed `u64` header fields after the magic.
+    pub fields: usize,
+    /// The header field that counts the `u64` table's entries; `None` for
+    /// a layout without a table.
+    pub table_len: Option<usize>,
+}
+
+impl Schema {
+    /// An `InvalidData` error that names the file corrupt:
+    /// `corrupt <noun> (<detail>)`.
+    pub fn corrupt(&self, detail: &str) -> io::Error {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("corrupt {} ({detail})", self.noun),
+        )
+    }
+
+    fn truncated(&self) -> io::Error {
+        io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("{} is truncated", self.noun),
+        )
+    }
+}
+
+/// Writes one section-coded file: the magic, header fields and table
+/// first, then each [`SectionWriter::section`] in order, then the CRC-32
+/// trailer over every preceding byte ([`SectionWriter::finish`]).
+pub struct SectionWriter<W: io::Write> {
+    w: W,
+    crc: Crc32,
+}
+
+impl<W: io::Write> SectionWriter<W> {
+    /// Starts a `schema` file on `w` with these header fields and table.
+    pub fn new(mut w: W, schema: &Schema, fields: &[u64], table: &[u64]) -> io::Result<Self> {
+        debug_assert_eq!(fields.len(), schema.fields);
+        let mut header = Vec::with_capacity(8 * (1 + fields.len() + table.len()));
+        header.extend_from_slice(schema.magic);
+        for v in fields.iter().chain(table) {
+            header.extend_from_slice(&v.to_le_bytes());
+        }
+        let mut crc = Crc32::new();
+        crc.update(&header);
+        w.write_all(&header)?;
+        Ok(SectionWriter { w, crc })
+    }
+
+    /// Appends one section: the column's little-endian image, zero-padded
+    /// to a multiple of 8 bytes.
+    pub fn section<T: Pod>(&mut self, col: &[T]) -> io::Result<()> {
+        let bytes = le_bytes(col);
+        let pad = &[0u8; 8][..(8 - bytes.len() % 8) % 8];
+        for part in [&bytes[..], pad] {
+            self.crc.update(part);
+            self.w.write_all(part)?;
+        }
+        Ok(())
+    }
+
+    /// Appends the CRC-32 trailer and flushes.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.w.write_all(&self.crc.finish().to_le_bytes())?;
+        self.w.flush()
+    }
+}
+
+/// A section-coded file's header, and a cursor over its sections.
+#[derive(Debug)]
+pub struct Header {
+    /// The fixed header fields.
+    pub fields: Vec<u64>,
+    /// The `u64` table (empty for a layout without one).
+    pub table: Vec<u64>,
+    schema: &'static Schema,
+    file_len: u64,
+    /// Where the next section starts.
+    next: u64,
+}
+
+impl Header {
+    /// Claims the next section, `count` values of `T` padded to 8 bytes,
+    /// and returns its absolute position. A section that would end past
+    /// the file, or whose size overflows, is a size mismatch.
+    pub fn section<T: Pod>(&mut self, count: u64) -> io::Result<usize> {
+        let at = self.next;
+        self.next = count
+            .checked_mul(std::mem::size_of::<T>() as u64)
+            .and_then(|bytes| bytes.checked_next_multiple_of(8))
+            .and_then(|bytes| at.checked_add(bytes))
+            .filter(|&end| end <= self.file_len)
+            .ok_or_else(|| self.mismatch())?;
+        Ok(at as usize)
+    }
+
+    /// The checksummed length, once every section is claimed: the sections
+    /// must end exactly at the 4-byte CRC-32 trailer.
+    pub fn content_len(&self) -> io::Result<u64> {
+        if self.next.checked_add(4) != Some(self.file_len) {
+            return Err(self.mismatch());
+        }
+        Ok(self.next)
+    }
+
+    fn mismatch(&self) -> io::Error {
+        self.schema.corrupt("size mismatch before checksum trailer")
+    }
+}
+
+/// Reads a section-coded file's magic, fixed header fields and table
+/// through `read_at(buf, offset)`, a positioned read of the file or a copy
+/// out of its bytes ([`read_bytes`]). A retired magic is refused by name,
+/// and every size is checked against `file_len` before it is read or
+/// allocated; the layout validates its own fields.
+pub fn read_header(
+    schema: &'static Schema,
+    file_len: u64,
+    read_at: impl Fn(&mut [u8], u64) -> io::Result<()>,
+) -> io::Result<Header> {
+    let bad_magic = || {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("not a {} (bad magic)", schema.noun),
+        )
+    };
+    if file_len < 8 {
+        return Err(bad_magic());
+    }
+    let mut magic = [0u8; 8];
+    read_at(&mut magic, 0)?;
+    if &magic != schema.magic {
+        let name = |m: &[u8; 8]| String::from_utf8_lossy(&m[..7]).into_owned();
+        return Err(match schema.retired.iter().find(|&&old| *old == magic) {
+            Some(old) => io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} uses the retired {} layout; this build reads only {} — {}",
+                    schema.noun,
+                    name(old),
+                    name(schema.magic),
+                    schema.retired_hint
+                ),
+            ),
+            None => bad_magic(),
+        });
+    }
+    let fixed = 8 + 8 * schema.fields as u64;
+    if file_len < fixed {
+        return Err(schema.truncated());
+    }
+    let mut buf = vec![0u8; fixed as usize - 8];
+    read_at(&mut buf, 8)?;
+    let fields: Vec<u64> = le_values(&buf).collect();
+    let table_len = schema.table_len.map_or(0, |f| fields[f]);
+    if table_len.saturating_mul(8) > file_len {
+        return Err(schema.corrupt("header exceeds file size"));
+    }
+    let next = fixed + table_len * 8;
+    if file_len < next {
+        return Err(schema.truncated());
+    }
+    let mut buf = vec![0u8; table_len as usize * 8];
+    read_at(&mut buf, fixed)?;
+    Ok(Header {
+        fields,
+        table: le_values(&buf).collect(),
+        schema,
+        file_len,
+        next,
+    })
+}
+
+/// The `read_at` of [`read_header`] over a file already in memory.
+pub fn read_bytes(bytes: &[u8]) -> impl Fn(&mut [u8], u64) -> io::Result<()> + '_ {
+    move |buf, off| {
+        let src = usize::try_from(off)
+            .ok()
+            .and_then(|at| bytes.get(at..at.checked_add(buf.len())?))
+            .ok_or(io::ErrorKind::UnexpectedEof)?;
+        buf.copy_from_slice(src);
+        Ok(())
+    }
+}
+
+/// The values of type `T` whose little-endian encodings are packed in
+/// `bytes` (a whole number of them): one section's contents.
+pub fn le_values<T: Pod>(bytes: &[u8]) -> impl Iterator<Item = T> + '_ {
+    bytes
+        .chunks_exact(std::mem::size_of::<T>())
+        .map(T::from_le_slice)
+}
+
+/// Checks the CRC-32 trailer of a file held in memory (its last 4 bytes)
+/// against every byte before it, hashed on up to `threads` workers.
+pub fn check_trailer(schema: &Schema, bytes: &[u8], threads: usize) -> io::Result<()> {
+    let (content, trailer) = bytes
+        .split_last_chunk::<4>()
+        .ok_or_else(|| schema.truncated())?;
+    if u32::from_le_bytes(*trailer) != crate::crc::crc32_parallel(content, threads) {
+        return Err(schema.corrupt("content checksum mismatch"));
+    }
+    Ok(())
+}
+
+/// Streams a file's first `content_len` bytes in fixed chunks, checks the
+/// CRC-32 trailer after them, and returns the chunk buffer's size.
+pub fn verify_trailer(schema: &Schema, file: &File, content_len: u64) -> io::Result<usize> {
+    const CRC_CHUNK: u64 = 64 << 10;
+    let cap = content_len.clamp(1, CRC_CHUNK) as usize;
+    let mut buf = vec![0u8; cap];
+    let mut crc = Crc32::new();
+    let mut pos = 0u64;
+    while pos < content_len {
+        let take = cap.min((content_len - pos) as usize);
+        pread(file, &mut buf[..take], pos)?;
+        crc.update(&buf[..take]);
+        pos += take as u64;
+    }
+    let mut t = [0u8; 4];
+    pread(file, &mut t, content_len)?;
+    if u32::from_le_bytes(t) != crc.finish() {
+        return Err(schema.corrupt("content checksum mismatch"));
+    }
+    Ok(cap)
+}
+
+/// Positioned read (`pread(2)`): fills `buf` from absolute offset `off`
+/// without touching the shared cursor, so parse workers can read one open
+/// file concurrently.
+pub(crate) fn pread(file: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        file.read_exact_at(buf, off)
+    }
+    #[cfg(not(unix))]
+    {
+        // No positioned-read API: clone the handle and seek. Clones share
+        // the cursor, so off-unix loads keep a single reader.
+        use std::io::{Read, Seek, SeekFrom};
+        let mut f = file.try_clone()?;
+        f.seek(SeekFrom::Start(off))?;
+        f.read_exact(buf)
+    }
 }
 
 fn bad_col(msg: &str) -> io::Error {

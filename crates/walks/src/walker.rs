@@ -75,16 +75,14 @@ impl WalkGraph for WeightedCsrGraph {
         self.pick_neighbor_alias(u, rng.gen_f64()).unwrap_or(u)
     }
 
-    /// `Σ w(u,x)·f[x] / strength(u)`.
+    /// `Σ w(u,x)·f[x] / strength(u)`, with the strength summed left to
+    /// right in the same pass, as [`WeightedCsrGraph::strength`] sums it.
     #[inline]
     fn step_mean(&self, u: NodeId, f: &[f64]) -> Option<f64> {
-        let strength = self.strength(u);
-        if strength == 0.0 {
-            None
-        } else {
-            let sum: f64 = self.neighbors(u).map(|(w, wt)| wt * f[w.index()]).sum();
-            Some(sum / strength)
-        }
+        let (sum, strength) = self.neighbors(u).fold((0.0, 0.0), |(sum, total), (w, wt)| {
+            (sum + wt * f[w.index()], total + wt)
+        });
+        (strength != 0.0).then(|| sum / strength)
     }
 }
 
