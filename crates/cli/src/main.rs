@@ -96,10 +96,11 @@ STORAGE: walk indexes are saved in the 8-byte-aligned RWDIDX4 format, the
   refused by name); its posting columns can be served zero-copy straight
   from an mmap'd file. `rwdom recover --mmap` (and `serve`/`stream` with
   --data-dir and --mmap) opens shard indexes mapped: a header walk plus
-  one CRC pass, no per-posting deserialize — bitwise identical answers
-  either way. `rwdom index info <path>` prints a file's format version,
-  dimensions, layer range, posting count, section alignment, and CRC
-  status without constructing the index.
+  one pass that checksums every byte and range-checks every stored value,
+  no per-posting copy — bitwise identical answers either way. `rwdom
+  index info <path>` prints a file's format version, dimensions, layer
+  range, posting count, section alignment, and CRC status without
+  constructing the index.
 
 OBSERVABILITY: rwdom stream --metrics-every <N> prints the process-wide
   metrics registry (per-phase batch timings, churn counters, durability
@@ -888,7 +889,7 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
 /// `rwdom index info <path>`: report an index file's header and section
 /// facts (format version, dimensions, layer range, postings, alignment,
 /// CRC status) without constructing the index — a header/section walk
-/// plus one streamed checksum pass, O(R) memory.
+/// plus one checksum pass over the file's bytes, O(R) memory beyond them.
 fn cmd_index(args: &[String]) -> Result<(), String> {
     let (pos, _) = parse(args)?;
     match pos.first().map(String::as_str) {

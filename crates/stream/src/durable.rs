@@ -94,7 +94,8 @@ pub struct DurabilityConfig {
 pub enum OpenMode {
     /// Zero-copy: RWDIDX4 shard files are `mmap(2)`-mapped in place
     /// ([`WalkIndex::open_mapped`]) — the first point query is answerable
-    /// after a header walk and one CRC pass, no per-posting deserialize.
+    /// after a header walk and one sweep that checksums every byte and
+    /// range-checks every stored value, with no per-posting copy.
     /// Hosts without the mapped path (non-unix or big-endian) fall back to
     /// [`OpenMode::Deserialize`]. The journal replay's one refresh then
     /// writes only the rows the suffix changes, into heap overlays over the
@@ -102,8 +103,12 @@ pub enum OpenMode {
     /// heap instead); recovered state stays bitwise equal to the
     /// deserializing open.
     Mapped,
-    /// Parse every shard index into heap-owned columns
-    /// ([`WalkIndex::load`]); higher open cost, no pinned file mappings.
+    /// Copy every shard index into heap-owned columns, re-deriving the
+    /// forward view and aggregates ([`WalkIndex::load`], after the same
+    /// sweep); higher open cost, no file mapping outlives the open. The
+    /// load reads through a short-lived map where the host maps the file,
+    /// so a shard file truncated by another writer during the open stops
+    /// the process with `SIGBUS` rather than failing it.
     Deserialize,
 }
 
@@ -117,8 +122,9 @@ pub struct RecoveryReport {
     pub epochs_replayed: u64,
     /// The epoch the recovered engine resumed at.
     pub recovered_epoch: u64,
-    /// Why the journal tail was truncated, when it was (`None` = the
-    /// journal ended cleanly on a record boundary).
+    /// Why the journal tail was truncated, when it was, or that a journal
+    /// torn inside its header at the snapshot's epoch was recreated (`None`
+    /// = the journal ended cleanly on a record boundary).
     pub torn_tail: Option<String>,
     /// Wall time of the snapshot load: the one read of `state.bin`, the
     /// shard index opens and the graph rebuild from its edge list.
@@ -177,11 +183,9 @@ impl Durable {
         }
         save_snapshot(engine, &self.dir.join(format!("snap-{epoch}")))?;
         self.snapshot_epoch = epoch;
-        self.journal = dio(
-            "journal rotate",
-            BatchJournal::create(self.dir.join(format!("journal-{epoch}.wal")), epoch),
-        )?;
-        write_step(None)?;
+        let rotated = self.dir.join(format!("journal-{epoch}.wal"));
+        self.journal = dio("journal rotate", BatchJournal::create(&rotated, epoch))?;
+        write_step(Some(&rotated))?;
         // Compaction. Best-effort: leftovers are harmless (recovery picks
         // the newest loadable snapshot and the newest journal base).
         for (e, p) in find_numbered(&self.dir, "snap-")? {
@@ -349,10 +353,26 @@ impl StreamEngine {
         let journals = find_numbered(&dir, "journal-")?;
         let replay_start = Instant::now();
         let mut run = StagedRun::new(engine.graph_shared());
-        let (journal, torn_tail) = match journals.last() {
+        // A crash inside the journal rotation after snapshot `E` can leave
+        // `journal-E.wal` empty or short of its 16-byte header. A file of
+        // at most those 16 bytes holds no record, so one that does not scan
+        // is made anew, and the report says so; any other bad header
+        // refuses the open.
+        let torn_rotation = journals.last().and_then(|(base, path)| {
+            let len = std::fs::metadata(path).map_or(u64::MAX, |m| m.len());
+            (*base == snapshot_epoch && len <= 16 && journal::scan(path).is_err()).then(|| {
+                format!(
+                    "{} held a torn {len}-byte header and was recreated",
+                    path.display()
+                )
+            })
+        });
+        let last = journals.last().filter(|_| torn_rotation.is_none());
+        let (journal, torn_tail) = match last {
             None => {
-                // Crash between base-snapshot write and journal creation:
-                // the snapshot alone is the whole history.
+                // Crash between base-snapshot write and journal creation, or
+                // inside the rotation: the snapshot alone is the whole
+                // history.
                 let j = dio(
                     "journal create",
                     BatchJournal::create(
@@ -360,7 +380,7 @@ impl StreamEngine {
                         snapshot_epoch,
                     ),
                 )?;
-                (j, None)
+                (j, torn_rotation)
             }
             Some((base, path)) => {
                 if *base > snapshot_epoch {
@@ -738,9 +758,8 @@ pub(crate) fn load_snapshot(snap_dir: &Path, epoch: u64, mode: OpenMode) -> Resu
         Err(e) => return Err(bad(format!("unreadable: {e}"))),
     };
     let unreadable = |e: std::io::Error| bad(format!("failed to load: {e}"));
-    let mut h = storage::read_header(&STATE, bytes.len() as u64, storage::read_bytes(&bytes))
-        .map_err(unreadable)?;
-    storage::check_trailer(&STATE, &bytes, 1).map_err(unreadable)?;
+    let mut h = storage::read_header(&STATE, &bytes).map_err(unreadable)?;
+    storage::check_trailer(&STATE, &bytes).map_err(unreadable)?;
     let [recorded, l, r, k, seed, threads, rule, lambda, kind, n, shard_count, m] =
         <[u64; 12]>::try_from(&h.fields[..]).expect("the state schema has 12 fields");
     if recorded != epoch {
@@ -808,7 +827,7 @@ pub(crate) fn load_snapshot(snap_dir: &Path, epoch: u64, mode: OpenMode) -> Resu
         let idx = if use_map {
             WalkIndex::open_mapped(&path)
         } else {
-            WalkIndex::load_with_stats(&path, cfg.threads).map(|(idx, _)| idx)
+            WalkIndex::load_with_threads(&path, cfg.threads)
         }
         .map_err(|e| {
             corrupt(format!(
@@ -1451,8 +1470,7 @@ mod tests {
             storage::le_values(&bytes[at..at + len]).collect()
         }
         let bytes = std::fs::read(path).unwrap();
-        let read = storage::read_bytes(&bytes);
-        let mut h = storage::read_header(&STATE, bytes.len() as u64, read).unwrap();
+        let mut h = storage::read_header(&STATE, &bytes).unwrap();
         let (shards, m) = (h.fields[SHARDS], h.fields[EDGES]);
         let weighted = h.fields[KIND] == WEIGHTED;
         State {
@@ -1696,7 +1714,7 @@ mod tests {
         };
         for weighted in [false, true] {
             for torn in [false, true] {
-                let mut steps = 0;
+                let (mut steps, mut recreations) = (0, 0);
                 for step in 1.. {
                     let dir = tmp_dir(&format!("crash_{weighted}_{torn}_{step}"));
                     let engine = if weighted {
@@ -1729,6 +1747,10 @@ mod tests {
                         "{case}: {taken:?}"
                     );
                     for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
+                        // Only a torn rotation leaves the rotated journal
+                        // short of its header; the first open recreates it.
+                        let rotated = dir.join("journal-3.wal");
+                        let short = std::fs::metadata(&rotated).is_ok_and(|m| m.len() < 16);
                         let (recovered, report) = StreamEngine::open_durable_with(
                             &dir,
                             DurabilityConfig::default(),
@@ -1736,6 +1758,12 @@ mod tests {
                         )
                         .unwrap_or_else(|e| panic!("{case} ({mode:?}): {e}"));
                         assert_eq!(report.recovered_epoch, 3, "{case}");
+                        let recreated = report
+                            .torn_tail
+                            .as_deref()
+                            .is_some_and(|t| t.ends_with("header and was recreated"));
+                        assert_eq!(recreated, short, "{case} ({mode:?}): {report:?}");
+                        recreations += usize::from(recreated);
                         assert_engine_matches(&recovered, &live);
                     }
                     let (mut recovered, _) = open(&dir, DurabilityConfig::default()).unwrap();
@@ -1755,6 +1783,7 @@ mod tests {
                 // fsync, the directory fsync, the journal rotation, and the
                 // deletes of snap-0 and journal-0.
                 assert_eq!(steps, 10, "weighted {weighted}, torn {torn}");
+                assert_eq!(recreations, usize::from(torn), "weighted {weighted}");
             }
         }
     }

@@ -220,26 +220,6 @@ pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
     crc1 ^ crc2
 }
 
-/// CRC-32 of an in-memory slice, computed by up to `threads` workers over
-/// contiguous chunks and folded with [`crc32_combine`] — bit-identical to
-/// [`crc32`] at any worker count. This is the mapped open's one content
-/// sweep, which also faults the whole file in. With the carry-less-multiply
-/// kernel one core hashes about as fast as a cold mapping faults in, so
-/// on a few cores the split gains little; hosts with many cores still
-/// split both the faults and the hash. Chunks stay ≥ 1 MiB (below that,
-/// thread spawn costs more than the hash), and `threads <= 1` or a small
-/// input degrade to the sequential sweep.
-pub fn crc32_parallel(bytes: &[u8], threads: usize) -> u32 {
-    const MIN_CHUNK: usize = 1 << 20;
-    let workers = threads.clamp(1, bytes.len().div_ceil(MIN_CHUNK).max(1));
-    let chunk = bytes.len().div_ceil(workers).max(1);
-    let mut parts =
-        crate::parallel::fan_out(bytes.chunks(chunk), |c| (crc32(c), c.len() as u64)).into_iter();
-    // An empty input makes no parts; its checksum is 0.
-    let (first, _) = parts.next().unwrap_or_default();
-    parts.fold(first, |acc, (c, len)| crc32_combine(acc, c, len))
-}
-
 fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
     let mut sum = 0;
     let mut i = 0;
@@ -336,12 +316,19 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential_at_any_worker_count() {
+        // The split the index sweep makes: contiguous parts on `fan_out`,
+        // hashed apart and folded in part order.
         let data: Vec<u8> = (0..4_000_000usize).map(|i| (i * 31 % 251) as u8).collect();
         let whole = crc32(&data);
         for threads in [0, 1, 2, 3, 7, 16] {
-            assert_eq!(crc32_parallel(&data, threads), whole, "{threads} workers");
+            let part = crate::parallel::part_len(data.len(), data.len(), threads);
+            let parts = crate::parallel::fan_out(data.chunks(part), |c| (crc32(c), c.len()));
+            let folded = parts
+                .into_iter()
+                .reduce(|(a, _), (b, len)| (crc32_combine(a, b, len as u64), len))
+                .map(|(c, _)| c);
+            assert_eq!(folded, Some(whole), "{threads} workers");
         }
-        assert_eq!(crc32_parallel(b"", 8), 0);
     }
 
     /// Deterministic pseudo-random bytes (xorshift64*), so no lane of a
@@ -441,9 +428,6 @@ mod tests {
                 .unwrap()
                 .0;
             assert_eq!(folded, whole, "{parts} parts");
-        }
-        for threads in [1, 2, 4] {
-            assert_eq!(crc32_parallel(&data, threads), whole, "{threads} workers");
         }
     }
 

@@ -33,10 +33,14 @@
 //! On disk an index is one RWDIDX4 file ([`WalkIndex::save`]): both CSR
 //! views and the per-node aggregates in 8-byte-aligned little-endian
 //! sections under a CRC-32 trailer, one schema on the [`storage`] section
-//! codec. One header reader serves the three decoders — the validating
-//! [`WalkIndex::load`], the zero-copy [`WalkIndex::open_mapped`] and
-//! [`inspect_index_file`] — and refuses the retired
-//! `RWDIDX1`/`RWDIDX2`/`RWDIDX3` layouts by name.
+//! codec. Every decoder reads a file's bytes one way (mapped where the host
+//! maps the file, read onto the heap otherwise), and one header reader
+//! serves all three — the validating [`WalkIndex::load`], the zero-copy
+//! [`WalkIndex::open_mapped`] and [`inspect_index_file`] — and refuses the
+//! retired `RWDIDX1`/`RWDIDX2`/`RWDIDX3` layouts by name. Both opens then
+//! make one checksum-and-range sweep over the bytes, which bounds every
+//! stored id, hop, offset and aggregate, so a corrupt or crafted file is
+//! refused by name on either open instead of panicking a later query.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -1788,110 +1792,114 @@ impl WalkIndex {
     }
 
     /// Loads an index written by [`WalkIndex::save`], deserializing every
-    /// column to the heap. Only the inverted sections are read: every
-    /// offset, id and hop is validated as it decodes, and the forward view
-    /// and aggregates are re-derived canonically rather than trusted, so
-    /// the result is the validating reference [`WalkIndex::open_mapped`]
-    /// is tested against — bitwise equal to it on the same file.
+    /// column to the heap, on all cores ([`WalkIndex::load_with_threads`]).
     ///
     /// Files in the retired `RWDIDX1`, `RWDIDX2` and `RWDIDX3` layouts are
     /// rejected by name; rebuild and re-save such indexes with this
     /// version.
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<WalkIndex> {
-        Self::load_with_stats(path, 0).map(|(idx, _)| idx)
+        Self::load_with_threads(path, 0)
     }
 
-    /// [`WalkIndex::load`] with an explicit worker budget for the parallel
-    /// layer parse and aggregate sweep (`0` means "all cores", anything
-    /// else is taken literally; the index is bit-identical either way, so
-    /// an engine pinned to a thread budget recovers within it), reporting
-    /// the load's transient-memory accounting (see [`LoadStats`]) — the
-    /// evidence behind the bounded-peak claim: a deserializing open never
-    /// holds the whole file *and* the parsed index at once.
+    /// [`WalkIndex::load`] with an explicit worker budget for the content
+    /// sweep, the layer copies and the aggregate pass (`0` means "all
+    /// cores", anything else is taken literally; the index is bit-identical
+    /// either way, so an engine pinned to a thread budget recovers within
+    /// it).
     ///
-    /// The file is never pulled into memory whole: the CRC pass streams
-    /// fixed-size chunks, and the parallel parse positioned-reads one
-    /// layer's inverted sections at a time into a per-worker reused
-    /// buffer. Every count in the file is untrusted: sizes are checked
-    /// against the actual file length *before* any payload read, so a
-    /// corrupt or crafted file yields `InvalidData`, never a panic or an
-    /// absurd allocation.
-    pub fn load_with_stats(
+    /// The file's bytes pass the same checksum-and-range sweep as
+    /// [`WalkIndex::open_mapped`]'s, read the same way: from a map, dropped
+    /// before this returns, wherever the host maps the file. Then only the
+    /// inverted sections are copied: the forward view and the aggregates
+    /// are re-derived canonically rather than trusted, so the result is
+    /// the validating reference `open_mapped` is tested against — bitwise
+    /// equal to it on every file [`WalkIndex::save`] writes. Every count in
+    /// the file is untrusted: sizes are checked against the file length
+    /// before anything is read or allocated, so a corrupt or crafted file
+    /// yields `InvalidData`, never a panic or an absurd allocation.
+    ///
+    /// Where the file cannot be mapped (off unix, on a filesystem that
+    /// refuses the map, for an empty file), the sweep runs over one read
+    /// of the whole file, which is dropped before the copies; each layer's
+    /// inverted sections are then read again. Either way the heap never
+    /// holds the file's bytes and the index at once: past the sweep it
+    /// holds the index being built plus one layer in flight per worker. The
+    /// sweep's checks cover the bytes it read: a file rewritten in place
+    /// while it loads is not checked again, and a mapped one truncated
+    /// meanwhile stops the process with `SIGBUS`.
+    pub fn load_with_threads(
         path: impl AsRef<std::path::Path>,
         threads: usize,
-    ) -> std::io::Result<(WalkIndex, LoadStats)> {
-        let file = std::fs::File::open(path)?;
-        let layout = read_layout(file.metadata()?.len(), |buf, off| {
-            storage::pread(&file, buf, off)
-        })?;
-        let crc_buf = storage::verify_trailer(&RWDIDX4, &file, layout.content_len)?;
-        let (n, l) = (layout.n, layout.l);
-        // Read each layer's inverted sections into one contiguous
-        // [offsets | ids | weights] buffer and decode it.
-        let read_parse = |buf: &mut Vec<u8>, spec: &V4LayerSpec| -> std::io::Result<Layer> {
-            let ob = (n + 1) * 4;
-            let ib = spec.entries * 4;
-            let wb = spec.entries * 2;
-            buf.clear();
-            buf.resize(ob + ib + wb, 0);
-            storage::pread(&file, &mut buf[..ob], spec.offsets as u64)?;
-            storage::pread(&file, &mut buf[ob..ob + ib], spec.ids as u64)?;
-            storage::pread(&file, &mut buf[ob + ib..], spec.weights as u64)?;
-            parse_layer_block(n, l, spec.entries, buf)
+    ) -> std::io::Result<WalkIndex> {
+        Self::load_from(&IndexFile::open(path.as_ref())?, threads)
+    }
+
+    /// The body of [`WalkIndex::load_with_threads`], on a file already open.
+    fn load_from(file: &IndexFile, threads: usize) -> std::io::Result<WalkIndex> {
+        let layout = {
+            let bytes = file.whole()?;
+            let layout = read_layout(&bytes)?;
+            sweep(&bytes, &layout, threads)?;
+            layout
         };
-        let specs = &layout.layers;
+        let (n, specs) = (layout.n, &layout.layers);
         let total_postings: usize = specs.iter().map(|s| s.entries).sum();
-        // Off unix, positioned reads fall back to a shared-cursor seek, so
-        // every layer goes in one part.
-        let chunk = if cfg!(unix) {
-            parallel::part_len(specs.len(), n + total_postings, threads)
-        } else {
-            specs.len()
-        };
-        // Each part reads its layer chunk through one reused buffer and
-        // reports the chunk's transient high-water mark (section bytes +
-        // the 12 B per posting the forward transposition stages). Results
-        // land in per-layer slots, so layer order and the first failing
-        // layer's error are scheduling-free.
-        let mut slots: Vec<Option<std::io::Result<Layer>>> = Vec::new();
-        slots.resize_with(specs.len(), || None);
-        let parse_peak = parallel::fan_out(
-            specs.chunks(chunk).zip(slots.chunks_mut(chunk)),
-            |(b_chunk, s_chunk)| {
-                let mut buf: Vec<u8> = Vec::new();
-                let mut peak = 0usize;
-                for (slot, spec) in s_chunk.iter_mut().zip(b_chunk) {
-                    peak = peak.max((n + 1) * 4 + 18 * spec.entries);
-                    *slot = Some(read_parse(&mut buf, spec));
-                }
-                peak
-            },
-        )
-        .into_iter()
-        .sum();
-        let mut layers = Vec::with_capacity(specs.len());
-        for slot in slots {
-            layers.push(slot.expect("every layer has a parse slot")?);
-        }
-        let stats = LoadStats {
-            transient_peak_bytes: crc_buf.max(parse_peak),
-        };
-        Ok((
-            WalkIndex::assemble(n, l, layers, layout.layer_base, layout.seed, threads),
-            stats,
+        let chunk = parallel::part_len(specs.len(), n + total_postings, threads);
+        let layers = parallel::fan_out(specs.chunks(chunk), |run| {
+            run.iter()
+                .map(|spec| {
+                    // The inverted sections, from the map or read again once
+                    // the whole-file copy above is gone.
+                    let (offsets, ids, hops) = {
+                        let block = file.read(spec.offsets, spec.weights + 2 * spec.entries)?;
+                        let column = |at: usize, len: usize| &block[at - spec.offsets..][..len];
+                        (
+                            storage::le_values(column(spec.offsets, (n + 1) * 4)).collect(),
+                            storage::le_values(column(spec.ids, spec.entries * 4)).collect(),
+                            storage::le_values(column(spec.weights, spec.entries * 2)).collect(),
+                        )
+                    };
+                    Ok(Layer::from_inverted(n, offsets, ids, hops))
+                })
+                .collect::<std::io::Result<Vec<_>>>()
+        });
+        let layers = layers.into_iter().collect::<std::io::Result<Vec<_>>>()?;
+        Ok(WalkIndex::assemble(
+            n,
+            layout.l,
+            layers.into_iter().flatten().collect(),
+            layout.layer_base,
+            layout.seed,
+            threads,
         ))
     }
 
     /// Opens an index file zero-copy: the file is mapped once
-    /// (`mmap(2)`), the CRC trailer and section layout are validated once,
-    /// and every posting column becomes a borrowed window into the map —
-    /// no per-element parse, no transposition, no allocation proportional
-    /// to postings. Pages fault in on first touch and remain evictable, so
-    /// a 100M-posting index answers its first point query at page-cache
-    /// speed. The opened index is **bitwise equal** (by value) to
-    /// [`WalkIndex::load`] of the same file. A refresh writes only the rows
-    /// it changes, into heap overlays over the mapped bases; a base leaves
-    /// the map only when a fold rewrites its view.
+    /// (`mmap(2)`), its header is read, one checksum-and-range sweep runs
+    /// over its bytes on all cores, and every posting column becomes a
+    /// borrowed window into the map — no copy, no transposition, no
+    /// allocation proportional to postings. The sweep reads every byte, so
+    /// it also faults the whole file in before the first answer. On every
+    /// file [`WalkIndex::save`] writes, the opened index is **bitwise
+    /// equal** (by value) to [`WalkIndex::load`] of the same file. A
+    /// refresh writes only the rows it changes, into heap overlays over the
+    /// mapped bases; a base leaves the map only when a fold rewrites its
+    /// view.
+    ///
+    /// The sweep bounds every stored offset, id, hop and aggregate, so no
+    /// read of the opened index can index out of range. It does not check
+    /// that the stored forward view is the transpose of the inverted one,
+    /// nor that each node's stored posting count and hop sum are the exact
+    /// sums over its inverted rows (it checks only that the counts sum to
+    /// the entries and that `count ≤ hop sum ≤ L·count`); `load`
+    /// re-derives both instead. An exact transpose check took about 27 ms
+    /// per 39 MB shard file on 2 vCPUs, against about 6 ms for the whole
+    /// open. A file whose forward view or aggregates disagree with its
+    /// inverted view needs a CRC-valid rewrite — bit rot fails the
+    /// checksum — and gives wrong answers (other posting counts and
+    /// initial gains than `load`'s) rather than a panic on reads; a later
+    /// refresh of it can stop at `patch_layer`'s assert that a patched
+    /// row's length fits a `u32`.
     ///
     /// Requires a little-endian unix host (the on-disk columns are the LE
     /// in-memory image); elsewhere use [`WalkIndex::load`].
@@ -1906,32 +1914,19 @@ impl WalkIndex {
         let file = std::fs::File::open(path)?;
         let region = Arc::new(MmapRegion::map(&file)?);
         let bytes = region.as_bytes();
-        let layout = read_layout(bytes.len() as u64, storage::read_bytes(bytes))?;
-        // The one-and-only content scan: a chunked CRC sweep across all
-        // cores, folded exactly with crc32_combine. It reads every byte
-        // through the mapping, so it also faults the whole file in before
-        // the first answer, and later reads find their pages resident. The
-        // carry-less-multiply kernel hashes about as fast as pages fault
-        // in, so the faults, not the hash, are most of the open time. After
-        // this, bulk payloads are trusted; only the structural offsets
-        // columns (which bound every later slice) are validated further.
-        let cores = std::thread::available_parallelism().map_or(1, |t| t.get());
-        storage::check_trailer(&RWDIDX4, bytes, cores)?;
+        let layout = read_layout(bytes)?;
+        sweep(bytes, &layout, 0)?;
         let n = layout.n;
         let mut layers = Vec::with_capacity(layout.layers.len());
         for spec in &layout.layers {
-            let offsets: Column<u32> = Column::mapped(region.clone(), spec.offsets, n + 1)?;
-            validate_offsets(&offsets, spec.entries)?;
-            let fwd_offsets: Column<u32> = Column::mapped(region.clone(), spec.fwd_offsets, n + 1)?;
-            validate_offsets(&fwd_offsets, spec.entries)?;
             layers.push(Arc::new(Layer {
                 inv: View::new(Csr {
-                    offsets,
+                    offsets: Column::mapped(region.clone(), spec.offsets, n + 1)?,
                     ids: Column::mapped(region.clone(), spec.ids, spec.entries)?,
                     weights: Column::mapped(region.clone(), spec.weights, spec.entries)?,
                 }),
                 fwd: View::new(Csr {
-                    offsets: fwd_offsets,
+                    offsets: Column::mapped(region.clone(), spec.fwd_offsets, n + 1)?,
                     ids: Column::mapped(region.clone(), spec.fwd_ids, spec.entries)?,
                     weights: Column::mapped(region.clone(), spec.fwd_weights, spec.entries)?,
                 }),
@@ -1971,44 +1966,49 @@ const RWDIDX4: Schema = Schema {
     table_len: Some(2),
 };
 
-/// Transient-memory accounting of one deserializing load
-/// ([`WalkIndex::load_with_stats`]).
-///
-/// The load path never materializes the whole file: the CRC pass streams
-/// 64 KiB chunks and each parse worker positioned-reads one layer's
-/// inverted sections at a time into a reused buffer.
-/// [`LoadStats::transient_peak_bytes`] is the high-water mark of those
-/// short-lived buffers — raw section bytes plus the 12-byte-per-posting
-/// forward-transposition staging — maximized over time per worker and
-/// summed across workers (workers peak independently, so the sum bounds
-/// any instant). Peak load memory is therefore bounded by `final index
-/// size + transient_peak_bytes`; the storage suite asserts the transient
-/// share stays ≤ 25% of [`WalkIndex::memory_bytes`] (peak ≤ 1.25× the
-/// final index), where a whole-file buffer held across the parse would
-/// peak near 2×.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LoadStats {
-    /// High-water mark (bytes) of buffers that live only during the load.
-    pub transient_peak_bytes: usize,
+/// An index file as [`WalkIndex::load`] and [`inspect_index_file`] read
+/// it: mapped read-only, as [`WalkIndex::open_mapped`] maps it, where the
+/// host maps the file, and read through its handle otherwise — off unix,
+/// on a filesystem that refuses the map, and for an empty file.
+struct IndexFile {
+    file: std::sync::Mutex<std::fs::File>,
+    map: Option<MmapRegion>,
 }
 
-/// Parses one layer's `[offsets | ids | weights]` inverted sections,
-/// read back to back into `block`, into a [`Layer`], validating structure
-/// as it decodes.
-fn parse_layer_block(n: usize, l: u32, entries: usize, block: &[u8]) -> std::io::Result<Layer> {
-    let (off_bytes, rest) = block.split_at((n + 1) * 4);
-    let (id_bytes, weight_bytes) = rest.split_at(entries * 4);
-    let offsets: Vec<u32> = storage::le_values(off_bytes).collect();
-    validate_offsets(&offsets, entries)?;
-    let ids: Vec<u32> = storage::le_values(id_bytes).collect();
-    if ids.iter().any(|&id| id as usize >= n) {
-        return Err(RWDIDX4.corrupt("posting id out of range"));
+impl IndexFile {
+    fn open(path: &std::path::Path) -> std::io::Result<IndexFile> {
+        let file = std::fs::File::open(path)?;
+        let map = MmapRegion::map(&file).ok();
+        Ok(IndexFile {
+            file: std::sync::Mutex::new(file),
+            map,
+        })
     }
-    let weights: Vec<u16> = storage::le_values(weight_bytes).collect();
-    if weights.iter().any(|&w| (w as u32).wrapping_sub(1) >= l) {
-        return Err(RWDIDX4.corrupt("hop weight outside 1..=L"));
+
+    /// The whole file: the map, or one read of it onto the heap.
+    fn whole(&self) -> std::io::Result<std::borrow::Cow<'_, [u8]>> {
+        if let Some(map) = &self.map {
+            return Ok(map.as_bytes().into());
+        }
+        let mut bytes = Vec::new();
+        let mut file = self.file.lock().expect("no read panics holding the file");
+        std::io::Seek::rewind(&mut *file)?;
+        std::io::Read::read_to_end(&mut *file, &mut bytes)?;
+        Ok(bytes.into())
     }
-    Ok(Layer::from_inverted(n, offsets, ids, weights))
+
+    /// The bytes in `[start, end)`, which [`read_layout`] has bounded by
+    /// the file length: a window of the map, or read onto the heap.
+    fn read(&self, start: usize, end: usize) -> std::io::Result<std::borrow::Cow<'_, [u8]>> {
+        if let Some(map) = &self.map {
+            return Ok(map.as_bytes()[start..end].into());
+        }
+        let mut bytes = vec![0; end - start];
+        let mut file = self.file.lock().expect("no read panics holding the file");
+        std::io::Seek::seek(&mut *file, std::io::SeekFrom::Start(start as u64))?;
+        std::io::Read::read_exact(&mut *file, &mut bytes)?;
+        Ok(bytes.into())
+    }
 }
 
 /// Absolute file positions of one layer's six sections in an RWDIDX4 file.
@@ -2033,23 +2033,19 @@ struct V4Layout {
     counts: usize,
     hop_sums: usize,
     /// Checksummed bytes (everything before the 4-byte CRC trailer).
-    content_len: u64,
+    content_len: usize,
 }
 
 /// The one reader of an index file's header, shared by
 /// [`WalkIndex::load`], [`WalkIndex::open_mapped`] and
 /// [`inspect_index_file`], so all three agree on the format byte for
 /// byte: the section codec ([`storage::read_header`]) reads the magic,
-/// the fixed header and the entry table through `read_at(buf, offset)` — a
-/// positioned read of the file or a copy out of its map — and this checks
-/// the fields and walks the section structure. Every size is validated
-/// against the file length with checked arithmetic, and the tiling must
-/// account for every content byte.
-fn read_layout(
-    file_len: u64,
-    read_at: impl Fn(&mut [u8], u64) -> std::io::Result<()>,
-) -> std::io::Result<V4Layout> {
-    let mut h = storage::read_header(&RWDIDX4, file_len, read_at)?;
+/// the fixed header and the entry table, and this checks the fields and
+/// walks the section structure. Every size is validated against the file
+/// length with checked arithmetic, and the tiling must account for every
+/// content byte.
+fn read_layout(bytes: &[u8]) -> std::io::Result<V4Layout> {
+    let mut h = storage::read_header(&RWDIDX4, bytes)?;
     let [n64, l64, layer_count64, seed, base64, align] =
         <[u64; 6]>::try_from(&h.fields[..]).expect("RWDIDX4 has 6 header fields");
     // Values no builder can produce are refused, not loaded as nonsense:
@@ -2097,32 +2093,107 @@ fn read_layout(
         layers,
         counts,
         hop_sums,
-        content_len: h.content_len()?,
+        content_len: h.content_len()? as usize,
     })
 }
 
-/// Structural validation of a CSR offsets column, which bounds every later
-/// postings slice: both opens check every offsets column they read. The
-/// mapped open checks them eagerly (one pass over `n + 1` values per view)
-/// and trusts the bulk id/weight payloads under the CRC trailer —
-/// corruption that survives a CRC match can only produce wrong answers or
-/// a clean bounds-check panic, never out-of-bounds reads of the map.
-fn validate_offsets(offsets: &[u32], entries: usize) -> std::io::Result<()> {
-    let mut monotone = offsets.first() == Some(&0);
-    let mut prev = 0u32;
-    for &v in offsets {
-        monotone &= v >= prev;
-        prev = v;
+/// Bytes the sweep hashes and then checks at a time, so a block is checked
+/// while the hash has just pulled it into cache.
+const SWEEP_BLOCK: usize = 64 << 10;
+
+/// The one content pass over an index file's bytes, made by both opens
+/// after [`read_layout`]: the CRC-32 of every byte before the trailer, and
+/// every value the header cannot bound. Offsets run from 0 to the entry
+/// count without falling, ids are below `n` and hops in `1..=L` in both
+/// views, the per-node counts sum to the entry total and each hop sum lies
+/// in `[count, L·count]`, so no read of the opened index can index out of
+/// range or underflow a gain.
+///
+/// Its parts are runs of layers on [`parallel::fan_out`] (the first also
+/// hashes the header, the last also the aggregates), and their CRCs fold
+/// with [`crc32_combine`](crate::crc::crc32_combine). The aggregates, `O(n)`
+/// and last in the file, are checked after the parts. A checksum mismatch
+/// is named before any fault, and faults are named in file order, at any
+/// worker count.
+fn sweep(bytes: &[u8], layout: &V4Layout, threads: usize) -> std::io::Result<()> {
+    let (n, l, specs) = (layout.n, layout.l, &layout.layers);
+    let entries: usize = specs.iter().map(|s| s.entries).sum();
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let chunk = parallel::part_len(specs.len(), n + entries, threads);
+    let parts = parallel::fan_out(specs.chunks(chunk).enumerate(), |(i, run)| {
+        let lo = if i == 0 { 0 } else { run[0].offsets };
+        let hi = specs
+            .get((i + 1) * chunk)
+            .map_or(layout.content_len, |s| s.offsets);
+        let (mut crc, mut pos, mut fault) = (crate::crc::Crc32::new(), lo, None);
+        // Hashes up to the section of `len` bytes at `at`, then the section
+        // one block at a time, each checked by `ok` just after it is hashed.
+        // The first section to fail names the part's fault.
+        let mut section = |at: usize, len: usize, what, ok: &mut dyn FnMut(&[u8]) -> bool| {
+            crc.update(&bytes[pos..at]);
+            pos = at + len;
+            for block in bytes[at..pos].chunks(SWEEP_BLOCK) {
+                crc.update(block);
+                if fault.is_none() && !ok(block) {
+                    fault = Some(what);
+                }
+            }
+        };
+        for s in run {
+            let views = [
+                (s.offsets, s.ids, s.weights),
+                (s.fwd_offsets, s.fwd_ids, s.fwd_weights),
+            ];
+            for (offsets, ids, hops) in views {
+                let ends = u32_at(offsets) == 0 && u32_at(offsets + 4 * n) == s.entries as u32;
+                let mut prev = 0u32;
+                section(offsets, 4 * (n + 1), "offset/posting mismatch", &mut |b| {
+                    ends && storage::le_values(b).all(|v| std::mem::replace(&mut prev, v) <= v)
+                });
+                section(ids, 4 * s.entries, "posting id out of range", &mut |b| {
+                    (storage::le_values(b).fold(0, u32::max) as usize) < n
+                });
+                // A hop of 0 wraps to the largest value, so one bound
+                // refuses both 0 and L + 1.
+                section(hops, 2 * s.entries, "hop weight outside 1..=L", &mut |b| {
+                    storage::le_values(b).fold(0, |m, w: u16| m.max(w.wrapping_sub(1))) < l as u16
+                });
+            }
+        }
+        crc.update(&bytes[pos..hi]);
+        (crc.finish(), (hi - lo) as u64, fault)
+    });
+    let mut parts = parts.into_iter();
+    let (mut crc, _, mut fault) = parts.next().expect("an index has at least one layer");
+    for (part_crc, len, part_fault) in parts {
+        crc = crate::crc::crc32_combine(crc, part_crc, len);
+        fault = fault.or(part_fault);
     }
-    if !monotone || offsets.last().map(|&e| e as usize) != Some(entries) {
-        return Err(RWDIDX4.corrupt("offset/posting mismatch"));
+    if bytes[layout.content_len..] != crc.to_le_bytes() {
+        return Err(RWDIDX4.corrupt("content checksum mismatch"));
     }
-    Ok(())
+    let counts = || storage::le_values::<u64>(&bytes[layout.counts..][..8 * n]);
+    let hop_sums = storage::le_values::<u64>(&bytes[layout.hop_sums..][..8 * n]);
+    let fault = fault
+        .or_else(|| {
+            let sum: u128 = counts().map(u128::from).sum();
+            (sum != entries as u128)
+                .then_some("aggregate posting counts disagree with the entry table")
+        })
+        .or_else(|| {
+            let out = counts()
+                .zip(hop_sums)
+                .any(|(c, h)| h < c || h as u128 > l as u128 * c as u128);
+            out.then_some("aggregate hop sum outside [count, L·count]")
+        });
+    fault.map_or(Ok(()), |what| Err(RWDIDX4.corrupt(what)))
 }
 
 /// What [`inspect_index_file`] reports: the facts the header and section
 /// structure encode, plus whether the CRC trailer matches — all without
-/// constructing a [`WalkIndex`].
+/// constructing a [`WalkIndex`]. It runs none of the opens' range checks,
+/// so a checksum-valid file that both opens refuse for an out-of-range
+/// value still reports `crc_ok: true`.
 #[derive(Clone, Debug)]
 pub struct IndexFileInfo {
     /// On-disk format version: always 4 (RWDIDX4, the one format this
@@ -2149,16 +2220,19 @@ pub struct IndexFileInfo {
 }
 
 /// Reads an index file's header and section structure — dimensions,
-/// layer range, posting count, alignment — and verifies the CRC trailer,
-/// without constructing an index: no column parse, no transposition,
-/// `O(R)` memory and one streamed pass of I/O. Structural corruption
-/// (impossible sizes, bad tiling, a retired or foreign magic) errors out;
-/// a CRC mismatch is *reported* (`crc_ok: false`) so damaged files can
-/// still be triaged.
+/// layer range, posting count, alignment — and checks the CRC trailer,
+/// without constructing an index: the file's bytes are read as
+/// [`WalkIndex::load`] reads them and hashed once on one thread; no column
+/// is decoded, no value is range-checked, and memory beyond the bytes is
+/// `O(R)`. The bytes are a map where the host maps the file, and a heap
+/// copy of the whole file otherwise. Structural
+/// corruption (impossible sizes, bad tiling, a retired or foreign magic)
+/// errors out; a CRC mismatch is *reported* (`crc_ok: false`) so damaged
+/// files can still be triaged.
 pub fn inspect_index_file(path: impl AsRef<std::path::Path>) -> std::io::Result<IndexFileInfo> {
-    let file = std::fs::File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let layout = read_layout(file_len, |buf, off| storage::pread(&file, buf, off))?;
+    let file = IndexFile::open(path.as_ref())?;
+    let bytes = file.whole()?;
+    let layout = read_layout(&bytes)?;
     Ok(IndexFileInfo {
         version: 4,
         n: layout.n as u64,
@@ -2168,8 +2242,8 @@ pub fn inspect_index_file(path: impl AsRef<std::path::Path>) -> std::io::Result<
         seed: layout.seed,
         total_postings: layout.layers.iter().map(|s| s.entries as u64).sum(),
         section_align: V4_ALIGN,
-        file_bytes: file_len,
-        crc_ok: storage::verify_trailer(&RWDIDX4, &file, layout.content_len).is_ok(),
+        file_bytes: bytes.len() as u64,
+        crc_ok: storage::check_trailer(&RWDIDX4, &bytes).is_ok(),
     })
 }
 
@@ -2578,6 +2652,55 @@ mod tests {
         }
         assert_rejected_everywhere(&path, b"definitely not an index", "bad magic");
         assert_rejected_everywhere(&path, b"RWD", "bad magic");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Where a file cannot be mapped, the load sweeps one heap read of it
+    /// and then reads each layer's inverted sections again: it lands on the
+    /// mapped load's index at any worker count, and refuses a bit-rotted
+    /// file, an out-of-range id under a valid trailer and an empty file by
+    /// the same names.
+    #[test]
+    fn an_unmapped_load_lands_on_the_mapped_loads_index() {
+        let dir = std::env::temp_dir().join(format!("rwd_index_unmapped_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("idx.rwdidx");
+        let g = rwd_graph::generators::barabasi_albert(400, 3, 5).unwrap();
+        let idx = WalkIndex::build(&g, 5, 4, 11);
+        idx.save(&path).unwrap();
+        let unmapped = |threads| {
+            let file = IndexFile {
+                file: std::sync::Mutex::new(std::fs::File::open(&path).unwrap()),
+                map: None,
+            };
+            WalkIndex::load_from(&file, threads)
+        };
+        assert!(WalkIndex::load(&path).unwrap() == idx);
+        for threads in [1, 4] {
+            assert!(unmapped(threads).unwrap() == idx, "{threads} workers");
+        }
+        let good = std::fs::read(&path).unwrap();
+        let layout = read_layout(&good).unwrap();
+        let mut rot = good.clone();
+        rot[layout.layers[1].ids] ^= 0x01;
+        let mut far = good.clone();
+        far[layout.layers[1].ids..][..4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        let crc = crate::crc::crc32(&far[..layout.content_len]);
+        far[layout.content_len..].copy_from_slice(&crc.to_le_bytes());
+        for (bytes, what) in [
+            (rot, "content checksum mismatch"),
+            (far, "posting id out of range"),
+            (Vec::new(), "bad magic"),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            for err in [
+                WalkIndex::load(&path).unwrap_err(),
+                unmapped(1).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+                assert!(err.to_string().contains(what), "{what}: {err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

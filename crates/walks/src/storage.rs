@@ -23,12 +23,14 @@
 //! columns as they lie in memory and byte-swaps them elsewhere (see
 //! [`Pod::to_le`]). Zero-copy reinterpretation therefore requires a
 //! little-endian host; the mapped open refuses others, which use the
-//! deserializing loader instead. All downstream accesses go through
-//! bounds-checked slices, so even a file that mutates under the map
-//! (which `MAP_PRIVATE` leaves unspecified) can only produce wrong query
-//! answers or a clean panic — never undefined behaviour. Structural
-//! invariants (offset monotonicity) are validated once at open; bulk
-//! payloads are trusted under the file's CRC-32 trailer.
+//! deserializing loader instead. Both opens read a file's bytes the same
+//! way and pass them through one sweep (in `index.rs`) that checks the
+//! CRC-32 trailer and the range of every stored offset, id, hop and
+//! aggregate, so a file that opens cannot send a read out of range. All
+//! downstream accesses still go through bounds-checked slices, so even a
+//! file that mutates under the map after the open (which `MAP_PRIVATE`
+//! leaves unspecified) can only produce wrong query answers or a clean
+//! panic — never undefined behaviour.
 //!
 //! One **section codec** ([`SectionWriter`], [`read_header`]) frames every
 //! durable file of pod columns: a magic, fixed `u64` header fields, a `u64`
@@ -528,30 +530,24 @@ impl Header {
     }
 }
 
-/// Reads a section-coded file's magic, fixed header fields and table
-/// through `read_at(buf, offset)`, a positioned read of the file or a copy
-/// out of its bytes ([`read_bytes`]). A retired magic is refused by name,
-/// and every size is checked against `file_len` before it is read or
-/// allocated; the layout validates its own fields.
-pub fn read_header(
-    schema: &'static Schema,
-    file_len: u64,
-    read_at: impl Fn(&mut [u8], u64) -> io::Result<()>,
-) -> io::Result<Header> {
+/// Reads the magic, fixed header fields and table of a section-coded file
+/// held in `bytes` (mapped or read whole). A retired magic is refused by
+/// name, and every size is checked against the file length before it is
+/// read or allocated; the layout validates its own fields.
+pub fn read_header(schema: &'static Schema, bytes: &[u8]) -> io::Result<Header> {
     let bad_magic = || {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("not a {} (bad magic)", schema.noun),
         )
     };
-    if file_len < 8 {
+    let file_len = bytes.len() as u64;
+    let Some(magic) = bytes.first_chunk::<8>() else {
         return Err(bad_magic());
-    }
-    let mut magic = [0u8; 8];
-    read_at(&mut magic, 0)?;
-    if &magic != schema.magic {
+    };
+    if magic != schema.magic {
         let name = |m: &[u8; 8]| String::from_utf8_lossy(&m[..7]).into_owned();
-        return Err(match schema.retired.iter().find(|&&old| *old == magic) {
+        return Err(match schema.retired.iter().find(|&&old| old == magic) {
             Some(old) => io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -569,9 +565,7 @@ pub fn read_header(
     if file_len < fixed {
         return Err(schema.truncated());
     }
-    let mut buf = vec![0u8; fixed as usize - 8];
-    read_at(&mut buf, 8)?;
-    let fields: Vec<u64> = le_values(&buf).collect();
+    let fields: Vec<u64> = le_values(&bytes[8..fixed as usize]).collect();
     let table_len = schema.table_len.map_or(0, |f| fields[f]);
     if table_len.saturating_mul(8) > file_len {
         return Err(schema.corrupt("header exceeds file size"));
@@ -580,27 +574,13 @@ pub fn read_header(
     if file_len < next {
         return Err(schema.truncated());
     }
-    let mut buf = vec![0u8; table_len as usize * 8];
-    read_at(&mut buf, fixed)?;
     Ok(Header {
         fields,
-        table: le_values(&buf).collect(),
+        table: le_values(&bytes[fixed as usize..next as usize]).collect(),
         schema,
         file_len,
         next,
     })
-}
-
-/// The `read_at` of [`read_header`] over a file already in memory.
-pub fn read_bytes(bytes: &[u8]) -> impl Fn(&mut [u8], u64) -> io::Result<()> + '_ {
-    move |buf, off| {
-        let src = usize::try_from(off)
-            .ok()
-            .and_then(|at| bytes.get(at..at.checked_add(buf.len())?))
-            .ok_or(io::ErrorKind::UnexpectedEof)?;
-        buf.copy_from_slice(src);
-        Ok(())
-    }
 }
 
 /// The values of type `T` whose little-endian encodings are packed in
@@ -612,57 +592,15 @@ pub fn le_values<T: Pod>(bytes: &[u8]) -> impl Iterator<Item = T> + '_ {
 }
 
 /// Checks the CRC-32 trailer of a file held in memory (its last 4 bytes)
-/// against every byte before it, hashed on up to `threads` workers.
-pub fn check_trailer(schema: &Schema, bytes: &[u8], threads: usize) -> io::Result<()> {
+/// against every byte before it.
+pub fn check_trailer(schema: &Schema, bytes: &[u8]) -> io::Result<()> {
     let (content, trailer) = bytes
         .split_last_chunk::<4>()
         .ok_or_else(|| schema.truncated())?;
-    if u32::from_le_bytes(*trailer) != crate::crc::crc32_parallel(content, threads) {
+    if u32::from_le_bytes(*trailer) != crate::crc::crc32(content) {
         return Err(schema.corrupt("content checksum mismatch"));
     }
     Ok(())
-}
-
-/// Streams a file's first `content_len` bytes in fixed chunks, checks the
-/// CRC-32 trailer after them, and returns the chunk buffer's size.
-pub fn verify_trailer(schema: &Schema, file: &File, content_len: u64) -> io::Result<usize> {
-    const CRC_CHUNK: u64 = 64 << 10;
-    let cap = content_len.clamp(1, CRC_CHUNK) as usize;
-    let mut buf = vec![0u8; cap];
-    let mut crc = Crc32::new();
-    let mut pos = 0u64;
-    while pos < content_len {
-        let take = cap.min((content_len - pos) as usize);
-        pread(file, &mut buf[..take], pos)?;
-        crc.update(&buf[..take]);
-        pos += take as u64;
-    }
-    let mut t = [0u8; 4];
-    pread(file, &mut t, content_len)?;
-    if u32::from_le_bytes(t) != crc.finish() {
-        return Err(schema.corrupt("content checksum mismatch"));
-    }
-    Ok(cap)
-}
-
-/// Positioned read (`pread(2)`): fills `buf` from absolute offset `off`
-/// without touching the shared cursor, so parse workers can read one open
-/// file concurrently.
-pub(crate) fn pread(file: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, off)
-    }
-    #[cfg(not(unix))]
-    {
-        // No positioned-read API: clone the handle and seek. Clones share
-        // the cursor, so off-unix loads keep a single reader.
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = file.try_clone()?;
-        f.seek(SeekFrom::Start(off))?;
-        f.read_exact(buf)
-    }
 }
 
 fn bad_col(msg: &str) -> io::Error {
